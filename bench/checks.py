@@ -5,7 +5,11 @@ package: exit code 0 and parseable JSON or CSV, every reported count
 inside the Weil bound, all presentation flags equal, `ok` true, and the
 number of route comparisons and counting cross-checks a complete run
 makes.  So a change that drops a route, or degrades to formula-only
-output, fails here even on seeds without golden digests.
+output, fails here even on seeds without golden digests.  Work whose
+skipping leaves the output unchanged (the direct count behind a count
+that `analyze` reports from eigenvalues, the eigenvalue replay behind
+`search`, the enumeration behind `hd-check`) is caught by the route
+tallies that `run.py` compares with `routes.json`.
 
 Each check returns a failure reason (None when the output passes) and
 the totals the output reports (`routes_compared`, `counting_checked`,

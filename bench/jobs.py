@@ -15,11 +15,13 @@ job's name is stable across seeds; the seed only changes its inputs.
 Workloads and why each was chosen:
 
 - `oracle`: `analyze` and `verify` whose enumerated universes run from
-  2^16 to 2^24, plus `hd-check --cap 20`.  The time is in the vectorised
-  enumeration oracle (`curves.count`, `bitvec`, `witt2.q_exponent_table`).
+  2^16 to 2^24, plus `hd-check` up to degree 20.  The time is in the
+  vectorised enumeration oracle (`curves.count`, `bitvec`,
+  `witt2.q_exponent_table`); the hd-check jobs form the tail tier.
 - `families`: `twists` on heads from F256 to F4096, the three `construct`
-  families and `search`.  The time is in scalar `gf2field` code and in
-  thousands of small counts that share one field.
+  families and `search`.  The time is in scalar `gf2field` code, in
+  thousands of small counts that share one field, and in the hermitian
+  `parameter_search` of the tail tier.
 - `sweep`: library sweeps with enumeration kept at 2^8 or below.  The
   time is in `skew.kernel_splitting_degree` and `symplectic`.
 """
@@ -179,15 +181,21 @@ def _oracle(rng: random.Random) -> list[Job]:
     return [
         _cli("analyze_F256_123", *BASELINES["analyze_F256_123"], extensions=(1, 2, 3)),
         _cli("hd_check_cap20", *BASELINES["hd_check_cap20"], fmt="csv"),
-        # 2^20 universes: the tail tier
+        # the tail tier: hd-check takes no input, so these jobs are the
+        # same on every seed; their time is q_exponent_table's.  A cache
+        # of its tables across calls would make the repeats nearly free,
+        # a gain that a CLI user, one command per process, would not see.
+        *[_cli(f"hd-check.cap17.{i}", "hd-check", "--cap", "17", "--format", "csv", fmt="csv")
+          for i in range(12)],
+        # 2^20 universes
         *_curve_jobs(rng, "verify.F1024", "verify", "F1024", _bases("verify.F1024", "F1024", 1, 12), (1, 2)),
         # 2^18 universes: the median tier
         *_curve_jobs(rng, "verify.F512", "verify", "F512:0x211", _UNWITNESSED["F512:0x211"], (1, 2)),
         *_curve_jobs(rng, "analyze.F64p8", "analyze", "F64:p=8", _UNWITNESSED["F64:p=8"], (1, 2, 3)),
-        # 2^16 universes
-        *_curve_jobs(rng, "verify.F16x19", "verify", "F16:0x19", _bases("verify.F16x19", "F16:0x19", 2, 8),
+        # 2^16 universes, as many jobs as lie above the median tier
+        *_curve_jobs(rng, "verify.F16x19", "verify", "F16:0x19", _bases("verify.F16x19", "F16:0x19", 2, 16),
                      (1, 2, 3, 4)),
-        *_curve_jobs(rng, "analyze.F256p4", "analyze", "F256:p=4", _bases("analyze.F256p4", "F256:p=4", 1, 4),
+        *_curve_jobs(rng, "analyze.F256p4", "analyze", "F256:p=4", _bases("analyze.F256p4", "F256:p=4", 1, 10),
                      (1, 2)),
         # the second extension lies past --budget: the formula-only path
         *_curve_jobs(rng, "verify.F4096.over_budget", "verify", "F4096:0x1053",
@@ -209,18 +217,31 @@ def _twist_jobs(rng, field: str, count: int) -> list[Job]:
     ]
 
 
+# Coefficients a over F65536:p=4 whose relative trace to F_16 vanishes,
+# so `construct --family hermitian` runs `parameter_search`.  The search
+# stops at ranks 14337-14421 of the 65536 parameters, so each job takes
+# about 0.8 s, most of it in the search, and the tier's costs are equal.
+_SEARCHED_A = (0xF6F4, 0x9BD7, 0x4150, 0x2C73, 0x2832, 0x4511,
+               0x9F96, 0xF2B5, 0xE6FC, 0x504E, 0x3D6D, 0xE7EA)
+
+
 def _families(rng: random.Random) -> list[Job]:
     jobs = [
         _cli("twists_F4096", *BASELINES["twists_F4096"]),
         _cli("construct_hermitian_F65536p4", *BASELINES["construct_hermitian_F65536p4"]),
         _cli("search_F16_e2", *BASELINES["search_F16_e2"]),
         *_twist_jobs(rng, "F1024", 2),
-        *_twist_jobs(rng, "F256", 14),  # the tail tier
+        *_twist_jobs(rng, "F256", 8),
     ]
-    # The median tier takes fixed coefficients: the cost of a hermitian
-    # job follows the rank of its twist parameter, and x -> s*x leaves
-    # the family, so no scaling keeps it.  The cheap F16 jobs below it
-    # take seeded ones.
+    # Hermitian jobs take fixed coefficients: their cost follows the
+    # rank of the twist parameter, and x -> s*x leaves the family, so no
+    # scaling keeps it.  F65536 is the tail tier, F256 the median tier;
+    # the cheap F16 jobs below them take seeded coefficients.
+    for i, a in enumerate(_SEARCHED_A):
+        jobs.append(
+            _cli(f"construct.hermitian.F65536p4.{i}", "construct", "--family", "hermitian",
+                 "--field", "F65536:p=4", "--a", f"{a:x}")
+        )
     fixed = random.Random("hermitian.F256p4")
     for i in range(24):
         jobs.append(

@@ -12,13 +12,18 @@ workload's job list (`jobs.py`) in order, in a fresh process
 --trace 0 measures set-up time in fresh processes, then repeats passes
 while another fits in --seconds (at least one), and reports the
 end-to-end metrics named in BENCHMARK.json: pass and job times as
-medians over the passes, in reference seconds (`reference.py`), set-up
-as the median of raw seconds.  --trace 1 runs one untraced and one
-traced pass and reports the per-layer metrics, in raw seconds.
+medians over the passes and set-up time as the median over fresh
+processes, all in reference seconds (`reference.py`).  --trace 1 runs one untraced and one
+traced pass and reports the per-layer metrics, in raw seconds except
+`trace.overhead_s`.
 Either way every job's output is checked (`checks.py`, plus the golden
-digests in `golden.json` when the seed has them); the last line of
-standard output is one JSON object with `correct`, `attempted`,
-`failed` and `metrics`.  Details of the run go to bench/out/.
+digests in `golden.json` when the seed has them), and every job must
+call the counting, hd-check and eigenvalue routes at least as often as
+`routes.json` records for it (the same on every seed), so work that
+leaves no trace in the output cannot be skipped.  A traced run also
+fails when its workload no longer isolates its layer (`tracing.ISOLATION`).
+The last line of standard output is one JSON object with `correct`,
+`attempted`, `failed` and `metrics`.  Details of the run go to bench/out/.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ import reference  # noqa: E402
 import stats  # noqa: E402
 
 GOLDEN = HERE / "golden.json"
+ROUTES = HERE / "routes.json"
 OUT = HERE / "out"
 SETUP_RUNS = 9
 SETUP_RUNS_BEFORE = 5
@@ -104,28 +110,28 @@ def environment(workload: str, seed: int, threads: int) -> dict:
     }
 
 
-def measure_setup(runs: int) -> tuple[list[float], int]:
-    """Seconds of `runs` fresh-process set-ups, after one unmeasured run
-    that warms the file cache, and how many failed.
-
-    These stay raw: process start-up drifts apart from the compute
-    speed that `reference` tracks.
+def measure_setup(runs: int) -> tuple[list[tuple[float, float]], int]:
+    """(set-up seconds, start-up reference seconds) of `runs` pairs of
+    fresh processes, after one unmeasured pair that warms the file
+    cache, and how many set-ups failed.  The two processes of a pair run
+    back to back, so they see the same state of the machine.
     """
-    times, failed = [], 0
+    pairs, failed = [], 0
     for i in range(runs + 1):
-        t0 = perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-c", SETUP_CODE], cwd=ROOT, env=_env(),
-            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=60,
-        )
-        elapsed = perf_counter() - t0
-        if i == 0:
-            continue
-        if proc.returncode != 0:
-            failed += 1
-            sys.stderr.write(proc.stderr.decode(errors="replace")[-2000:])
-        times.append(elapsed)
-    return times, failed
+        pair = []
+        for code in (SETUP_CODE, reference.START_CODE):
+            t0 = perf_counter()
+            proc = subprocess.run(
+                [sys.executable, "-c", code], cwd=ROOT, env=_env(),
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=60,
+            )
+            pair.append(perf_counter() - t0)
+            if i > 0 and code is SETUP_CODE and proc.returncode != 0:
+                failed += 1
+                sys.stderr.write(proc.stderr.decode(errors="replace")[-2000:])
+        if i > 0:
+            pairs.append(tuple(pair))
+    return pairs, failed
 
 
 def run_pass(workload: str, seed: int, threads: int, trace: int, timeout: float) -> dict | None:
@@ -153,17 +159,36 @@ def _golden(workload: str, seed: int) -> dict | None:
     return json.loads(GOLDEN.read_text()).get(workload, {}).get(str(seed))
 
 
+def _routes(workload: str) -> dict | None:
+    if not ROUTES.is_file():
+        return None
+    return json.loads(ROUTES.read_text()).get(workload)
+
+
 def _record_golden(workload: str, seed: int, result: dict) -> None:
     data = json.loads(GOLDEN.read_text()) if GOLDEN.is_file() else {}
-    data.setdefault(workload, {})[str(seed)] = {name: digest for name, _, _, digest in result["jobs"]}
+    data.setdefault(workload, {})[str(seed)] = {name: digest for name, _, _, digest, _ in result["jobs"]}
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    data = json.loads(ROUTES.read_text()) if ROUTES.is_file() else {}
+    data[workload] = {name: routes for name, _, _, _, routes in result["jobs"]}
+    ROUTES.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
 
 
-def judge(passes: list[dict | None], job_list: list, golden: dict | None) -> tuple[int, int, list[str]]:
+def short_routes(expected: dict, got: dict) -> str | None:
+    """Which route a job took fewer times than expected, or None."""
+    for key, want in sorted(expected.items()):
+        if got.get(key, 0) < want:
+            return f"route skipped: {key} {got.get(key, 0)} < {want}"
+    return None
+
+
+def judge(passes: list[dict | None], job_list: list, golden: dict | None,
+          routes: dict | None) -> tuple[int, int, list[str]]:
     """(attempted, failed, reasons) over all passes.
 
-    A job fails when its output check fails or its digest differs from
-    the golden one; every job of a pass whose worker died fails.
+    A job fails when its output check fails, its digest differs from the
+    golden one, or it took a route fewer times than `routes` expects;
+    every job of a pass whose worker died fails.
     """
     attempted = failed = 0
     reasons: list[str] = []
@@ -174,33 +199,46 @@ def judge(passes: list[dict | None], job_list: list, golden: dict | None) -> tup
             failed += len(names)
             reasons.append("worker failed or returned another job list")
             continue
-        for name, _, reason, digest in result["jobs"]:
+        for name, _, reason, digest, took in result["jobs"]:
             if reason is None and golden is not None and golden.get(name) != digest:
                 reason = "output differs from its golden digest"
+            if reason is None and routes is not None:
+                reason = short_routes(routes[name], took) if name in routes else "no route tally recorded"
             if reason is not None:
                 failed += 1
                 reasons.append(f"{name}: {reason}")
     return attempted, failed, reasons
 
 
-def end_to_end(passes: list[dict], setup: list[float]) -> tuple[dict, dict]:
+def _pass_times(p: dict, scaled: bool) -> tuple[float, list[float]]:
+    """(wall seconds, job seconds) of one pass, in reference seconds when
+    scaled, else raw."""
+    raw = [r[1] for r in p["jobs"]]
+    if not scaled:
+        return p["wall_s"], raw
+    jobs_s = [t * k for t, k in zip(raw, reference.job_scales(p["units"]))]
+    return p["wall_s"] * sum(jobs_s) / sum(raw), jobs_s
+
+
+def end_to_end(passes: list[dict], setup: list[tuple[float, float]]) -> tuple[dict, dict]:
     """End-to-end metric values, in reference seconds, and what the run
     measured raw."""
     n = len(passes[0]["jobs"])
     pct = stats.tail_percentile(n)
 
     def times(scaled: bool) -> dict:
-        per_pass = [(p["scale"] if scaled else 1.0, [r[1] for r in p["jobs"]]) for p in passes]
+        per_pass = [_pass_times(p, scaled) for p in passes]
         return {
-            "wall_s": statistics.median([p["wall_s"] * (p["scale"] if scaled else 1.0) for p in passes]),
-            "job_s_p50": statistics.median([k * stats.nearest_rank(t, 50) for k, t in per_pass]),
-            "job_s_tail": statistics.median([k * stats.nearest_rank(t, pct) for k, t in per_pass]),
+            "wall_s": statistics.median([wall for wall, _ in per_pass]),
+            "job_s_p50": statistics.median([stats.nearest_rank(t, 50) for _, t in per_pass]),
+            "job_s_tail": statistics.median([stats.nearest_rank(t, pct) for _, t in per_pass]),
         }
 
-    values = {**times(True), "setup_s": statistics.median(setup),
+    values = {**times(True), "setup_s": reference.setup_seconds(setup),
               "peak_rss_mb": statistics.median([p["peak_rss_mb"] for p in passes])}
     info = {"tail_percentile": pct, "jobs_per_pass": n, "passes": len(passes),
-            "scales": [p["scale"] for p in passes], "raw_seconds": times(False)}
+            "scales": [statistics.median(reference.job_scales(p["units"])) for p in passes],
+            "raw_seconds": {**times(False), "setup_s": statistics.median([s for s, _ in setup])}}
     return values, info
 
 
@@ -211,7 +249,9 @@ def traced_run(args, threads: int, deadline: float) -> tuple[list, dict, dict]:
     values, info = {}, {}
     if plain is not None and traced is not None:
         values = dict(traced["layers"])
-        values["trace.overhead_s"] = traced["wall_s"] - plain["wall_s"]
+        values["wall_raw_s"] = plain["wall_s"]
+        # in reference seconds, so drift between the two passes cancels
+        values["trace.overhead_s"] = _pass_times(traced, True)[0] - _pass_times(plain, True)[0]
         info["isolation_claim"] = traced["isolation_claim"]
     return [plain, traced], values, info
 
@@ -247,7 +287,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--threads", type=int, default=1, help="counting threads, at most nproc")
     parser.add_argument("--record-golden", action="store_true",
-                        help="store this seed's output digests in golden.json")
+                        help="store this seed's output digests in golden.json and "
+                             "the workload's route tallies in routes.json")
     args = parser.parse_args(argv)
 
     if not (ROOT / "src" / "aswcurves" / "__init__.py").is_file():
@@ -259,7 +300,8 @@ def main(argv: list[str] | None = None) -> int:
     env = environment(args.workload, args.seed, threads)
     print(json.dumps({"environment": env}))
     job_list = jobs.build(args.workload, args.seed)
-    golden = _golden(args.workload, args.seed)
+    golden = None if args.record_golden else _golden(args.workload, args.seed)
+    routes = None if args.record_golden else _routes(args.workload)
 
     if args.trace:
         passes, values, info = traced_run(args, threads, deadline)
@@ -268,8 +310,12 @@ def main(argv: list[str] | None = None) -> int:
         passes, values, info, setup_failed = untraced_run(args, threads, deadline)
         declared = spec["end_to_end"]
     info["golden_checked"] = golden is not None
+    info["routes_checked"] = routes is not None
 
-    attempted, failed, reasons = judge(passes, job_list, golden)
+    attempted, failed, reasons = judge(passes, job_list, golden, routes)
+    if values.get("trace.isolation_holds") == 0:
+        reasons.append(f"the workload does not isolate its layer: {info['isolation_claim']}")
+        failed = max(failed, 1)
     if not args.trace:
         attempted += SETUP_RUNS
         failed += setup_failed
@@ -287,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
 
     good = [p for p in passes if p is not None]
     for name in jobs.BASELINES:
-        raw = [s for p in good for n, s, _, _ in p["jobs"] if n == name]
+        raw = [s for p in good for n, s, _, _, _ in p["jobs"] if n == name]
         if raw:
             print(f"baseline job {name}: {statistics.median(raw):.4f} s raw (median of {len(raw)})")
     for line in reasons[:20]:

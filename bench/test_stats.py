@@ -155,19 +155,55 @@ class TestChecks:
 
 class TestJudge:
     job_list = [jobs.Job("a"), jobs.Job("b")]
+    routes = {"a": {"count.calls": 2, "count.elements": 512}, "b": {"lpoly.calls": 0}}
 
-    def result(self, reason_b=None):
-        return {"jobs": [["a", 0.1, None, "d-a"], ["b", 0.2, reason_b, "d-b"]]}
+    def result(self, reason_b=None, count_calls=2):
+        took = {"count.calls": count_calls, "count.elements": 256 * count_calls}
+        return {"jobs": [["a", 0.1, None, "d-a", took], ["b", 0.2, reason_b, "d-b", {}]]}
 
     def test_clean_passes(self):
-        assert run.judge([self.result(), self.result()], self.job_list, None) == (4, 0, [])
+        assert run.judge([self.result(), self.result()], self.job_list, None, self.routes) == (4, 0, [])
 
     def test_golden_mismatch_and_check_failure_count_as_failed(self):
         attempted, failed, reasons = run.judge(
-            [self.result(reason_b="bad count")], self.job_list, {"a": "other", "b": "d-b"}
+            [self.result(reason_b="bad count")], self.job_list, {"a": "other", "b": "d-b"}, None
         )
         assert (attempted, failed) == (2, 2)
         assert reasons == ["a: output differs from its golden digest", "b: bad count"]
 
     def test_dead_worker_fails_every_job_of_its_pass(self):
-        assert run.judge([self.result(), None], self.job_list, None)[:2] == (4, 2)
+        assert run.judge([self.result(), None], self.job_list, None, None)[:2] == (4, 2)
+
+    def test_skipped_route_fails_the_job(self):
+        # same output bytes, one direct count fewer
+        attempted, failed, reasons = run.judge([self.result(count_calls=1)], self.job_list, None, self.routes)
+        assert (attempted, failed) == (2, 1)
+        assert reasons == ["a: route skipped: count.calls 1 < 2"]
+
+    def test_extra_route_calls_pass(self):
+        assert run.judge([self.result(count_calls=3)], self.job_list, None, self.routes)[1] == 0
+
+    def test_job_without_a_recorded_tally_fails(self):
+        reasons = run.judge([self.result()], self.job_list, None, {"a": self.routes["a"]})[2]
+        assert reasons == ["b: no route tally recorded"]
+
+
+class TestReference:
+    def test_job_scale_is_nominal_over_median_of_nearby_units(self, monkeypatch):
+        monkeypatch.setattr(run.reference, "WINDOW", 1)
+        nominal = run.reference.NOMINAL_S
+        # the machine halves its speed during the fourth job
+        units = [nominal] * 4 + [2 * nominal] * 4
+        assert run.reference.job_scales(units) == pytest.approx([1, 1, 1, 2 / 3, 0.5, 0.5, 0.5])
+
+    def test_setup_is_scaled_by_its_paired_start_up(self):
+        nominal = run.reference.NOMINAL_START_S
+        # the machine slows by half for the last pair; the ratio holds
+        pairs = [(0.3, nominal), (0.3, nominal), (0.45, 1.5 * nominal)]
+        assert run.reference.setup_seconds(pairs) == pytest.approx(0.3)
+
+    def test_pass_times_scale_each_job_and_the_wall(self):
+        nominal = run.reference.NOMINAL_S
+        p = {"wall_s": 3.5, "units": [2 * nominal] * 4, "jobs": [["a", 1.0], ["b", 2.0], ["c", 0.0]]}
+        assert run._pass_times(p, True) == pytest.approx((1.75, [0.5, 1.0, 0.0]))
+        assert run._pass_times(p, False) == (3.5, [1.0, 2.0, 0.0])

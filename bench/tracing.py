@@ -94,6 +94,72 @@ def _targets():
     ]
 
 
+def rebind_everywhere(original, wrapped, extra_modules, undo_log: list) -> None:
+    """Rebind every module global of the package (and of extra_modules)
+    that holds original to wrapped, logging (module, name, original)."""
+    modules = [m for name, m in sys.modules.items() if name == "aswcurves" or name.startswith("aswcurves.")]
+    for module in modules + list(extra_modules):
+        for key, value in list(vars(module).items()):
+            if value is original:
+                undo_log.append((module, key, original))
+                setattr(module, key, wrapped)
+
+
+def undo(undo_log: list) -> None:
+    while undo_log:
+        owner, attr, original = undo_log.pop()
+        setattr(owner, attr, original)
+
+
+# The routes whose work a job's output does not show: the direct count
+# (`trace_zero_count`, behind `brute_count` and `psi_sum`), the hd-check
+# enumeration (`q_exponent_table`) and the eigenvalue route
+# (`l_polynomial`).  A job that skips one of them can print the same
+# bytes, so `RouteTally` counts their calls, and the elements the two
+# enumerations were asked for, in every pass.
+ROUTES = (
+    ("aswcurves.curves.count", "trace_zero_count", "count",
+     lambda spec, m=1, *rest, **kwargs: 1 << (spec.q_deg * m)),
+    ("aswcurves.witt2", "q_exponent_table", "qtable", lambda deg: 1 << deg),
+    ("aswcurves.curves.lpoly", "l_polynomial", "lpoly", None),
+)
+
+
+class RouteTally:
+    """Call counters on the routes of ROUTES, cheap enough for the
+    untraced pass: one dict update per call of a function that takes
+    at least microseconds."""
+
+    def __init__(self):
+        self.counts: Counter = Counter()
+        self._undo: list = []  # kept for the life of the worker
+
+    def _wrap(self, key, fn, size):
+        counts = self.counts
+
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            counts[f"{key}.calls"] += 1
+            if size is not None:
+                counts[f"{key}.elements"] += size(*args, **kwargs)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def install(self, extra_modules=()) -> None:
+        for module, attr, key, size in ROUTES:
+            original = getattr(sys.modules[module], attr)
+            rebind_everywhere(original, self._wrap(key, original, size), extra_modules, self._undo)
+
+    def take(self) -> dict[str, int]:
+        """The tallies since the last take, every route listed."""
+        out = {f"{key}.{what}": 0 for _, _, key, size in ROUTES
+               for what in (("calls", "elements") if size else ("calls",))}
+        out.update(self.counts)
+        self.counts.clear()
+        return out
+
+
 class Tracer:
     """Records spans, call counters, errors and per-call notes of one pass."""
 
@@ -144,13 +210,7 @@ class Tracer:
 
         return wrapper
 
-    def _rebind(self, owner, attr, new):
-        self._undo.append((owner, attr, getattr(owner, attr)))
-        setattr(owner, attr, new)
-
     def install(self, extra_modules=()) -> None:
-        modules = [m for name, m in sys.modules.items() if name == "aswcurves" or name.startswith("aswcurves.")]
-        modules += list(extra_modules)
         for owner, attr, name, layer, kind, note in _targets():
             self._names.append(name)
             if isinstance(owner, str):
@@ -162,17 +222,13 @@ class Tracer:
             else:
                 wrapped = self._counter(name, layer, original)
             if isinstance(owner, str):
-                for module in modules:
-                    for key, value in list(vars(module).items()):
-                        if value is original:
-                            self._rebind(module, key, wrapped)
+                rebind_everywhere(original, wrapped, extra_modules, self._undo)
             else:
-                self._rebind(owner, attr, wrapped)
+                self._undo.append((owner, attr, original))
+                setattr(owner, attr, wrapped)
 
     def uninstall(self) -> None:
-        while self._undo:
-            owner, attr, original = self._undo.pop()
-            setattr(owner, attr, original)
+        undo(self._undo)
 
     def write(self, path) -> None:
         with open(path, "w") as fh:

@@ -5,10 +5,11 @@ Usage: python3 bench/worker.py --workload W --seed N --threads T --trace 0|1
 Imports the package from `src/` of this checkout, runs every job in
 order (CLI jobs in-process through `aswcurves.cli.main`, library jobs
 through `api.py`), then checks every output and prints one JSON line:
-pass wall time and per-job seconds (raw; `scale` turns them into
-reference seconds, see `reference.py`), failure reasons and output digests,
-peak resident memory, the totals parsed from the outputs and, when
-traced, the per-layer metrics and microbenchmarks.
+pass wall time and per-job seconds (raw), the reference unit times
+that turn them into reference seconds (`reference.py`), failure
+reasons, output digests and route tallies (`tracing.RouteTally`), peak
+resident memory, the totals parsed from the outputs and, when traced,
+the per-layer metrics and microbenchmarks.
 """
 
 from __future__ import annotations
@@ -66,8 +67,11 @@ def main() -> int:
     import checks
     import jobs
     import reference
+    from tracing import RouteTally
 
     job_list = jobs.build(args.workload, args.seed)
+    tally = RouteTally()
+    tally.install([api])
     tracer = None
     if args.trace:
         from tracing import Tracer
@@ -75,24 +79,27 @@ def main() -> int:
         tracer = Tracer()
         tracer.install([api])
 
+    # Reference units run before the first job and after every job,
+    # outside the timed work (and outside every span).
+    units = [reference.unit()]
     outputs = []
-    # the reference meter samples on a timer; the traced pass goes
-    # without, so its spans hold only program time
-    meter = reference.Meter()
-    with contextlib.nullcontext() if tracer else meter:
-        t_pass = perf_counter()
-        for index, job in enumerate(job_list):
-            if tracer is not None:
-                tracer.job = index
-            t0, spent = perf_counter(), meter.spent
-            text, code, raised = _run_job(job, args.threads, cli, api)
-            outputs.append((perf_counter() - t0 - (meter.spent - spent), text, code, raised))
-        wall = perf_counter() - t_pass - meter.spent
+    t_pass = perf_counter()
+    reference_s = 0.0
+    for index, job in enumerate(job_list):
+        if tracer is not None:
+            tracer.job = index
+        t0 = perf_counter()
+        text, code, raised = _run_job(job, args.threads, cli, api)
+        outputs.append((perf_counter() - t0, text, code, raised, tally.take()))
+        t1 = perf_counter()
+        units.append(reference.unit())
+        reference_s += perf_counter() - t1
+    wall = perf_counter() - t_pass - reference_s
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
     totals = checks.new_totals()
     records = []
-    for job, (seconds, text, code, raised) in zip(job_list, outputs):
+    for job, (seconds, text, code, raised, routes) in zip(job_list, outputs):
         if raised is not None:
             reason = "raised " + raised.strip().splitlines()[-1]
         elif job.api:
@@ -102,10 +109,9 @@ def main() -> int:
             for key, value in found.items():
                 totals[key] += value
         digest = hashlib.sha256(text.encode()).hexdigest()
-        records.append([job.name, seconds, reason, digest])
+        records.append([job.name, seconds, reason, digest, routes])
 
-    scale = None if tracer else meter.scale()
-    result = {"wall_s": wall, "scale": scale, "peak_rss_mb": peak_rss_mb, "jobs": records, "totals": totals}
+    result = {"wall_s": wall, "units": units, "peak_rss_mb": peak_rss_mb, "jobs": records, "totals": totals}
     if tracer is not None:
         import micro
         from tracing import ISOLATION
