@@ -9,11 +9,11 @@ the scalar methods, which the tests check directly.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .gf2field import Element, FieldCtx
+from .gf2field import FieldCtx
 
 _U64 = np.uint64
 
@@ -43,8 +43,3 @@ def field_mul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for hi in range(2 * n - 2, n - 1, -1):
         acc ^= ((acc >> _U64(hi)) & one) * _U64(poly << (hi - n))
     return acc
-
-
-def linearized_table(ctx: FieldCtx, fn: Callable[[Element], Element]) -> list[int]:
-    """Unit-vector images of an additive scalar map, for apply_linear."""
-    return [fn(1 << j) for j in range(ctx.n)]

@@ -24,12 +24,13 @@ import json
 import re
 import sys
 from dataclasses import dataclass
-from math import isqrt
 from pathlib import Path
 
 from .curves import (
     CurveSpec,
     DEFAULT_BUDGET,
+    LPolynomial,
+    PresentationReport,
     brute_count,
     classify_twists,
     extremal_from_subspace,
@@ -41,6 +42,8 @@ from .curves import (
     period_parity,
     presentation_conditions,
 )
+from .curves.base import weil_class, weil_gap
+from .curves.period import coefficient_range
 from .errors import (
     AmbientTooSmall,
     BudgetExceeded,
@@ -66,7 +69,6 @@ class RunConfig:
     threads: int = 1
     format: str = "json"
     output: str = "-"
-    field_spec: str | None = None
 
 
 @dataclass(frozen=True)
@@ -134,26 +136,57 @@ def _parse_prime_curve(text: str) -> CurveSpec:
 _CLASS_SHORT = {"maximal": "max", "minimal": "min", "neutral": "zero"}
 
 
-def _weil_check(spec: CurveSpec, m: int, count: int) -> None:
-    """Reject counts outside the Weil bound; they cannot be correct."""
-    deviation = count - spec.q**m - 1
-    bound = 4 * spec.genus**2 * spec.q**m
-    if deviation * deviation > bound:
-        raise OracleMismatch(
-            f"count {count} over extension {m} of {format_curve_spec(spec)} "
-            f"violates the Weil bound"
-        )
+def _presentation(
+    spec: CurveSpec, warnings: list[str]
+) -> tuple[PresentationReport | None, LPolynomial | None]:
+    """Presentation report of a curve and the L-polynomial of its witness.
+
+    Both are None, with a warning, when the quadratic extension of F_q
+    does not fit the ambient field; the L-polynomial is None when the
+    curve has no witness.
+    """
+    try:
+        report = presentation_conditions(spec)
+    except AmbientTooSmall as exc:
+        warnings.append(f"presentation conditions unavailable: {exc}")
+        return None, None
+    lp = l_polynomial(*report.witness) if report.witness is not None else None
+    return report, lp
 
 
-def _count_label(spec: CurveSpec, count: int) -> str:
-    """Class label of a curve from its point count over F_q."""
-    deviation = count - spec.q - 1
-    if deviation == 0:
-        return "neutral"
-    root = isqrt(spec.q)
-    if root * root == spec.q and abs(deviation) == 2 * spec.genus * root:
-        return "maximal" if deviation > 0 else "minimal"
-    return "interior"
+def _extension_counts(
+    spec: CurveSpec, lp: LPolynomial | None, degrees: list[int], cfg: RunConfig
+) -> tuple[dict[str, int], int, list[int]]:
+    """Point counts over the given extension degrees, by both routes.
+
+    The eigenvalue count (when `lp` exists) and the direct count (when
+    the extension fits the budget) must agree, else OracleMismatch, and
+    every count must lie within the Weil bound.  Returns the counts, the
+    number of degrees where both routes ran, and the degrees over budget
+    (counted by the eigenvalue route alone, or not at all without `lp`).
+    """
+    counts: dict[str, int] = {}
+    compared = 0
+    over_budget = []
+    for m in degrees:
+        formula = lp.point_count(m) if lp is not None else None
+        if spec.q**m > cfg.budget:
+            over_budget.append(m)
+            if formula is None:
+                continue
+            value = formula
+        else:
+            value = brute_count(spec, m, budget=cfg.budget, threads=cfg.threads)
+            if formula is not None:
+                if formula != value:
+                    raise OracleMismatch(
+                        f"eigenvalue count {formula} != direct count {value} "
+                        f"over extension {m} of {format_curve_spec(spec)}"
+                    )
+                compared += 1
+        weil_class(spec, m, value)
+        counts[str(m)] = value
+    return counts, compared, over_budget
 
 
 def _base_period(spec: CurveSpec, budget: int, warnings: list[str]) -> list[int] | None:
@@ -179,53 +212,27 @@ def curve_report(spec: CurveSpec, extensions: list[int], cfg: RunConfig) -> dict
     Disagreement between the two routes raises OracleMismatch.
     """
     warnings: list[str] = []
+    report, lp = _presentation(spec, warnings)
     verdicts = None
-    lp = None
-    try:
-        report = presentation_conditions(spec)
+    if report is not None:
         verdicts = {
             "witnessed": report.witnessed,
             "extension_trace_vanishes": report.extension_trace_vanishes,
             "radical_trace_vanishes": report.radical_trace_vanishes,
             "lagrangian_in_subfield": report.lagrangian_in_subfield,
         }
-        if report.witness is not None:
-            fd, t = report.witness
-            lp = l_polynomial(fd, t)
-    except AmbientTooSmall as exc:
-        warnings.append(f"presentation conditions unavailable: {exc}")
 
-    counts: dict[str, int] = {}
-    for m in extensions:
-        size = spec.q**m
-        formula = lp.point_count(m) if lp is not None else None
-        counted = None
-        if size <= cfg.budget:
-            counted = brute_count(spec, m, budget=cfg.budget, threads=cfg.threads)
-        elif formula is None:
-            warnings.append(
-                f"extension {m}: size {size} over budget and no eigenvalue route"
-            )
-            continue
-        else:
-            warnings.append(
-                f"extension {m}: size {size} over budget; eigenvalue route only"
-            )
-        if formula is not None and counted is not None and formula != counted:
-            raise OracleMismatch(
-                f"eigenvalue count {formula} != direct count {counted} "
-                f"over extension {m} of {format_curve_spec(spec)}"
-            )
-        value = formula if formula is not None else counted
-        _weil_check(spec, m, value)
-        counts[str(m)] = value
+    counts, _, over_budget = _extension_counts(spec, lp, extensions, cfg)
+    route = " and no eigenvalue route" if lp is None else "; eigenvalue route only"
+    for m in over_budget:
+        warnings.append(f"extension {m}: size {spec.q**m} over budget{route}")
 
     twist_class = None
     if lp is not None:
-        twist_class = _count_label(spec, lp.point_count(1))
+        twist_class = weil_class(spec, 1, lp.point_count(1))
     elif spec.q <= cfg.budget:
-        twist_class = _count_label(
-            spec, brute_count(spec, 1, budget=cfg.budget, threads=cfg.threads)
+        twist_class = weil_class(
+            spec, 1, brute_count(spec, 1, budget=cfg.budget, threads=cfg.threads)
         )
     else:
         warnings.append("class unavailable: no eigenvalue route and field over budget")
@@ -263,8 +270,7 @@ def cmd_twists(args: argparse.Namespace, cfg: RunConfig) -> _Output:
             f"classes from the eigenvalue route only"
         )
     tc = classify_twists(head, budget=cfg.budget, counting=counting)
-    root = isqrt(head.q)
-    gap = 2 * head.genus * root
+    gap = weil_gap(head)
     deviations = {"max": gap, "min": -gap, "zero": 0}
     rows = []
     for a in range(head.q):
@@ -303,6 +309,8 @@ def cmd_construct(args: argparse.Namespace, cfg: RunConfig) -> _Output:
             raise ParseError("--family hermitian needs --a")
         a = _hex_value(args.a, ctx.order)
         q_deg = args.q_deg if args.q_deg is not None else ctx.n
+        if q_deg < 1:
+            raise ParseError(f"--q-deg {q_deg} must be >= 1")
         rep = hermitian_twist(ctx, a, q_deg, budget=cfg.budget)
         if not rep.is_extremal:
             label = "interior"
@@ -366,40 +374,17 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> _Output:
             m += 1
     checks: dict[str, object] = {}
     warnings: list[str] = []
-
-    lp = None
-    try:
-        report = presentation_conditions(spec)
+    report, lp = _presentation(spec, warnings)
+    if report is not None:
         checks["flags"] = list(report.flags)
         checks["flags_agree"] = len(set(report.flags)) == 1
-        if report.witness is not None:
-            fd, t = report.witness
-            lp = l_polynomial(fd, t)
-            checks["witness_degree_matches_genus"] = lp.degree == 2 * spec.genus
-    except AmbientTooSmall as exc:
-        warnings.append(f"presentation conditions unavailable: {exc}")
+    if lp is not None:
+        checks["witness_degree_matches_genus"] = lp.degree == 2 * spec.genus
 
-    counts: dict[str, int] = {}
-    compared = 0
-    for m in requested:
-        size = spec.q**m
-        formula = lp.point_count(m) if lp is not None else None
-        counted = None
-        if size <= cfg.budget:
-            counted = brute_count(spec, m, budget=cfg.budget, threads=cfg.threads)
-        if formula is None and counted is None:
+    counts, compared, over_budget = _extension_counts(spec, lp, requested, cfg)
+    if lp is None:
+        for m in over_budget:
             warnings.append(f"extension {m}: no route within budget")
-            continue
-        if formula is not None and counted is not None:
-            if formula != counted:
-                raise OracleMismatch(
-                    f"eigenvalue count {formula} != direct count {counted} "
-                    f"over extension {m} of {format_curve_spec(spec)}"
-                )
-            compared += 1
-        value = formula if formula is not None else counted
-        _weil_check(spec, m, value)
-        counts[str(m)] = value
     checks["routes_compared"] = compared
     checks["weil_bound_checked"] = len(counts)
 
@@ -438,48 +423,37 @@ def cmd_search(args: argparse.Namespace, cfg: RunConfig) -> _Output:
         raise BudgetExceeded(
             f"searching F_{q} needs direct counts of size {q} > budget {cfg.budget}"
         )
-    root = isqrt(q)
-    square = root * root == q
     results = []
     rows = []
-    for e in range(1, args.e_max + 1):
-        for packed in range(q**e):
-            lower, rest = [], packed
-            for _ in range(e):
-                lower.append(rest % q)
-                rest //= q
-            for lead in range(1, q):
-                coeffs = (*lower, lead)
-                spec = CurveSpec(ctx, q_deg, coeffs)
-                if min(_rescalings(spec)) != coeffs:
-                    continue  # a smaller representative covers this class
-                if not square:
-                    continue  # the bound is unattainable over this field
-                count = brute_count(spec, 1, budget=cfg.budget, threads=cfg.threads)
-                deviation = count - q - 1
-                if abs(deviation) != 2 * spec.genus * root:
-                    continue
-                label = "maximal" if deviation > 0 else "minimal"
-                if args.predicate != "extremal" and args.predicate != label:
-                    continue
-                _formula_cross_check(spec, count)
-                text = format_curve_spec(spec)
-                results.append({"curve": text, "count": count, "class": label})
-                rows.append([text, count, label])
+    for coeffs in coefficient_range(q, args.e_max):
+        spec = CurveSpec(ctx, q_deg, coeffs)
+        if min(_rescalings(spec)) != coeffs:
+            continue  # a smaller representative covers this class
+        if weil_gap(spec) is None:
+            continue  # the bound is unattainable over this field
+        count = brute_count(spec, 1, budget=cfg.budget, threads=cfg.threads)
+        label = weil_class(spec, 1, count)
+        if label not in ("maximal", "minimal"):
+            continue
+        if args.predicate != "extremal" and args.predicate != label:
+            continue
+        _formula_cross_check(spec, count)
+        text = format_curve_spec(spec)
+        results.append({"curve": text, "count": count, "class": label})
+        rows.append([text, count, label])
     return _Output(results, (("curve", "count", "class"), rows))
 
 
 def _formula_cross_check(spec: CurveSpec, count: int) -> None:
     """Replay a count through the eigenvalue route when it exists."""
     if 2 * spec.q_deg > MAX_DEGREE:
-        return
-    report = presentation_conditions(spec)
-    if report.witness is None:
+        return  # the quadratic extension does not fit the ambient field
+    _, lp = _presentation(spec, [])
+    if lp is None:
         raise OracleMismatch(
             f"{format_curve_spec(spec)} meets the bound without a presentation"
         )
-    fd, t = report.witness
-    formula = l_polynomial(fd, t).point_count(1)
+    formula = lp.point_count(1)
     if formula != count:
         raise OracleMismatch(
             f"eigenvalue count {formula} != direct count {count} "
@@ -633,7 +607,6 @@ def main(argv: list[str] | None = None) -> int:
         threads=args.threads,
         format=args.format,
         output=args.output,
-        field_spec=getattr(args, "field", None),
     )
     try:
         out = args.func(args, cfg)

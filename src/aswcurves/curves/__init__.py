@@ -26,7 +26,7 @@ from .families import (
     hermitian_twist,
     palindromic_family,
 )
-from .lpoly import LPolynomial, l_polynomial, point_count_formula
+from .lpoly import LPolynomial, l_polynomial
 from .period import (
     PeriodParity,
     ScanReport,
@@ -71,7 +71,6 @@ __all__ = [
     "parameter_search",
     "parse_curve_spec",
     "period_parity",
-    "point_count_formula",
     "presentation_conditions",
     "psi_sum",
     "quadratic_extension_maximal",

@@ -17,12 +17,12 @@ kernels) that gate which operations are defined.
 from __future__ import annotations
 
 import re
+from math import isqrt
 
-from ..errors import ConditionViolated, ParseError
+from ..errors import ConditionViolated, OracleMismatch, ParseError
 from ..gf2field import (
     Element,
     FieldCtx,
-    Fp2Subspace,
     format_field_spec,
     make_field,
     parse_field_spec,
@@ -274,6 +274,38 @@ class TwistDatum:
         """All parameters giving the same curve as t: the coset t + ker F*."""
         self.require(3)
         return sorted(t ^ v for v in self.adjoint_kernel.elements())
+
+
+def weil_gap(spec: CurveSpec, m: int = 1) -> int | None:
+    """2g*sqrt(q^m), the distance of a bound-attaining count from q^m + 1.
+
+    None when q^m is not a square, so that no count attains the bound.
+    """
+    size = spec.q**m
+    root = isqrt(size)
+    if root * root != size:
+        return None
+    return 2 * spec.genus * root
+
+
+def weil_class(spec: CurveSpec, m: int, count: int) -> str:
+    """Class of a projective count over F_{q^m}: maximal, minimal,
+    neutral (exactly q^m + 1) or interior.
+
+    Raises OracleMismatch for a count outside the Weil bound, which no
+    correct route can produce.
+    """
+    deviation = count - spec.q**m - 1
+    if deviation * deviation > 4 * spec.genus**2 * spec.q**m:
+        raise OracleMismatch(
+            f"count {count} over extension {m} of {format_curve_spec(spec)} "
+            f"violates the Weil bound"
+        )
+    if deviation == 0:
+        return "neutral"
+    if abs(deviation) == weil_gap(spec, m):
+        return "maximal" if deviation > 0 else "minimal"
+    return "interior"
 
 
 def head_curve(fd: TwistDatum) -> CurveSpec:

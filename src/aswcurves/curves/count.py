@@ -76,9 +76,8 @@ def trace_zero_count(
     ctx = full.ctx
     if to_deg is None:
         to_deg = ctx.p_log
-    r = full.r_skew()
-    r_images = [r(1 << j) for j in range(ctx.n)]
-    tr_images = [ctx.trace(1 << j, ctx.n, to_deg) for j in range(ctx.n)]
+    r_images = ctx.linear_images(full.r_skew())
+    tr_images = ctx.linear_images(lambda x: ctx.trace(x, ctx.n, to_deg))
     bounds = list(range(0, size, _CHUNK)) + [size]
     jobs = list(zip(bounds[:-1], bounds[1:]))
     if threads <= 1 or len(jobs) <= 1:

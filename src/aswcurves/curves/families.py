@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 
 from ..errors import (
     CapExceeded,
+    DegreeMismatch,
     FieldTooSmall,
     FOneNonzero,
     HypothesisFailed,
@@ -34,14 +35,14 @@ from ..errors import (
     PairingConditionFailed,
     RootsNotSimple,
 )
-from ..gf2field import MAX_DEGREE, Element, FieldCtx, Fp2Subspace, solve_linear_f2
+from ..gf2field import MAX_DEGREE, Element, FieldCtx, Fp2Subspace
 from ..skew import SkewPoly
 from ..witt2 import GaussInt, GaussUnit, WittPair, psi_char, q_char, witt_trace, witt_zero, xi2
 from .base import CurveSpec, TwistDatum, build_curve, head_curve
 from .count import DEFAULT_BUDGET, brute_count
 from .lpoly import LPolynomial, l_polynomial
 from .presentation import recover_datum
-from .twists import TwistClassification, _check_counting_route, eigenvalue_targets
+from .twists import TwistClassification, check_counting_route, eigenvalue_targets
 
 __all__ = [
     "ExtremalRecipe",
@@ -92,7 +93,7 @@ def extremal_from_subspace(
     if (q_deg // ctx.p_log) % 2:
         raise OddDegree(f"[F_q : F_p] = {q_deg // ctx.p_log} must be even")
     if not space.contains(1):
-        raise ValueError("the subspace must contain 1")
+        raise HypothesisFailed("the subspace must contain 1")
     if not ctx.in_subfield(t, q_deg) or not all(
         ctx.in_subfield(v, q_deg) for v in space.fp_basis()
     ):
@@ -213,17 +214,11 @@ def _pivot(ctx: FieldCtx, q1_deg: int) -> Element:
     always exists and every ambient solution lies in F_{q1^2}; the
     returned one is minimal as a bit pattern.
     """
-    basis = ctx.subfield_basis(2 * q1_deg)
     step = q1_deg // ctx.p_log
-    images = [ctx.frob_p(b, step) ^ b for b in basis]
     try:
-        mask = solve_linear_f2(images, len(basis), 1)
+        t0 = ctx.solve_additive(lambda b: ctx.frob_p(b, step) ^ b, 1, 2 * q1_deg)
     except NoSolution as exc:
         raise OracleMismatch("pivot equation has no root") from exc
-    t0 = 0
-    for j, b in enumerate(basis):
-        if (mask >> j) & 1:
-            t0 ^= b
     return min(t0 ^ c for c in ctx.subfield_elements(q1_deg))
 
 
@@ -369,9 +364,9 @@ def palindromic_family(
     """
     f = [ctx.check(c) for c in f_coeffs]
     if len(f) < 2 or f[0] == 0 or f[-1] == 0:
-        raise ValueError("f needs degree >= 1 and nonzero ends")
+        raise HypothesisFailed("f needs degree >= 1 and nonzero ends")
     if not all(ctx.in_subfield(c, ctx.p_log) for c in f):
-        raise ValueError("f must have coefficients in F_p")
+        raise DegreeMismatch("f must have coefficients in F_p")
     f_one = 0
     for c in f:
         f_one ^= c
@@ -420,7 +415,7 @@ def palindromic_family(
         raise OracleMismatch("pivot coefficient misses R(1) + f'(1)^2")
     tc = _image_classification(fd, t0, (tower + 1) % 2)
     if counting:
-        _check_counting_route(
+        check_counting_route(
             head,
             ctx.subfield_elements(q_deg),
             set(tc.maximal_twists),
@@ -473,7 +468,7 @@ def hermitian_twist(
         q_deg = ctx.n
     ctx.check(a)
     if not ctx.in_subfield(a, q_deg):
-        raise ValueError(f"coefficient {a:#x} is outside F_q")
+        raise DegreeMismatch(f"coefficient {a:#x} is outside F_q")
     m = q_deg // ctx.p_log
     if m % 2:
         raise OddDegree(f"[F_q : F_p] = {m} must be even")
@@ -505,16 +500,10 @@ def hermitian_twist(
     assert fd.adjoint_kernel == Fp2Subspace.from_vectors(ctx, [1])
     assert head_curve(fd) == spec.head()
     w = ctx.sqrt(ctx.mul(a, ctx.sqrt(z)))
-    basis = ctx.subfield_basis(q_deg)
-    images = [ctx.frob_p(b, m - 1) ^ b for b in basis]
     try:
-        mask = solve_linear_f2(images, len(basis), w ^ 1)
+        t = ctx.solve_additive(lambda b: ctx.frob_p(b, m - 1) ^ b, w ^ 1, q_deg)
     except NoSolution as exc:
         raise OracleMismatch("twist parameter equation has no root") from exc
-    t = 0
-    for j, b in enumerate(basis):
-        if (mask >> j) & 1:
-            t ^= b
     t = min(t ^ c for c in ctx.subfield_elements(ctx.p_log))
     if fd.twist_coefficient(t) != a:
         raise OracleMismatch("closed-form parameter misses its coefficient")

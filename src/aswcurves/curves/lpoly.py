@@ -12,14 +12,11 @@ the standard zeta identity, exactly and without any floating point.
 
 from __future__ import annotations
 
-from math import isqrt
-
-from ..errors import Char2Error
 from ..gf2field import Element
 from ..witt2 import GaussInt, hd_sum, q_char
 from .base import TwistDatum
 
-__all__ = ["LPolynomial", "l_polynomial", "point_count_formula"]
+__all__ = ["LPolynomial", "l_polynomial"]
 
 
 class LPolynomial:
@@ -58,13 +55,6 @@ class LPolynomial:
     def degree(self) -> int:
         """Total degree counting multiplicity; equals twice the genus."""
         return self.multiplicity * len(self.roots)
-
-    def root_sum(self) -> GaussInt:
-        """Sum of the distinct-slot eigenvalues (multiplicity not applied)."""
-        acc = GaussInt(0)
-        for r in self.roots:
-            acc = acc + r
-        return acc
 
     def point_count(self, m: int) -> int:
         """Projective point count over the degree-m extension of F_q."""
@@ -127,16 +117,3 @@ def l_polynomial(fd: TwistDatum, t: Element) -> LPolynomial:
     lp = LPolynomial(1 << s, ctx.p - 1, tuple(roots))
     assert lp.degree == 2 * ((ctx.p - 1) * ctx.p ** fd.e // 2)
     return lp
-
-
-def point_count_formula(lp: LPolynomial, m: int) -> int:
-    """Projective count over F_{q^m} read off the eigenvalues."""
-    return lp.point_count(m)
-
-
-def sqrt_q(q: int) -> int:
-    """Integer square root of a field size; Char2Error when not square."""
-    r = isqrt(q)
-    if r * r != q:
-        raise Char2Error(f"{q} is not a square")
-    return r

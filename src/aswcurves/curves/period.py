@@ -13,12 +13,11 @@ a cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 from typing import Iterator
 
 from ..errors import AmbientTooSmall, BudgetExceeded, CapExceeded, OracleMismatch
 from ..gf2field import MAX_DEGREE, Element, make_field, transport
-from .base import CurveSpec
+from .base import CurveSpec, weil_class, weil_gap
 from .count import DEFAULT_BUDGET, brute_count
 from .lpoly import l_polynomial
 from .presentation import parameter_search, recover_head
@@ -56,16 +55,10 @@ def _extend(spec: CurveSpec, n: int) -> CurveSpec:
 
 def _count_verdict(spec_n: CurveSpec, budget: int) -> bool | None:
     """Maximality from a direct count; None when the bound is not met."""
-    root = isqrt(spec_n.q)
-    if root * root != spec_n.q:
+    if weil_gap(spec_n) is None:
         return None
-    gap = 2 * spec_n.genus * root
-    deviation = brute_count(spec_n, 1, budget=budget) - spec_n.q - 1
-    if deviation == gap:
-        return True
-    if deviation == -gap:
-        return False
-    return None
+    label = weil_class(spec_n, 1, brute_count(spec_n, 1, budget=budget))
+    return {"maximal": True, "minimal": False}.get(label)
 
 
 def _refute_by_count(spec_n: CurveSpec, budget: int) -> None:
@@ -197,16 +190,17 @@ class ScanReport:
         return mu <= self.n_max and (mu, delta) not in self.observed
 
 
-def _coefficient_range(p: int, e_max: int) -> Iterator[tuple[Element, ...]]:
-    """All ascending coefficient tuples over F_p with 1 <= e <= e_max."""
+def coefficient_range(q: int, e_max: int) -> Iterator[tuple[Element, ...]]:
+    """All ascending coefficient tuples a_0..a_e over the bit patterns
+    0..q-1, 1 <= e <= e_max, with a_e != 0.
+
+    By e, then by the lower coefficients read as base-q digits of a
+    counter (a_0 least significant), then by a_e.
+    """
     for e in range(1, e_max + 1):
-        for packed in range(p**e):
-            lower = []
-            rest = packed
-            for _ in range(e):
-                lower.append(rest % p)
-                rest //= p
-            for lead in range(1, p):
+        for packed in range(q**e):
+            lower = [packed // q**i % q for i in range(e)]
+            for lead in range(1, q):
                 yield (*lower, lead)
 
 
@@ -256,7 +250,7 @@ def impossibility_scan(
         )
     ctx = make_field(p_log, None, p_log)
     periods: list[tuple[tuple[Element, ...], PeriodParity | None]] = []
-    for coeffs in _coefficient_range(p, e_max):
+    for coeffs in coefficient_range(p, e_max):
         spec = CurveSpec(ctx, p_log, coeffs)
         found: PeriodParity | None = None
         for n in range(1, n_max + 1):

@@ -88,22 +88,30 @@ def _form_sqrt(spec: CurveSpec, u: Element) -> Element:
     return ctx.sqrt(ctx.trace(ctx.mul(u, spec.evaluate(u)), spec.q_deg, ctx.p_log))
 
 
+def _datum_through(
+    src: CurveSpec, lagrangian: Fp2Subspace, dst: FieldCtx
+) -> TwistDatum:
+    """Factor the symmetrization of src through the Lagrangian.
+
+    The factor has coefficients in F_q, so it transports into dst, the
+    caller's context, where the datum is built.
+    """
+    factor = factor_through_symmetric(src.e_skew(), lagrangian)
+    moved = {
+        i: transport(src.ctx, c, dst, src.q_deg) for i, c in factor.coeffs.items()
+    }
+    return TwistDatum(SkewPoly(dst, moved), src.q_deg)
+
+
 def _witness_from_lagrangian(
     spec: CurveSpec, pspec: CurveSpec, lagrangian: Fp2Subspace
 ) -> tuple[TwistDatum, Element]:
     """Factor E through the Lagrangian and search the twist parameter.
 
-    The factor has coefficients in F_q, so it transports back to the
-    caller's context; the parameter search cannot fail when the
-    Lagrangian satisfied the trace constraint.
+    The parameter search cannot fail when the Lagrangian satisfied the
+    trace constraint.
     """
-    ctx, q_deg = spec.ctx, spec.q_deg
-    factor = factor_through_symmetric(pspec.e_skew(), lagrangian)
-    home = SkewPoly(
-        ctx,
-        {i: transport(pspec.ctx, c, ctx, q_deg) for i, c in factor.coeffs.items()},
-    )
-    fd = TwistDatum(home, q_deg)
+    fd = _datum_through(pspec, lagrangian, spec.ctx)
     fd.require(3)
     t = parameter_search(fd, spec.coeffs[0])
     assert t is not None, "parameter must exist once the Lagrangian is found"
@@ -210,11 +218,7 @@ def recover_head(head: CurveSpec) -> TwistDatum:
     hspec = head.transport_to(home)
     pc = PairingCtx(hspec.e_skew())
     lagrangian = maximal_isotropic(pc, phi=lambda u: _form_sqrt(hspec, u))
-    factor = factor_through_symmetric(hspec.e_skew(), lagrangian)
-    back = SkewPoly(
-        ctx, {i: transport(home, c, ctx, q_deg) for i, c in factor.coeffs.items()}
-    )
-    fd = TwistDatum(back, q_deg)
+    fd = _datum_through(hspec, lagrangian, ctx)
     fd.require(4)
     assert head_curve(fd) == head
     return fd

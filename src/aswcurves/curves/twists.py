@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from ..errors import BudgetExceeded, KernelNotRational, OracleMismatch
 from ..gf2field import MAX_DEGREE, Element
 from ..witt2 import GaussInt, GaussUnit, psi_char, q_char
-from .base import CurveSpec, TwistDatum, build_curve, head_curve
+from .base import CurveSpec, TwistDatum, build_curve, head_curve, weil_class
 from .count import DEFAULT_BUDGET, brute_count
-from .lpoly import l_polynomial, sqrt_q
+from .lpoly import l_polynomial
 from .presentation import recover_head
 
 __all__ = ["TwistClassification", "classify_twists", "quadratic_extension_maximal"]
@@ -153,7 +153,7 @@ def classify_twists(
 
     _check_trace_route(head, fd, elements, t_max | t_min)
     if counting:
-        _check_counting_route(head, elements, t_max, t_min, budget)
+        check_counting_route(head, elements, t_max, t_min, budget)
 
     return TwistClassification(
         head=head,
@@ -192,7 +192,7 @@ def _check_trace_route(
         )
 
 
-def _check_counting_route(
+def check_counting_route(
     head: CurveSpec,
     elements: list[Element],
     t_max: set[Element],
@@ -206,17 +206,18 @@ def _check_counting_route(
             f"counting {q} twists over F_{q} exceeds the budget {budget}; "
             "pass counting=False for a formula-only classification"
         )
-    gap = (head.p - 1) * head.p**head.e * sqrt_q(q)
     counted_max, counted_min = set(), set()
     for a in elements:
-        affine = brute_count(head.with_a0(a), 1, budget=budget) - 1
-        if affine == q + gap:
+        twist = head.with_a0(a)
+        count = brute_count(twist, 1, budget=budget)
+        label = weil_class(twist, 1, count)
+        if label == "maximal":
             counted_max.add(a)
-        elif affine == q - gap:
+        elif label == "minimal":
             counted_min.add(a)
-        elif affine != q:
+        elif label == "interior":
             raise OracleMismatch(
-                f"twist {a:#x} has affine count {affine}, outside the trichotomy"
+                f"twist {a:#x} has affine count {count - 1}, outside the trichotomy"
             )
     if counted_max != t_max or counted_min != t_min:
         raise OracleMismatch("point counts disagree with the eigenvalue route")

@@ -409,9 +409,22 @@ class FieldCtx:
         """Images of the F_2 unit vectors under an additive map."""
         return [fn(1 << j) for j in range(self.n)]
 
-    def solve_additive(self, fn: Callable[[Element], Element], target: Element) -> Element:
-        """Least x with fn(x) == target for an additive fn, else NoSolution."""
-        return solve_linear_f2(self.linear_images(fn), self.n, target)
+    def solve_additive(
+        self, fn: Callable[[Element], Element], target: Element, deg: int
+    ) -> Element:
+        """An x in the degree-deg subfield with fn(x) == target, fn additive.
+
+        x has the lexicographically least coordinates in
+        `subfield_basis(deg)`, as `solve_linear_f2` picks them; raises
+        NoSolution when target is outside the image.
+        """
+        basis = self.subfield_basis(deg)
+        mask = solve_linear_f2([fn(b) for b in basis], len(basis), target)
+        x = 0
+        for j, b in enumerate(basis):
+            if (mask >> j) & 1:
+                x ^= b
+        return x
 
 
 @lru_cache(maxsize=None)

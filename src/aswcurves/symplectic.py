@@ -327,11 +327,5 @@ class HeisenbergElt:
         return cls(R, 0, 0)
 
 
-def heisenberg_mul(R: SkewPoly, g1: HeisenbergElt, g2: HeisenbergElt) -> HeisenbergElt:
-    if g1.R != R or g2.R != R:
-        raise CtxMismatch("group elements do not match the given R")
-    return g1 * g2
-
-
 def commutator(g1: HeisenbergElt, g2: HeisenbergElt) -> HeisenbergElt:
     return g1 * g2 * g1.inverse() * g2.inverse()

@@ -19,7 +19,6 @@ Q(x+y) = Q(x) Q(y) psi(xy) with psi the usual parity character.
 from __future__ import annotations
 
 import re
-from typing import Iterable
 
 import numpy as np
 
@@ -251,13 +250,6 @@ class WittPair:
 
 def witt_zero(ctx: FieldCtx) -> WittPair:
     return WittPair(ctx, 0, 0)
-
-
-def witt_sum(pairs: Iterable[WittPair], ctx: FieldCtx) -> WittPair:
-    acc = witt_zero(ctx)
-    for x in pairs:
-        acc = acc + x
-    return acc
 
 
 def witt_trace(x: WittPair, from_deg: int, to_deg: int) -> WittPair:

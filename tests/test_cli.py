@@ -155,6 +155,34 @@ class TestConstruct:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, code, error",
+        [
+            (("recipe", "F16", "--space", "2"), 1, "HypothesisFailed"),
+            (("palindromic", "F16", "--poly", "1"), 1, "HypothesisFailed"),
+            (("palindromic", "F16:p=4", "--poly", "2,3"), 1, "DegreeMismatch"),
+            (("hermitian", "F16", "--a", "5", "--q-deg", "2"), 1, "DegreeMismatch"),
+            (("hermitian", "F16", "--a", "1", "--q-deg", "0"), 2, "ParseError"),
+            (("hermitian", "F16", "--a", "1", "--q-deg", "-2"), 2, "ParseError"),
+        ],
+        ids=[
+            "recipe-space-without-1",
+            "palindromic-degree-0",
+            "palindromic-outside-Fp",
+            "hermitian-a-outside-Fq",
+            "hermitian-q-deg-0",
+            "hermitian-q-deg-negative",
+        ],
+    )
+    def test_bad_input_is_an_error_record(self, capsys, argv, code, error):
+        family, field, *rest = argv
+        got, data = run_json(
+            capsys, "construct", "--family", family, "--field", field, *rest
+        )
+        assert got == code
+        assert data["error"] == error
+        assert data["detail"]
+
 
 class TestPeriod:
     def test_quadratic_example(self, capsys):

@@ -11,13 +11,14 @@ from aswcurves.curves import (
     head_curve,
     l_polynomial,
     parse_curve_spec,
-    point_count_formula,
     psi_sum,
 )
+from aswcurves.curves.base import weil_class, weil_gap
 from aswcurves.errors import (
     AmbientTooSmall,
     BudgetExceeded,
     ConditionViolated,
+    OracleMismatch,
     ParseError,
 )
 from aswcurves.gf2field import make_field
@@ -130,13 +131,13 @@ class TestLPolynomial:
         assert lp.roots == (GaussInt(-2), GaussInt(-2))
         assert lp.poly_coeffs() == (1, 4, 4)  # (1 + 2T)^2
         assert lp.is_maximal and lp.is_extremal and not lp.is_minimal
-        assert point_count_formula(lp, 1) == 9
+        assert lp.point_count(1) == 9
 
     def test_non_extremal_anchor(self):
         lp = l_polynomial(datum_tau_plus_one(), 0)
         assert lp.roots == (GaussInt(0, -2), GaussInt(0, 2))
         assert not lp.is_extremal
-        assert point_count_formula(lp, 1) == 5
+        assert lp.point_count(1) == 5
 
     def test_root_norms_checked(self):
         with pytest.raises(ValueError):
@@ -148,6 +149,57 @@ class TestLPolynomial:
         fd = TwistDatum(SkewPoly.from_coeffs(F4, [1, 0, 1]), 2)
         lp = l_polynomial(fd, 0)
         assert lp.degree == 2 * build_curve(fd, 0).genus
+
+
+class TestWeilClass:
+    def test_classes_over_f4(self):
+        spec = CurveSpec(F4, 2, (0, 1))  # genus 1, bound 5 +- 4
+        assert weil_gap(spec) == 4
+        assert weil_class(spec, 1, 9) == "maximal"
+        assert weil_class(spec, 1, 1) == "minimal"
+        assert weil_class(spec, 1, 5) == "neutral"
+        assert weil_class(spec, 1, 7) == "interior"
+        assert weil_class(spec, 1, 3) == "interior"
+        assert weil_class(spec, 1, brute_count(spec)) == "maximal"
+
+    def test_counts_outside_the_bound_raise(self):
+        spec = CurveSpec(F4, 2, (0, 1))
+        for count in (0, 10, 100):
+            with pytest.raises(OracleMismatch):
+                weil_class(spec, 1, count)
+        with pytest.raises(OracleMismatch):
+            weil_class(spec, 2, 17 + 9)
+
+    def test_non_square_field_never_attains(self):
+        F8 = make_field(3)
+        spec = CurveSpec(F8, 3, (1, 1))  # genus 1, |deviation| <= 5.65
+        assert weil_gap(spec) is None
+        assert weil_class(spec, 1, 9) == "neutral"
+        for count in (4, 5, 14):
+            assert weil_class(spec, 1, count) == "interior"
+        with pytest.raises(OracleMismatch):
+            weil_class(spec, 1, 15)
+        assert weil_class(spec, 1, brute_count(spec)) in ("neutral", "interior")
+        assert weil_gap(spec, 2) == 16  # F_64 is a square again
+
+    def test_extension_degrees(self):
+        spec = CurveSpec(F4, 2, (0, 1))  # eigenvalues -2, -2
+        assert weil_gap(spec, 2) == 8 and weil_gap(spec, 3) == 16
+        assert weil_class(spec, 2, brute_count(spec, 2)) == "minimal"  # 17 - 8
+        assert weil_class(spec, 3, brute_count(spec, 3)) == "maximal"  # 65 + 16
+        assert weil_class(spec, 2, 17) == "neutral"
+
+    def test_p_four(self):
+        p4 = make_field(4, None, 2)
+        spec = CurveSpec(p4, 4, (0, 1))  # y^4 + y = x^5, genus 6
+        assert weil_gap(spec) == 48
+        assert brute_count(spec) == 65
+        assert weil_class(spec, 1, 65) == "maximal"
+        assert weil_class(spec, 1, 17) == "neutral"
+        assert weil_class(spec, 1, 33) == "interior"
+        with pytest.raises(OracleMismatch):
+            weil_class(spec, 1, 66)
+        assert weil_gap(spec, 2) == 12 * 16
 
 
 class TestBruteCount:
@@ -169,7 +221,7 @@ class TestBruteCount:
         spec = CurveSpec(F4, 2, (0, 1))
         lp = l_polynomial(datum_tau_plus_one(), W)
         for m in (1, 2, 3):
-            assert brute_count(spec, m) == point_count_formula(lp, m)
+            assert brute_count(spec, m) == lp.point_count(m)
 
     def test_threads_bit_identical(self):
         spec = CurveSpec(F16, 4, (3, 5, 9))

@@ -230,6 +230,21 @@ def test_solve_linear_lexmin():
         assert set(span_elements(ker)) == {x for x in range(1 << nbits) if apply(x) == 0}
 
 
+def test_solve_additive_in_subfield():
+    K = make_field(8)
+    for deg, step in ((4, 2), (8, 4), (8, 1)):
+        fn = lambda x: K.frob(x, step) ^ x  # noqa: E731
+        sub = K.subfield_elements(deg)
+        image = {fn(x) for x in sub}
+        for target in range(K.order):
+            if target in image:
+                x = K.solve_additive(fn, target, deg)
+                assert K.in_subfield(x, deg) and fn(x) == target
+            else:
+                with pytest.raises(NoSolution):
+                    K.solve_additive(fn, target, deg)
+
+
 def test_intersect_spans():
     rng = random.Random(7)
     for _ in range(100):
@@ -357,7 +372,7 @@ def test_bitvec_matches_scalar():
         prod = bitvec.field_mul(K, a, b)
         for i in range(0, size, 37):
             assert int(prod[i]) == K.mul(int(a[i]), int(b[i]))
-        images = bitvec.linearized_table(K, lambda v: K.frob(v, 1))
+        images = K.linear_images(lambda v: K.frob(v, 1))
         sq = bitvec.apply_linear(images, a)
         for i in range(0, size, 41):
             assert int(sq[i]) == K.sqr(int(a[i]))

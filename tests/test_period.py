@@ -10,6 +10,7 @@ from aswcurves.curves import (
     impossibility_scan,
     period_parity,
 )
+from aswcurves.curves.period import coefficient_range
 from aswcurves.errors import AmbientTooSmall, BudgetExceeded, CapExceeded
 from aswcurves.gf2field import make_field
 
@@ -126,3 +127,14 @@ class TestImpossibilityScan:
     def test_excludes_only_inside_the_scanned_range(self):
         report = impossibility_scan(1, 1, n_max=4, budget=1 << 4)
         assert not report.excludes(6, 1)
+
+
+def test_coefficient_range_order():
+    # scan order of impossibility_scan and of `aswcurves search`
+    assert list(coefficient_range(2, 2)) == [
+        (0, 1), (1, 1), (0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1),
+    ]
+    assert list(coefficient_range(4, 1))[:5] == [
+        (0, 1), (0, 2), (0, 3), (1, 1), (1, 2),
+    ]
+    assert len(list(coefficient_range(4, 3))) == 3 * (4 + 16 + 64)
