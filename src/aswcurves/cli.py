@@ -43,6 +43,7 @@ from .curves import (
     presentation_conditions,
 )
 from .curves.base import weil_class, weil_gap
+from .curves.count import check_count, checked_count
 from .curves.period import coefficient_range
 from .errors import (
     AmbientTooSmall,
@@ -170,20 +171,14 @@ def _extension_counts(
     over_budget = []
     for m in degrees:
         formula = lp.point_count(m) if lp is not None else None
-        if spec.q**m > cfg.budget:
+        value = checked_count(spec, m, formula, cfg.budget, cfg.threads)
+        if value is None:
             over_budget.append(m)
             if formula is None:
                 continue
             value = formula
-        else:
-            value = brute_count(spec, m, budget=cfg.budget, threads=cfg.threads)
-            if formula is not None:
-                if formula != value:
-                    raise OracleMismatch(
-                        f"eigenvalue count {formula} != direct count {value} "
-                        f"over extension {m} of {format_curve_spec(spec)}"
-                    )
-                compared += 1
+        elif formula is not None:
+            compared += 1
         weil_class(spec, m, value)
         counts[str(m)] = value
     return counts, compared, over_budget
@@ -453,25 +448,22 @@ def _formula_cross_check(spec: CurveSpec, count: int) -> None:
         raise OracleMismatch(
             f"{format_curve_spec(spec)} meets the bound without a presentation"
         )
-    formula = lp.point_count(1)
-    if formula != count:
-        raise OracleMismatch(
-            f"eigenvalue count {formula} != direct count {count} "
-            f"for {format_curve_spec(spec)}"
-        )
+    check_count(spec, 1, lp.point_count(1), count)
 
 
 def cmd_hd_check(args: argparse.Namespace, cfg: RunConfig) -> _Output:
-    records = []
-    rows = []
-    base = GaussInt(-1, -1)
-    for s in range(1, args.cap + 1):
+    degrees = range(1, args.cap + 1)
+    for s in degrees:  # every degree is gated before the first sum
         if s > MAX_DEGREE:
             raise AmbientTooSmall(f"degree {s} exceeds the ambient cap {MAX_DEGREE}")
         if (1 << s) > cfg.budget:
             raise BudgetExceeded(
                 f"summing over F_{{2^{s}}} exceeds the budget {cfg.budget}"
             )
+    records = []
+    rows = []
+    base = GaussInt(-1, -1)
+    for s in degrees:
         total = hd_sum(s)
         closed = base**s
         if total != closed:

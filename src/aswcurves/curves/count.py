@@ -6,7 +6,7 @@ so the affine count is p times the number of zero traces of x*R(x),
 plus the single point at infinity of the smooth model.  Enumeration is
 vectorized over uint64 chunks and can be partitioned across threads;
 partial sums are plain integers, so the result is identical for every
-thread count.
+thread count.  An eigenvalue count to compare arrives as a plain integer.
 """
 
 from __future__ import annotations
@@ -16,11 +16,18 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from ..bitvec import apply_linear, field_mul
-from ..errors import AmbientTooSmall, BudgetExceeded
+from ..errors import AmbientTooSmall, BudgetExceeded, OracleMismatch
 from ..gf2field import MAX_DEGREE, FieldCtx, make_field
-from .base import CurveSpec
+from .base import CurveSpec, format_curve_spec
 
-__all__ = ["DEFAULT_BUDGET", "brute_count", "psi_sum", "trace_zero_count"]
+__all__ = [
+    "DEFAULT_BUDGET",
+    "brute_count",
+    "check_count",
+    "checked_count",
+    "psi_sum",
+    "trace_zero_count",
+]
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -98,6 +105,33 @@ def brute_count(
     """Projective point count over F_{q^m} by full enumeration."""
     zeros = trace_zero_count(spec, m, spec.ctx.p_log, budget, threads)
     return spec.p * zeros + 1
+
+
+def check_count(spec: CurveSpec, m: int, formula: int | None, counted: int) -> int:
+    """`counted`, the direct count over F_{q^m}, once it equals the
+    eigenvalue count `formula` (None: no eigenvalue route to compare)."""
+    if formula is not None and formula != counted:
+        raise OracleMismatch(
+            f"eigenvalue count {formula} != direct count {counted} "
+            f"over extension {m} of {format_curve_spec(spec)}"
+        )
+    return counted
+
+
+def checked_count(
+    spec: CurveSpec,
+    m: int,
+    formula: int | None,
+    budget: int = DEFAULT_BUDGET,
+    threads: int = 1,
+) -> int | None:
+    """brute_count over F_{q^m} held against `formula` by check_count.
+
+    None, without counting, when q^m exceeds the budget.
+    """
+    if spec.q**m > budget:
+        return None
+    return check_count(spec, m, formula, brute_count(spec, m, budget, threads))
 
 
 def psi_sum(

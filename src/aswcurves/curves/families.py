@@ -39,7 +39,7 @@ from ..gf2field import MAX_DEGREE, Element, FieldCtx, Fp2Subspace
 from ..skew import SkewPoly
 from ..witt2 import GaussInt, GaussUnit, WittPair, psi_char, q_char, witt_trace, witt_zero, xi2
 from .base import CurveSpec, TwistDatum, build_curve, head_curve
-from .count import DEFAULT_BUDGET, brute_count
+from .count import DEFAULT_BUDGET, checked_count
 from .lpoly import LPolynomial, l_polynomial
 from .presentation import recover_datum
 from .twists import TwistClassification, check_counting_route, eigenvalue_targets
@@ -121,17 +121,10 @@ def extremal_from_subspace(
 
 
 def _brute_against(spec: CurveSpec, lp: LPolynomial, budget: int) -> bool:
-    """Brute counts over F_q and, when representable, F_{q^2}."""
-    checked = False
-    if spec.q <= budget:
-        if brute_count(spec, 1, budget=budget) != lp.point_count(1):
-            raise OracleMismatch("brute count over F_q disagrees")
-        checked = True
-    if 2 * spec.q_deg <= MAX_DEGREE and spec.q**2 <= budget:
-        if brute_count(spec, 2, budget=budget) != lp.point_count(2):
-            raise OracleMismatch("brute count over the quadratic extension disagrees")
-        checked = True
-    return checked
+    """Brute counts over F_q and, when representable, F_{q^2}; whether any ran."""
+    degrees = (1, 2) if 2 * spec.q_deg <= MAX_DEGREE else (1,)
+    counts = [checked_count(spec, m, lp.point_count(m), budget) for m in degrees]
+    return any(c is not None for c in counts)
 
 
 # -- closed-form classifications around an image shift ---------------------
@@ -208,18 +201,17 @@ def classify_small_kernel(fd: TwistDatum) -> TwistClassification:
 
 
 def _pivot(ctx: FieldCtx, q1_deg: int) -> Element:
-    """Least t in F_{q1^2} with t^q1 + t = 1.
+    """Least t, as a bit pattern, with t^q1 + t = 1.
 
     The map x -> x^q1 + x sends F_{q1^2} onto F_q1, so a solution
-    always exists and every ambient solution lies in F_{q1^2}; the
-    returned one is minimal as a bit pattern.
+    always exists and every ambient solution lies in F_{q1^2}, where
+    `solve_additive` picks the least one.
     """
     step = q1_deg // ctx.p_log
     try:
-        t0 = ctx.solve_additive(lambda b: ctx.frob_p(b, step) ^ b, 1, 2 * q1_deg)
+        return ctx.solve_additive(lambda b: ctx.frob_p(b, step) ^ b, 1, 2 * q1_deg)
     except NoSolution as exc:
         raise OracleMismatch("pivot equation has no root") from exc
-    return min(t0 ^ c for c in ctx.subfield_elements(q1_deg))
 
 
 def _check_pivot(ctx: FieldCtx, t0: Element, q1_deg: int) -> None:
@@ -504,7 +496,6 @@ def hermitian_twist(
         t = ctx.solve_additive(lambda b: ctx.frob_p(b, m - 1) ^ b, w ^ 1, q_deg)
     except NoSolution as exc:
         raise OracleMismatch("twist parameter equation has no root") from exc
-    t = min(t ^ c for c in ctx.subfield_elements(ctx.p_log))
     if fd.twist_coefficient(t) != a:
         raise OracleMismatch("closed-form parameter misses its coefficient")
     lp = l_polynomial(fd, t)

@@ -18,7 +18,7 @@ from typing import Iterator
 from ..errors import AmbientTooSmall, BudgetExceeded, CapExceeded, OracleMismatch
 from ..gf2field import MAX_DEGREE, Element, make_field, transport
 from .base import CurveSpec, weil_class, weil_gap
-from .count import DEFAULT_BUDGET, brute_count
+from .count import DEFAULT_BUDGET, brute_count, checked_count
 from .lpoly import l_polynomial
 from .presentation import parameter_search, recover_head
 
@@ -83,13 +83,7 @@ def _formula_verdict(spec_n: CurveSpec, budget: int) -> bool | None:
         _refute_by_count(spec_n, budget)
         return None
     lp = l_polynomial(fd, t)
-    if spec_n.q <= budget:
-        counted = brute_count(spec_n, 1, budget=budget)
-        if counted != lp.point_count(1):
-            raise OracleMismatch(
-                f"direct count {counted} disagrees with eigenvalue count "
-                f"{lp.point_count(1)} for {spec_n}"
-            )
+    checked_count(spec_n, 1, lp.point_count(1), budget)
     if not lp.is_extremal:
         return None
     return bool(lp.is_maximal)

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from ..errors import (
     AmbientTooSmall,
     KernelNotRational,
+    NoSolution,
     NotIsotropic,
     NoTwistParameter,
     OracleMismatch,
@@ -120,11 +121,18 @@ def _witness_from_lagrangian(
 
 
 def parameter_search(fd: TwistDatum, a0: Element) -> Element | None:
-    """Least t in F_q with twist coefficient a0, in bit-pattern order."""
-    for t in sorted(fd.ctx.subfield_elements(fd.q_deg)):
-        if fd.twist_coefficient(t) == a0:
-            return t
-    return None
+    """Least t in F_q with twist coefficient a0, in bit-pattern order.
+
+    The coefficient of t is gamma + F*(t)^2, gamma that of t = 0, so t
+    solves F*(t) = sqrt(a0 + gamma) in F_q; None when nothing does.
+    ConditionViolated unless the datum has flags 1 and 2.
+    """
+    ctx = fd.ctx
+    target = ctx.sqrt(a0 ^ fd.twist_coefficient(0))
+    try:
+        return ctx.solve_additive(fd.F.adjoint(), target, fd.q_deg)
+    except NoSolution:
+        return None
 
 
 def presentation_conditions(spec: CurveSpec) -> PresentationReport:

@@ -24,7 +24,7 @@ from ..errors import BudgetExceeded, KernelNotRational, OracleMismatch
 from ..gf2field import MAX_DEGREE, Element
 from ..witt2 import GaussInt, GaussUnit, psi_char, q_char
 from .base import CurveSpec, TwistDatum, build_curve, head_curve, weil_class
-from .count import DEFAULT_BUDGET, brute_count
+from .count import DEFAULT_BUDGET, brute_count, checked_count
 from .lpoly import l_polynomial
 from .presentation import recover_head
 
@@ -248,11 +248,6 @@ def quadratic_extension_maximal(
             "squared eigenvalues disagree with the trace verdict"
         )
 
-    if 2 * s <= MAX_DEGREE and q * q <= budget:
-        spec = build_curve(fd, t)
-        counted = brute_count(spec, 2, budget=budget)
-        if counted != lp.point_count(2):
-            raise OracleMismatch(
-                f"brute count {counted} over F_{q**2} disagrees with the formula"
-            )
+    if 2 * s <= MAX_DEGREE:
+        checked_count(build_curve(fd, t), 2, lp.point_count(2), budget)
     return verdict

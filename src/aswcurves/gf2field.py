@@ -174,23 +174,23 @@ def span_elements(basis: Sequence[int]) -> list[int]:
 
 
 class _Eliminator:
-    """Shared Gaussian elimination for kernel/solve over F_2."""
+    """Elimination for the F_2-linear map sources[j] -> images[j]; kernel
+    and solutions are sums of sources, and solve() picks the least one."""
 
-    def __init__(self, images: Sequence[int], nbits: int):
+    def __init__(self, images: Sequence[int], sources: Sequence[int]):
         self.pivots: dict[int, tuple[int, int]] = {}
         kernel = []
-        for j in range(nbits):
-            img, ind = images[j], 1 << j
+        for img, src in zip(images, sources):
             while img:
                 b = img.bit_length() - 1
                 if b not in self.pivots:
-                    self.pivots[b] = (img, ind)
+                    self.pivots[b] = (img, src)
                     break
-                pimg, pind = self.pivots[b]
+                pimg, psrc = self.pivots[b]
                 img ^= pimg
-                ind ^= pind
+                src ^= psrc
             else:
-                kernel.append(ind)
+                kernel.append(src)
         self.kernel = rref_basis(kernel)
 
     def solve(self, target: int) -> int:
@@ -199,23 +199,20 @@ class _Eliminator:
             b = target.bit_length() - 1
             if b not in self.pivots:
                 raise NoSolution(f"target bit {b} outside the image")
-            img, ind = self.pivots[b]
+            img, src = self.pivots[b]
             target ^= img
-            sol ^= ind
-        for w in self.kernel:  # lexicographically least in the coset
-            if (sol >> (w.bit_length() - 1)) & 1:
-                sol ^= w
-        return sol
+            sol ^= src
+        return reduce_vector(self.kernel, sol)  # least in the coset
 
 
 def kernel_basis(images: Sequence[int], nbits: int) -> tuple[int, ...]:
     """Canonical basis of the kernel of the map bit j -> images[j]."""
-    return _Eliminator(images, nbits).kernel
+    return _Eliminator(images, [1 << j for j in range(nbits)]).kernel
 
 
 def solve_linear_f2(images: Sequence[int], nbits: int, target: int) -> int:
     """Lexicographically least x with map(x) == target, else NoSolution."""
-    return _Eliminator(images, nbits).solve(target)
+    return _Eliminator(images, [1 << j for j in range(nbits)]).solve(target)
 
 
 def intersect_spans(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -412,19 +409,14 @@ class FieldCtx:
     def solve_additive(
         self, fn: Callable[[Element], Element], target: Element, deg: int
     ) -> Element:
-        """An x in the degree-deg subfield with fn(x) == target, fn additive.
+        """The least x in the degree-deg subfield with fn(x) == target.
 
-        x has the lexicographically least coordinates in
-        `subfield_basis(deg)`, as `solve_linear_f2` picks them; raises
-        NoSolution when target is outside the image.
+        fn must be additive; x is least as a bit pattern among all
+        solutions in the subfield (a coset of the kernel of fn there).
+        Raises NoSolution when target is outside the image.
         """
         basis = self.subfield_basis(deg)
-        mask = solve_linear_f2([fn(b) for b in basis], len(basis), target)
-        x = 0
-        for j, b in enumerate(basis):
-            if (mask >> j) & 1:
-                x ^= b
-        return x
+        return _Eliminator([fn(b) for b in basis], basis).solve(target)
 
 
 @lru_cache(maxsize=None)
@@ -449,15 +441,12 @@ def transport(src: FieldCtx, a: Element, dst: FieldCtx, deg: int | None = None) 
         raise DegreeMismatch(f"{a:#x} not in the degree-{deg} subfield")
     if src.n == dst.n and src.poly == dst.poly:
         return a
-    g_src = src.subfield_generator(deg)
-    images = [src.pow(g_src, j) for j in range(deg)]
-    coords = solve_linear_f2(images, deg, a)
-    g_dst = dst.subfield_generator(deg)
-    out = 0
-    for j in range(deg):
-        if (coords >> j) & 1:
-            out ^= dst.pow(g_dst, j)
-    return out
+    g_src, g_dst = src.subfield_generator(deg), dst.subfield_generator(deg)
+    images, sources = [1], [1]
+    for _ in range(deg - 1):  # a in powers of g_src, read back in powers of g_dst
+        images.append(src.mul(images[-1], g_src))
+        sources.append(dst.mul(sources[-1], g_dst))
+    return _Eliminator(images, sources).solve(a)
 
 
 # ---------------------------------------------------------------------------

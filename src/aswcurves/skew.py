@@ -240,12 +240,11 @@ class SkewPoly:
 
     # -- kernels -------------------------------------------------------
 
-    def kernel(self, ambient: FieldCtx | None = None, full: bool = True) -> Fp2Subspace:
+    def kernel(self, ambient: FieldCtx | None = None) -> Fp2Subspace:
         """Kernel of the evaluation map on ambient, as an F_p-subspace.
 
-        With full=True the ambient must contain the whole kernel
-        (p-dimension span), else AmbientTooSmall; with full=False the
-        rational part of the kernel is returned as-is.
+        The ambient must contain the whole kernel (p-dimension span),
+        else AmbientTooSmall.
         """
         if not self.coeffs:
             raise ZeroPolynomial("the zero polynomial has full kernel")
@@ -254,7 +253,7 @@ class SkewPoly:
         images = ctx.linear_images(f)
         basis = kernel_basis(images, ctx.n)
         ker = Fp2Subspace(ctx, self.ctx.p_log, basis)
-        if full and ker.dim_p != self.span:
+        if ker.dim_p != self.span:
             raise AmbientTooSmall(
                 f"kernel has p-dimension {ker.dim_p} in F_{{2^{ctx.n}}}, "
                 f"expected {self.span}"

@@ -183,11 +183,6 @@ class GaussUnit:
         return cls(cls._NAMES.index(t))
 
 
-ONE = GaussUnit(0)
-I_UNIT = GaussUnit(1)
-MINUS_ONE = GaussUnit(2)
-
-
 # ---------------------------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from aswcurves.cli import main
+from aswcurves.witt2 import GaussInt
 
 
 def run(capsys, *argv):
@@ -293,6 +294,31 @@ class TestHdCheck:
     def test_budget_gate_exits_five(self, capsys):
         code, data = run_json(capsys, "hd-check", "--cap", "10", "--budget", "16")
         assert code == 5
+
+    @pytest.mark.parametrize(
+        "cap, budget, code, record",
+        [
+            ("19", "131072", 5, {
+                "error": "BudgetExceeded",
+                "detail": "summing over F_{2^18} exceeds the budget 131072",
+            }),
+            ("33", "100000000000", 3, {
+                "error": "AmbientTooSmall",
+                "detail": "degree 33 exceeds the ambient cap 32",
+            }),
+        ],
+        ids=["budget", "ambient"],
+    )
+    def test_gates_fail_before_any_sum(self, capsys, monkeypatch, cap, budget, code, record):
+        calls = []
+
+        def closed_form(s):  # stands in for the enumeration, counting calls
+            calls.append(s)
+            return GaussInt(-1, -1) ** s
+
+        monkeypatch.setattr("aswcurves.cli.hd_sum", closed_form)
+        got, data = run_json(capsys, "hd-check", "--cap", cap, "--budget", budget)
+        assert (got, data, calls) == (code, record, [])
 
 
 class TestOutputFile:

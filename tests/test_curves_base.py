@@ -14,6 +14,7 @@ from aswcurves.curves import (
     psi_sum,
 )
 from aswcurves.curves.base import weil_class, weil_gap
+from aswcurves.curves.count import checked_count
 from aswcurves.errors import (
     AmbientTooSmall,
     BudgetExceeded,
@@ -254,3 +255,33 @@ class TestBruteCount:
             for r in l_polynomial(fd, t).roots:
                 total = total + r
             assert psi_sum(build_curve(fd, t)) == (-total).as_int()
+
+
+class TestCheckedCount:
+    def test_disagreement_raises_the_single_message(self):
+        spec = CurveSpec(F4, 2, (0, 1))
+        with pytest.raises(OracleMismatch) as exc:
+            checked_count(spec, 2, 18, budget=1 << 10)
+        assert str(exc.value) == (
+            "eigenvalue count 18 != direct count 9 over extension 2 of q=F4; R=1,0"
+        )
+
+    def test_agreement_returns_the_direct_count(self):
+        spec = CurveSpec(F4, 2, (0, 1))
+        lp = l_polynomial(datum_tau_plus_one(), W)
+        for m in (1, 2, 3):
+            assert checked_count(spec, m, lp.point_count(m)) == lp.point_count(m)
+
+    def test_over_budget_returns_none_without_counting(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("trace_zero_count called over budget")
+
+        monkeypatch.setattr("aswcurves.curves.count.trace_zero_count", refuse)
+        spec = CurveSpec(F16, 4, (3, 5, 9))
+        assert checked_count(spec, 2, 1, budget=255) is None
+        assert checked_count(spec, 1, None, budget=15) is None
+
+    def test_no_formula_returns_the_plain_count(self):
+        spec = CurveSpec(F16, 4, (3, 5, 9))
+        for m in (1, 2):
+            assert checked_count(spec, m, None) == brute_count(spec, m)

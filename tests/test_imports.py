@@ -1,4 +1,5 @@
-"""Source hygiene: no module imports another module's private names."""
+"""Source hygiene: no module imports another module's private names, and
+the counting oracle imports nothing from the routes it checks."""
 
 import ast
 from pathlib import Path
@@ -44,3 +45,45 @@ def test_detector_flags_only_package_private_names():
         (4, "_emit"),
         (6, "_private_module"),
     ]
+
+
+# The direct count, and the comparison in count.py, must share no code
+# path with the closed forms it checks.
+ORACLE_FILES = ("aswcurves/curves/count.py", "aswcurves/bitvec.py")
+FORMULA_MODULES = {
+    "lpoly", "presentation", "twists", "families", "period", "witt2", "symplectic"
+}
+
+
+def imported_modules(source: str) -> set[str]:
+    """Last dotted component of every module an import statement names."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.module:
+                found.add(node.module.split(".")[-1])
+            if node.level or (node.module or "").startswith("aswcurves"):
+                found.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[-1] for a in node.names)
+    return found
+
+
+def test_oracle_imports_no_formula_route():
+    offenders = {
+        path: sorted(imported_modules((SRC / path).read_text()) & FORMULA_MODULES)
+        for path in ORACLE_FILES
+    }
+    assert offenders == {path: [] for path in ORACLE_FILES}
+
+
+def test_import_detector_sees_relative_and_absolute_forms():
+    source = (
+        "from .lpoly import l_polynomial\n"
+        "from . import twists\n"
+        "from aswcurves.curves import period\n"
+        "import aswcurves.witt2\n"
+        "from ..gf2field import make_field\n"
+    )
+    got = imported_modules(source) & FORMULA_MODULES
+    assert got == {"lpoly", "twists", "period", "witt2"}

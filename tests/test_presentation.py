@@ -1,16 +1,18 @@
 """Existence flags for a datum behind a given curve, and recovery."""
 
 import itertools
+import random
 
 import pytest
 
-from aswcurves.curves import CurveSpec, build_curve, head_curve
+from aswcurves.curves import CurveSpec, TwistDatum, build_curve, head_curve
 from aswcurves.curves.presentation import (
+    parameter_search,
     presentation_conditions,
     recover_datum,
     recover_head,
 )
-from aswcurves.errors import KernelNotRational, NoTwistParameter
+from aswcurves.errors import ConditionViolated, KernelNotRational, NoTwistParameter
 from aswcurves.gf2field import make_field
 from aswcurves.skew import SkewPoly
 
@@ -138,3 +140,51 @@ class TestRecovery:
         big = recover_head(CurveSpec(F16, 4, (0, 0, 1)).transport_to(big_ctx))
         lifted = {i: transport(F16, c, big_ctx, 4) for i, c in small.F.coeffs.items()}
         assert big.F == SkewPoly(big_ctx, lifted)
+
+
+def scanned_parameter(fd, a0):
+    """Reference: least t in F_q with twist coefficient a0, by scanning."""
+    for t in sorted(fd.ctx.subfield_elements(fd.q_deg)):
+        if fd.twist_coefficient(t) == a0:
+            return t
+    return None
+
+
+def adjoint_killing_one(ctx, q_deg, rng, e):
+    """A random datum over F_q with F*(1) = 0 (flags 1 and 2)."""
+    sub = ctx.subfield_elements(q_deg)
+    while True:
+        tail = [rng.choice(sub) for _ in range(e - 1)] + [rng.choice(sub[1:])]
+        b0 = 0
+        for i, b in enumerate(tail, start=1):
+            b0 ^= ctx.frob_p(b, -i)
+        if b0:
+            coeffs = {i: b for i, b in enumerate([b0] + tail) if b}
+            return TwistDatum(SkewPoly(ctx, coeffs), q_deg)
+
+
+class TestParameterSearch:
+    @pytest.mark.parametrize(
+        "ambient, q_deg, p_log", [(4, 4, 1), (8, 4, 1), (8, 8, 2), (12, 6, 1), (12, 4, 2)]
+    )
+    def test_matches_the_scan(self, ambient, q_deg, p_log):
+        ctx = make_field(ambient, None, p_log)
+        rng = random.Random(ambient * 100 + q_deg * 10 + p_log)
+        sub = ctx.subfield_elements(q_deg)
+        outside = [a for a in range(ctx.order) if a not in set(sub)]
+        for e in (1, 2):
+            fd = adjoint_killing_one(ctx, q_deg, rng, e)
+            image = [fd.twist_coefficient(t) for t in rng.sample(sub, 4)]
+            full_image = {fd.twist_coefficient(t) for t in sub}
+            missed = [a for a in sub if a not in full_image]
+            targets = image + rng.sample(missed, 4) + rng.sample(outside, min(2, len(outside)))
+            for a0 in targets:
+                assert parameter_search(fd, a0) == scanned_parameter(fd, a0)
+            assert all(parameter_search(fd, a0) is not None for a0 in image)
+            assert all(parameter_search(fd, a0) is None for a0 in targets[4:])
+
+    def test_adjoint_not_killing_one_is_rejected(self):
+        fd = TwistDatum(SkewPoly(F16, {0: 1, 1: 2}), 4)
+        assert fd.conditions[:2] == (True, False)
+        with pytest.raises(ConditionViolated):
+            parameter_search(fd, 0)
