@@ -5,6 +5,15 @@ character tables), where evaluating one element at a time in Python is
 too slow. Everything operates on uint64 arrays of bit patterns with the
 same LSB convention as gf2field and produces bit-identical results to
 the scalar methods, which the tests check directly.
+
+An F_2-linear map is applied byte by byte: the image of x is the XOR,
+over the bytes of x, of a 256-entry table lookup, each table holding
+the XOR of the unit-vector images for every pattern of its eight bits.
+By linearity that is exactly the sum of the images of the set bits.
+A quadratic form over F_2 is x -> parity(x & U x) for a linear U (x^T U x
+with the products x_i x_j read off bitwise), so every exhaustive count
+of a quadratic form's zeros is one linear map and one popcount per
+element.
 """
 
 from __future__ import annotations
@@ -23,14 +32,35 @@ def arange_field(ctx: FieldCtx) -> np.ndarray:
     return np.arange(1 << ctx.n, dtype=_U64)
 
 
+def _byte_tables(images: Sequence[int]) -> list[np.ndarray]:
+    """One 256-entry table per byte of the input: entry b is the XOR of
+    the images of the bits set in b (bits past the last image map to 0)."""
+    padded = list(images) + [0] * (-len(images) % 8)
+    tables = []
+    for lo in range(0, len(padded), 8):
+        table = np.zeros(1, dtype=_U64)
+        for img in padded[lo : lo + 8]:
+            table = np.concatenate((table, table ^ _U64(img)))
+        tables.append(table)
+    return tables
+
+
 def apply_linear(images: Sequence[int], x: np.ndarray) -> np.ndarray:
-    """Apply an additive map given by unit-vector images to every entry."""
-    out = np.zeros_like(x)
-    one = _U64(1)
-    for j, img in enumerate(images):
-        if img:
-            out ^= ((x >> _U64(j)) & one) * _U64(img)
+    """Apply an additive map given by unit-vector images to every entry.
+
+    Bits of x at or above len(images) are ignored.
+    """
+    octets = np.ascontiguousarray(x, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    out = np.zeros(octets.shape[0], dtype=_U64)
+    for k, table in enumerate(_byte_tables(images)):
+        out ^= table[octets[:, k]]
     return out
+
+
+def quadratic_parity(images: Sequence[int], x: np.ndarray) -> np.ndarray:
+    """parity(x & U x) for every entry, U given by unit-vector images,
+    as a uint8 array of 0s and 1s."""
+    return np.bitwise_count(x & apply_linear(images, x)) & np.uint8(1)
 
 
 def field_mul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:

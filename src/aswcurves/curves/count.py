@@ -3,10 +3,22 @@
 Counts never go through the eigenvalue machinery: the fiber of
 y^p - y = c has p points exactly when the trace of c to F_p vanishes,
 so the affine count is p times the number of zero traces of x*R(x),
-plus the single point at infinity of the smooth model.  Enumeration is
-vectorized over uint64 chunks and can be partitioned across threads;
-partial sums are plain integers, so the result is identical for every
-thread count.  An eigenvalue count to compare arrives as a plain integer.
+plus the single point at infinity of the smooth model.
+
+Each trace is read off quadratic forms over F_2.  A bit pattern x is
+the sum of the t^j over its set bits j, t the root of the modulus, so
+Tr_{Q/2}(x*y) = parity(x & M y) where bit j of M y is Tr_{Q/2}(t^j*y):
+M is the symmetric matrix of the traces Tr(t^(j+k)), which are power
+sums of the roots of the modulus.  For every w, then,
+Tr_{Q/2}(w*x*R(x)) = parity(x & U_w x) with U_w x = M(w*R(x)).  As the
+trace form of F_P/F_2 is nondegenerate, Tr_{Q/P}(z) vanishes exactly
+when Tr_{Q/2}(w*z) does for every w in an F_2-basis of F_P.  Counting
+the x at which all these forms are 0 is thus the same count as
+evaluating x*R(x) and its trace; every element of F_Q is evaluated.
+Enumeration is vectorized over uint64 chunks and can be partitioned
+across threads; partial sums are plain integers, so the result is
+identical for every thread count.  An eigenvalue count to compare
+arrives as a plain integer.
 """
 
 from __future__ import annotations
@@ -15,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ..bitvec import apply_linear, field_mul
+from ..bitvec import quadratic_parity
 from ..errors import AmbientTooSmall, BudgetExceeded, OracleMismatch
 from ..gf2field import MAX_DEGREE, FieldCtx, make_field
 from .base import CurveSpec, format_curve_spec
@@ -46,18 +58,57 @@ def _extension_spec(spec: CurveSpec, m: int) -> CurveSpec:
     return spec.transport_to(make_field(deg, None, spec.ctx.p_log))
 
 
-def _count_chunk(
-    ctx: FieldCtx,
-    r_images: list[int],
-    tr_images: list[int],
-    lo: int,
-    hi: int,
-) -> int:
+def _apply(images: list[int], y: int) -> int:
+    """The additive map with unit-vector images `images`, at y."""
+    out = 0
+    for img in images:
+        if y & 1:
+            out ^= img
+        y >>= 1
+    return out
+
+
+def _power_traces(ctx: FieldCtx, length: int) -> int:
+    """Bit k, for k < length, is Tr_{Q/2}(t^k), t the root of the modulus
+    that the bit patterns are written in.
+
+    These are the power sums of the roots of the modulus
+    X^n + c_{n-1} X^{n-1} + ... + c_0, so Newton's identities over F_2
+    give them: s_0 = n, and s_k is the sum of c_{n-i} s_{k-i} over
+    1 <= i <= min(k - 1, n), plus k*c_{n-k} while k <= n.
+    """
+    n, c = ctx.n, ctx.poly
+    s = n & 1
+    for k in range(1, length):
+        i_max = min(k - 1, n)
+        # c_{n-i} and s_{k-i} both sit at bit i_max - i of their window.
+        window = (c >> (n - i_max)) & (s >> (k - i_max)) & ((1 << i_max) - 1)
+        bit = window.bit_count() & 1
+        if k <= n:
+            bit ^= k & (c >> (n - k)) & 1
+        s |= bit << k
+    return s
+
+
+def _trace_forms(ctx: FieldCtx, r_images: list[int], to_deg: int) -> list[list[int]]:
+    """Unit-vector images of U_w, x -> M(w*R(x)), for w in a basis of
+    the degree-to_deg subfield: parity(x & U_w x) = Tr_{Q/2}(w*x*R(x))."""
+    n = ctx.n
+    # M is the Hankel matrix of Tr(t^i), i < 2n - 1: M e_k is bits k..k+n-1.
+    hankel = _power_traces(ctx, 2 * n - 1)
+    m_images = [(hankel >> k) & ((1 << n) - 1) for k in range(n)]
+    return [
+        [_apply(m_images, ctx.mul(w, r)) for r in r_images]
+        for w in ctx.subfield_basis(to_deg)
+    ]
+
+
+def _count_chunk(forms: list[list[int]], lo: int, hi: int) -> int:
     xs = np.arange(lo, hi, dtype=np.uint64)
-    rx = apply_linear(r_images, xs)
-    prod = field_mul(ctx, xs, rx)
-    traces = apply_linear(tr_images, prod)
-    return int(np.count_nonzero(traces == 0))
+    nonzero = np.zeros(hi - lo, dtype=np.uint8)
+    for images in forms:
+        nonzero |= quadratic_parity(images, xs)
+    return (hi - lo) - int(np.count_nonzero(nonzero))
 
 
 def trace_zero_count(
@@ -70,7 +121,8 @@ def trace_zero_count(
     """#{x in F_{q^m} : Tr(x*R(x)) = 0}, trace taken down to degree to_deg.
 
     The default target is F_p.  This is the single enumeration core
-    behind brute_count and psi_sum.
+    behind brute_count and psi_sum; every element of F_{q^m} is
+    evaluated on the quadratic forms of the module docstring.
     """
     if m < 1:
         raise ValueError("extension degree must be >= 1")
@@ -83,17 +135,13 @@ def trace_zero_count(
     ctx = full.ctx
     if to_deg is None:
         to_deg = ctx.p_log
-    r_images = ctx.linear_images(full.r_skew())
-    tr_images = ctx.linear_images(lambda x: ctx.trace(x, ctx.n, to_deg))
+    forms = _trace_forms(ctx, ctx.linear_images(full.r_skew()), to_deg)
     bounds = list(range(0, size, _CHUNK)) + [size]
     jobs = list(zip(bounds[:-1], bounds[1:]))
     if threads <= 1 or len(jobs) <= 1:
-        return sum(_count_chunk(ctx, r_images, tr_images, lo, hi) for lo, hi in jobs)
+        return sum(_count_chunk(forms, lo, hi) for lo, hi in jobs)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = pool.map(
-            lambda b: _count_chunk(ctx, r_images, tr_images, b[0], b[1]), jobs
-        )
-        return sum(parts)
+        return sum(pool.map(lambda b: _count_chunk(forms, b[0], b[1]), jobs))
 
 
 def brute_count(

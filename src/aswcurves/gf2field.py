@@ -39,6 +39,10 @@ Element = int
 
 MAX_DEGREE = 32
 
+# Entry b is the byte b with a 0 bit inserted after each bit (its binary
+# digits read in base 4): squaring over F_2 moves bit i to bit 2i.
+_SPREAD = tuple(int(f"{b:b}", 4) for b in range(256))
+
 
 def _check_field_degree(n: int) -> None:
     if n > MAX_DEGREE:
@@ -247,7 +251,7 @@ class FieldCtx:
     hash/compare by (n, poly, p_log).
     """
 
-    __slots__ = ("n", "poly", "p_log", "_sub_basis", "_sub_elems", "_sub_gen")
+    __slots__ = ("n", "poly", "p_log", "_poly_bits", "_sub_basis", "_sub_elems", "_sub_gen")
 
     def __init__(self, n: int, poly: int | None = None, p_log: int = 1):
         _check_field_degree(n)
@@ -262,6 +266,7 @@ class FieldCtx:
         self.n = n
         self.poly = poly
         self.p_log = p_log
+        self._poly_bits = tuple(k for k in range(n + 1) if (poly >> k) & 1)
         self._sub_basis: dict[int, tuple[int, ...]] = {}
         self._sub_elems: dict[int, list[int]] = {}
         self._sub_gen: dict[int, int] = {}
@@ -298,19 +303,29 @@ class FieldCtx:
     # -- ring operations ----------------------------------------------------
 
     def mul(self, a: Element, b: Element) -> Element:
-        r = 0
-        while b:
-            if b & 1:
-                r ^= a
-            a <<= 1
-            b >>= 1
-        n, poly = self.n, self.poly
-        while r.bit_length() > n:
-            r ^= poly << (r.bit_length() - 1 - n)
-        return r
+        return self._reduce(clmul(a, b))
 
     def sqr(self, a: Element) -> Element:
-        return self.mul(a, a)
+        r = shift = 0
+        while a:
+            r |= _SPREAD[a & 0xFF] << shift
+            a >>= 8
+            shift += 16
+        return self._reduce(r)
+
+    def _reduce(self, r: int) -> Element:
+        """r modulo the modulus.
+
+        Each round adds high * modulus, high = r >> n: that clears the
+        bits from n up and leaves high times the lower terms of the
+        modulus, of lower degree, so a sparse modulus takes few rounds.
+        """
+        n = self.n
+        while r >> n:
+            high = r >> n
+            for k in self._poly_bits:
+                r ^= high << k
+        return r
 
     def pow(self, a: Element, e: int) -> Element:
         if e < 0:
@@ -319,7 +334,7 @@ class FieldCtx:
         while e:
             if e & 1:
                 r = self.mul(r, a)
-            a = self.mul(a, a)
+            a = self.sqr(a)
             e >>= 1
         return r
 
@@ -335,7 +350,7 @@ class FieldCtx:
     def frob(self, a: Element, j: int) -> Element:
         """a^(2^j) for any integer j; negative j inverts Frobenius."""
         for _ in range(j % self.n):
-            a = self.mul(a, a)
+            a = self.sqr(a)
         return a
 
     def frob_p(self, a: Element, i: int) -> Element:

@@ -299,12 +299,24 @@ def q_exponent_table(deg: int) -> np.ndarray:
     """i-exponents of Q over all of F_{2^deg}, as a uint8 array.
 
     Index j is the exponent of Q at the element with bit pattern j in
-    the dedicated degree-deg context. Computed by the explicit shape of
-    the length-2 trace: first component is the field trace, second the
-    second elementary symmetric function of the Frobenius conjugates.
+    the dedicated degree-deg context: Tr(x) + 2*e2(x), by the explicit
+    shape of the length-2 trace (first component the field trace, second
+    the second elementary symmetric function e2 of the Frobenius
+    conjugates).  Both components are polynomials of degree at most 2 in
+    the bits of x with value 0 at 0, so they are fixed by their values at
+    the unit vectors e_i and at the sums e_i + e_j, and only those go
+    through the explicit shape.  The trace is then parity(x & tau) with
+    bit i of tau equal to Tr(e_i), and e2 is the quadratic form
+    parity(x & U x), where U carries e2(e_j) on its diagonal and the
+    polarization B(e_i, e_j) = e2(e_i + e_j) + e2(e_i) + e2(e_j) above it.
+    Every element of the field is evaluated through these two forms.
     """
     K = make_field(deg)
-    x = bitvec.arange_field(K)
+    pairs = [(i, j) for j in range(deg) for i in range(j)]
+    x = np.array(
+        [1 << i for i in range(deg)] + [(1 << i) | (1 << j) for i, j in pairs],
+        dtype=np.uint64,
+    )
     conj = x.copy()
     s = np.zeros_like(x)  # running sum of conjugates
     e2 = np.zeros_like(x)  # running second symmetric function
@@ -313,7 +325,14 @@ def q_exponent_table(deg: int) -> np.ndarray:
         s ^= conj
         conj = bitvec.field_mul(K, conj, conj)
     assert int((s | e2).max()) <= 1  # both land in F_2
-    return (s + 2 * e2).astype(np.uint8)
+    tau = sum(int(s[i]) << i for i in range(deg))
+    diag = [int(v) for v in e2[:deg]]
+    images = [diag[j] << j for j in range(deg)]
+    for (i, j), e2_sum in zip(pairs, e2[deg:]):
+        images[j] |= (int(e2_sum) ^ diag[i] ^ diag[j]) << i
+    full = bitvec.arange_field(K)
+    trace = np.bitwise_count(full & np.uint64(tau)) & np.uint8(1)
+    return trace + 2 * bitvec.quadratic_parity(images, full)
 
 
 def hd_sum(deg: int) -> GaussInt:

@@ -1,5 +1,7 @@
 """Curve/datum types, eigenvalue formulas, and the counting oracle."""
 
+import os
+
 import pytest
 
 from aswcurves.curves import (
@@ -14,6 +16,7 @@ from aswcurves.curves import (
     psi_sum,
 )
 from aswcurves.curves.base import weil_class, weil_gap
+from aswcurves.curves import count
 from aswcurves.curves.count import checked_count
 from aswcurves.errors import (
     AmbientTooSmall,
@@ -227,6 +230,13 @@ class TestBruteCount:
     def test_threads_bit_identical(self):
         spec = CurveSpec(F16, 4, (3, 5, 9))
         assert brute_count(spec, 2, threads=4) == brute_count(spec, 2)
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two threads need two cores")
+    def test_threads_over_two_chunks(self):
+        # 2^21 elements are two chunks, so the thread pool really runs.
+        spec = CurveSpec(make_field(7), 7, (3, 5, 9))
+        assert 1 << 21 == 2 * count._CHUNK
+        assert brute_count(spec, 3, threads=2) == brute_count(spec, 3, threads=1)
 
     def test_budget_and_ambient_guards(self):
         spec = CurveSpec(F4, 2, (0, 1))

@@ -17,6 +17,7 @@ from aswcurves.gf2field import (
     FieldCtx,
     Fp2Subspace,
     clmod,
+    clmul,
     default_modulus,
     format_field_spec,
     intersect_spans,
@@ -361,6 +362,21 @@ def test_check_rejects_out_of_range():
         K.check(16)
     with pytest.raises(CtxMismatch):
         K.check(-1)
+
+
+@pytest.mark.parametrize(
+    "n,poly",
+    [(4, 0x13), (4, 0x19), (4, 0x1F), (8, None), (9, 0x211), (12, None), (16, 0x1100B), (24, None), (32, None)],
+)
+def test_mul_and_sqr_reduce_the_carryless_product(n, poly):
+    # Dense moduli (0x1f) take many reduction rounds, sparse ones few.
+    K = make_field(n, poly)
+    rng = random.Random(n)
+    for _ in range(400):
+        a, b = rng.getrandbits(n), rng.getrandbits(n)
+        assert K.mul(a, b) == clmod(clmul(a, b), K.poly)
+        assert K.sqr(a) == clmod(clmul(a, a), K.poly)
+    assert K.sqr((1 << n) - 1) == K.mul((1 << n) - 1, (1 << n) - 1)
 
 
 def test_bitvec_matches_scalar():

@@ -1,0 +1,126 @@
+"""The byte-table quadratic-form oracles against the per-element kernels.
+
+The references below are the straightforward evaluations: a linear map
+one bit at a time, x*R(x) by vectorized field multiplication followed
+by the trace map, and the explicit shape of the length-2 trace over the
+whole field.  The fast kernels must reproduce them exactly.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from aswcurves import bitvec
+from aswcurves.curves import CurveSpec, trace_zero_count
+from aswcurves.gf2field import make_field
+from aswcurves.witt2 import q_exponent_table
+
+
+def apply_linear_bitloop(images, x):
+    out = np.zeros_like(x)
+    one = np.uint64(1)
+    for j, img in enumerate(images):
+        if img:
+            out ^= ((x >> np.uint64(j)) & one) * np.uint64(img)
+    return out
+
+
+def trace_zeros_by_products(spec, m, to_degs):
+    """{to_deg: #{x : Tr(x*R(x)) = 0}} by multiplying out x*R(x)."""
+    deg = spec.q_deg * m
+    full = spec
+    if spec.ctx.n != deg:
+        full = spec.transport_to(make_field(deg, None, spec.ctx.p_log))
+    ctx = full.ctx
+    xs = bitvec.arange_field(ctx)
+    prod = bitvec.field_mul(ctx, xs, apply_linear_bitloop(ctx.linear_images(full.r_skew()), xs))
+    zeros = {}
+    for to_deg in to_degs:
+        tr_images = ctx.linear_images(lambda x: ctx.trace(x, ctx.n, to_deg))
+        zeros[to_deg] = int(np.count_nonzero(apply_linear_bitloop(tr_images, prod) == 0))
+    return zeros
+
+
+def q_exponent_table_by_shape(deg):
+    K = make_field(deg)
+    x = bitvec.arange_field(K)
+    conj = x.copy()
+    s = np.zeros_like(x)
+    e2 = np.zeros_like(x)
+    for _ in range(deg):
+        e2 ^= bitvec.field_mul(K, s, conj)
+        s ^= conj
+        conj = bitvec.field_mul(K, conj, conj)
+    assert int((s | e2).max()) <= 1
+    return (s + 2 * e2).astype(np.uint8)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 17, 24, 32])
+def test_apply_linear_matches_bitloop(n):
+    rng = random.Random(n)
+    images = [rng.getrandbits(32) | (1 << 31) for _ in range(n)]
+    images[n // 2] = 0
+    x = np.array([rng.getrandbits(n) for _ in range(3000)] + [0, (1 << n) - 1], dtype=np.uint64)
+    assert np.array_equal(bitvec.apply_linear(images, x), apply_linear_bitloop(images, x))
+
+
+def test_apply_linear_ignores_bits_past_the_images():
+    x = np.array([0xFF, 0x1FF, 1 << 40], dtype=np.uint64)
+    assert bitvec.apply_linear([1, 2, 4], x).tolist() == [7, 7, 0]
+
+
+def test_quadratic_parity_is_x_transpose_u_x():
+    rng = random.Random(5)
+    n = 11
+    images = [rng.getrandbits(n) for _ in range(n)]
+    x = np.arange(1 << n, dtype=np.uint64)
+    expected = [
+        sum((v >> i) & (v >> j) & (images[j] >> i) for i in range(n) for j in range(n)) & 1
+        for v in range(1 << n)
+    ]
+    assert bitvec.quadratic_parity(images, x).tolist() == expected
+
+
+# (ambient degree, q_deg, p_log, modulus): non-default moduli, p = 4 and
+# p = 8, and ambient fields wider than F_q.
+CONTEXTS = [
+    (4, 4, 1, 0x19),
+    (9, 9, 1, 0x211),
+    (8, 8, 2, None),
+    (6, 6, 3, None),
+    (8, 4, 1, None),
+    (12, 6, 1, None),
+    (12, 4, 2, None),
+    (16, 8, 2, None),
+]
+
+
+def _random_specs(n, q_deg, p_log, poly, how_many):
+    ctx = make_field(n, poly, p_log)
+    elements = ctx.subfield_elements(q_deg)
+    rng = random.Random(n * 1000 + q_deg * 10 + p_log)
+    specs = []
+    for k in range(how_many):
+        e = 1 + k % 3
+        coeffs = [rng.choice(elements) for _ in range(e)] + [rng.choice(elements[1:])]
+        specs.append(CurveSpec(ctx, q_deg, tuple(coeffs)))
+    return specs
+
+
+@pytest.mark.parametrize("n,q_deg,p_log,poly", CONTEXTS)
+def test_trace_zero_count_matches_products(n, q_deg, p_log, poly):
+    for spec in _random_specs(n, q_deg, p_log, poly, 10):
+        for m in (1, 2):
+            to_degs = sorted({1, p_log, q_deg * m})
+            expected = trace_zeros_by_products(spec, m, to_degs)
+            got = {d: trace_zero_count(spec, m, d, budget=1 << 18) for d in to_degs}
+            assert got == expected, (spec, m)
+
+
+@pytest.mark.parametrize("deg", range(1, 19))
+def test_q_exponent_table_matches_the_explicit_shape(deg):
+    fast = q_exponent_table(deg)
+    assert fast.dtype == np.uint8
+    assert fast.tobytes() == q_exponent_table_by_shape(deg).tobytes()
+
