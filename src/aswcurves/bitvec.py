@@ -32,16 +32,16 @@ def arange_field(ctx: FieldCtx) -> np.ndarray:
     return np.arange(1 << ctx.n, dtype=_U64)
 
 
-def _byte_tables(images: Sequence[int]) -> list[np.ndarray]:
-    """One 256-entry table per byte of the input: entry b is the XOR of
-    the images of the bits set in b (bits past the last image map to 0)."""
+def _byte_tables(images: Sequence[int]) -> np.ndarray:
+    """One 256-entry table per byte of the input, as the rows of one array:
+    entry b is the XOR of the images of the bits set in b (bits past the
+    last image map to 0).  Entries 2^i..2^(i+1)-1 are entries 0..2^i-1
+    XOR the image of bit i, so eight slice steps fill every table."""
     padded = list(images) + [0] * (-len(images) % 8)
-    tables = []
-    for lo in range(0, len(padded), 8):
-        table = np.zeros(1, dtype=_U64)
-        for img in padded[lo : lo + 8]:
-            table = np.concatenate((table, table ^ _U64(img)))
-        tables.append(table)
+    images8 = np.array(padded, dtype=_U64).reshape(-1, 8)
+    tables = np.zeros((images8.shape[0], 256), dtype=_U64)
+    for i in range(8):
+        tables[:, 1 << i : 2 << i] = tables[:, : 1 << i] ^ images8[:, i : i + 1]
     return tables
 
 

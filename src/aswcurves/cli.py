@@ -57,7 +57,7 @@ from .errors import (
     PairingConditionFailed,
     ParseError,
 )
-from .gf2field import MAX_DEGREE, Fp2Subspace, parse_field_spec
+from .gf2field import MAX_DEGREE, FieldCtx, Fp2Subspace, parse_field_spec
 from .witt2 import GaussInt, hd_sum
 
 __all__ = ["RunConfig", "curve_report", "main"]
@@ -395,20 +395,14 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> _Output:
     )
 
 
-def _rescalings(spec: CurveSpec) -> "list[tuple[int, ...]]":
-    """Coefficient tuples of every substitution x -> a*x of the curve."""
-    ctx = spec.ctx
-    out = []
-    for a in sorted(ctx.subfield_elements(spec.q_deg)):
-        if a == 0:
-            continue
-        out.append(
-            tuple(
-                ctx.mul(c, ctx.pow(a, 1 + ctx.p**i))
-                for i, c in enumerate(spec.coeffs)
-            )
-        )
-    return out
+def _scale_factors(ctx: FieldCtx, q_deg: int, e_max: int) -> list[tuple[int, ...]]:
+    """(a^(1+p^i) for i = 0..e_max) for every nonzero a in F_q, ascending:
+    the substitution x -> a*x multiplies a_i by a^(1+p^i)."""
+    return [
+        tuple(ctx.pow(a, 1 + ctx.p**i) for i in range(e_max + 1))
+        for a in sorted(ctx.subfield_elements(q_deg))
+        if a
+    ]
 
 
 def cmd_search(args: argparse.Namespace, cfg: RunConfig) -> _Output:
@@ -421,10 +415,12 @@ def cmd_search(args: argparse.Namespace, cfg: RunConfig) -> _Output:
         )
     results = []
     rows = []
+    scales = _scale_factors(ctx, q_deg, args.e_max)
     for coeffs in coefficient_range(q, args.e_max):
-        spec = CurveSpec(ctx, q_deg, coeffs)
-        if min(_rescalings(spec)) != coeffs:
+        rescalings = (tuple(map(ctx.mul, coeffs, factors)) for factors in scales)
+        if min(rescalings) != coeffs:
             continue  # a smaller representative covers this class
+        spec = CurveSpec(ctx, q_deg, coeffs)
         if weil_gap(spec) is None:
             continue  # the bound is unattainable over this field
         count = brute_count(spec, 1, budget=cfg.budget, threads=cfg.threads)

@@ -154,6 +154,8 @@ class TwistDatum:
         "adjoint_splitting",
         "composite_splitting",
         "_offset",
+        "_adjoint",
+        "_composite",
     )
 
     def __init__(self, F: SkewPoly, q_deg: int):
@@ -170,11 +172,13 @@ class TwistDatum:
                 )
         self.F = F
         self.q_deg = q_deg
+        self._adjoint = adjoint = F.adjoint()
+        self._composite = composite = adjoint * F
         self.separable = bool(F) and F.val == 0 and F.degree >= 1
-        self.adjoint_kills_one = bool(F) and F.adjoint()(1) == 0
+        self.adjoint_kills_one = bool(F) and adjoint(1) == 0
         if F:
-            self.adjoint_splitting = F.adjoint().kernel_splitting_degree()
-            self.composite_splitting = (F.adjoint() * F).kernel_splitting_degree()
+            self.adjoint_splitting = adjoint.kernel_splitting_degree()
+            self.composite_splitting = composite.kernel_splitting_degree()
         else:
             self.adjoint_splitting = self.composite_splitting = 0
         self.adjoint_kernel_rational = (
@@ -184,19 +188,22 @@ class TwistDatum:
             bool(F) and q_deg % self.composite_splitting == 0
         )
         if self.adjoint_kernel_rational:
-            self.adjoint_kernel = F.adjoint().kernel()
+            self.adjoint_kernel = adjoint.kernel()
             if self.separable:
-                assert q_deg % F.kernel_splitting_degree() == 0
+                if q_deg % F.kernel_splitting_degree():
+                    raise self._mismatch("ker F* lies in F_q but ker F does not")
                 self.kernel = F.kernel()
-                assert self.kernel.dim_p == self.adjoint_kernel.dim_p
+                if self.kernel.dim_p != self.adjoint_kernel.dim_p:
+                    raise self._mismatch("ker F and ker F* differ in dimension")
             else:
                 self.kernel = None
         else:
             self.adjoint_kernel = None
             self.kernel = None
         if self.composite_kernel_rational:
-            self.composite_kernel = (F.adjoint() * F).kernel()
-            assert self.composite_kernel.dim_p == 2 * self.F.span
+            self.composite_kernel = composite.kernel()
+            if self.composite_kernel.dim_p != 2 * F.span:
+                raise self._mismatch("ker F*F does not have dimension 2*span(F)")
         else:
             self.composite_kernel = None
         if self.separable:
@@ -208,6 +215,9 @@ class TwistDatum:
             self._offset = acc
         else:
             self._offset = None
+
+    def _mismatch(self, what: str) -> OracleMismatch:
+        return OracleMismatch(f"{what} for {format_skew(self.F)} over F_{{2^{self.q_deg}}}")
 
     def __repr__(self) -> str:
         return f"TwistDatum({format_skew(self.F)!r}, q_deg={self.q_deg})"
@@ -254,7 +264,7 @@ class TwistDatum:
         self.require(2)
         if not self.ctx.in_subfield(t, self.q_deg):
             raise ValueError(f"twist parameter {t:#x} is outside the subfield")
-        return self._offset ^ self.ctx.sqr(self.F.adjoint()(t))
+        return self._offset ^ self.ctx.sqr(self._adjoint(t))
 
     def head_coefficients(self) -> tuple[Element, ...]:
         """Tail a_1..a_e of the curve family produced by F."""
@@ -267,7 +277,8 @@ class TwistDatum:
                 acc ^= ctx.frob_p(ctx.mul(F[j], F[j + i]), -j)
             out.append(acc)
         r = SkewPoly.from_coeffs(ctx, [0] + out)
-        assert r + r.adjoint() == F.adjoint() * F
+        if r + r.adjoint() != self._composite:
+            raise self._mismatch("R + R* of the head coefficients is not F*F")
         return tuple(out)
 
     def twist_fiber(self, t: Element) -> list[Element]:

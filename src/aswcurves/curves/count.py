@@ -24,6 +24,7 @@ arrives as a plain integer.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from functools import cache
 
 import numpy as np
 
@@ -58,7 +59,7 @@ def _extension_spec(spec: CurveSpec, m: int) -> CurveSpec:
     return spec.transport_to(make_field(deg, None, spec.ctx.p_log))
 
 
-def _apply(images: list[int], y: int) -> int:
+def _apply(images: tuple[int, ...], y: int) -> int:
     """The additive map with unit-vector images `images`, at y."""
     out = 0
     for img in images:
@@ -90,13 +91,19 @@ def _power_traces(ctx: FieldCtx, length: int) -> int:
     return s
 
 
-def _trace_forms(ctx: FieldCtx, r_images: list[int], to_deg: int) -> list[list[int]]:
-    """Unit-vector images of U_w, x -> M(w*R(x)), for w in a basis of
-    the degree-to_deg subfield: parity(x & U_w x) = Tr_{Q/2}(w*x*R(x))."""
+@cache
+def _trace_matrix(ctx: FieldCtx) -> tuple[int, ...]:
+    """Unit-vector images of M: bit j of M y is Tr_{Q/2}(t^j*y)."""
     n = ctx.n
     # M is the Hankel matrix of Tr(t^i), i < 2n - 1: M e_k is bits k..k+n-1.
     hankel = _power_traces(ctx, 2 * n - 1)
-    m_images = [(hankel >> k) & ((1 << n) - 1) for k in range(n)]
+    return tuple((hankel >> k) & ((1 << n) - 1) for k in range(n))
+
+
+def _trace_forms(ctx: FieldCtx, r_images: list[int], to_deg: int) -> list[list[int]]:
+    """Unit-vector images of U_w, x -> M(w*R(x)), for w in a basis of
+    the degree-to_deg subfield: parity(x & U_w x) = Tr_{Q/2}(w*x*R(x))."""
+    m_images = _trace_matrix(ctx)
     return [
         [_apply(m_images, ctx.mul(w, r)) for r in r_images]
         for w in ctx.subfield_basis(to_deg)

@@ -19,6 +19,7 @@ the trace of the twist parameter alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..errors import BudgetExceeded, KernelNotRational, OracleMismatch
 from ..gf2field import MAX_DEGREE, Element
@@ -53,15 +54,19 @@ class TwistClassification:
     neutral_twists: tuple[Element, ...]
     counting_checked: bool
 
+    @cached_property
+    def _labels(self) -> dict[Element, str]:
+        labels = dict.fromkeys(self.neutral_twists, "neutral")
+        labels.update(dict.fromkeys(self.minimal_twists, "minimal"))
+        labels.update(dict.fromkeys(self.maximal_twists, "maximal"))
+        return labels
+
     def twist_class(self, a: Element) -> str:
         """Class label of a single twist coefficient."""
-        if a in self.maximal_twists:
-            return "maximal"
-        if a in self.minimal_twists:
-            return "minimal"
-        if a in self.neutral_twists:
-            return "neutral"
-        raise ValueError(f"{a:#x} is not a twist coefficient of this family")
+        try:
+            return self._labels[a]
+        except KeyError:
+            raise ValueError(f"{a:#x} is not a twist coefficient of this family") from None
 
 
 def eigenvalue_targets(q_deg: int) -> tuple[GaussUnit, GaussUnit]:
@@ -100,7 +105,10 @@ def extremal_parameter_set(fd: TwistDatum) -> list[Element]:
         for t in sorted(ctx.subfield_elements(s))
         if all(qv == psi_char(ctx, ctx.mul(t, v), s) for v, qv in kernel_values)
     ]
-    assert len(hits) in (0, (1 << s) >> (fd.e * ctx.p_log))
+    if len(hits) not in (0, (1 << s) >> (fd.e * ctx.p_log)):
+        raise OracleMismatch(
+            f"{len(hits)} extremal parameters for {fd!r}: neither 0 nor q/|ker F*|"
+        )
     return hits
 
 
@@ -138,7 +146,8 @@ def classify_twists(
             raise OracleMismatch(
                 f"extremal parameter {t:#x} has non-real eigenvalue ratio {value}"
             )
-    neutral_params = [t for t in elements if t not in set(extremal)]
+    extremal_set = set(extremal)
+    neutral_params = [t for t in elements if t not in extremal_set]
 
     t_max = {fd.twist_coefficient(t) for t in s_minus}
     t_min = {fd.twist_coefficient(t) for t in s_plus}
@@ -177,13 +186,13 @@ def _check_trace_route(
 ) -> None:
     """Extremal coefficients are those killing the trace form on ker(R+R*)."""
     ctx, s = head.ctx, head.q_deg
-    points = fd.composite_kernel.elements()
+    points = [(u, head.evaluate(u)) for u in fd.composite_kernel.elements()]
     via_trace = {
         a
         for a in elements
         if all(
-            ctx.trace(ctx.mul(u, head.evaluate(u) ^ ctx.mul(a, u)), s, ctx.p_log) == 0
-            for u in points
+            ctx.trace(ctx.mul(u, r_u ^ ctx.mul(a, u)), s, ctx.p_log) == 0
+            for u, r_u in points
         )
     }
     if via_trace != extremal_twists:

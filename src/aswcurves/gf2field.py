@@ -168,6 +168,23 @@ def span_contains(basis: Sequence[int], v: int) -> bool:
     return reduce_vector(basis, v) == 0
 
 
+def _xor_tables(images: Sequence[int]) -> list[list[int]]:
+    """Byte tables of the F_2-linear map bit j -> images[j].
+
+    One 256-entry table per byte of the input, entry b holding the XOR of
+    the images of the bits set in b, so the image of x is the XOR over
+    its bytes of one lookup each.  Bits past the last image map to 0.
+    """
+    padded = list(images) + [0] * (-len(images) % 8)
+    tables = []
+    for lo in range(0, len(padded), 8):
+        table = [0]
+        for img in padded[lo : lo + 8]:
+            table += [v ^ img for v in table]
+        tables.append(table)
+    return tables
+
+
 def span_elements(basis: Sequence[int]) -> list[int]:
     """All elements of the span, ascending (2^len(basis) of them)."""
     out = [0]
@@ -251,7 +268,9 @@ class FieldCtx:
     hash/compare by (n, poly, p_log).
     """
 
-    __slots__ = ("n", "poly", "p_log", "_poly_bits", "_sub_basis", "_sub_elems", "_sub_gen")
+    __slots__ = (
+        "n", "poly", "p_log", "_poly_bits", "_frob_tables", "_sub_basis", "_sub_elems", "_sub_gen",
+    )
 
     def __init__(self, n: int, poly: int | None = None, p_log: int = 1):
         _check_field_degree(n)
@@ -267,6 +286,7 @@ class FieldCtx:
         self.poly = poly
         self.p_log = p_log
         self._poly_bits = tuple(k for k in range(n + 1) if (poly >> k) & 1)
+        self._frob_tables: dict[int, list[list[int]]] = {}
         self._sub_basis: dict[int, tuple[int, ...]] = {}
         self._sub_elems: dict[int, list[int]] = {}
         self._sub_gen: dict[int, int] = {}
@@ -348,10 +368,34 @@ class FieldCtx:
         return self.frob(a, self.n - 1)
 
     def frob(self, a: Element, j: int) -> Element:
-        """a^(2^j) for any integer j; negative j inverts Frobenius."""
-        for _ in range(j % self.n):
-            a = self.sqr(a)
-        return a
+        """a^(2^j) for any integer j; negative j inverts Frobenius.
+
+        x -> x^(2^j) is F_2-linear, so a^(2^j) is one lookup per byte of a
+        in the byte tables of that map, built the first time j mod n is
+        used.
+        """
+        j %= self.n
+        if not j:
+            return a
+        tables = self._frob_tables.get(j)
+        if tables is None:
+            tables = self._frob_tables[j] = _xor_tables(self._frob_images(j))
+        out = 0
+        for table in tables:
+            out ^= table[a & 0xFF]
+            a >>= 8
+        return out
+
+    def _frob_images(self, j: int) -> list[int]:
+        """(t^k)^(2^j) for k < n, t the root of the modulus: the powers of
+        t^(2^j)."""
+        g = 2
+        for _ in range(j):
+            g = self.sqr(g)
+        images = [1]
+        for _ in range(self.n - 1):
+            images.append(self.mul(images[-1], g))
+        return images
 
     def frob_p(self, a: Element, i: int) -> Element:
         """a^(p^i) for any integer i, p = 2^p_log."""

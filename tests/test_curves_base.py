@@ -25,7 +25,7 @@ from aswcurves.errors import (
     OracleMismatch,
     ParseError,
 )
-from aswcurves.gf2field import make_field
+from aswcurves.gf2field import Fp2Subspace, make_field
 from aswcurves.skew import SkewPoly
 from aswcurves.witt2 import GaussInt
 
@@ -115,6 +115,16 @@ class TestTwistDatum:
     def test_head_coefficients_tau_sq_plus_one(self):
         fd = TwistDatum(SkewPoly.from_coeffs(F4, [1, 0, 1]), 2)
         assert fd.head_coefficients() == (0, 1)
+
+    def test_result_checks_raise_oracle_mismatch(self, monkeypatch):
+        # explicit checks, so they also run under python -O
+        fd = datum_tau_plus_one()
+        fd._composite = SkewPoly.one(F4)
+        with pytest.raises(OracleMismatch, match=r"R \+ R\*"):
+            fd.head_coefficients()
+        monkeypatch.setattr(SkewPoly, "kernel", lambda self, ambient=None: Fp2Subspace(F4, 1, ()))
+        with pytest.raises(OracleMismatch, match=r"ker F\*F"):
+            datum_tau_plus_one()
 
     def test_fiber_is_kernel_coset(self):
         fd = datum_tau_plus_one()

@@ -122,6 +122,29 @@ def test_frobenius():
         assert len(fixed) == 1 << d
 
 
+@pytest.mark.parametrize(
+    "n,poly,p_log",
+    [(4, 0x13, 1), (4, 0x19, 1), (4, 0x1F, 1), (9, 0x211, 1), (32, None, 1),
+     (8, None, 2), (12, None, 2), (6, None, 3), (12, None, 3)],
+)
+def test_frob_tables_match_repeated_squaring(n, poly, p_log):
+    K = FieldCtx(n, poly, p_log)  # a fresh context: no table built yet
+    rng = random.Random(n * 7 + p_log)
+    samples = list(range(K.order)) if n <= 9 else [rng.randrange(K.order) for _ in range(20)]
+    samples += [0, 1, K.order - 1]
+    def squarings(a, j):
+        for _ in range(j % n):
+            a = K.sqr(a)
+        return a
+
+    for j in range(2 * n, -2 * n - 1, -1):  # the first tables built are for large j
+        for a in samples:
+            assert K.frob(a, j) == squarings(a, j), (j, a)
+    for i in range(-3, 4):
+        for a in samples[:10]:
+            assert K.frob_p(a, i) == squarings(a, i * p_log), (i, a)
+
+
 def test_frob_p():
     K = make_field(8, p_log=2)
     rng = random.Random(3)

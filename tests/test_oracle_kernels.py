@@ -26,6 +26,17 @@ def apply_linear_bitloop(images, x):
     return out
 
 
+def byte_tables_by_concatenation(images):
+    padded = list(images) + [0] * (-len(images) % 8)
+    tables = []
+    for lo in range(0, len(padded), 8):
+        table = np.zeros(1, dtype=np.uint64)
+        for img in padded[lo : lo + 8]:
+            table = np.concatenate((table, table ^ np.uint64(img)))
+        tables.append(table)
+    return tables
+
+
 def trace_zeros_by_products(spec, m, to_degs):
     """{to_deg: #{x : Tr(x*R(x)) = 0}} by multiplying out x*R(x)."""
     deg = spec.q_deg * m
@@ -63,6 +74,20 @@ def test_apply_linear_matches_bitloop(n):
     images[n // 2] = 0
     x = np.array([rng.getrandbits(n) for _ in range(3000)] + [0, (1 << n) - 1], dtype=np.uint64)
     assert np.array_equal(bitvec.apply_linear(images, x), apply_linear_bitloop(images, x))
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 17, 24, 32, 64])
+def test_byte_tables_match_concatenation(n):
+    rng = random.Random(100 + n)
+    images = [rng.getrandbits(64) | (1 << 63) for _ in range(n)]
+    if n:
+        images[n // 2] = 0
+    fast = bitvec._byte_tables(images)
+    reference = byte_tables_by_concatenation(images)
+    assert fast.dtype == np.uint64
+    assert len(fast) == len(reference)
+    for row, table in zip(fast, reference):
+        assert np.array_equal(row, table)
 
 
 def test_apply_linear_ignores_bits_past_the_images():

@@ -11,10 +11,12 @@ from aswcurves.curves import (
     quadratic_extension_maximal,
     recover_head,
 )
+from aswcurves.curves import count
 from aswcurves.errors import (
     BudgetExceeded,
     ConditionViolated,
     KernelNotRational,
+    OracleMismatch,
 )
 from aswcurves.gf2field import Fp2Subspace, make_field
 from aswcurves.skew import SkewPoly, factor_through_symmetric
@@ -58,6 +60,37 @@ class TestClassifyAnchor:
         assert tc.maximal_twists == (0,)
         assert tc.minimal_twists == ()
         assert len(tc.neutral_twists) == 15
+
+
+def twist_class_by_scan(tc, a):
+    for label in ("maximal", "minimal", "neutral"):
+        if a in getattr(tc, f"{label}_twists"):
+            return label
+    return None
+
+
+class TestClassifyLargeField:
+    """One direct count per twist, and the label lookup, over F_256."""
+
+    @pytest.mark.parametrize(
+        "ctx,coeffs", [(make_field(8), (0, 0, 1)), (make_field(8, None, 2), (0, 1))]
+    )
+    def test_one_count_per_twist(self, monkeypatch, ctx, coeffs):
+        calls = []
+        original = count.trace_zero_count
+
+        def counted(spec, *args, **kwargs):
+            calls.append(spec.coeffs[0])
+            return original(spec, *args, **kwargs)
+
+        monkeypatch.setattr(count, "trace_zero_count", counted)
+        tc = classify_twists(CurveSpec(ctx, 8, coeffs))
+        assert sorted(calls) == list(range(256))
+        assert tc.maximal_twists or tc.minimal_twists
+        for a in range(256):
+            assert tc.twist_class(a) == twist_class_by_scan(tc, a)
+        with pytest.raises(ValueError):
+            tc.twist_class(256)
 
 
 class TestClassifyInvariants:
