@@ -32,7 +32,7 @@ def arange_field(ctx: FieldCtx) -> np.ndarray:
     return np.arange(1 << ctx.n, dtype=_U64)
 
 
-def _byte_tables(images: Sequence[int]) -> np.ndarray:
+def byte_tables(images: Sequence[int]) -> np.ndarray:
     """One 256-entry table per byte of the input, as the rows of one array:
     entry b is the XOR of the images of the bits set in b (bits past the
     last image map to 0).  Entries 2^i..2^(i+1)-1 are entries 0..2^i-1
@@ -45,16 +45,25 @@ def _byte_tables(images: Sequence[int]) -> np.ndarray:
     return tables
 
 
+def apply_tables(tables: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
+    """XOR over the bytes k of every entry of x of tables[k][byte k].
+
+    With the tables of byte_tables this is the linear map itself; bytes
+    of x past the last table are ignored.
+    """
+    octets = np.ascontiguousarray(x, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    out = np.zeros(octets.shape[0], dtype=_U64)
+    for k, table in enumerate(tables):
+        out ^= table[octets[:, k]]
+    return out
+
+
 def apply_linear(images: Sequence[int], x: np.ndarray) -> np.ndarray:
     """Apply an additive map given by unit-vector images to every entry.
 
     Bits of x at or above len(images) are ignored.
     """
-    octets = np.ascontiguousarray(x, dtype="<u8").view(np.uint8).reshape(-1, 8)
-    out = np.zeros(octets.shape[0], dtype=_U64)
-    for k, table in enumerate(_byte_tables(images)):
-        out ^= table[octets[:, k]]
-    return out
+    return apply_tables(byte_tables(images), x)
 
 
 def quadratic_parity(images: Sequence[int], x: np.ndarray) -> np.ndarray:

@@ -19,16 +19,27 @@ Enumeration is vectorized over uint64 chunks and can be partitioned
 across threads; partial sums are plain integers, so the result is
 identical for every thread count.  An eigenvalue count to compare
 arrives as a plain integer.
+
+The twists R + a*x of one head share all of this set-up.  As
+Tr(y^2) = Tr(y), Tr_{Q/2}(w*a*x^2) = Tr_{Q/2}(sqrt(w*a)*x) =
+parity(x & l_w) with l_w = M sqrt(w*a), so the twist's form is the
+head's plus a linear term: parity(x & U_w x) + parity(x & l_w) =
+parity(x & (U_w x + l_w)).  U_w x is the XOR of one byte-table lookup
+per byte of x, and every x looks up table 0 exactly once, so adding
+l_w to the 256 entries of table 0 (and to no other) gives the twist's
+form exactly, with the same work per element.  The head's tables are
+kept for the latest (head, to_deg) only; each twist computes its l_w
+and is still evaluated at every element of F_Q.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
-from ..bitvec import quadratic_parity
+from ..bitvec import apply_tables, byte_tables
 from ..errors import AmbientTooSmall, BudgetExceeded, OracleMismatch
 from ..gf2field import MAX_DEGREE, FieldCtx, make_field
 from .base import CurveSpec, format_curve_spec
@@ -100,21 +111,38 @@ def _trace_matrix(ctx: FieldCtx) -> tuple[int, ...]:
     return tuple((hankel >> k) & ((1 << n) - 1) for k in range(n))
 
 
-def _trace_forms(ctx: FieldCtx, r_images: list[int], to_deg: int) -> list[list[int]]:
-    """Unit-vector images of U_w, x -> M(w*R(x)), for w in a basis of
-    the degree-to_deg subfield: parity(x & U_w x) = Tr_{Q/2}(w*x*R(x))."""
+@lru_cache(maxsize=1)
+def _head_tables(head: CurveSpec, to_deg: int) -> tuple[np.ndarray, ...]:
+    """Byte tables of U_w, x -> M(w*R(x)), for w in the F_2-basis of the
+    degree-to_deg subfield: parity(x & U_w x) = Tr_{Q/2}(w*x*R(x))."""
+    ctx = head.ctx
     m_images = _trace_matrix(ctx)
-    return [
-        [_apply(m_images, ctx.mul(w, r)) for r in r_images]
-        for w in ctx.subfield_basis(to_deg)
-    ]
+    r_images = ctx.linear_images(head.r_skew())
+    forms = []
+    for w in ctx.subfield_basis(to_deg):
+        tables = byte_tables([_apply(m_images, ctx.mul(w, r)) for r in r_images])
+        tables.flags.writeable = False  # shared by every twist of the head
+        forms.append(tables)
+    return tuple(forms)
 
 
-def _count_chunk(forms: list[list[int]], lo: int, hi: int) -> int:
+def _twist_tables(full: CurveSpec, to_deg: int) -> list[list[np.ndarray]]:
+    """The tables of the forms of `full`: its head's, with l_w = M sqrt(w*a)
+    folded into table 0, a the linear coefficient (module docstring)."""
+    ctx, a = full.ctx, full.coeffs[0]
+    m_images = _trace_matrix(ctx)
+    forms = []
+    for w, tables in zip(ctx.subfield_basis(to_deg), _head_tables(full.head(), to_deg)):
+        ell = _apply(m_images, ctx.sqrt(ctx.mul(w, a)))
+        forms.append([tables[0] ^ np.uint64(ell), *tables[1:]])
+    return forms
+
+
+def _count_chunk(forms: list[list[np.ndarray]], lo: int, hi: int) -> int:
     xs = np.arange(lo, hi, dtype=np.uint64)
     nonzero = np.zeros(hi - lo, dtype=np.uint8)
-    for images in forms:
-        nonzero |= quadratic_parity(images, xs)
+    for tables in forms:
+        nonzero |= np.bitwise_count(xs & apply_tables(tables, xs)) & np.uint8(1)
     return (hi - lo) - int(np.count_nonzero(nonzero))
 
 
@@ -142,7 +170,7 @@ def trace_zero_count(
     ctx = full.ctx
     if to_deg is None:
         to_deg = ctx.p_log
-    forms = _trace_forms(ctx, ctx.linear_images(full.r_skew()), to_deg)
+    forms = _twist_tables(full, to_deg)
     bounds = list(range(0, size, _CHUNK)) + [size]
     jobs = list(zip(bounds[:-1], bounds[1:]))
     if threads <= 1 or len(jobs) <= 1:

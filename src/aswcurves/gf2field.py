@@ -269,7 +269,8 @@ class FieldCtx:
     """
 
     __slots__ = (
-        "n", "poly", "p_log", "_poly_bits", "_frob_tables", "_sub_basis", "_sub_elems", "_sub_gen",
+        "n", "poly", "p_log", "_poly_bits", "_frob_tables", "_trace_tables", "_sub_basis",
+        "_sub_elems", "_sub_gen",
     )
 
     def __init__(self, n: int, poly: int | None = None, p_log: int = 1):
@@ -287,6 +288,7 @@ class FieldCtx:
         self.p_log = p_log
         self._poly_bits = tuple(k for k in range(n + 1) if (poly >> k) & 1)
         self._frob_tables: dict[int, list[list[int]]] = {}
+        self._trace_tables: dict[tuple[int, int], list[list[int]]] = {}
         self._sub_basis: dict[int, tuple[int, ...]] = {}
         self._sub_elems: dict[int, list[int]] = {}
         self._sub_gen: dict[int, int] = {}
@@ -410,19 +412,40 @@ class FieldCtx:
         return self.frob(a, deg) == a
 
     def trace(self, a: Element, from_deg: int, to_deg: int) -> Element:
-        """Additive trace from the degree-from_deg subfield down to to_deg."""
+        """Additive trace from the degree-from_deg subfield down to to_deg.
+
+        On that subfield the trace is the F_2-linear map
+        x -> x + x^(2^to_deg) + ... (from_deg/to_deg terms), so it is one
+        lookup per byte of a in the byte tables of the map, built from the
+        images of the unit vectors the first time the pair is used.
+        """
         if from_deg % to_deg != 0 or self.n % from_deg != 0:
             raise DegreeMismatch(
                 f"need {to_deg} | {from_deg} | {self.n} for a trace"
             )
         if not self.in_subfield(a, from_deg):
             raise DegreeMismatch(f"{a:#x} not in the degree-{from_deg} subfield")
-        t = 0
-        x = a
-        for _ in range(from_deg // to_deg):
-            t ^= x
-            x = self.frob(x, to_deg)
-        return t
+        tables = self._trace_tables.get((from_deg, to_deg))
+        if tables is None:
+            tables = self._trace_tables[from_deg, to_deg] = _xor_tables(
+                self._trace_images(from_deg, to_deg)
+            )
+        out = 0
+        for table in tables:
+            out ^= table[a & 0xFF]
+            a >>= 8
+        return out
+
+    def _trace_images(self, from_deg: int, to_deg: int) -> list[int]:
+        """t^k + (t^k)^(2^to_deg) + ... (from_deg/to_deg terms) for k < n."""
+        images = []
+        for k in range(self.n):
+            x, t = 1 << k, 0
+            for _ in range(from_deg // to_deg):
+                t ^= x
+                x = self.frob(x, to_deg)
+            images.append(t)
+        return images
 
     def subfield_basis(self, deg: int) -> tuple[int, ...]:
         """Canonical F_2-basis of the degree-deg subfield."""

@@ -23,7 +23,7 @@ import re
 import numpy as np
 
 from . import bitvec
-from .errors import CtxMismatch, DegreeMismatch, NonRealCount, ParseError
+from .errors import CtxMismatch, DegreeMismatch, NonRealCount, OracleMismatch, ParseError
 from .gf2field import Element, FieldCtx, make_field
 
 
@@ -259,7 +259,8 @@ def witt_trace(x: WittPair, from_deg: int, to_deg: int) -> WittPair:
     for _ in range(from_deg // to_deg):
         acc = acc + y
         y = y.frob(to_deg)
-    assert K.in_subfield(acc.a, to_deg) and K.in_subfield(acc.b, to_deg)
+    if not (K.in_subfield(acc.a, to_deg) and K.in_subfield(acc.b, to_deg)):
+        raise OracleMismatch(f"Witt trace of {x!r} lands outside the degree-{to_deg} subfield")
     return acc
 
 
@@ -324,7 +325,8 @@ def q_exponent_table(deg: int) -> np.ndarray:
         e2 ^= bitvec.field_mul(K, s, conj)
         s ^= conj
         conj = bitvec.field_mul(K, conj, conj)
-    assert int((s | e2).max()) <= 1  # both land in F_2
+    if int((s | e2).max()) > 1:
+        raise OracleMismatch(f"trace or e2 over F_{{2^{deg}}} lands outside F_2")
     tau = sum(int(s[i]) << i for i in range(deg))
     diag = [int(v) for v in e2[:deg]]
     images = [diag[j] << j for j in range(deg)]

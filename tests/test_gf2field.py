@@ -187,6 +187,64 @@ def test_trace_properties():
         K.trace(2, 4, 2)  # x is not in the degree-4 subfield of F_256
 
 
+def frobenius_sum_trace(K, a, from_deg, to_deg):
+    """The trace as the sum of the conjugates, squaring one step at a time."""
+    t = 0
+    for _ in range(from_deg // to_deg):
+        t ^= a
+        for _ in range(to_deg):
+            a = K.sqr(a)
+    return t
+
+
+@pytest.mark.parametrize(
+    "n,poly,p_log",
+    [(4, 0x13, 1), (4, 0x13, 2), (4, 0x19, 1), (4, 0x1F, 2), (9, 0x211, 1), (9, 0x211, 3),
+     (32, None, 1), (32, None, 2)],
+)
+def test_trace_tables_match_the_frobenius_sum(n, poly, p_log):
+    K = FieldCtx(n, poly, p_log)  # a fresh context: no table built yet
+    rng = random.Random(n * 11 + p_log)
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    for from_deg in reversed(divisors):  # the first tables built are for large degrees
+        for to_deg in (d for d in divisors if from_deg % d == 0):
+            for a in subfield_samples(K, from_deg, rng):
+                expected = frobenius_sum_trace(K, a, from_deg, to_deg)
+                assert K.trace(a, from_deg, to_deg) == expected, (from_deg, to_deg, a)
+
+
+def subfield_samples(K, deg, rng):
+    """Every element of a subfield of degree <= 9, else 0, 1 and 40 random
+    sums of its basis."""
+    if deg <= 9:
+        return K.subfield_elements(deg)
+    basis = K.subfield_basis(deg)
+    samples = [0, 1]
+    for _ in range(40):
+        v = 0
+        for b in basis:
+            v ^= b * rng.getrandbits(1)
+        samples.append(v)
+    return samples
+
+
+@pytest.mark.parametrize("n,poly", [(4, 0x19), (9, 0x211), (32, None)])
+def test_table_trace_keeps_its_degree_checks(n, poly):
+    K = FieldCtx(n, poly)
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    for from_deg in divisors[:-1]:
+        K.trace(1, from_deg, 1)  # build the tables, then leave the subfield
+        outside = next(a for a in range(2, K.order) if not K.in_subfield(a, from_deg))
+        with pytest.raises(DegreeMismatch):
+            K.trace(outside, from_deg, 1)
+    bad_pairs = [(from_deg, to_deg) for from_deg in range(1, n + 2) for to_deg in range(1, n + 2)
+                 if from_deg % to_deg or n % from_deg]
+    assert bad_pairs
+    for from_deg, to_deg in bad_pairs:
+        with pytest.raises(DegreeMismatch):
+            K.trace(0, from_deg, to_deg)
+
+
 def test_subfield_structure():
     K = make_field(12)
     for d in (1, 2, 3, 4, 6, 12):

@@ -2,8 +2,8 @@
 
 The references below are the straightforward evaluations: a linear map
 one bit at a time, x*R(x) by vectorized field multiplication followed
-by the trace map, and the explicit shape of the length-2 trace over the
-whole field.  The fast kernels must reproduce them exactly.
+by the sum of its conjugates, and the explicit shape of the length-2
+trace over the whole field.  The fast kernels must reproduce them exactly.
 """
 
 import random
@@ -48,9 +48,19 @@ def trace_zeros_by_products(spec, m, to_degs):
     prod = bitvec.field_mul(ctx, xs, apply_linear_bitloop(ctx.linear_images(full.r_skew()), xs))
     zeros = {}
     for to_deg in to_degs:
-        tr_images = ctx.linear_images(lambda x: ctx.trace(x, ctx.n, to_deg))
+        tr_images = ctx.linear_images(lambda x: conjugate_sum(ctx, x, to_deg))
         zeros[to_deg] = int(np.count_nonzero(apply_linear_bitloop(tr_images, prod) == 0))
     return zeros
+
+
+def conjugate_sum(ctx, x, to_deg):
+    """Tr_{Q/2^to_deg}(x) as x + x^(2^to_deg) + ..., one squaring at a time."""
+    t = 0
+    for _ in range(ctx.n // to_deg):
+        t ^= x
+        for _ in range(to_deg):
+            x = ctx.sqr(x)
+    return t
 
 
 def q_exponent_table_by_shape(deg):
@@ -82,7 +92,7 @@ def test_byte_tables_match_concatenation(n):
     images = [rng.getrandbits(64) | (1 << 63) for _ in range(n)]
     if n:
         images[n // 2] = 0
-    fast = bitvec._byte_tables(images)
+    fast = bitvec.byte_tables(images)
     reference = byte_tables_by_concatenation(images)
     assert fast.dtype == np.uint64
     assert len(fast) == len(reference)
@@ -141,6 +151,38 @@ def test_trace_zero_count_matches_products(n, q_deg, p_log, poly):
             expected = trace_zeros_by_products(spec, m, to_degs)
             got = {d: trace_zero_count(spec, m, d, budget=1 << 18) for d in to_degs}
             assert got == expected, (spec, m)
+
+
+def _two_heads(n, q_deg, p_log, poly):
+    """Two head curves with different tails and 8 linear coefficients
+    (0 among them) of the degree-q_deg subfield."""
+    ctx = make_field(n, poly, p_log)
+    elements = ctx.subfield_elements(q_deg)
+    rng = random.Random(n * 100 + q_deg * 7 + p_log)
+    tails = [(rng.choice(elements[1:]),), (rng.choice(elements), rng.choice(elements[1:]))]
+    heads = [CurveSpec(ctx, q_deg, (0,) + tail) for tail in tails]
+    coefficients = [0] + rng.sample(elements[1:], 7)
+    return heads, coefficients
+
+
+@pytest.mark.parametrize("n,q_deg,p_log,poly", CONTEXTS)
+def test_twist_family_counts_match_products(n, q_deg, p_log, poly):
+    """The twists of one head share its forms: counts of head A, B, A
+    twists in turn, with m and to_deg changing between the runs, each
+    against the product reference."""
+    (head_a, head_b), coefficients = _two_heads(n, q_deg, p_log, poly)
+    expected = {}
+    for m in (1, 2):
+        to_degs = sorted({1, p_log, q_deg * m})
+        for which, head in (("A", head_a), ("B", head_b)):
+            for a in coefficients:
+                expected[which, m, a] = trace_zeros_by_products(head.with_a0(a), m, to_degs)
+    runs = [(m, d) for m in (1, 2) for d in sorted({1, p_log, q_deg * m})]
+    for m, to_deg in runs + [(1, 1)]:  # and back from m = 2 to m = 1
+        for which, head in (("A", head_a), ("B", head_b), ("A", head_a)):
+            for a in coefficients:
+                got = trace_zero_count(head.with_a0(a), m, to_deg, budget=1 << 18)
+                assert got == expected[which, m, a][to_deg], (which, m, to_deg, a)
 
 
 @pytest.mark.parametrize("deg", range(1, 19))

@@ -18,7 +18,7 @@ from aswcurves.errors import (
     KernelNotRational,
     OracleMismatch,
 )
-from aswcurves.gf2field import Fp2Subspace, make_field
+from aswcurves.gf2field import FieldCtx, Fp2Subspace, make_field
 from aswcurves.skew import SkewPoly, factor_through_symmetric
 
 F4 = make_field(2)
@@ -91,6 +91,32 @@ class TestClassifyLargeField:
             assert tc.twist_class(a) == twist_class_by_scan(tc, a)
         with pytest.raises(ValueError):
             tc.twist_class(256)
+
+    @pytest.mark.parametrize(
+        "ctx,coeffs", [(make_field(8), (0, 0, 1)), (make_field(8, None, 2), (0, 1))]
+    )
+    def test_head_forms_set_up_once(self, monkeypatch, ctx, coeffs):
+        """The q counts evaluate R at the unit vectors once, not per twist."""
+        head = CurveSpec(ctx, 8, coeffs)
+        r_images, counts = [], []
+        linear_images = FieldCtx.linear_images
+        original = count.trace_zero_count
+
+        def recording_images(self, fn):
+            if fn == head.r_skew():
+                r_images.append(fn)
+            return linear_images(self, fn)
+
+        def counted(spec, *args, **kwargs):
+            counts.append(spec.coeffs[0])
+            return original(spec, *args, **kwargs)
+
+        monkeypatch.setattr(FieldCtx, "linear_images", recording_images)
+        monkeypatch.setattr(count, "trace_zero_count", counted)
+        count._head_tables.cache_clear()
+        classify_twists(head)
+        assert sorted(counts) == list(range(256))
+        assert len(r_images) == 1
 
 
 class TestClassifyInvariants:

@@ -5,7 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from aswcurves.errors import CtxMismatch, DegreeMismatch, NonRealCount, ParseError
+from aswcurves import witt2
+from aswcurves.errors import CtxMismatch, DegreeMismatch, NonRealCount, OracleMismatch, ParseError
 from aswcurves.gf2field import make_field
 from aswcurves.witt2 import (
     GaussInt,
@@ -130,6 +131,25 @@ def test_witt_trace_additive_and_transitive():
         assert witt_trace(x, 8, 1) == witt_trace(witt_trace(x, 8, 4), 4, 1)
     with pytest.raises(DegreeMismatch):
         witt_trace(WittPair(K, 2, 0), 4, 1)  # x outside the subfield
+
+
+def test_witt_trace_checks_its_result(monkeypatch):
+    # with Frobenius broken to the identity, the "trace" of (t, 0) over
+    # F_8 is 3*(t, 0), whose first component t is outside F_2: the check
+    # must fire, also under python -O
+    K = make_field(3)
+    assert witt_trace(WittPair(K, 2, 0), 3, 1) == WittPair(K, 0, 1)
+    monkeypatch.setattr(WittPair, "frob", lambda self, j: self)
+    with pytest.raises(OracleMismatch):
+        witt_trace(WittPair(K, 2, 0), 3, 1)
+
+
+def test_q_exponent_table_checks_its_components(monkeypatch):
+    # with every product a | b the conjugates of x all equal x, and their
+    # sum over an odd degree is x itself, outside F_2 for x > 1
+    monkeypatch.setattr(witt2.bitvec, "field_mul", lambda K, a, b: a | b)
+    with pytest.raises(OracleMismatch):
+        q_exponent_table(5)
 
 
 def test_xi2_table():
