@@ -28,7 +28,8 @@ parity(x & (U_w x + l_w)).  U_w x is the XOR of one byte-table lookup
 per byte of x, and every x looks up table 0 exactly once, so adding
 l_w to the 256 entries of table 0 (and to no other) gives the twist's
 form exactly, with the same work per element.  The head's tables are
-kept for the latest (head, to_deg) only; each twist computes its l_w
+kept for the latest (context, q_deg, tail, to_deg) only, a key that
+costs a twist no validated head to build; each twist computes its l_w
 and is still evaluated at every element of F_Q.
 """
 
@@ -112,12 +113,14 @@ def _trace_matrix(ctx: FieldCtx) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=1)
-def _head_tables(head: CurveSpec, to_deg: int) -> tuple[np.ndarray, ...]:
+def _head_tables(
+    ctx: FieldCtx, q_deg: int, tail: tuple[int, ...], to_deg: int
+) -> tuple[np.ndarray, ...]:
     """Byte tables of U_w, x -> M(w*R(x)), for w in the F_2-basis of the
-    degree-to_deg subfield: parity(x & U_w x) = Tr_{Q/2}(w*x*R(x))."""
-    ctx = head.ctx
+    degree-to_deg subfield: parity(x & U_w x) = Tr_{Q/2}(w*x*R(x)), R the
+    head over F_{2^q_deg} with coefficients (0,) + tail."""
     m_images = _trace_matrix(ctx)
-    r_images = ctx.linear_images(head.r_skew())
+    r_images = ctx.linear_images(CurveSpec(ctx, q_deg, (0,) + tail).r_skew())
     forms = []
     for w in ctx.subfield_basis(to_deg):
         tables = byte_tables([_apply(m_images, ctx.mul(w, r)) for r in r_images])
@@ -132,7 +135,8 @@ def _twist_tables(full: CurveSpec, to_deg: int) -> list[list[np.ndarray]]:
     ctx, a = full.ctx, full.coeffs[0]
     m_images = _trace_matrix(ctx)
     forms = []
-    for w, tables in zip(ctx.subfield_basis(to_deg), _head_tables(full.head(), to_deg)):
+    head = _head_tables(ctx, full.q_deg, full.coeffs[1:], to_deg)
+    for w, tables in zip(ctx.subfield_basis(to_deg), head):
         ell = _apply(m_images, ctx.sqrt(ctx.mul(w, a)))
         forms.append([tables[0] ^ np.uint64(ell), *tables[1:]])
     return forms

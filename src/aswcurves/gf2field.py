@@ -226,9 +226,14 @@ class _Eliminator:
         return reduce_vector(self.kernel, sol)  # least in the coset
 
 
-def kernel_basis(images: Sequence[int], nbits: int) -> tuple[int, ...]:
-    """Canonical basis of the kernel of the map bit j -> images[j]."""
-    return _Eliminator(images, [1 << j for j in range(nbits)]).kernel
+def kernel_basis(
+    images: Sequence[int], sources: Sequence[int] | None = None
+) -> tuple[int, ...]:
+    """Canonical basis of the kernel of the F_2-linear map sources[j] ->
+    images[j], as sums of sources (default: the unit vectors 1 << j)."""
+    if sources is None:
+        sources = [1 << j for j in range(len(images))]
+    return _Eliminator(images, sources).kernel
 
 
 def solve_linear_f2(images: Sequence[int], nbits: int, target: int) -> int:
@@ -269,8 +274,8 @@ class FieldCtx:
     """
 
     __slots__ = (
-        "n", "poly", "p_log", "_poly_bits", "_frob_tables", "_trace_tables", "_sub_basis",
-        "_sub_elems", "_sub_gen",
+        "n", "poly", "p_log", "_hash", "_poly_bits", "_frob_tables", "_trace_tables",
+        "_sub_basis", "_sub_elems", "_sub_gen",
     )
 
     def __init__(self, n: int, poly: int | None = None, p_log: int = 1):
@@ -286,6 +291,7 @@ class FieldCtx:
         self.n = n
         self.poly = poly
         self.p_log = p_log
+        self._hash = hash((n, poly, p_log))
         self._poly_bits = tuple(k for k in range(n + 1) if (poly >> k) & 1)
         self._frob_tables: dict[int, list[list[int]]] = {}
         self._trace_tables: dict[tuple[int, int], list[list[int]]] = {}
@@ -305,7 +311,7 @@ class FieldCtx:
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.poly, self.p_log))
+        return self._hash
 
     @property
     def order(self) -> int:
@@ -453,7 +459,7 @@ class FieldCtx:
             if self.n % deg != 0:
                 raise DegreeMismatch(f"degree {deg} does not divide {self.n}")
             images = [self.frob(1 << j, deg) ^ (1 << j) for j in range(self.n)]
-            self._sub_basis[deg] = kernel_basis(images, self.n)
+            self._sub_basis[deg] = kernel_basis(images)
         return self._sub_basis[deg]
 
     def subfield_elements(self, deg: int) -> list[int]:

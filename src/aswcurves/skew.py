@@ -23,6 +23,7 @@ from .errors import (
     DegreeMismatch,
     NotDivisible,
     NotSelfAdjoint,
+    OracleMismatch,
     ParseError,
     ZeroDivisor,
     ZeroPolynomial,
@@ -251,7 +252,7 @@ class SkewPoly:
         f = self if ambient is None else self.transport_to(ambient)
         ctx = f.ctx
         images = ctx.linear_images(f)
-        basis = kernel_basis(images, ctx.n)
+        basis = kernel_basis(images)
         ker = Fp2Subspace(ctx, self.ctx.p_log, basis)
         if ker.dim_p != self.span:
             raise AmbientTooSmall(
@@ -270,26 +271,45 @@ class SkewPoly:
         f = cls.one(ctx)
         for v in space.fp_basis():
             u = f(v)
-            assert u != 0, "basis vector already in the kernel"
+            if u == 0:
+                raise OracleMismatch(
+                    f"F_p-basis vector {v:#x} already in the kernel of {format_skew(f)}"
+                )
             f = (cls.tau(ctx) + cls.const(ctx, ctx.pow(u, p_minus_1))) * f
         return f
 
     def kernel_splitting_degree(self, cap: int = 4096) -> int:
-        """Least D with the full kernel inside F_{2^D}.
+        """Least D with the full kernel inside F_{2^D}; CapExceeded past cap.
 
-        Works entirely over the coefficient field: the separable part,
-        rewritten in the 2-Frobenius ring, right-divides t^D + 1 exactly
-        when its kernel lies in F_{2^D}.  No extension context is built.
+        Works entirely over the coefficient field: the separable part g,
+        rewritten in the 2-Frobenius ring (t*a = a^2*t), monic of degree
+        k and valuation 0, right-divides t^D + 1 exactly when its kernel
+        lies in F_{2^D}, that is when t^D leaves the right remainder 1.
+        No extension context is built.
+
+        The remainder r_d of t^d is kept as its k coefficients and
+        stepped by one left multiplication by t: t*r_d has top
+        coefficient c = r[k-1]^2 at t^k, and taking off c*g leaves
+        r_{d+1} = [c*g_0] + [r[i-1]^2 + c*g_i for i = 1..k-1].  Only
+        left multiples keep the class: t^d = h*g + r_d gives
+        t^(d+1) = (t*h)*g + t*r_d.  Square-and-multiply on remainders
+        is wrong in this ring: t^(2d) = t^d*r_d + (t^d*h)*g, and
+        r_d*r_d differs from t^d*r_d by h*g*r_d, in general no left
+        multiple of g, so (t^d mod g)^2 is not t^(2d) mod g.
         """
         _, _, g = self.rebase().normalize()
-        if g.degree == 0:
+        k = g.degree
+        if k == 0:
             return 1
-        ctx2 = g.ctx
-        tau1 = SkewPoly.tau(ctx2)
-        rem = SkewPoly.one(ctx2)
+        ctx = g.ctx
+        sqr, mul = ctx.sqr, ctx.mul
+        g0, tail = g[0], [g[i] for i in range(1, k)]
+        one = [1] + [0] * (k - 1)
+        r = one
         for d in range(1, cap + 1):
-            _, rem = _divmod_right(tau1 * rem, g)
-            if rem == SkewPoly.one(ctx2):
+            c = sqr(r[-1])
+            r = [mul(c, g0)] + [sqr(x) ^ mul(c, a) for x, a in zip(r, tail)]
+            if r == one:
                 return d
         raise CapExceeded(f"kernel splitting degree exceeds {cap}")
 
@@ -298,12 +318,13 @@ def _divmod_right(f: SkewPoly, g: SkewPoly) -> tuple[SkewPoly, SkewPoly]:
     """Euclidean right division f = h*g + r, for g of valuation 0."""
     ctx = f.ctx
     gdeg = g.degree
-    glead = g[gdeg]
+    inv_lead = ctx.inv(g[gdeg])
     h = SkewPoly.zero(ctx)
     r = f
     while r and r.degree >= gdeg:
         d = r.degree - gdeg
-        c = ctx.mul(r[r.degree], ctx.inv(ctx.frob_p(glead, d)))
+        # Frobenius is a field automorphism: 1/lead^(p^d) = (1/lead)^(p^d)
+        c = ctx.mul(r[r.degree], ctx.frob_p(inv_lead, d))
         term = SkewPoly(ctx, {d: c})
         h = h + term
         r = r + term * g
@@ -330,7 +351,10 @@ def factor_through_symmetric(E: SkewPoly, space: Fp2Subspace) -> SkewPoly:
     if A.exponents() != [0]:
         raise NotDivisible("the symmetric cofactor is not a scalar")
     F = SkewPoly.const(E.ctx, E.ctx.sqrt(A[0])) * fw
-    assert F.adjoint() * F == E
+    if F.adjoint() * F != E:
+        raise OracleMismatch(
+            f"F*F != E for F = {format_skew(F)}, E = {format_skew(E)}"
+        )
     return F
 
 

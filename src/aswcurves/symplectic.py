@@ -107,19 +107,12 @@ class PairingCtx:
         """Vectors of inside pairing to 0 with every condition vector."""
         ctx, wb = self.ctx, inside.basis
         images = []
-        for j, w in enumerate(wb):
+        for w in wb:
             packed = 0
             for k, u in enumerate(conditions):
                 packed |= self.omega(u, w, check=False) << (k * ctx.n)
             images.append(packed)
-        coords = kernel_basis(images, len(wb))
-        vecs = []
-        for c in coords:
-            v = 0
-            for j in range(len(wb)):
-                if (c >> j) & 1:
-                    v ^= wb[j]
-            vecs.append(v)
+        vecs = kernel_basis(images, wb)
         return Fp2Subspace.from_vectors(ctx, vecs, inside.p_log)
 
     def radical(self, within: Fp2Subspace) -> Fp2Subspace:

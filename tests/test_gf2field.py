@@ -308,7 +308,7 @@ def test_solve_linear_lexmin():
             else:
                 with pytest.raises(NoSolution):
                     solve_linear_f2(images, nbits, t)
-        ker = kernel_basis(images, nbits)
+        ker = kernel_basis(images)
         assert set(span_elements(ker)) == {x for x in range(1 << nbits) if apply(x) == 0}
 
 

@@ -3,18 +3,22 @@
 import random
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from aswcurves.errors import (
     AmbientTooSmall,
+    CapExceeded,
     CtxMismatch,
     DegreeMismatch,
     NotDivisible,
     NotSelfAdjoint,
+    OracleMismatch,
     ParseError,
     ZeroDivisor,
     ZeroPolynomial,
 )
-from aswcurves.gf2field import Fp2Subspace, make_field, transport
+from aswcurves.gf2field import FieldCtx, Fp2Subspace, make_field, transport
 from aswcurves.skew import (
     SkewPoly,
     factor_through_symmetric,
@@ -177,6 +181,94 @@ def test_kernel_splitting_degree_anchors():
     f = SkewPoly(F4, {3: 2, -1: 3})
     g = SkewPoly.tau(F4, 2) * f
     assert f.kernel_splitting_degree() == g.kernel_splitting_degree()
+
+
+def ring_recurrence_degree(f, cap):
+    """Reference kernel splitting degree: the scan rem <- (t*rem) mod g
+    in SkewPoly arithmetic, g the monic separable part in the 2-Frobenius
+    ring."""
+    _, _, g = f.rebase().normalize()
+    if g.degree == 0:
+        return 1
+    ctx = g.ctx
+    t, one = SkewPoly.tau(ctx), SkewPoly.one(ctx)
+    rem = one
+    for d in range(1, cap + 1):
+        rem = t * rem
+        while rem and rem.degree >= g.degree:  # g is monic
+            rem = rem + SkewPoly(ctx, {rem.degree - g.degree: rem[rem.degree]}) * g
+        if rem == one:
+            return d
+    raise CapExceeded(f"kernel splitting degree exceeds {cap}")
+
+
+# F16 under two non-default moduli (p = 2 and p = 4) and F64 with p = 8
+KSD_CONTEXTS = tuple(make_field(4, poly, p_log) for poly in (0x19, 0x1F) for p_log in (1, 2))
+KSD_CONTEXTS += (make_field(6, None, 3),)
+
+
+@st.composite
+def laurent_polys(draw):
+    """Non-monic Laurent polynomials with 2-Frobenius degree <= 4 after
+    normalizing, so every splitting degree stays below 64."""
+    ctx = draw(st.sampled_from(KSD_CONTEXTS))
+    span = draw(st.integers(0, 4 // ctx.p_log))
+    lo = draw(st.integers(-2, 2))
+    unit = st.integers(1, ctx.order - 1)
+    coeffs = {lo: draw(unit), lo + span: draw(unit)}
+    for i in range(lo + 1, lo + span):
+        coeffs[i] = draw(st.integers(0, ctx.order - 1))
+    return SkewPoly(ctx, coeffs)
+
+
+@seed(20261018)
+@settings(max_examples=60, deadline=None, database=None)
+@given(laurent_polys())
+def test_kernel_splitting_degree_against_reference_and_definition(f):
+    D = f.kernel_splitting_degree()
+    assert D == ring_recurrence_degree(f, 4096)
+    # the definition: g right-divides t^D + 1 and no t^d + 1 with d < D
+    _, _, g = f.rebase().normalize()
+    ctx = g.ctx
+    assert g.right_divides(SkewPoly(ctx, {D: 1, 0: 1}))
+    assert not any(g.right_divides(SkewPoly(ctx, {d: 1, 0: 1})) for d in range(1, D))
+    assert f.kernel_splitting_degree(cap=D) == D
+    if g.degree:
+        with pytest.raises(CapExceeded):
+            f.kernel_splitting_degree(cap=D - 1)
+
+
+@pytest.mark.parametrize("ctx", [make_field(4, 0x19), make_field(4, 0x1F)], ids=["F16:0x19", "F16:0x1f"])
+def test_kernel_splitting_degree_of_linear_separable_part(ctx):
+    # a*t^(m+1) + b*t^m normalizes to g = t + g_0 over F_2 (k = 1), whose
+    # kernel {0, g_0} lies in F_{2^d} exactly when g_0 does
+    for a in range(1, 16):
+        for b in range(1, 16):
+            for m in (-1, 0, 2):
+                f = SkewPoly(ctx, {m + 1: a, m: b})
+                g0 = f.normalize()[2][0]
+                D = min(d for d in (1, 2, 4) if ctx.in_subfield(g0, d))
+                assert f.kernel_splitting_degree() == D
+                with pytest.raises(CapExceeded):
+                    f.kernel_splitting_degree(cap=D - 1)
+
+
+def test_result_checks_raise_with_asserts_stripped(monkeypatch):
+    # a dependent F_p-basis reaches the kernel check of from_subspace
+    W = Fp2Subspace.from_vectors(F16, [3])
+    monkeypatch.setattr(Fp2Subspace, "fp_basis", lambda self: (3, 3))
+    with pytest.raises(OracleMismatch):
+        SkewPoly.from_subspace(W)
+    monkeypatch.undo()
+    # a wrong square root reaches the F*F == E check of the factorization
+    K = make_field(4, p_log=2)
+    W = Fp2Subspace.from_vectors(K, [1])
+    F = SkewPoly.const(K, 2) * SkewPoly.from_subspace(W)
+    E = F.adjoint() * F
+    assert factor_through_symmetric(E, W) == F
+    monkeypatch.setattr(FieldCtx, "sqrt", lambda self, a: a)
+    with pytest.raises(OracleMismatch):
+        factor_through_symmetric(E, W)
 
 
 def test_adjoint_anchor_tau_plus_one():
