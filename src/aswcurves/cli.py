@@ -495,7 +495,7 @@ def _emit(out: _Output, cfg: RunConfig) -> None:
         Path(cfg.output).write_text(text)
 
 
-def _fail(exc: Char2Error, code: int) -> int:
+def _fail(exc: Exception, code: int) -> int:
     record = {"error": type(exc).__name__, "detail": str(exc)}
     sys.stdout.write(json.dumps(record, indent=2) + "\n")
     return code
@@ -609,7 +609,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(exc, 4)
     except (CapExceeded, BudgetExceeded) as exc:
         return _fail(exc, 5)
-    except Char2Error as exc:
+    except (Char2Error, OSError) as exc:  # OSError: --output is not writable
         return _fail(exc, 1)
     return 0
 

@@ -37,12 +37,13 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache, lru_cache
+from typing import Callable
 
 import numpy as np
 
 from ..bitvec import apply_tables, byte_tables
 from ..errors import AmbientTooSmall, BudgetExceeded, OracleMismatch
-from ..gf2field import MAX_DEGREE, FieldCtx, make_field
+from ..gf2field import MAX_DEGREE, FieldCtx, linear_map, make_field
 from .base import CurveSpec, format_curve_spec
 
 __all__ = [
@@ -71,16 +72,6 @@ def _extension_spec(spec: CurveSpec, m: int) -> CurveSpec:
     return spec.transport_to(make_field(deg, None, spec.ctx.p_log))
 
 
-def _apply(images: tuple[int, ...], y: int) -> int:
-    """The additive map with unit-vector images `images`, at y."""
-    out = 0
-    for img in images:
-        if y & 1:
-            out ^= img
-        y >>= 1
-    return out
-
-
 def _power_traces(ctx: FieldCtx, length: int) -> int:
     """Bit k, for k < length, is Tr_{Q/2}(t^k), t the root of the modulus
     that the bit patterns are written in.
@@ -104,12 +95,12 @@ def _power_traces(ctx: FieldCtx, length: int) -> int:
 
 
 @cache
-def _trace_matrix(ctx: FieldCtx) -> tuple[int, ...]:
-    """Unit-vector images of M: bit j of M y is Tr_{Q/2}(t^j*y)."""
+def _trace_matrix(ctx: FieldCtx) -> Callable[[int], int]:
+    """M as a map on ints: bit j of M y is Tr_{Q/2}(t^j*y)."""
     n = ctx.n
     # M is the Hankel matrix of Tr(t^i), i < 2n - 1: M e_k is bits k..k+n-1.
     hankel = _power_traces(ctx, 2 * n - 1)
-    return tuple((hankel >> k) & ((1 << n) - 1) for k in range(n))
+    return linear_map([(hankel >> k) & ((1 << n) - 1) for k in range(n)])
 
 
 @lru_cache(maxsize=1)
@@ -119,11 +110,11 @@ def _head_tables(
     """Byte tables of U_w, x -> M(w*R(x)), for w in the F_2-basis of the
     degree-to_deg subfield: parity(x & U_w x) = Tr_{Q/2}(w*x*R(x)), R the
     head over F_{2^q_deg} with coefficients (0,) + tail."""
-    m_images = _trace_matrix(ctx)
+    m = _trace_matrix(ctx)
     r_images = ctx.linear_images(CurveSpec(ctx, q_deg, (0,) + tail).r_skew())
     forms = []
     for w in ctx.subfield_basis(to_deg):
-        tables = byte_tables([_apply(m_images, ctx.mul(w, r)) for r in r_images])
+        tables = byte_tables([m(ctx.mul(w, r)) for r in r_images])
         tables.flags.writeable = False  # shared by every twist of the head
         forms.append(tables)
     return tuple(forms)
@@ -133,11 +124,11 @@ def _twist_tables(full: CurveSpec, to_deg: int) -> list[list[np.ndarray]]:
     """The tables of the forms of `full`: its head's, with l_w = M sqrt(w*a)
     folded into table 0, a the linear coefficient (module docstring)."""
     ctx, a = full.ctx, full.coeffs[0]
-    m_images = _trace_matrix(ctx)
+    m = _trace_matrix(ctx)
     forms = []
     head = _head_tables(ctx, full.q_deg, full.coeffs[1:], to_deg)
     for w, tables in zip(ctx.subfield_basis(to_deg), head):
-        ell = _apply(m_images, ctx.sqrt(ctx.mul(w, a)))
+        ell = m(ctx.sqrt(ctx.mul(w, a)))
         forms.append([tables[0] ^ np.uint64(ell), *tables[1:]])
     return forms
 

@@ -30,6 +30,7 @@ from .errors import (
     CtxMismatch,
     DegreeMismatch,
     NoSolution,
+    OracleMismatch,
     ParseError,
     ReduciblePolynomial,
 )
@@ -38,10 +39,6 @@ from .errors import (
 Element = int
 
 MAX_DEGREE = 32
-
-# Entry b is the byte b with a 0 bit inserted after each bit (its binary
-# digits read in base 4): squaring over F_2 moves bit i to bit 2i.
-_SPREAD = tuple(int(f"{b:b}", 4) for b in range(256))
 
 
 def _check_field_degree(n: int) -> None:
@@ -168,21 +165,26 @@ def span_contains(basis: Sequence[int], v: int) -> bool:
     return reduce_vector(basis, v) == 0
 
 
-def _xor_tables(images: Sequence[int]) -> list[list[int]]:
-    """Byte tables of the F_2-linear map bit j -> images[j].
-
-    One 256-entry table per byte of the input, entry b holding the XOR of
-    the images of the bits set in b, so the image of x is the XOR over
-    its bytes of one lookup each.  Bits past the last image map to 0.
-    """
-    padded = list(images) + [0] * (-len(images) % 8)
+def linear_map(images: Sequence[int]) -> Callable[[int], int]:
+    """The F_2-linear map bit j -> images[j] as a function on ints: one
+    256-entry table per byte of the input, entry b the XOR of the images
+    of the bits set in b, so the image of x is the XOR over its bytes of
+    one lookup each.  Bits past the last image map to 0."""
     tables = []
-    for lo in range(0, len(padded), 8):
+    for lo in range(0, len(images), 8):
         table = [0]
-        for img in padded[lo : lo + 8]:
+        for img in images[lo : lo + 8]:
             table += [v ^ img for v in table]
-        tables.append(table)
-    return tables
+        tables.append(table * (256 // len(table)))  # repeats ignore the missing bits
+
+    def apply(x: int) -> int:
+        out = 0
+        for table in tables:
+            out ^= table[x & 0xFF]
+            x >>= 8
+        return out
+
+    return apply
 
 
 def span_elements(basis: Sequence[int]) -> list[int]:
@@ -236,30 +238,10 @@ def kernel_basis(
     return _Eliminator(images, sources).kernel
 
 
-def solve_linear_f2(images: Sequence[int], nbits: int, target: int) -> int:
-    """Lexicographically least x with map(x) == target, else NoSolution."""
-    return _Eliminator(images, [1 << j for j in range(nbits)]).solve(target)
-
-
 def intersect_spans(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """Canonical basis of span(a) & span(b) (Zassenhaus on bit pairs)."""
-    nbits = 0
-    for v in (*a, *b):
-        nbits = max(nbits, v.bit_length())
-    shift = nbits
-    rows = [(v << shift) | v for v in a] + [(v << shift) for v in b]
-    mask = (1 << shift) - 1
-    pivots: dict[int, int] = {}
-    for v in rows:
-        while v:
-            b2 = v.bit_length() - 1
-            if b2 not in pivots:
-                pivots[b2] = v
-                break
-            v ^= pivots[b2]
-    # rows whose top half is zero carry intersection vectors in the low half
-    inter = [v & mask for v in pivots.values() if (v >> shift) == 0]
-    return rref_basis(inter)
+    """Canonical basis of span(a) & span(b): the a-parts of the kernel
+    of (x, y) -> x + y on span(a) x span(b), which is {(v, v) : v in both}."""
+    return kernel_basis([*a, *b], [*a, *[0] * len(b)])
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +256,7 @@ class FieldCtx:
     """
 
     __slots__ = (
-        "n", "poly", "p_log", "_hash", "_poly_bits", "_frob_tables", "_trace_tables",
+        "n", "poly", "p_log", "_hash", "_poly_bits", "_frob_maps", "_trace_maps",
         "_sub_basis", "_sub_elems", "_sub_gen",
     )
 
@@ -293,8 +275,8 @@ class FieldCtx:
         self.p_log = p_log
         self._hash = hash((n, poly, p_log))
         self._poly_bits = tuple(k for k in range(n + 1) if (poly >> k) & 1)
-        self._frob_tables: dict[int, list[list[int]]] = {}
-        self._trace_tables: dict[tuple[int, int], list[list[int]]] = {}
+        self._frob_maps: dict[int, Callable[[int], int]] = {}
+        self._trace_maps: dict[tuple[int, int], Callable[[int], int]] = {}
         self._sub_basis: dict[int, tuple[int, ...]] = {}
         self._sub_elems: dict[int, list[int]] = {}
         self._sub_gen: dict[int, int] = {}
@@ -331,29 +313,21 @@ class FieldCtx:
     # -- ring operations ----------------------------------------------------
 
     def mul(self, a: Element, b: Element) -> Element:
-        return self._reduce(clmul(a, b))
-
-    def sqr(self, a: Element) -> Element:
-        r = shift = 0
-        while a:
-            r |= _SPREAD[a & 0xFF] << shift
-            a >>= 8
-            shift += 16
-        return self._reduce(r)
-
-    def _reduce(self, r: int) -> Element:
-        """r modulo the modulus.
+        """The carry-less product reduced modulo the modulus.
 
         Each round adds high * modulus, high = r >> n: that clears the
         bits from n up and leaves high times the lower terms of the
         modulus, of lower degree, so a sparse modulus takes few rounds.
         """
-        n = self.n
+        r, n = clmul(a, b), self.n
         while r >> n:
             high = r >> n
             for k in self._poly_bits:
                 r ^= high << k
         return r
+
+    def sqr(self, a: Element) -> Element:
+        return self.frob(a, 1)
 
     def pow(self, a: Element, e: int) -> Element:
         if e < 0:
@@ -378,28 +352,23 @@ class FieldCtx:
     def frob(self, a: Element, j: int) -> Element:
         """a^(2^j) for any integer j; negative j inverts Frobenius.
 
-        x -> x^(2^j) is F_2-linear, so a^(2^j) is one lookup per byte of a
-        in the byte tables of that map, built the first time j mod n is
-        used.
+        x -> x^(2^j) is F_2-linear, so a^(2^j) is its `linear_map`, built
+        the first time j mod n is used.
         """
         j %= self.n
         if not j:
             return a
-        tables = self._frob_tables.get(j)
-        if tables is None:
-            tables = self._frob_tables[j] = _xor_tables(self._frob_images(j))
-        out = 0
-        for table in tables:
-            out ^= table[a & 0xFF]
-            a >>= 8
-        return out
+        fmap = self._frob_maps.get(j)
+        if fmap is None:
+            fmap = self._frob_maps[j] = linear_map(self._frob_images(j))
+        return fmap(a)
 
     def _frob_images(self, j: int) -> list[int]:
         """(t^k)^(2^j) for k < n, t the root of the modulus: the powers of
         t^(2^j)."""
         g = 2
         for _ in range(j):
-            g = self.sqr(g)
+            g = self.mul(g, g)
         images = [1]
         for _ in range(self.n - 1):
             images.append(self.mul(images[-1], g))
@@ -421,9 +390,9 @@ class FieldCtx:
         """Additive trace from the degree-from_deg subfield down to to_deg.
 
         On that subfield the trace is the F_2-linear map
-        x -> x + x^(2^to_deg) + ... (from_deg/to_deg terms), so it is one
-        lookup per byte of a in the byte tables of the map, built from the
-        images of the unit vectors the first time the pair is used.
+        x -> x + x^(2^to_deg) + ... (from_deg/to_deg terms), so it is the
+        `linear_map` of the images of the unit vectors, built the first
+        time the pair is used.
         """
         if from_deg % to_deg != 0 or self.n % from_deg != 0:
             raise DegreeMismatch(
@@ -431,16 +400,12 @@ class FieldCtx:
             )
         if not self.in_subfield(a, from_deg):
             raise DegreeMismatch(f"{a:#x} not in the degree-{from_deg} subfield")
-        tables = self._trace_tables.get((from_deg, to_deg))
-        if tables is None:
-            tables = self._trace_tables[from_deg, to_deg] = _xor_tables(
+        tmap = self._trace_maps.get((from_deg, to_deg))
+        if tmap is None:
+            tmap = self._trace_maps[from_deg, to_deg] = linear_map(
                 self._trace_images(from_deg, to_deg)
             )
-        out = 0
-        for table in tables:
-            out ^= table[a & 0xFF]
-            a >>= 8
-        return out
+        return tmap(a)
 
     def _trace_images(self, from_deg: int, to_deg: int) -> list[int]:
         """t^k + (t^k)^(2^to_deg) + ... (from_deg/to_deg terms) for k < n."""
@@ -564,7 +529,8 @@ class Fp2Subspace:
         scalars = ctx.subfield_basis(p_log)
         closed = [ctx.mul(c, v) for v in vecs for c in scalars]
         basis = rref_basis(closed)
-        assert len(basis) % p_log == 0
+        if len(basis) % p_log:
+            raise OracleMismatch(f"an F_p-span of F_2-dimension {len(basis)}, p = 2^{p_log}")
         return cls(ctx, p_log, basis)
 
     def __repr__(self) -> str:
@@ -614,7 +580,8 @@ class Fp2Subspace:
                 spanned = rref_basis(
                     list(spanned) + [ctx.mul(c, v) for c in scalars]
                 )
-        assert len(picked) == self.dim_p
+        if len(picked) != self.dim_p:
+            raise OracleMismatch(f"{len(picked)} vectors in an F_p-basis of dim {self.dim_p}")
         return tuple(picked)
 
     def intersect(self, other: "Fp2Subspace") -> "Fp2Subspace":

@@ -299,7 +299,7 @@ class SkewPoly:
         """
         _, _, g = self.rebase().normalize()
         k = g.degree
-        if k == 0:
+        if k == 0 and cap >= 1:  # the kernel is {0}
             return 1
         ctx = g.ctx
         sqr, mul = ctx.sqr, ctx.mul

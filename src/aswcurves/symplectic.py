@@ -26,9 +26,10 @@ from .errors import (
     NotOnCurve,
     NotSubspaceOfW,
     NotSymplectic,
+    OracleMismatch,
     StabilizerNotCompatible,
 )
-from .gf2field import Element, FieldCtx, Fp2Subspace, kernel_basis
+from .gf2field import Element, FieldCtx, Fp2Subspace, kernel_basis, rref_basis
 from .skew import SkewPoly
 
 
@@ -50,7 +51,8 @@ def g_witness(F: SkewPoly, x: Element, y: Element) -> Element:
             z = ctx.frob_p(z, i)
         for j in range(abs(i)):
             g ^= ctx.frob_p(z, j)
-    assert ctx.frob_p(g, 1) ^ g == ctx.mul(x, F(y)) ^ ctx.mul(y, F.adjoint()(x))
+    if ctx.frob_p(g, 1) ^ g != ctx.mul(x, F(y)) ^ ctx.mul(y, F.adjoint()(x)):
+        raise OracleMismatch(f"g({x:#x}, {y:#x}) = {g:#x} fails g^p + g = xF(y) + yF*(x)")
     return g
 
 
@@ -65,13 +67,15 @@ class PairingCtx:
         self.F = F
         self.W = F.kernel()
         self.Wstar = F.adjoint().kernel()
-        assert self.W.dim_p == self.Wstar.dim_p
+        if self.W.dim_p != self.Wstar.dim_p:
+            raise OracleMismatch(f"dim ker F {self.W.dim_p} != dim ker F* {self.Wstar.dim_p}")
         rows = [
             [self.omega(u, v, check=False) for v in self.Wstar.fp_basis()]
             for u in self.W.fp_basis()
         ]
         self.gram = tuple(tuple(r) for r in rows)
-        assert _fp_rank(F.ctx, rows) == self.W.dim_p, "pairing is degenerate"
+        if _fp_rank(F.ctx, rows) != self.W.dim_p:
+            raise OracleMismatch("pairing is degenerate")
 
     @property
     def ctx(self) -> FieldCtx:
@@ -90,7 +94,8 @@ class PairingCtx:
             if not self.Wstar.contains(ustar):
                 raise NotInKernel(f"{ustar:#x} is not in ker F*")
         value = g_witness(self.F, ustar, u)
-        assert self.ctx.in_subfield(value, self.ctx.p_log)
+        if not self.ctx.in_subfield(value, self.ctx.p_log):
+            raise OracleMismatch(f"omega({u:#x}, {ustar:#x}) = {value:#x} is not in F_p")
         return value
 
     def orthogonal_complement(self, X: Fp2Subspace) -> Fp2Subspace:
@@ -98,7 +103,8 @@ class PairingCtx:
         if not X.is_subspace_of(self.W):
             raise NotSubspaceOfW("X is not a subspace of ker F")
         perp = self._solve_perp(X.basis, self.Wstar)
-        assert perp.dim_p == self.W.dim_p - X.dim_p
+        if perp.dim_p != self.W.dim_p - X.dim_p:
+            raise OracleMismatch(f"complement of dim {perp.dim_p} for dim X {X.dim_p}")
         return perp
 
     def _solve_perp(
@@ -106,12 +112,10 @@ class PairingCtx:
     ) -> Fp2Subspace:
         """Vectors of inside pairing to 0 with every condition vector."""
         ctx, wb = self.ctx, inside.basis
-        images = []
-        for w in wb:
-            packed = 0
-            for k, u in enumerate(conditions):
-                packed |= self.omega(u, w, check=False) << (k * ctx.n)
-            images.append(packed)
+        images = [
+            sum(self.omega(u, w, check=False) << (k * ctx.n) for k, u in enumerate(conditions))
+            for w in wb
+        ]
         vecs = kernel_basis(images, wb)
         return Fp2Subspace.from_vectors(ctx, vecs, inside.p_log)
 
@@ -159,7 +163,8 @@ def maximal_isotropic(
         raise NotSubspaceOfW("within is not a subspace of ker F")
     ctx = pc.ctx
     rad = pc.radical(space)
-    assert (space.dim_p - rad.dim_p) % 2 == 0
+    if (space.dim_p - rad.dim_p) % 2:
+        raise OracleMismatch(f"alternating form of odd rank {space.dim_p - rad.dim_p}")
     target = rad.dim_p + (space.dim_p - rad.dim_p) // 2
 
     if stabilizer is not None:
@@ -221,23 +226,15 @@ def maximal_isotropic(
 
 
 def _fp_rank(ctx: FieldCtx, rows: list[list[Element]]) -> int:
-    """Rank of a matrix with entries in the degree-p_log subfield."""
-    mat = [list(r) for r in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = ctx.inv(mat[rank][col])
-        mat[rank] = [ctx.mul(inv, a) for a in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                c = mat[r][col]
-                mat[r] = [a ^ ctx.mul(c, b) for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
+    """Rank of a matrix over F_p, the degree-p_log subfield: the F_2-span
+    of the rows (entry k at bit k*n) times an F_2-basis of F_p is their
+    F_p-span, of F_2-dimension p_log times the rank."""
+    scalars = ctx.subfield_basis(ctx.p_log)
+    packed = [
+        sum(ctx.mul(c, a) << (k * ctx.n) for k, a in enumerate(row))
+        for row in rows for c in scalars
+    ]
+    return len(rref_basis(packed)) // ctx.p_log
 
 
 # ---------------------------------------------------------------------------

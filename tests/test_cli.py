@@ -328,3 +328,13 @@ class TestOutputFile:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["counts"] == {"1": 9}
+
+    @pytest.mark.parametrize(
+        "where, error",
+        [("missing/report.json", "FileNotFoundError"), (".", "IsADirectoryError")],
+    )
+    def test_unwritable_path_is_an_error_record(self, capsys, tmp_path, where, error):
+        target = tmp_path / where
+        code, data = run_json(capsys, "analyze", "q=F4; R=1,0", "--output", str(target))
+        assert (code, data["error"]) == (1, error)
+        assert str(target) in data["detail"]

@@ -9,6 +9,7 @@ from aswcurves.errors import (
     CtxMismatch,
     DegreeMismatch,
     NoSolution,
+    OracleMismatch,
     ParseError,
     ReduciblePolynomial,
 )
@@ -22,11 +23,11 @@ from aswcurves.gf2field import (
     format_field_spec,
     intersect_spans,
     kernel_basis,
+    linear_map,
     make_field,
     parse_field_spec,
     poly_is_irreducible,
     rref_basis,
-    solve_linear_f2,
     span_contains,
     span_elements,
     transport,
@@ -134,7 +135,7 @@ def test_frob_tables_match_repeated_squaring(n, poly, p_log):
     samples += [0, 1, K.order - 1]
     def squarings(a, j):
         for _ in range(j % n):
-            a = K.sqr(a)
+            a = clmod(clmul(a, a), K.poly)
         return a
 
     for j in range(2 * n, -2 * n - 1, -1):  # the first tables built are for large j
@@ -193,7 +194,7 @@ def frobenius_sum_trace(K, a, from_deg, to_deg):
     for _ in range(from_deg // to_deg):
         t ^= a
         for _ in range(to_deg):
-            a = K.sqr(a)
+            a = clmod(clmul(a, a), K.poly)
     return t
 
 
@@ -297,17 +298,18 @@ def test_solve_linear_lexmin():
                     acc ^= images[j]
             return acc
 
+        K = make_field(nbits)  # its degree-nbits subfield is all of F_2^nbits
         targets = {apply(x) for x in range(1 << nbits)}
         for t in range(1 << nbits):
             if t in targets:
-                sol = solve_linear_f2(images, nbits, t)
+                sol = K.solve_additive(apply, t, nbits)
                 assert apply(sol) == t
                 # lexicographically least over the whole solution set
                 best = min(x for x in range(1 << nbits) if apply(x) == t)
                 assert sol == best
             else:
                 with pytest.raises(NoSolution):
-                    solve_linear_f2(images, nbits, t)
+                    K.solve_additive(apply, t, nbits)
         ker = kernel_basis(images)
         assert set(span_elements(ker)) == {x for x in range(1 << nbits) if apply(x) == 0}
 
@@ -338,6 +340,52 @@ def test_intersect_spans():
         got = set(span_elements(intersect_spans(a, b)))
         want = set(span_elements(a)) & set(span_elements(b))
         assert got == want
+
+
+def test_intersect_spans_of_dependent_lists():
+    # Zero, repeated and dependent vectors, lists longer than the width.
+    rng = random.Random(8)
+    for _ in range(100):
+        a = [rng.randrange(1 << 6) for _ in range(rng.randrange(9))]
+        b = [rng.randrange(1 << 6) for _ in range(rng.randrange(9))]
+        if a and rng.random() < 0.3:
+            b.append(a[0])
+        got = intersect_spans(a, b)
+        want = set(span_elements(rref_basis(a))) & set(span_elements(rref_basis(b)))
+        assert got == rref_basis(got)
+        assert set(span_elements(got)) == want
+
+
+@pytest.mark.parametrize("nimages", [0, 1, 5, 8, 9, 13, 16, 31, 32])
+def test_linear_map_is_the_sum_of_images(nimages):
+    rng = random.Random(nimages)
+    images = [rng.getrandbits(40) for _ in range(nimages)]
+    fmap = linear_map(images)
+
+    def bit_serial(x):
+        out = 0
+        for j, img in enumerate(images):
+            if (x >> j) & 1:
+                out ^= img
+        return out
+
+    # Inputs reach 8 bits past the last image, in and past its last byte.
+    width = nimages + 8
+    xs = [0, (1 << width) - 1, 1 << nimages, (1 << width) - (1 << nimages)]
+    xs += [rng.getrandbits(width) for _ in range(200)]
+    for x in xs:
+        assert fmap(x) == bit_serial(x), x
+
+
+def test_result_checks_raise_with_asserts_stripped(monkeypatch):
+    K = make_field(4, p_log=2)
+    # one vector, not closed under F_4: F_p-dimension 0
+    with pytest.raises(OracleMismatch):
+        Fp2Subspace(K, 2, (1,)).fp_basis()
+    # scalars spanning only F_2 leave an odd F_2-dimension
+    monkeypatch.setattr(FieldCtx, "subfield_basis", lambda self, deg: (1,))
+    with pytest.raises(OracleMismatch):
+        Fp2Subspace.from_vectors(K, [1])
 
 
 def test_fp2subspace_f2():
@@ -475,4 +523,4 @@ def test_bitvec_matches_scalar():
         images = K.linear_images(lambda v: K.frob(v, 1))
         sq = bitvec.apply_linear(images, a)
         for i in range(0, size, 41):
-            assert int(sq[i]) == K.sqr(int(a[i]))
+            assert int(sq[i]) == clmod(clmul(int(a[i]), int(a[i])), K.poly)

@@ -233,9 +233,17 @@ def test_kernel_splitting_degree_against_reference_and_definition(f):
     assert g.right_divides(SkewPoly(ctx, {D: 1, 0: 1}))
     assert not any(g.right_divides(SkewPoly(ctx, {d: 1, 0: 1})) for d in range(1, D))
     assert f.kernel_splitting_degree(cap=D) == D
-    if g.degree:
-        with pytest.raises(CapExceeded):
-            f.kernel_splitting_degree(cap=D - 1)
+    with pytest.raises(CapExceeded):
+        f.kernel_splitting_degree(cap=D - 1)
+
+
+@pytest.mark.parametrize("coeffs", [{3: 1}, {1: 1, 0: 1}], ids=["t^3", "t+1"])
+def test_kernel_splitting_degree_cap_below_one_raises(coeffs):
+    # both have D = 1: the monomial's separable part has degree 0
+    f = SkewPoly(F4, coeffs)
+    assert f.kernel_splitting_degree(cap=1) == 1
+    with pytest.raises(CapExceeded):
+        f.kernel_splitting_degree(cap=0)
 
 
 @pytest.mark.parametrize("ctx", [make_field(4, 0x19), make_field(4, 0x1F)], ids=["F16:0x19", "F16:0x1f"])

@@ -11,6 +11,7 @@ from aswcurves.errors import (
     NotOnCurve,
     NotSubspaceOfW,
     NotSymplectic,
+    OracleMismatch,
     StabilizerNotCompatible,
 )
 from aswcurves.gf2field import Fp2Subspace, make_field
@@ -18,6 +19,7 @@ from aswcurves.skew import SkewPoly
 from aswcurves.symplectic import (
     HeisenbergElt,
     PairingCtx,
+    _fp_rank,
     commutator,
     f_r_eval,
     factor_complement_check,
@@ -122,6 +124,55 @@ def test_orthogonal_complement_dimension_random():
         perp = pc.orthogonal_complement(X)
         assert perp.dim_p == pc.W.dim_p - X.dim_p
         assert all(pc.omega(u, v) == 0 for u in X.elements() for v in perp.elements())
+
+
+@pytest.mark.parametrize("n, p_log", [(4, 1), (4, 2), (6, 3), (8, 2)])
+def test_fp_rank_counts_the_row_span(n, p_log):
+    # p^rank is the number of F_p-combinations of the rows
+    K = make_field(n, p_log=p_log)
+    fp = K.subfield_elements(p_log)
+    rng = random.Random(n + p_log)
+    for _ in range(25):
+        nrows, ncols = rng.randrange(4), rng.randrange(1, 4)
+        rows = [[rng.choice(fp) for _ in range(ncols)] for _ in range(nrows)]
+        if rows and rng.random() < 0.5:  # a dependent row
+            c = rng.choice(fp)
+            rows.append([K.mul(c, a) ^ b for a, b in zip(rows[0], rows[-1])])
+        span = {(0,) * ncols}
+        for row in rows:
+            span = {
+                tuple(x ^ K.mul(c, a) for x, a in zip(v, row)) for v in span for c in fp
+            }
+        assert len(fp) ** _fp_rank(K, rows) == len(span)
+
+
+def test_result_checks_raise_with_asserts_stripped(monkeypatch):
+    big = SkewPoly(F16, {2: 1, -2: 1})  # self-adjoint, kernel all of F_16
+    pc = PairingCtx(big)
+    line = Fp2Subspace.from_vectors(F16, [1])
+    # a pairing value outside F_p
+    monkeypatch.setattr("aswcurves.symplectic.g_witness", lambda F, x, y: 2)
+    with pytest.raises(OracleMismatch):
+        pc.omega(1, 1)
+    # a zero pairing: degenerate Gram matrix, complements too large
+    monkeypatch.setattr("aswcurves.symplectic.g_witness", lambda F, x, y: 0)
+    with pytest.raises(OracleMismatch):
+        PairingCtx(big)
+    with pytest.raises(OracleMismatch):
+        pc.orthogonal_complement(line)
+    monkeypatch.undo()
+    # a radical of the wrong parity leaves an odd rank
+    monkeypatch.setattr(PairingCtx, "radical", lambda self, within: line)
+    with pytest.raises(OracleMismatch):
+        maximal_isotropic(pc)
+    monkeypatch.undo()
+    # a wrong adjoint: kernels of different size, g's identity broken
+    F = SkewPoly(F4, {1: 1, 0: 1})
+    monkeypatch.setattr(SkewPoly, "adjoint", lambda self: SkewPoly.one(self.ctx))
+    with pytest.raises(OracleMismatch):
+        PairingCtx(F)
+    with pytest.raises(OracleMismatch):
+        g_witness(F, 1, 2)
 
 
 def test_factor_complement_check():
