@@ -323,7 +323,7 @@ def cmd_construct(args: argparse.Namespace, cfg: RunConfig) -> _Output:
     else:
         if args.poly is None:
             raise ParseError("--family palindromic needs --poly")
-        f_coeffs = _hex_list(args.poly, 1 << ctx.p_log)
+        f_coeffs = _hex_list(args.poly, ctx.order)
         counting = (1 << ctx.n) <= cfg.budget
         fam = palindromic_family(
             ctx, ctx.n, tuple(f_coeffs), budget=cfg.budget, counting=counting
@@ -599,6 +599,11 @@ def main(argv: list[str] | None = None) -> int:
         output=args.output,
     )
     try:
+        for name, least in (("cap", 1), ("e_max", 1), ("threads", 1), ("budget", 0)):
+            value = getattr(args, name, least)
+            if value < least:
+                flag = "--" + name.replace("_", "-")
+                raise ParseError(f"{flag} {value} must be >= {least}")
         out = args.func(args, cfg)
         _emit(out, cfg)
     except ParseError as exc:

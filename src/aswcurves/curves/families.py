@@ -11,10 +11,11 @@ structured inputs, keeping enumeration and point counts as cross-checks:
     whose adjoint kernel lies in the fourth-root subfield of F_q.
   * `classify_subfield_kernel` classifies around a pivot solution of
     x^q1 + x = 1 when the kernel lies in F_q1 and q1^2 divides q.
-  * `palindromic_family` derives a head from an ordinary polynomial f
-    over F_p with f(1) = 0 and simple roots; the palindromic product
-    x^deg(f) f(x) f(1/x) prescribes both the head and the fields that
-    carry its extremal twists.
+  * `palindromic_family` takes the datum F = f(t) of a polynomial f
+    over F_p with f(1) = 0 and simple roots; the palindrome
+    x^deg(f) f(x) f(1/x) = t^deg(f) F*F prescribes, through its
+    splitting degree over F_p, the fields that carry the extremal
+    twists of the head of F.
   * `hermitian_twist` settles the family R = x^p + ax completely,
     splitting on the relative trace of a down to F_{p^2}.
 """
@@ -22,6 +23,8 @@ structured inputs, keeping enumeration and point counts as cross-checks:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import xor
 
 from ..errors import (
     CapExceeded,
@@ -107,7 +110,8 @@ def extremal_from_subspace(
     F = annihilator.adjoint() * SkewPoly(ctx, {space.dim_p: 1})
     fd = TwistDatum(F, q_deg)
     fd.require(3)
-    assert fd.adjoint_kernel == space
+    if fd.adjoint_kernel != space:
+        raise OracleMismatch("recipe datum's adjoint kernel is not the subspace")
     lp = l_polynomial(fd, t)
     if not lp.is_extremal:
         raise OracleMismatch("recipe produced a non-extremal curve")
@@ -223,10 +227,13 @@ def _check_pivot(ctx: FieldCtx, t0: Element, q1_deg: int) -> None:
     character and by repeated Witt addition.
     """
     step = q1_deg // ctx.p_log
-    assert ctx.frob_p(t0, step) ^ t0 == 1
+    if ctx.frob_p(t0, step) ^ t0 != 1:
+        raise OracleMismatch("pivot does not solve x^q1 + x = 1")
     norm = ctx.mul(ctx.frob_p(t0, step), t0)
-    assert ctx.in_subfield(norm, q1_deg)
-    assert ctx.trace(norm, q1_deg, 1) == 1
+    if not ctx.in_subfield(norm, q1_deg):
+        raise OracleMismatch("pivot norm leaves F_q1")
+    if ctx.trace(norm, q1_deg, 1) != 1:
+        raise OracleMismatch("pivot norm has absolute trace 0")
     traced = witt_trace(WittPair(ctx, t0, 0), 2 * q1_deg, 1)
     if xi2(traced) != GaussUnit(q1_deg + 2):
         raise OracleMismatch("pivot Witt trace misses the prescribed unit")
@@ -269,46 +276,6 @@ def classify_subfield_kernel(
 # -- heads prescribed by an ordinary polynomial over F_p --------------------
 
 
-def _poly_trim(c: list[Element]) -> list[Element]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mul(ctx: FieldCtx, a: list[Element], b: list[Element]) -> list[Element]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] ^= ctx.mul(x, y)
-    return _poly_trim(out)
-
-
-def _poly_mod(ctx: FieldCtx, a: list[Element], m: list[Element]) -> list[Element]:
-    a = list(a)
-    inv_lead = ctx.inv(m[-1])
-    while len(a) >= len(m):
-        c = a[-1]
-        if c:
-            f = ctx.mul(c, inv_lead)
-            off = len(a) - len(m)
-            for i, y in enumerate(m):
-                if y:
-                    a[off + i] ^= ctx.mul(f, y)
-        a.pop()
-    return _poly_trim(a)
-
-
-def _poly_gcd(ctx: FieldCtx, a: list[Element], b: list[Element]) -> list[Element]:
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        a, b = b, _poly_mod(ctx, a, b)
-    return a
-
-
 @dataclass(frozen=True)
 class PalindromicFamily:
     """Classified twist family of a head built from a polynomial over F_p.
@@ -332,6 +299,19 @@ class PalindromicFamily:
         return self.classification.datum
 
 
+def _order(poly: SkewPoly, cap: int) -> int:
+    """Multiplicative order of x modulo poly in F_p[t], if at most cap.
+
+    x^k = 1 modulo poly exactly when ker poly lies in F_{p^k}, so the
+    order is the kernel splitting degree over F_p.
+    """
+    p_log = poly.ctx.p_log
+    try:
+        return poly.kernel_splitting_degree(cap * p_log) // p_log
+    except CapExceeded:
+        raise CapExceeded(f"order of x modulo the palindrome exceeds {cap}") from None
+
+
 def palindromic_family(
     ctx: FieldCtx,
     q_deg: int,
@@ -342,66 +322,51 @@ def palindromic_family(
 ) -> PalindromicFamily:
     """Head and extremal twists prescribed by f over F_p with f(1) = 0.
 
-    The head coefficients are the off-diagonal convolutions of f with
-    itself, equivalently the upper half of the palindromic product
-    g = x^deg(f) f(x) f(1/x); both derivations run and must agree.
-    F_q must contain the splitting field of g, whose degree over F_p is
-    the multiplicative order of x modulo g (an even number, found by
-    iteration up to `cap`).  Requires nonzero first and last
-    coefficients, f(1) = 0 (FOneNonzero otherwise), and simple roots
-    (RootsNotSimple otherwise); FieldTooSmall when the order does not
-    divide [F_q : F_p], CapExceeded when the order search runs out.
-    The classification enumerates F_q and, when `counting`, re-derives
-    the coefficient partition from brute point counts.
+    Coefficients in F_p commute with t, so F = f(t) lies in the subring
+    F_p[t] = F_p[x] of the Frobenius ring, and F*F = t^-deg(f) g(t) for
+    the palindrome g = x^deg(f) f(x) f(1/x).  The head is that of the
+    datum F (the off-diagonal convolutions of f, checked against F*F).
+    F_q must contain the splitting field of g: its degree over F_p is
+    the order of x modulo g, twice an odd number, which is the kernel
+    splitting degree of F*F over F_p.  f has simple roots exactly when
+    the order of x modulo f is odd (Lidl-Niederreiter, Finite Fields,
+    Thm 3.8).  Raises HypothesisFailed unless f has degree >= 1 and
+    nonzero ends, FOneNonzero, RootsNotSimple, FieldTooSmall when the
+    order does not divide [F_q : F_p], and CapExceeded when an order
+    exceeds `cap`.  The classification enumerates F_q and, when
+    `counting`, re-derives the coefficient partition from brute counts.
     """
     f = [ctx.check(c) for c in f_coeffs]
     if len(f) < 2 or f[0] == 0 or f[-1] == 0:
         raise HypothesisFailed("f needs degree >= 1 and nonzero ends")
     if not all(ctx.in_subfield(c, ctx.p_log) for c in f):
         raise DegreeMismatch("f must have coefficients in F_p")
-    f_one = 0
-    for c in f:
-        f_one ^= c
-    if f_one:
-        raise FOneNonzero(f"f(1) = {f_one:#x} must vanish")
-    deriv = _poly_trim([f[i] if i % 2 else 0 for i in range(1, len(f))])
-    if len(_poly_gcd(ctx, f, deriv)) != 1:
+    F = SkewPoly.from_coeffs(ctx, f)
+    if F(1):
+        raise FOneNonzero(f"f(1) = {F(1):#x} must vanish")
+    if _order(F, cap) % 2 == 0:
         raise RootsNotSimple("f shares a root with its derivative")
-    e = len(f) - 1
-    conv = [0] * (e + 1)
-    for d in range(e + 1):
-        for j in range(e - d + 1):
-            conv[d] ^= ctx.mul(f[j], f[j + d])
-    assert conv[0] == 0, "diagonal convolution must square f(1)"
-    g = [conv[abs(e - i)] for i in range(2 * e + 1)]
-    assert g == _poly_mul(ctx, f, list(reversed(f)))
-    power = [1]
-    order = 0
-    for k in range(1, cap + 1):
-        power = _poly_mod(ctx, [0] + power, g)
-        if power == [1]:
-            order = k
-            break
-    if not order:
-        raise CapExceeded(f"order of x modulo the palindrome exceeds {cap}")
-    assert order % 2 == 0 and (order // 2) % 2 == 1
+    adjoint = F.adjoint()
+    order = _order(adjoint * F, cap)
+    if order % 4 != 2:
+        raise OracleMismatch(f"palindrome order {order} is not twice an odd number")
     if q_deg % (order * ctx.p_log):
         raise FieldTooSmall(
             f"extremal twists need the degree-{order * ctx.p_log} subfield inside F_q"
         )
     tower = q_deg // (order * ctx.p_log)
-    head = CurveSpec(ctx, q_deg, tuple([0] + conv[1:]))
-    fd = TwistDatum(SkewPoly(ctx, {i: c for i, c in enumerate(f) if c}), q_deg)
-    assert all(fd.conditions)
-    assert head_curve(fd) == head
+    fd = TwistDatum(F, q_deg)
+    if not all(fd.conditions):
+        raise OracleMismatch("the datum of f fails a presentation condition")
+    head = head_curve(fd)
     half = (order // 2) * ctx.p_log
-    assert all(ctx.in_subfield(v, half) for v in fd.adjoint_kernel.fp_basis())
+    if not all(ctx.in_subfield(v, half) for v in fd.adjoint_kernel.fp_basis()):
+        raise OracleMismatch("ker F* leaves the half-order subfield")
     t0 = _pivot(ctx, ctx.p_log)
     _check_pivot(ctx, t0, ctx.p_log)
-    deriv_one = 0
-    for c in deriv:
-        deriv_one ^= c
-    assert fd.F.adjoint()(t0) == deriv_one
+    deriv_one = reduce(xor, f[1::2])
+    if adjoint(t0) != deriv_one:
+        raise OracleMismatch("F* of the pivot misses f'(1)")
     r_one = head.evaluate(1)
     if fd.twist_coefficient(t0) != r_one ^ ctx.sqr(deriv_one):
         raise OracleMismatch("pivot coefficient misses R(1) + f'(1)^2")
@@ -471,7 +436,8 @@ def hermitian_twist(
         for j in range(0, m, 2):
             for i in range(1, j, 2):
                 beta ^= ctx.mul(ctx.frob_p(a, i), ctx.frob_p(a, j))
-        assert ctx.in_subfield(beta, ctx.p_log)
+        if not ctx.in_subfield(beta, ctx.p_log):
+            raise OracleMismatch("parity expression leaves F_p")
         verdict = (m // 2 + ctx.trace(beta, ctx.p_log, 1)) % 2 == 1
         fd, t = recover_datum(spec)
         lp = l_polynomial(fd, t)
@@ -479,18 +445,21 @@ def hermitian_twist(
             raise OracleMismatch("parity formula disagrees with the eigenvalues")
         checked = _brute_against(spec, lp, budget)
         root = lp.common_root()
-        assert root is not None
+        if root is None:
+            raise OracleMismatch("extremal curve has no common eigenvalue")
         return HermitianReport(spec, 0, True, verdict, (root,), lp, checked)
     z = ctx.mul(ctx.frob_p(alpha, 1), ctx.inv(alpha))
     group = (1 << (2 * ctx.p_log)) - 1
     y = ctx.pow(z, pow(4, -1, group))
-    if ctx.sqr(ctx.sqr(y)) != z:
+    if ctx.sqr(ctx.sqr(y)) != z or y != ctx.sqrt(ctx.sqrt(z)):
         raise OracleMismatch("fourth root fails its defining identity")
-    assert y == ctx.sqrt(ctx.sqrt(z))
     fd = TwistDatum(SkewPoly(ctx, {1: y, 0: ctx.inv(y)}), q_deg)
-    assert all(fd.conditions)
-    assert fd.adjoint_kernel == Fp2Subspace.from_vectors(ctx, [1])
-    assert head_curve(fd) == spec.head()
+    if not all(fd.conditions):
+        raise OracleMismatch("witness datum fails a presentation condition")
+    if fd.adjoint_kernel != Fp2Subspace.from_vectors(ctx, [1]):
+        raise OracleMismatch("witness datum's adjoint kernel is not F_p")
+    if head_curve(fd) != spec.head():
+        raise OracleMismatch("witness datum misses the head")
     w = ctx.sqrt(ctx.mul(a, ctx.sqrt(z)))
     try:
         t = ctx.solve_additive(lambda b: ctx.frob_p(b, m - 1) ^ b, w ^ 1, q_deg)
@@ -502,7 +471,8 @@ def hermitian_twist(
     if lp.is_extremal:
         raise OracleMismatch("nonzero relative trace cannot be extremal")
     norm = ctx.mul(ctx.frob_p(alpha, 1), alpha)
-    assert ctx.in_subfield(norm, ctx.p_log)
+    if not ctx.in_subfield(norm, ctx.p_log):
+        raise OracleMismatch("norm of the relative trace leaves F_p")
     tb = ctx.trace(norm, ctx.p_log, 1)
     lam = (1 << (q_deg // 2)) * GaussUnit(tb).gauss()
     expected = tuple(
@@ -511,7 +481,9 @@ def hermitian_twist(
     if lp.roots != expected:
         raise OracleMismatch("eigenvalues miss the prescribed pair")
     q, genus = spec.q, spec.genus
-    assert lp.point_count(1) == q + 1
-    assert lp.point_count(2) == q * q + 1 - 2 * genus * ((-1) ** tb) * q
+    if lp.point_count(1) != q + 1:
+        raise OracleMismatch("count over F_q is not q + 1")
+    if lp.point_count(2) != q * q + 1 - 2 * genus * ((-1) ** tb) * q:
+        raise OracleMismatch("count over F_{q^2} misses the prescribed sign")
     checked = _brute_against(spec, lp, budget)
     return HermitianReport(spec, alpha, False, None, (lam, -lam), lp, checked)

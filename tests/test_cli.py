@@ -150,6 +150,16 @@ class TestConstruct:
         assert data["maximal_twists"] == ["1", "6", "7"]
         assert data["minimal_twists"] == ["0"]
 
+    def test_palindromic_coefficients_in_fp_above_p(self, capsys):
+        # F_4 inside F4096:p=4 is {0, 1, 0x48, 0x49}
+        code, data = run_json(
+            capsys, "construct", "--family", "palindromic", "--field", "F4096:p=4",
+            "--poly", "1,48,49",
+        )
+        assert code == 0
+        assert (data["order"], data["tower"]) == (6, 1)
+        assert len(data["maximal_twists"]) == 10
+
     def test_missing_family_argument_exits_two(self, capsys):
         code, data = run_json(
             capsys, "construct", "--family", "recipe", "--field", "F16"
@@ -319,6 +329,24 @@ class TestHdCheck:
         monkeypatch.setattr("aswcurves.cli.hd_sum", closed_form)
         got, data = run_json(capsys, "hd-check", "--cap", cap, "--budget", budget)
         assert (got, data, calls) == (code, record, [])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hd-check", "--cap", "-1"),
+        ("hd-check", "--cap", "0"),
+        ("search", "--field", "F4", "--e-max", "-1", "--predicate", "maximal"),
+        ("period", "p=2; R=1,0,1", "--cap", "-3"),
+        ("analyze", "q=F4; R=1,0", "--threads", "-2"),
+        ("analyze", "q=F4; R=1,0", "--threads", "0"),
+        ("analyze", "q=F4; R=1,0", "--budget", "-5"),
+    ],
+)
+def test_out_of_range_integer_is_a_parse_error(capsys, argv):
+    code, data = run_json(capsys, *argv)
+    assert (code, data["error"]) == (2, "ParseError")
+    assert data["detail"].startswith("--")
 
 
 class TestOutputFile:

@@ -1,5 +1,9 @@
 """Closed-form constructions against the enumerative classifier."""
 
+import hashlib
+import itertools
+import json
+
 import pytest
 
 from aswcurves.curves import (
@@ -9,19 +13,23 @@ from aswcurves.curves import (
     classify_subfield_kernel,
     classify_twists,
     extremal_from_subspace,
+    families,
     hermitian_twist,
     palindromic_family,
     recover_head,
 )
 from aswcurves.errors import (
+    CapExceeded,
+    Char2Error,
     FieldTooSmall,
     FOneNonzero,
     HypothesisFailed,
     OddDegree,
+    OracleMismatch,
     PairingConditionFailed,
     RootsNotSimple,
 )
-from aswcurves.gf2field import Fp2Subspace, make_field
+from aswcurves.gf2field import Fp2Subspace, clgcd, make_field, parse_field_spec
 from aswcurves.witt2 import psi_char, q_char
 
 F4 = make_field(2)
@@ -54,6 +62,55 @@ def admissible_parameters(ctx, space, q_deg):
             for v in space.elements()
         )
     ]
+
+
+# (field spec, q_deg, largest degree of f): default and other moduli,
+# p from 2 to 16, and ambients wider than F_q
+PALINDROMIC_GRID = [
+    ("F64", 6, 6),
+    ("F16:0x19", 4, 6),
+    ("F256:0x163", 8, 6),
+    ("F4096", 4, 6),
+    ("F4096", 6, 6),
+    ("F4096", 12, 6),
+    ("F1024", 10, 6),
+    ("F16:0x1f:p=4", 4, 3),
+    ("F256:p=4", 8, 3),
+    ("F4096:p=4", 4, 3),
+    ("F4096:p=4", 12, 2),
+    ("F64:0x5b:p=8", 6, 2),
+    ("F4096:p=8", 6, 2),
+    ("F4096:p=8", 12, 2),
+    ("F256:p=16", 8, 1),
+]
+PALINDROMIC_GRID_SHA256 = "ad50d4eee651e5bd7dd12043aa5ea4a7ee62af838591fcd7b84f91408b369225"
+
+
+def palindromic_outcome(ctx, q_deg, f):
+    """What `palindromic_family` returns for f, or the error it raises."""
+    try:
+        fam = palindromic_family(ctx, q_deg, f, counting=q_deg <= 8)
+    except Char2Error as exc:
+        return [type(exc).__name__, str(exc)]
+    tc = fam.classification
+    return [
+        fam.order,
+        fam.power,
+        fam.pivot,
+        list(tc.head.coeffs),
+        *map(list, param_sets(tc)),
+        *map(list, twist_sets(tc)),
+        tc.counting_checked,
+    ]
+
+
+def polys_with_nonzero_ends(ctx, max_degree):
+    """Every f over F_p of degree 1..max_degree with nonzero ends."""
+    fp = ctx.subfield_elements(ctx.p_log)
+    for d in range(1, max_degree + 1):
+        for mid in itertools.product(fp, repeat=d - 1):
+            for lo, hi in itertools.product(fp[1:], repeat=2):
+                yield (lo, *mid, hi)
 
 
 class TestRecipe:
@@ -278,6 +335,45 @@ class TestPalindromic:
     def test_rejects_small_field(self):
         with pytest.raises(FieldTooSmall):
             palindromic_family(F4, 2, (1, 0, 0, 1))
+
+    def test_grid_outcomes_are_pinned(self):
+        rows = []
+        for spec, q_deg, max_degree in PALINDROMIC_GRID:
+            ctx = parse_field_spec(spec)
+            for f in polys_with_nonzero_ends(ctx, max_degree):
+                rows.append([spec, q_deg, list(f), palindromic_outcome(ctx, q_deg, f)])
+        assert len(rows) == 2601
+        text = json.dumps(rows, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == PALINDROMIC_GRID_SHA256
+
+    def test_cap_bounds_the_palindrome_order(self):
+        with pytest.raises(CapExceeded) as err:
+            palindromic_family(F64, 6, (1, 0, 0, 1), cap=5)
+        assert str(err.value) == "order of x modulo the palindrome exceeds 5"
+        assert palindromic_family(F64, 6, (1, 0, 0, 1), cap=6).order == 6
+
+    def test_simple_roots_match_the_derivative_gcd(self):
+        # over F_2, f is squarefree exactly when gcd(f, f') = 1
+        checked = 0
+        for bits in range(3, 1 << 9, 2):
+            if bin(bits).count("1") % 2:
+                continue  # f(1) != 0
+            deriv = (bits >> 1) & 0x55
+            try:
+                palindromic_family(F4, 2, [(bits >> i) & 1 for i in range(bits.bit_length())])
+                simple = True
+            except RootsNotSimple:
+                simple = False
+            except FieldTooSmall:
+                simple = True
+            assert simple == (clgcd(bits, deriv) == 1), bin(bits)
+            checked += 1
+        assert checked == 128
+
+    def test_pivot_check_survives_python_O(self, monkeypatch):
+        monkeypatch.setattr(families, "_pivot", lambda ctx, q1_deg: 0)
+        with pytest.raises(OracleMismatch, match="pivot"):
+            palindromic_family(F4, 2, (1, 1))
 
     def test_rejects_bad_coefficients(self):
         with pytest.raises(ValueError):

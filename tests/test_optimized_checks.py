@@ -1,10 +1,11 @@
 """Result checks that must survive `python -O`, which strips `assert`.
 
-The skew, field and symplectic suites run again in a child interpreter
-under -O: pytest keeps the asserts of test modules, so every check of
-the package they reach (among them the OracleMismatch raises of
-`from_subspace`, `factor_through_symmetric`, `Fp2Subspace.from_vectors`
-and `PairingCtx`) is tested with the package's asserts gone.
+The skew, field, symplectic and families suites run again in a child
+interpreter under -O: pytest keeps the asserts of test modules, so
+every check of the package they reach (among them the OracleMismatch
+raises of `from_subspace`, `factor_through_symmetric`,
+`Fp2Subspace.from_vectors`, `PairingCtx` and the pivot and palindrome
+checks of `curves.families`) is tested with the package's asserts gone.
 """
 
 import os
@@ -33,6 +34,8 @@ def test_skew_suite_passes_under_python_O():
     assert_passes_under_python_O("test_skew.py")
 
 
-@pytest.mark.parametrize("suite", ["test_gf2field.py", "test_symplectic.py"])
+@pytest.mark.parametrize(
+    "suite", ["test_gf2field.py", "test_symplectic.py", "test_families.py"]
+)
 def test_suite_passes_under_python_O(suite):
     assert_passes_under_python_O(suite)
