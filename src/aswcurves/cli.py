@@ -46,6 +46,7 @@ from .curves import (
 from .curves.base import weil_class, weil_gap
 from .curves.count import check_count, checked_count
 from .curves.period import coefficient_range
+from .curves.twists import least_admissible_parameter
 from .errors import (
     AmbientTooSmall,
     BudgetExceeded,
@@ -289,9 +290,16 @@ def cmd_construct(args: argparse.Namespace, cfg: RunConfig) -> _Output:
         space = Fp2Subspace.from_vectors(ctx, _hex_list(args.space, ctx.order))
         if args.t is not None:
             t = _hex_value(args.t, ctx.order)
-            rec = extremal_from_subspace(space, t, ctx.n, budget=cfg.budget)
         else:
-            rec = _first_recipe(space, ctx.n, cfg.budget)
+            t = least_admissible_parameter(space, ctx.n)
+        try:  # with no admissible t, the recipe's input checks still run at t = 0
+            rec = extremal_from_subspace(space, t or 0, ctx.n, budget=cfg.budget)
+        except PairingConditionFailed:
+            if t is not None:
+                raise
+            raise NoSolution(
+                "no parameter matches the quadratic character on the subspace"
+            ) from None
         data = {
             "family": "recipe",
             "curve": format_curve_spec(rec.curve),
@@ -340,16 +348,6 @@ def cmd_construct(args: argparse.Namespace, cfg: RunConfig) -> _Output:
             "counting_checked": tc.counting_checked,
         }
     return _Output(data)
-
-
-def _first_recipe(space: Fp2Subspace, q_deg: int, budget: int):
-    """The recipe at the least admissible parameter, in bit order."""
-    for t in sorted(space.ctx.subfield_elements(q_deg)):
-        try:
-            return extremal_from_subspace(space, t, q_deg, budget=budget)
-        except PairingConditionFailed:
-            continue
-    raise NoSolution("no parameter matches the quadratic character on the subspace")
 
 
 def cmd_period(args: argparse.Namespace, cfg: RunConfig) -> _Output:

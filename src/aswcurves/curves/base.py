@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from math import isqrt
 
-from ..errors import ConditionViolated, OracleMismatch, ParseError
+from ..errors import ConditionViolated, DomainError, OracleMismatch, ParseError
 from ..gf2field import (
     Element,
     FieldCtx,
@@ -263,7 +263,7 @@ class TwistDatum:
         """Linear coefficient attached to the twist parameter t."""
         self.require(2)
         if not self.ctx.in_subfield(t, self.q_deg):
-            raise ValueError(f"twist parameter {t:#x} is outside the subfield")
+            raise DomainError(f"twist parameter {t:#x} is outside the subfield")
         return self._offset ^ self.ctx.sqr(self._adjoint(t))
 
     def head_coefficients(self) -> tuple[Element, ...]:

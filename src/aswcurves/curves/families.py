@@ -1,8 +1,9 @@
 """Closed-form constructions of extremal curves and their twist sets.
 
-`classify_twists` settles any admissible datum by enumerating F_q; the
-functions here replace the enumerated characters with exact formulas on
-structured inputs, keeping enumeration and point counts as cross-checks:
+`classify_twists` settles any admissible datum from the shift it solves
+for on ker F*; the functions here take the shift from exact formulas on
+structured inputs and classify through the same image classifier, with
+its trace route and, on request, point counts as cross-checks:
 
   * `extremal_from_subspace` builds a certified extremal curve from an
     F_p-subspace of F_q containing 1 together with a parameter whose
@@ -22,13 +23,14 @@ structured inputs, keeping enumeration and point counts as cross-checks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 from operator import xor
 
 from ..errors import (
     CapExceeded,
     DegreeMismatch,
+    DomainError,
     FieldTooSmall,
     FOneNonzero,
     HypothesisFailed,
@@ -45,7 +47,7 @@ from .base import CurveSpec, TwistDatum, build_curve, head_curve
 from .count import DEFAULT_BUDGET, checked_count
 from .lpoly import LPolynomial, l_polynomial
 from .presentation import recover_datum
-from .twists import TwistClassification, check_counting_route, eigenvalue_targets
+from .twists import TwistClassification, eigenvalue_targets, image_classification
 
 __all__ = [
     "ExtremalRecipe",
@@ -97,10 +99,8 @@ def extremal_from_subspace(
         raise OddDegree(f"[F_q : F_p] = {q_deg // ctx.p_log} must be even")
     if not space.contains(1):
         raise HypothesisFailed("the subspace must contain 1")
-    if not ctx.in_subfield(t, q_deg) or not all(
-        ctx.in_subfield(v, q_deg) for v in space.fp_basis()
-    ):
-        raise ValueError("subspace and parameter must lie in F_q")
+    if not ctx.in_subfield(t, q_deg) or not space.in_subfield(q_deg):
+        raise DomainError("subspace and parameter must lie in F_q")
     for v in space.elements():
         if v and q_char(ctx, v, q_deg) != psi_char(ctx, ctx.mul(t, v), q_deg):
             raise PairingConditionFailed(
@@ -134,55 +134,6 @@ def _brute_against(spec: CurveSpec, lp: LPolynomial, budget: int) -> bool:
 # -- closed-form classifications around an image shift ---------------------
 
 
-def _image_classification(
-    fd: TwistDatum, shift: Element, target_bit: int
-) -> TwistClassification:
-    """Classification from the image parametrisation t = shift + F(u).
-
-    Splits parameters and twist coefficients by the single bit
-    Tr_{q/2}(u(R(u) + a0*u)) with a0 the twist coefficient of the
-    shift; no character sums and no point counts are involved.
-    """
-    ctx, q_deg = fd.ctx, fd.q_deg
-    head = head_curve(fd)
-    a0 = fd.twist_coefficient(shift)
-    E = head.e_skew()
-    minus_params: set[Element] = set()
-    plus_params: set[Element] = set()
-    maximal: set[Element] = set()
-    minimal: set[Element] = set()
-    for u in ctx.subfield_elements(q_deg):
-        t = shift ^ fd.F(u)
-        a = a0 ^ ctx.sqr(E(u))
-        load = ctx.mul(u, head.evaluate(u) ^ ctx.mul(a0, u))
-        if ctx.trace(load, q_deg, 1) == target_bit:
-            minus_params.add(t)
-            maximal.add(a)
-        else:
-            plus_params.add(t)
-            minimal.add(a)
-    if minus_params & plus_params or maximal & minimal:
-        raise OracleMismatch("closed-form classes overlap")
-    extremal = minus_params | plus_params
-    if len(extremal) * ctx.p**fd.e != 1 << q_deg:
-        raise OracleMismatch("extremal parameter set has the wrong size")
-    if len(maximal | minimal) * ctx.p ** (2 * fd.e) != 1 << q_deg:
-        raise OracleMismatch("extremal coefficient set has the wrong size")
-    field = set(ctx.subfield_elements(q_deg))
-    return TwistClassification(
-        head=head,
-        datum=fd,
-        extremal_parameters=tuple(sorted(extremal)),
-        maximal_parameters=tuple(sorted(minus_params)),
-        minimal_parameters=tuple(sorted(plus_params)),
-        neutral_parameters=tuple(sorted(field - extremal)),
-        maximal_twists=tuple(sorted(maximal)),
-        minimal_twists=tuple(sorted(minimal)),
-        neutral_twists=tuple(sorted(field - (maximal | minimal))),
-        counting_checked=False,
-    )
-
-
 def classify_small_kernel(fd: TwistDatum) -> TwistClassification:
     """Closed-form twist classification for a fourth-root-sized kernel.
 
@@ -199,9 +150,9 @@ def classify_small_kernel(fd: TwistDatum) -> TwistClassification:
             f"[F_q : F_p] = {q_deg // ctx.p_log} is not divisible by 4"
         )
     quarter = q_deg // 4
-    if not all(ctx.in_subfield(v, quarter) for v in fd.adjoint_kernel.fp_basis()):
+    if not fd.adjoint_kernel.in_subfield(quarter):
         raise HypothesisFailed("adjoint kernel exceeds the fourth-root subfield")
-    return _image_classification(fd, 0, (quarter + 1) % 2)
+    return image_classification(fd, 0, (quarter + 1) % 2)
 
 
 def _pivot(ctx: FieldCtx, q1_deg: int) -> Element:
@@ -265,12 +216,12 @@ def classify_subfield_kernel(
         raise HypothesisFailed(
             f"F_q is not an even tower over the degree-{q1_deg} subfield"
         )
-    if not all(ctx.in_subfield(v, q1_deg) for v in fd.adjoint_kernel.fp_basis()):
+    if not fd.adjoint_kernel.in_subfield(q1_deg):
         raise HypothesisFailed("adjoint kernel exceeds the pivot subfield")
     n = q_deg // (2 * q1_deg)
     t0 = _pivot(ctx, q1_deg)
     _check_pivot(ctx, t0, q1_deg)
-    return _image_classification(fd, t0, (n + 1) % 2), t0
+    return image_classification(fd, t0, (n + 1) % 2), t0
 
 
 # -- heads prescribed by an ordinary polynomial over F_p --------------------
@@ -360,7 +311,7 @@ def palindromic_family(
         raise OracleMismatch("the datum of f fails a presentation condition")
     head = head_curve(fd)
     half = (order // 2) * ctx.p_log
-    if not all(ctx.in_subfield(v, half) for v in fd.adjoint_kernel.fp_basis()):
+    if not fd.adjoint_kernel.in_subfield(half):
         raise OracleMismatch("ker F* leaves the half-order subfield")
     t0 = _pivot(ctx, ctx.p_log)
     _check_pivot(ctx, t0, ctx.p_log)
@@ -370,16 +321,7 @@ def palindromic_family(
     r_one = head.evaluate(1)
     if fd.twist_coefficient(t0) != r_one ^ ctx.sqr(deriv_one):
         raise OracleMismatch("pivot coefficient misses R(1) + f'(1)^2")
-    tc = _image_classification(fd, t0, (tower + 1) % 2)
-    if counting:
-        check_counting_route(
-            head,
-            ctx.subfield_elements(q_deg),
-            set(tc.maximal_twists),
-            set(tc.minimal_twists),
-            budget,
-        )
-        tc = replace(tc, counting_checked=True)
+    tc = image_classification(fd, t0, (tower + 1) % 2, budget if counting else None)
     return PalindromicFamily(tc, t0, order, tower)
 
 

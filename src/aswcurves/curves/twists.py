@@ -2,18 +2,20 @@
 
 For a fixed head R the curves y^p - y = x(R(x) + ax) fall into three
 classes as a runs over F_q: neutral twists with exactly q affine points,
-maximal twists, and minimal twists.  This module computes the partition
-three independent ways and insists they agree:
+maximal twists, and minimal twists.  The extremal parameters of a datum
+F are empty or one coset t0 + im F, and `image_classification` is the
+one classifier; its callers differ only in the shift t0.  Three routes
+must agree:
 
-  * through the eigenvalue sign of each extremal parameter t (the sets
-    of parameters whose curves are maximal resp. minimal, pushed along
-    a = gamma + F*(t)^2),
-  * through the vanishing of the trace form u -> Tr(u(R(u) + au)) on
-    the kernel of R + R*,
-  * by brute point counts, when a budget allows enumerating F_q.
+  * eigenvalues: t0 solves psi(t0*v) = Q(v) on ker F*, Q(t0) fixes the
+    sign, and t0 + F(u) is maximal or minimal by one quadratic-form bit,
+  * trace form: the extremal twists solve an affine system on
+    ker(R + R*), and the two cosets are compared by size and membership,
+  * brute point counts, when a budget allows enumerating F_q.
 
-The module also decides maximality over the quadratic extension from
-the trace of the twist parameter alone.
+The forms are those of van der Geer-van der Vlugt (Reed-Muller codes
+and supersingular curves I, Compositio Math. 84, 1992).  The module
+also decides maximality over F_{q^2} from the trace of t alone.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from ..errors import BudgetExceeded, KernelNotRational, OracleMismatch
-from ..gf2field import MAX_DEGREE, Element
+from ..errors import BudgetExceeded, DomainError, KernelNotRational, NoSolution, OracleMismatch
+from ..gf2field import MAX_DEGREE, Element, Fp2Subspace, kernel_basis, span_contains
 from ..witt2 import GaussInt, GaussUnit, psi_char, q_char
 from .base import CurveSpec, TwistDatum, build_curve, head_curve, weil_class
 from .count import DEFAULT_BUDGET, brute_count, checked_count
@@ -66,12 +68,13 @@ class TwistClassification:
         try:
             return self._labels[a]
         except KeyError:
-            raise ValueError(f"{a:#x} is not a twist coefficient of this family") from None
+            raise DomainError(f"{a:#x} is not a twist coefficient of this family") from None
 
 
 def eigenvalue_targets(q_deg: int) -> tuple[GaussUnit, GaussUnit]:
     """Values of Q at maximal resp. minimal parameters, i.e. -+i^(s/2)."""
-    assert q_deg % 2 == 0
+    if q_deg % 2:
+        raise OracleMismatch(f"eigenvalue targets need an even degree, not {q_deg}")
     half = q_deg // 2
     return GaussUnit(half + 2), GaussUnit(half)
 
@@ -85,31 +88,35 @@ def _datum_for(head: CurveSpec, datum: TwistDatum | None) -> TwistDatum:
             f"the supplied datum does not split over F_{{2^{head.q_deg}}}"
         )
     if head_curve(datum) != head:
-        raise ValueError("the supplied datum does not produce this head")
+        raise DomainError("the supplied datum does not produce this head")
     return datum
 
 
-def extremal_parameter_set(fd: TwistDatum) -> list[Element]:
-    """Parameters t with Q(v) = psi(tv) on all of ker F*, ascending.
+def least_admissible_parameter(space: Fp2Subspace, q_deg: int) -> Element | None:
+    """Least t in F_q, as a bit pattern, with psi(t*v) = Q(v) on `space`.
 
-    These are exactly the t whose curve meets the Weil bound over F_q.
-    The set is empty or a coset of the image of F, so its size is
-    checked against q / |ker F*|.
+    On the F_2-basis v_j of the subspace the conditions
+    Tr(t*v_j) = [Q(v_j) = -1] are one additive system; its least
+    solution is checked at every point.  The admissible t are empty or
+    that solution plus the annihilator of `space`, so None means none:
+    Q is non-real on the basis, or the system or the check fails.
     """
-    ctx, s = fd.ctx, fd.q_deg
-    kernel_values = [
-        (v, q_char(ctx, v, s)) for v in fd.adjoint_kernel.elements() if v
-    ]
-    hits = [
-        t
-        for t in sorted(ctx.subfield_elements(s))
-        if all(qv == psi_char(ctx, ctx.mul(t, v), s) for v, qv in kernel_values)
-    ]
-    if len(hits) not in (0, (1 << s) >> (fd.e * ctx.p_log)):
-        raise OracleMismatch(
-            f"{len(hits)} extremal parameters for {fd!r}: neither 0 nor q/|ker F*|"
-        )
-    return hits
+    ctx, basis = space.ctx, space.basis
+    values = {v: q_char(ctx, v, q_deg) for v in space.elements() if v}
+    signs = [values[v].k for v in basis]  # i-exponents, 2 for Q(v) = -1
+    if any(k % 2 for k in signs):
+        return None
+
+    def traces(x: Element) -> int:
+        return sum(ctx.trace(ctx.mul(x, v), q_deg, 1) << j for j, v in enumerate(basis))
+
+    try:
+        t = ctx.solve_additive(traces, sum(k // 2 << j for j, k in enumerate(signs)), q_deg)
+    except NoSolution:
+        return None
+    if any(psi_char(ctx, ctx.mul(t, v), q_deg) != value for v, value in values.items()):
+        return None
+    return t
 
 
 def classify_twists(
@@ -120,85 +127,131 @@ def classify_twists(
 ) -> TwistClassification:
     """Classify every twist of a head curve over its base field.
 
-    When `datum` is omitted one is recovered from the head.  Raises
-    KernelNotRational when ker(R + R*) does not lie in F_q,
-    OracleMismatch when any two routes disagree, and BudgetExceeded
-    when the counting route is requested but F_q exceeds the budget
-    (pass counting=False to classify by formula alone).
+    When `datum` is omitted one is recovered from the head.  The shift
+    is the least admissible parameter on ker F*, and Q at the shift
+    says which value of the bit is maximal.  Raises KernelNotRational
+    when ker(R + R*) does not lie in F_q, OracleMismatch when any two
+    routes disagree, and BudgetExceeded when the counting route is
+    requested but F_q exceeds the budget (pass counting=False to
+    classify by formula alone).
     """
     if not head.is_head:
-        raise ValueError("expected a head curve (zero linear coefficient)")
+        raise DomainError("expected a head curve (zero linear coefficient)")
     fd = _datum_for(head, datum)
     ctx, s = head.ctx, head.q_deg
-    assert s % (2 * ctx.p_log) == 0  # rational kernel forces even degree
-    elements = sorted(ctx.subfield_elements(s))
-
-    extremal = extremal_parameter_set(fd)
-    minus_target, plus_target = eigenvalue_targets(s)
-    s_minus, s_plus = [], []
-    for t in extremal:
-        value = q_char(ctx, t, s)
-        if value == minus_target:
-            s_minus.append(t)
-        elif value == plus_target:
-            s_plus.append(t)
-        else:
+    if s % (2 * ctx.p_log):
+        raise OracleMismatch(f"rational kernels over F_{{2^{s}}}, an odd power of p")
+    shift = least_admissible_parameter(fd.adjoint_kernel, s)
+    target_bit = 0
+    if shift is not None:  # Q(shift) is -i^(s/2) when the shift is maximal
+        value, targets = q_char(ctx, shift, s), eigenvalue_targets(s)
+        if value not in targets:
             raise OracleMismatch(
-                f"extremal parameter {t:#x} has non-real eigenvalue ratio {value}"
+                f"extremal parameter {shift:#x} has non-real eigenvalue ratio {value}"
             )
-    extremal_set = set(extremal)
-    neutral_params = [t for t in elements if t not in extremal_set]
+        target_bit = targets.index(value)
+    return image_classification(fd, shift, target_bit, budget if counting else None)
 
-    t_max = {fd.twist_coefficient(t) for t in s_minus}
-    t_min = {fd.twist_coefficient(t) for t in s_plus}
-    if t_max & t_min:
-        raise OracleMismatch("a twist coefficient is both maximal and minimal")
-    t_neutral = {a for a in elements if a not in t_max and a not in t_min}
-    for t in neutral_params:
-        if fd.twist_coefficient(t) not in t_neutral:
-            raise OracleMismatch(
-                f"non-extremal parameter {t:#x} lands on an extremal coefficient"
-            )
 
-    _check_trace_route(head, fd, elements, t_max | t_min)
-    if counting:
-        check_counting_route(head, elements, t_max, t_min, budget)
+def image_classification(
+    fd: TwistDatum, shift: Element | None, target_bit: int, budget: int | None = None
+) -> TwistClassification:
+    """Classification from the image parametrisation t = shift + F(u).
 
+    The extremal parameters are the coset shift + im F (none when
+    `shift` is None), and t = shift + F(u) is maximal exactly when
+    Tr_{q/2}(u(R(u) + a0*u)) = `target_bit`, a0 the twist of the shift;
+    its twist is a0 + E(u)^2, E = R + R*.  u walks F_q in Gray-code
+    order over an F_2-basis b_j, each step adding F(b_j) to t, E(b_j)^2
+    to a, and to the bit its value at b_j plus Tr_{q/2}(u*E(b_j)).  The
+    twists are checked against the trace route and, given a budget,
+    against brute counts.
+    """
+    ctx, q_deg = fd.ctx, fd.q_deg
+    head = head_curve(fd)
+    params, twists = (set(), set()), (set(), set())  # maximal, minimal
+    if shift is not None:
+        a0 = fd.twist_coefficient(shift)
+        basis = ctx.subfield_basis(q_deg)
+        E = head.e_skew()
+        steps = [(fd.F(b), ctx.sqr(E(b))) for b in basis]
+        bits = [
+            ctx.trace(ctx.mul(b, head.evaluate(b) ^ ctx.mul(a0, b)), q_deg, 1) for b in basis
+        ]
+        polar = [
+            sum(ctx.trace(ctx.mul(b, E(c)), q_deg, 1) << i for i, b in enumerate(basis))
+            for c in basis
+        ]
+        t, a, bit, coords = shift, a0, 0, 0
+        for k in range(1 << q_deg):
+            if k:
+                j = (k & -k).bit_length() - 1
+                bit ^= bits[j] ^ ((coords & polar[j]).bit_count() & 1)
+                coords ^= 1 << j
+                t, a = t ^ steps[j][0], a ^ steps[j][1]
+            params[bit ^ target_bit].add(t)
+            twists[bit ^ target_bit].add(a)
+    (minus_params, plus_params), (maximal, minimal) = params, twists
+    if minus_params & plus_params or maximal & minimal:
+        raise OracleMismatch("closed-form classes overlap")
+    extremal = minus_params | plus_params
+    if shift is not None and len(extremal) * ctx.p**fd.e != 1 << q_deg:
+        raise OracleMismatch("extremal parameter set has the wrong size")
+    if shift is not None and len(maximal | minimal) * ctx.p ** (2 * fd.e) != 1 << q_deg:
+        raise OracleMismatch("extremal coefficient set has the wrong size")
+    _check_trace_route(head, fd.composite_kernel, maximal | minimal)
+    field = ctx.subfield_elements(q_deg)
+    if budget is not None:
+        check_counting_route(head, field, maximal, minimal, budget)
     return TwistClassification(
         head=head,
         datum=fd,
-        extremal_parameters=tuple(extremal),
-        maximal_parameters=tuple(s_minus),
-        minimal_parameters=tuple(s_plus),
-        neutral_parameters=tuple(neutral_params),
-        maximal_twists=tuple(sorted(t_max)),
-        minimal_twists=tuple(sorted(t_min)),
-        neutral_twists=tuple(sorted(t_neutral)),
-        counting_checked=counting,
+        extremal_parameters=tuple(sorted(extremal)),
+        maximal_parameters=tuple(sorted(minus_params)),
+        minimal_parameters=tuple(sorted(plus_params)),
+        neutral_parameters=tuple(t for t in field if t not in extremal),
+        maximal_twists=tuple(sorted(maximal)),
+        minimal_twists=tuple(sorted(minimal)),
+        neutral_twists=tuple(a for a in field if a not in maximal and a not in minimal),
+        counting_checked=budget is not None,
     )
 
 
-def _check_trace_route(
-    head: CurveSpec,
-    fd: TwistDatum,
-    elements: list[Element],
-    extremal_twists: set[Element],
-) -> None:
-    """Extremal coefficients are those killing the trace form on ker(R+R*)."""
+def _trace_coset(head: CurveSpec, kernel: Fp2Subspace) -> tuple[Element, tuple] | None:
+    """Twists a with Tr_{q/p}(u(R(u) + au)) = 0 on kernel = ker(R + R*).
+
+    There u -> Tr_{q/2}(u(R(u) + au)) is additive and u -> cu, c in
+    F_p, scales its argument by c^2, so an F_2-basis u_j of the kernel
+    gives the whole condition: Tr_{q/2}(u_j^2 * a) = Tr_{q/2}(u_j*R(u_j)).
+    Returns the least solution and a basis of the kernel of this affine
+    system, or None without a solution.
+    """
     ctx, s = head.ctx, head.q_deg
-    points = [(u, head.evaluate(u)) for u in fd.composite_kernel.elements()]
-    via_trace = {
-        a
-        for a in elements
-        if all(
-            ctx.trace(ctx.mul(u, r_u ^ ctx.mul(a, u)), s, ctx.p_log) == 0
-            for u, r_u in points
+    rows = [(ctx.sqr(u), ctx.trace(ctx.mul(u, head.evaluate(u)), s, 1)) for u in kernel.basis]
+
+    def lhs(a: Element) -> int:
+        return sum(ctx.trace(ctx.mul(w, a), s, 1) << j for j, (w, _) in enumerate(rows))
+
+    try:
+        offset = ctx.solve_additive(lhs, sum(r << j for j, (_, r) in enumerate(rows)), s)
+    except NoSolution:
+        return None
+    basis = ctx.subfield_basis(s)
+    return offset, kernel_basis([lhs(b) for b in basis], basis)
+
+
+def _check_trace_route(head: CurveSpec, kernel: Fp2Subspace, twists: set[Element]) -> None:
+    """The trace route's coset must be the eigenvalue route's extremal twists."""
+    coset = _trace_coset(head, kernel)
+    if coset is None:
+        agree = not twists
+    else:
+        offset, basis = coset
+        agree = len(twists) == 1 << len(basis) and all(
+            span_contains(basis, a ^ offset) for a in twists
         )
-    }
-    if via_trace != extremal_twists:
-        raise OracleMismatch(
-            "trace-form extremality disagrees with the eigenvalue route"
-        )
+    if not agree:
+        raise OracleMismatch("trace-form extremality disagrees with the eigenvalue route")
 
 
 def check_counting_route(
@@ -245,8 +298,9 @@ def quadratic_extension_maximal(
     fd.require(4)
     ctx, s = fd.ctx, fd.q_deg
     if not ctx.in_subfield(t, s):
-        raise ValueError(f"twist parameter {t:#x} is outside the subfield")
-    assert s % 2 == 0
+        raise DomainError(f"twist parameter {t:#x} is outside the subfield")
+    if s % 2:
+        raise OracleMismatch(f"a rational composite kernel over odd degree {s}")
     verdict = ctx.trace(t, s, 1) == (s // 2 + 1) % 2
 
     q = 1 << s

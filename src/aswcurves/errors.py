@@ -75,6 +75,10 @@ class NotOnCurve(Char2Error, ValueError):
     """A point does not satisfy the curve equation."""
 
 
+class DomainError(Char2Error, ValueError):
+    """An argument lies outside the domain of the operation it is given to."""
+
+
 class ConditionViolated(Char2Error, ValueError):
     """A required operator condition (coefficients, kernels) fails."""
 

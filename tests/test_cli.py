@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: examples, formats, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -366,3 +367,41 @@ class TestOutputFile:
         code, data = run_json(capsys, "analyze", "q=F4; R=1,0", "--output", str(target))
         assert (code, data["error"]) == (1, error)
         assert str(target) in data["detail"]
+
+
+# -- twist tables and least-parameter recipes, pinned by sha256 -------------
+
+# (field, head a_e..a_1): p = 2, 4 and 8, moduli 0x19 and 0x211 (odd
+# degree), rational heads and KernelNotRational records
+PINNED_TWIST_HEADS = [
+    ("F4", "1"), ("F16", "1"), ("F16", "8"), ("F16", "1,0"),
+    ("F16:0x19", "3"), ("F16:0x19", "1,0"), ("F16:p=4", "1"), ("F16:p=4", "5"),
+    ("F64:p=8", "1"), ("F64:p=8", "2a"), ("F256", "53"), ("F256", "1,0"),
+    ("F256:p=4", "2"), ("F512:0x211", "1"), ("F1024", "1"), ("F4096", "1"),
+]
+# (field, --space): the least admissible parameter, spaces without one
+# (NoSolution), without 1 (HypothesisFailed) and odd degree (OddDegree)
+PINNED_RECIPES = [
+    ("F16", "1"), ("F16", "1,6"), ("F16", "1,a"), ("F16", "2"),
+    ("F64", "1"), ("F64", "1,a"), ("F256", "1"), ("F256", "1,f"),
+    ("F16:p=4", "1"), ("F16:p=4", "1,2"), ("F256:p=4", "1,6"),
+    ("F256:p=4", "1,f"), ("F8", "1"), ("F8", "2"),
+]
+PINNED_COMMANDS_SHA256 = "de5277ae823182f2b4fdd5596ac71360a6e9372bcb0401accc0520b82a1348d1"
+
+
+def pinned_commands():
+    for field, head in PINNED_TWIST_HEADS:
+        for fmt in ("json", "csv"):
+            for budget in ((), ("--budget", "1000")):
+                yield ("twists", f"q={field}; R={head}", "--format", fmt, *budget)
+    for field, space in PINNED_RECIPES:
+        yield ("construct", "--family", "recipe", "--field", field, "--space", space)
+
+
+def test_twists_and_recipe_output_is_pinned(capsys):
+    records = [[list(argv), *run(capsys, *argv)] for argv in pinned_commands()]
+    assert len(records) == 78
+    text = json.dumps(records, separators=(",", ":"))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == PINNED_COMMANDS_SHA256

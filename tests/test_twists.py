@@ -1,5 +1,9 @@
 """Twist classification and quadratic-extension maximality."""
 
+import hashlib
+import json
+import random
+
 import pytest
 
 from aswcurves.curves import (
@@ -7,19 +11,29 @@ from aswcurves.curves import (
     TwistDatum,
     brute_count,
     build_curve,
+    classify_small_kernel,
+    classify_subfield_kernel,
     classify_twists,
+    extremal_from_subspace,
+    head_curve,
+    palindromic_family,
     quadratic_extension_maximal,
     recover_head,
 )
-from aswcurves.curves import count
+from aswcurves.curves import count, twists
+from aswcurves.curves.twists import least_admissible_parameter
 from aswcurves.errors import (
     BudgetExceeded,
+    Char2Error,
     ConditionViolated,
+    DomainError,
+    HypothesisFailed,
     KernelNotRational,
     OracleMismatch,
 )
-from aswcurves.gf2field import FieldCtx, Fp2Subspace, make_field
+from aswcurves.gf2field import FieldCtx, Fp2Subspace, make_field, parse_field_spec
 from aswcurves.skew import SkewPoly, factor_through_symmetric
+from aswcurves.witt2 import psi_char, q_char
 
 F4 = make_field(2)
 F16 = make_field(4)
@@ -127,6 +141,7 @@ class TestClassifyInvariants:
         image = {tc.datum.F(u) for u in F16.subfield_elements(4)}
         base = tc.extremal_parameters[0]
         assert {base ^ t for t in tc.extremal_parameters} == image
+        assert base == least_admissible_parameter(tc.datum.adjoint_kernel, 4)
 
     @pytest.mark.parametrize("coeffs", RATIONAL_HEADS_16)
     def test_partitions_cover_the_field(self, coeffs):
@@ -237,3 +252,233 @@ class TestQuadraticExtension:
         fd = TwistDatum(SkewPoly.from_coeffs(big, [1, 1]), 2)
         with pytest.raises(ValueError):
             quadratic_extension_maximal(fd, 4)
+
+
+# -- every classifier on one fixed-seed draw, pinned by sha256 --------------
+
+# (ambient, q_deg): default and other moduli, p from 2 to 16, and
+# ambients wider than F_q
+GRID_FIELDS = [
+    (parse_field_spec("F16"), 4),
+    (parse_field_spec("F16:0x19"), 4),
+    (parse_field_spec("F16:0x1f"), 4),
+    (parse_field_spec("F16:p=4"), 4),
+    (parse_field_spec("F64:p=8"), 6),
+    (parse_field_spec("F256"), 8),
+    (parse_field_spec("F256:p=4"), 8),
+    (parse_field_spec("F256:p=16"), 8),
+    (parse_field_spec("F1024"), 10),
+    (parse_field_spec("F4096:p=4"), 12),
+    (make_field(8), 4),
+    (make_field(12, None, 2), 4),
+]
+CLASSIFICATION_GRID_SHA256 = "4b3e8c6b3972a30d002132c2e36c5b04e7da2542e2ea7fb4e93b1dede3925a74"
+
+
+def grid_heads(rng, ctx, q_deg, e):
+    """24 random heads of p-degree e and 6 heads of recipe data, whose
+    adjoint kernel is a random F_p-span of 1 and e - 1 elements."""
+    elements = ctx.subfield_elements(q_deg)
+    for _ in range(24):
+        tail = [rng.choice(elements) for _ in range(e - 1)]
+        yield CurveSpec(ctx, q_deg, (0, *tail, rng.choice(elements[1:])))
+    for _ in range(6):
+        space = Fp2Subspace.from_vectors(
+            ctx, [1] + [rng.choice(elements) for _ in range(e - 1)]
+        )
+        if space.dim_p == e:
+            F = SkewPoly.from_subspace(space).adjoint() * SkewPoly(ctx, {e: 1})
+            yield head_curve(TwistDatum(F, q_deg))
+
+
+def seven_tuples(tc):
+    return [
+        list(tc.extremal_parameters),
+        list(tc.maximal_parameters),
+        list(tc.minimal_parameters),
+        list(tc.neutral_parameters),
+        list(tc.maximal_twists),
+        list(tc.minimal_twists),
+        list(tc.neutral_twists),
+    ]
+
+
+def classification_grid():
+    """One row per rational head of the draw: the formula-only
+    classification, and the closed forms wherever their hypotheses hold."""
+    rng = random.Random(11)
+    rows = []
+    for ctx, q_deg in GRID_FIELDS:
+        for e in (1, 2):
+            for head in grid_heads(rng, ctx, q_deg, e):
+                try:
+                    tc = classify_twists(head, counting=False)
+                except KernelNotRational:
+                    continue
+                fd = tc.datum
+                try:
+                    small = seven_tuples(classify_small_kernel(fd))
+                except HypothesisFailed:
+                    small = None
+                pivots = {}
+                for q1_deg in range(ctx.p_log, q_deg // 2 + 1, ctx.p_log):
+                    try:
+                        sub, pivot = classify_subfield_kernel(fd, q1_deg)
+                    except HypothesisFailed:
+                        continue
+                    pivots[q1_deg] = [pivot, seven_tuples(sub)]
+                rows.append(
+                    [repr(ctx), q_deg, list(head.coeffs), seven_tuples(tc), small, pivots]
+                )
+            f_p = ctx.subfield_elements(ctx.p_log)
+            for _ in range(4):
+                f = [rng.choice(f_p[1:])] + [rng.choice(f_p) for _ in range(e)]
+                f[-1] = f[-1] or 1
+                try:
+                    fam = palindromic_family(ctx, q_deg, tuple(f), counting=False)
+                except Char2Error:
+                    continue
+                rows.append(
+                    [repr(ctx), q_deg, f, fam.pivot, fam.order, fam.power,
+                     seven_tuples(fam.classification)]
+                )
+    return rows
+
+
+class TestPinnedClassificationGrid:
+    def test_grid_is_pinned(self):
+        rows = classification_grid()
+        text = json.dumps(rows, separators=(",", ":"), sort_keys=True)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert (len(rows), sum(len(r) == 6 for r in rows)) == (171, 147)
+        assert digest == CLASSIFICATION_GRID_SHA256
+
+
+# -- the shift solve and the trace-route coset ------------------------------
+
+
+def least_admissible_by_scan(ctx, space, q_deg):
+    """Reference: the first t in ascending order matching Q on the space."""
+    for t in sorted(ctx.subfield_elements(q_deg)):
+        if all(
+            not v or q_char(ctx, v, q_deg) == psi_char(ctx, ctx.mul(t, v), q_deg)
+            for v in space.elements()
+        ):
+            return t
+    return None
+
+
+# (field, q_deg, head): p = 2, 4, 16, e = 1 and 2, an ambient wider than F_q
+SHIFT_HEADS = [
+    ("F16", 4, (0, 1)),
+    ("F16", 4, (0, 0, 7)),
+    ("F16:p=4", 4, (0, 1)),
+    ("F256", 8, (0, 0, 1)),
+    ("F256:p=4", 8, (0, 1)),
+    ("F256:p=16", 8, (0, 1)),
+    ("F256", 4, (0, 1)),
+]
+
+
+class TestShiftSolve:
+    @pytest.mark.parametrize("field,q_deg,coeffs", SHIFT_HEADS)
+    def test_few_quadratic_character_calls(self, monkeypatch, field, q_deg, coeffs):
+        ctx = parse_field_spec(field)
+        head = CurveSpec(ctx, q_deg, coeffs)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return q_char(*args)
+
+        monkeypatch.setattr(twists, "q_char", counted)
+        tc = classify_twists(head, counting=False)
+        assert tc.extremal_parameters
+        assert len(calls) <= 2 * ctx.p ** head.e + 2
+
+    @pytest.mark.parametrize(
+        "field", ["F16", "F64", "F256", "F16:p=4", "F256:p=4", "F64:p=8"]
+    )
+    def test_least_parameter_matches_ascending_scan(self, field):
+        ctx = parse_field_spec(field)
+        spaces = {Fp2Subspace.from_vectors(ctx, [1, w]) for w in ctx.subfield_elements(ctx.n)}
+        assert {space.dim_p for space in spaces} == {1, 2}
+        found = set()
+        for space in sorted(spaces, key=lambda space: space.basis):
+            want = least_admissible_by_scan(ctx, space, ctx.n)
+            assert least_admissible_parameter(space, ctx.n) == want, space
+            found.add(want is None)
+        assert found == {True, False}
+
+    @pytest.mark.parametrize(
+        "classify",
+        [
+            lambda fd: classify_twists(head_curve(fd), datum=fd, counting=False),
+            classify_small_kernel,
+            lambda fd: classify_subfield_kernel(fd, 2)[0],
+        ],
+        ids=["classify_twists", "small_kernel", "subfield_kernel"],
+    )
+    def test_wrong_trace_offset_is_a_mismatch(self, monkeypatch, classify):
+        fd = recover_head(CurveSpec(F16, 4, (0, 1)))
+        neutral = classify(fd).neutral_twists[0]
+        solve = twists._trace_coset
+        monkeypatch.setattr(
+            twists, "_trace_coset", lambda head, kernel: (neutral, solve(head, kernel)[1])
+        )
+        with pytest.raises(OracleMismatch, match="trace-form"):
+            classify(fd)
+
+    @pytest.mark.parametrize(
+        "field,q_deg,coeffs", [("F16", 4, (0, 1)), ("F256:p=4", 8, (0, 1))]
+    )
+    def test_non_admissible_shift_is_a_mismatch(self, monkeypatch, field, q_deg, coeffs):
+        head = CurveSpec(parse_field_spec(field), q_deg, coeffs)
+        neutral = classify_twists(head, counting=False).neutral_parameters[0]
+        monkeypatch.setattr(twists, "least_admissible_parameter", lambda *args: neutral)
+        with pytest.raises(OracleMismatch):
+            classify_twists(head, counting=False)
+
+    def test_palindromic_family_checks_the_trace_route(self, monkeypatch):
+        monkeypatch.setattr(twists, "_trace_coset", lambda head, kernel: None)
+        with pytest.raises(OracleMismatch, match="trace-form"):
+            palindromic_family(F16, 4, (1, 1), counting=False)
+
+
+class TestChecksSurvivePythonO:
+    """The result checks of the module raise OracleMismatch, not assert."""
+
+    def test_eigenvalue_targets_need_an_even_degree(self):
+        with pytest.raises(OracleMismatch, match="even"):
+            twists.eigenvalue_targets(3)
+
+    def test_classify_needs_an_even_power_of_p(self, monkeypatch):
+        monkeypatch.setattr(twists, "_datum_for", lambda head, datum: None)
+        with pytest.raises(OracleMismatch, match="odd power"):
+            classify_twists(CurveSpec(make_field(3), 3, (0, 1)))
+
+    def test_quadratic_extension_needs_an_even_degree(self, monkeypatch):
+        monkeypatch.setattr(TwistDatum, "require", lambda self, upto: None)
+        fd = TwistDatum(SkewPoly.from_coeffs(make_field(3), [1, 1]), 3)
+        with pytest.raises(OracleMismatch, match="odd degree"):
+            quadratic_extension_maximal(fd, 0)
+
+
+def test_domain_errors_at_every_site():
+    """Arguments outside an operation's domain raise DomainError, which
+    is still a ValueError."""
+    head = CurveSpec(F16, 4, (0, 1))
+    fd = recover_head(head)
+    wide = TwistDatum(SkewPoly.from_coeffs(F16, [1, 1]), 2)
+    sites = [
+        lambda: classify_twists(head, counting=False).twist_class(16),
+        lambda: classify_twists(CurveSpec(F16, 4, (0, 8)), datum=fd),
+        lambda: classify_twists(CurveSpec(F16, 4, (1, 1))),
+        lambda: quadratic_extension_maximal(wide, 4),
+        lambda: extremal_from_subspace(Fp2Subspace.from_vectors(F16, [1, W]), 0, 2),
+        lambda: wide.twist_coefficient(4),
+    ]
+    for site in sites:
+        with pytest.raises(DomainError):
+            site()
+    assert issubclass(DomainError, ValueError)
