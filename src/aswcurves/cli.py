@@ -224,14 +224,12 @@ def curve_report(spec: CurveSpec, extensions: list[int], cfg: RunConfig) -> dict
     for m in over_budget:
         warnings.append(f"extension {m}: size {spec.q**m} over budget{route}")
 
-    twist_class = None
     if lp is not None:
-        twist_class = weil_class(spec, 1, lp.point_count(1))
-    elif spec.q <= cfg.budget:
-        twist_class = weil_class(
-            spec, 1, brute_count(spec, 1, budget=cfg.budget, threads=cfg.threads)
-        )
+        count = lp.point_count(1)
     else:
+        count = checked_count(spec, 1, None, cfg.budget, cfg.threads)
+    twist_class = None if count is None else weil_class(spec, 1, count)
+    if count is None:
         warnings.append("class unavailable: no eigenvalue route and field over budget")
 
     return {

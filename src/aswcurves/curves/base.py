@@ -47,19 +47,19 @@ class CurveSpec:
 
     def __init__(self, ctx: FieldCtx, q_deg: int, coeffs: tuple[Element, ...]):
         if q_deg <= 0 or ctx.n % q_deg or q_deg % ctx.p_log:
-            raise ValueError(
+            raise DomainError(
                 f"subfield degree {q_deg} must divide {ctx.n} and be a "
                 f"multiple of {ctx.p_log}"
             )
         coeffs = tuple(coeffs)
         if len(coeffs) < 2:
-            raise ValueError("the defining polynomial needs degree e >= 1")
+            raise DomainError("the defining polynomial needs degree e >= 1")
         if coeffs[-1] == 0:
-            raise ValueError("the leading coefficient must be nonzero")
+            raise DomainError("the leading coefficient must be nonzero")
         for c in coeffs:
             ctx.check(c)
             if not ctx.in_subfield(c, q_deg):
-                raise ValueError(f"coefficient {c:#x} is outside the declared subfield")
+                raise DomainError(f"coefficient {c:#x} is outside the declared subfield")
         self.ctx = ctx
         self.q_deg = q_deg
         self.coeffs = coeffs
@@ -161,13 +161,13 @@ class TwistDatum:
     def __init__(self, F: SkewPoly, q_deg: int):
         ctx = F.ctx
         if q_deg <= 0 or ctx.n % q_deg or q_deg % ctx.p_log:
-            raise ValueError(
+            raise DomainError(
                 f"subfield degree {q_deg} must divide {ctx.n} and be a "
                 f"multiple of {ctx.p_log}"
             )
         for c in F.coeffs.values():
             if not ctx.in_subfield(c, q_deg):
-                raise ValueError(
+                raise DomainError(
                     f"coefficient {c:#x} is outside the declared subfield"
                 )
         self.F = F
@@ -303,14 +303,15 @@ def weil_class(spec: CurveSpec, m: int, count: int) -> str:
     """Class of a projective count over F_{q^m}: maximal, minimal,
     neutral (exactly q^m + 1) or interior.
 
-    Raises OracleMismatch for a count outside the Weil bound, which no
-    correct route can produce.
+    This is the package's one extremality verdict.  Like weil_gap it
+    reads only `spec.q` and `spec.genus`, so `spec` may also be an
+    LPolynomial.  Raises OracleMismatch for a count outside the Weil
+    bound, which no correct route can produce.
     """
     deviation = count - spec.q**m - 1
     if deviation * deviation > 4 * spec.genus**2 * spec.q**m:
         raise OracleMismatch(
-            f"count {count} over extension {m} of {format_curve_spec(spec)} "
-            f"violates the Weil bound"
+            f"count {count} over extension {m} of {spec!r} violates the Weil bound"
         )
     if deviation == 0:
         return "neutral"

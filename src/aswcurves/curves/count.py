@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from ..bitvec import apply_tables, byte_tables
-from ..errors import AmbientTooSmall, BudgetExceeded, OracleMismatch
+from ..errors import AmbientTooSmall, BudgetExceeded, DomainError, OracleMismatch
 from ..gf2field import MAX_DEGREE, FieldCtx, linear_map, make_field
 from .base import CurveSpec, format_curve_spec
 
@@ -155,7 +155,7 @@ def trace_zero_count(
     evaluated on the quadratic forms of the module docstring.
     """
     if m < 1:
-        raise ValueError("extension degree must be >= 1")
+        raise DomainError("extension degree must be >= 1")
     size = 1 << (spec.q_deg * m)
     if size > budget:
         raise BudgetExceeded(

@@ -43,7 +43,7 @@ from ..errors import (
 from ..gf2field import MAX_DEGREE, Element, FieldCtx, Fp2Subspace
 from ..skew import SkewPoly
 from ..witt2 import GaussInt, GaussUnit, WittPair, psi_char, q_char, witt_trace, witt_zero, xi2
-from .base import CurveSpec, TwistDatum, build_curve, head_curve
+from .base import CurveSpec, TwistDatum, build_curve, head_curve, weil_class
 from .count import DEFAULT_BUDGET, checked_count
 from .lpoly import LPolynomial, l_polynomial
 from .presentation import recover_datum
@@ -113,11 +113,12 @@ def extremal_from_subspace(
     if fd.adjoint_kernel != space:
         raise OracleMismatch("recipe datum's adjoint kernel is not the subspace")
     lp = l_polynomial(fd, t)
-    if not lp.is_extremal:
+    label = weil_class(lp, 1, lp.point_count(1))
+    if label not in ("maximal", "minimal"):
         raise OracleMismatch("recipe produced a non-extremal curve")
     minus, _ = eigenvalue_targets(q_deg)
     verdict = q_char(ctx, t, q_deg) == minus
-    if verdict != lp.is_maximal:
+    if verdict != (label == "maximal"):
         raise OracleMismatch("character sign disagrees with the eigenvalues")
     curve = build_curve(fd, t)
     checked = _brute_against(curve, lp, budget)
@@ -383,13 +384,10 @@ def hermitian_twist(
         verdict = (m // 2 + ctx.trace(beta, ctx.p_log, 1)) % 2 == 1
         fd, t = recover_datum(spec)
         lp = l_polynomial(fd, t)
-        if not lp.is_extremal or lp.is_maximal != verdict:
+        if weil_class(spec, 1, lp.point_count(1)) != ("maximal" if verdict else "minimal"):
             raise OracleMismatch("parity formula disagrees with the eigenvalues")
-        checked = _brute_against(spec, lp, budget)
-        root = lp.common_root()
-        if root is None:
-            raise OracleMismatch("extremal curve has no common eigenvalue")
-        return HermitianReport(spec, 0, True, verdict, (root,), lp, checked)
+        checked = _brute_against(spec, lp, budget)  # extremal: all eigenvalues agree
+        return HermitianReport(spec, 0, True, verdict, lp.roots[:1], lp, checked)
     z = ctx.mul(ctx.frob_p(alpha, 1), ctx.inv(alpha))
     group = (1 << (2 * ctx.p_log)) - 1
     y = ctx.pow(z, pow(4, -1, group))
@@ -410,8 +408,6 @@ def hermitian_twist(
     if fd.twist_coefficient(t) != a:
         raise OracleMismatch("closed-form parameter misses its coefficient")
     lp = l_polynomial(fd, t)
-    if lp.is_extremal:
-        raise OracleMismatch("nonzero relative trace cannot be extremal")
     norm = ctx.mul(ctx.frob_p(alpha, 1), alpha)
     if not ctx.in_subfield(norm, ctx.p_log):
         raise OracleMismatch("norm of the relative trace leaves F_p")
@@ -422,10 +418,9 @@ def hermitian_twist(
     )
     if lp.roots != expected:
         raise OracleMismatch("eigenvalues miss the prescribed pair")
-    q, genus = spec.q, spec.genus
-    if lp.point_count(1) != q + 1:
-        raise OracleMismatch("count over F_q is not q + 1")
-    if lp.point_count(2) != q * q + 1 - 2 * genus * ((-1) ** tb) * q:
+    if weil_class(spec, 1, lp.point_count(1)) != "neutral":
+        raise OracleMismatch("nonzero relative trace leaves the count off q + 1")
+    if weil_class(spec, 2, lp.point_count(2)) != ("minimal", "maximal")[tb]:
         raise OracleMismatch("count over F_{q^2} misses the prescribed sign")
     checked = _brute_against(spec, lp, budget)
     return HermitianReport(spec, alpha, False, None, (lam, -lam), lp, checked)

@@ -12,9 +12,10 @@ the standard zeta identity, exactly and without any floating point.
 
 from __future__ import annotations
 
+from ..errors import DomainError, OracleMismatch
 from ..gf2field import Element
 from ..witt2 import GaussInt, hd_sum, q_char
-from .base import TwistDatum
+from .base import TwistDatum, weil_class
 
 __all__ = ["LPolynomial", "l_polynomial"]
 
@@ -30,10 +31,10 @@ class LPolynomial:
 
     def __init__(self, q: int, multiplicity: int, roots: tuple[GaussInt, ...]):
         if multiplicity < 1 or not roots:
-            raise ValueError("need at least one eigenvalue with multiplicity >= 1")
+            raise DomainError("need at least one eigenvalue with multiplicity >= 1")
         for r in roots:
             if r.abs2() != q:
-                raise ValueError(f"eigenvalue {r} has norm {r.abs2()}, expected {q}")
+                raise DomainError(f"eigenvalue {r} has norm {r.abs2()}, expected {q}")
         self.q = q
         self.multiplicity = multiplicity
         self.roots = tuple(sorted(roots, key=lambda z: (z.re, z.im)))
@@ -56,10 +57,15 @@ class LPolynomial:
         """Total degree counting multiplicity; equals twice the genus."""
         return self.multiplicity * len(self.roots)
 
+    @property
+    def genus(self) -> int:
+        """Genus of the curve, half the degree."""
+        return self.degree // 2
+
     def point_count(self, m: int) -> int:
         """Projective point count over the degree-m extension of F_q."""
         if m < 1:
-            raise ValueError("extension degree must be >= 1")
+            raise DomainError("extension degree must be >= 1")
         acc = GaussInt(0)
         for r in self.roots:
             acc = acc + r**m
@@ -74,18 +80,15 @@ class LPolynomial:
     @property
     def is_extremal(self) -> bool:
         """Whether the count over F_q sits at the Weil bound (either sign)."""
-        common = self.common_root()
-        if common is None or common.im != 0:
-            return False
-        return common.re * common.re == self.q
+        return self.is_maximal or self.is_minimal
 
     @property
     def is_maximal(self) -> bool:
-        return self.is_extremal and self.roots[0].re < 0
+        return weil_class(self, 1, self.point_count(1)) == "maximal"
 
     @property
     def is_minimal(self) -> bool:
-        return self.is_extremal and self.roots[0].re > 0
+        return weil_class(self, 1, self.point_count(1)) == "minimal"
 
     def poly_coeffs(self) -> tuple[int, ...]:
         """Coefficients of prod(1 - tau*T)^mult, ascending in T, as ints."""
@@ -108,12 +111,13 @@ def l_polynomial(fd: TwistDatum, t: Element) -> LPolynomial:
     fd.require(3)
     ctx, s = fd.ctx, fd.q_deg
     if not ctx.in_subfield(t, s):
-        raise ValueError(f"twist parameter {t:#x} is outside the subfield")
+        raise DomainError(f"twist parameter {t:#x} is outside the subfield")
     base = hd_sum(s)
     roots = []
     for v in fd.adjoint_kernel.elements():
         tau = q_char(ctx, t ^ v, s).inv().gauss() * base
         roots.append(tau)
     lp = LPolynomial(1 << s, ctx.p - 1, tuple(roots))
-    assert lp.degree == 2 * ((ctx.p - 1) * ctx.p ** fd.e // 2)
+    if lp.degree != 2 * ((ctx.p - 1) * ctx.p ** fd.e // 2):
+        raise OracleMismatch(f"{len(roots)} eigenvalues for a datum of degree {fd.e}")
     return lp

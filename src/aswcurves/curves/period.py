@@ -15,12 +15,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from ..errors import AmbientTooSmall, BudgetExceeded, CapExceeded, OracleMismatch
+from ..errors import (
+    AmbientTooSmall,
+    BudgetExceeded,
+    CapExceeded,
+    DomainError,
+    NoTwistParameter,
+    OracleMismatch,
+)
 from ..gf2field import MAX_DEGREE, Element, make_field, transport
-from .base import CurveSpec, weil_class, weil_gap
+from .base import CurveSpec, weil_class
 from .count import DEFAULT_BUDGET, brute_count, checked_count
 from .lpoly import l_polynomial
-from .presentation import parameter_search, recover_head
+from .presentation import recover_datum
 
 __all__ = [
     "PeriodParity",
@@ -53,40 +60,34 @@ def _extend(spec: CurveSpec, n: int) -> CurveSpec:
     return CurveSpec(big, deg, coeffs)
 
 
-def _count_verdict(spec_n: CurveSpec, budget: int) -> bool | None:
-    """Maximality from a direct count; None when the bound is not met."""
-    if weil_gap(spec_n) is None:
-        return None
-    label = weil_class(spec_n, 1, brute_count(spec_n, 1, budget=budget))
-    return {"maximal": True, "minimal": False}.get(label)
+# PeriodParity.delta of each Weil class that attains the bound
+_DELTA = {"maximal": -1, "minimal": 1}
 
 
 def _refute_by_count(spec_n: CurveSpec, budget: int) -> None:
     """Confirm by direct count that the bound is not met, if affordable."""
     if spec_n.q > budget:
         return
-    if _count_verdict(spec_n, budget) is not None:
+    if weil_class(spec_n, 1, brute_count(spec_n, 1, budget=budget)) in _DELTA:
         raise OracleMismatch(f"{spec_n} meets the bound without a twist presentation")
 
 
-def _formula_verdict(spec_n: CurveSpec, budget: int) -> bool | None:
-    """Maximality via datum recovery; None when the bound is not met.
+def _formula_class(spec_n: CurveSpec, budget: int) -> str | None:
+    """Weil class over F_q via datum recovery; None without a parameter.
 
     A bound-attaining curve is always a twist of its own head with a
     parameter in the declared field, so a failed parameter search
     refutes attainment; within `budget` the refutation, and every
     eigenvalue count, is confirmed by a direct count.
     """
-    fd = recover_head(spec_n.head())
-    t = parameter_search(fd, spec_n.coeffs[0])
-    if t is None:
+    try:
+        fd, t = recover_datum(spec_n)
+    except NoTwistParameter:
         _refute_by_count(spec_n, budget)
         return None
-    lp = l_polynomial(fd, t)
-    checked_count(spec_n, 1, lp.point_count(1), budget)
-    if not lp.is_extremal:
-        return None
-    return bool(lp.is_maximal)
+    count = l_polynomial(fd, t).point_count(1)
+    checked_count(spec_n, 1, count, budget)
+    return weil_class(spec_n, 1, count)
 
 
 def period_parity(
@@ -108,7 +109,7 @@ def period_parity(
     """
     ctx = spec.ctx
     if spec.q_deg != ctx.p_log:
-        raise ValueError("period search needs coefficients declared over F_p itself")
+        raise DomainError("period search needs coefficients declared over F_p itself")
     splitting = spec.e_skew().kernel_splitting_degree()
     for n in range(1, cap + 1):
         deg = n * ctx.p_log
@@ -124,16 +125,16 @@ def period_parity(
             )
         spec_n = _extend(spec, n)
         if 2 * deg <= MAX_DEGREE:
-            verdict = _formula_verdict(spec_n, budget)
+            label = _formula_class(spec_n, budget)
         elif spec_n.q <= budget:
-            verdict = _count_verdict(spec_n, budget)
+            label = weil_class(spec_n, 1, brute_count(spec_n, 1, budget=budget))
         else:
             raise AmbientTooSmall(
                 f"extension degree {n} needs ambient degree {2 * deg} for the "
                 f"eigenvalue route and its field size exceeds budget {budget}"
             )
-        if verdict is not None:
-            return PeriodParity(n, -1 if verdict else 1)
+        if label in _DELTA:
+            return PeriodParity(n, _DELTA[label])
     raise CapExceeded(f"no extension degree up to {cap} attains the bound")
 
 
@@ -250,9 +251,10 @@ def impossibility_scan(
         for n in range(1, n_max + 1):
             if (n * p_log) % 2:
                 continue
-            verdict = _count_verdict(_extend(spec, n), budget)
-            if verdict is not None:
-                found = PeriodParity(n, -1 if verdict else 1)
+            spec_n = _extend(spec, n)
+            label = weil_class(spec_n, 1, brute_count(spec_n, 1, budget=budget))
+            if label in _DELTA:
+                found = PeriodParity(n, _DELTA[label])
                 break
         _cross_check(spec, found, n_max, budget)
         periods.append((coeffs, found))

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from ..errors import (
     AmbientTooSmall,
+    DomainError,
     KernelNotRational,
     NoSolution,
     NotIsotropic,
@@ -74,17 +75,9 @@ class PresentationReport:
         )
 
 
-def _form_vanishes(spec: CurveSpec, points: list[Element]) -> bool:
-    """Whether Tr(u * R(u)) to F_p is zero at every listed subfield point."""
-    ctx = spec.ctx
-    return all(
-        ctx.trace(ctx.mul(u, spec.evaluate(u)), spec.q_deg, ctx.p_log) == 0
-        for u in points
-    )
-
-
 def _form_sqrt(spec: CurveSpec, u: Element) -> Element:
-    """sqrt(Tr(u * R(u))), the F_p-linear form behind the isotropic search."""
+    """sqrt(Tr(u * R(u))) to F_p at a subfield point u, the F_p-linear form
+    of flag 3 and of the isotropic search."""
     ctx = spec.ctx
     return ctx.sqrt(ctx.trace(ctx.mul(u, spec.evaluate(u)), spec.q_deg, ctx.p_log))
 
@@ -115,8 +108,10 @@ def _witness_from_lagrangian(
     fd = _datum_through(pspec, lagrangian, spec.ctx)
     fd.require(3)
     t = parameter_search(fd, spec.coeffs[0])
-    assert t is not None, "parameter must exist once the Lagrangian is found"
-    assert build_curve(fd, t) == spec
+    if t is None:
+        raise OracleMismatch(f"no twist parameter of {spec!r} past its Lagrangian")
+    if build_curve(fd, t) != spec:
+        raise OracleMismatch(f"the witness of {spec!r} rebuilds another curve")
     return fd, t
 
 
@@ -160,8 +155,9 @@ def presentation_conditions(spec: CurveSpec) -> PresentationReport:
 
     Vq = V.intersect_subfield(q_deg)
     radical = pc.orthogonal_complement(Vq)
-    assert radical == _frobenius_image(probe, V, q_deg)
-    flag3 = _form_vanishes(pspec, radical.elements())
+    if radical != _frobenius_image(probe, V, q_deg):
+        raise OracleMismatch(f"radical of {spec!r} is not the image of u^q + u")
+    flag3 = not any(_form_sqrt(pspec, u) for u in radical.elements())
 
     try:
         lagrangian = maximal_isotropic(
@@ -215,7 +211,7 @@ def recover_head(head: CurveSpec) -> TwistDatum:
     canonical context of F_q.
     """
     if not head.is_head:
-        raise ValueError("recovery of a datum starts from a zero linear term")
+        raise DomainError("recovery of a datum starts from a zero linear term")
     ctx, q_deg = head.ctx, head.q_deg
     E = head.e_skew()
     if q_deg % E.kernel_splitting_degree() != 0:
@@ -228,7 +224,8 @@ def recover_head(head: CurveSpec) -> TwistDatum:
     lagrangian = maximal_isotropic(pc, phi=lambda u: _form_sqrt(hspec, u))
     fd = _datum_through(hspec, lagrangian, ctx)
     fd.require(4)
-    assert head_curve(fd) == head
+    if head_curve(fd) != head:
+        raise OracleMismatch(f"the datum recovered from {head!r} has another head")
     return fd
 
 
@@ -245,5 +242,6 @@ def recover_datum(spec: CurveSpec) -> tuple[TwistDatum, Element]:
         raise NoTwistParameter(
             f"linear coefficient {spec.coeffs[0]:#x} is outside the twist image"
         )
-    assert build_curve(fd, t) == spec
+    if build_curve(fd, t) != spec:
+        raise OracleMismatch(f"the datum recovered for {spec!r} rebuilds another curve")
     return fd, t

@@ -25,7 +25,7 @@ from functools import cached_property
 
 from ..errors import BudgetExceeded, DomainError, KernelNotRational, NoSolution, OracleMismatch
 from ..gf2field import MAX_DEGREE, Element, Fp2Subspace, kernel_basis, span_contains
-from ..witt2 import GaussInt, GaussUnit, psi_char, q_char
+from ..witt2 import GaussUnit, psi_char, q_char
 from .base import CurveSpec, TwistDatum, build_curve, head_curve, weil_class
 from .count import DEFAULT_BUDGET, brute_count, checked_count
 from .lpoly import l_polynomial
@@ -291,9 +291,9 @@ def quadratic_extension_maximal(
     """Whether the curve of (fd, t) is maximal over F_{q^2}.
 
     Reads the verdict off Tr_{q/2}(t) alone, re-derives it from the
-    squared eigenvalues, and confirms with a brute count over F_{q^2}
-    when that fits the budget and the ambient field.  Requires all four
-    datum conditions.
+    eigenvalue count over F_{q^2}, which must be maximal or minimal, and
+    confirms with a brute count over F_{q^2} when that fits the budget
+    and the ambient field.  Requires all four datum conditions.
     """
     fd.require(4)
     ctx, s = fd.ctx, fd.q_deg
@@ -303,13 +303,9 @@ def quadratic_extension_maximal(
         raise OracleMismatch(f"a rational composite kernel over odd degree {s}")
     verdict = ctx.trace(t, s, 1) == (s // 2 + 1) % 2
 
-    q = 1 << s
     lp = l_polynomial(fd, t)
-    squares = {r * r for r in lp.roots}
-    if squares != ({GaussInt(-q)} if verdict else {GaussInt(q)}):
-        raise OracleMismatch(
-            "squared eigenvalues disagree with the trace verdict"
-        )
+    if weil_class(lp, 2, lp.point_count(2)) != ("maximal" if verdict else "minimal"):
+        raise OracleMismatch("the count over F_{q^2} disagrees with the trace verdict")
 
     if 2 * s <= MAX_DEGREE:
         checked_count(build_curve(fd, t), 2, lp.point_count(2), budget)

@@ -67,10 +67,6 @@ class NotSymplectic(Char2Error, ValueError):
     """A pairing expected to be alternating/nondegenerate is not."""
 
 
-class StabilizerNotCompatible(Char2Error, ValueError):
-    """The requested automorphism does not stabilize the construction."""
-
-
 class NotOnCurve(Char2Error, ValueError):
     """A point does not satisfy the curve equation."""
 

@@ -33,6 +33,7 @@ from .errors import (
     OracleMismatch,
     ParseError,
     ReduciblePolynomial,
+    ZeroDivisor,
 )
 
 # Elements are bare ints; the alias only documents intent in signatures.
@@ -342,7 +343,7 @@ class FieldCtx:
 
     def inv(self, a: Element) -> Element:
         if a == 0:
-            raise ZeroDivisionError("inverting 0")
+            raise ZeroDivisor("inverting 0")
         return self.pow(a, (1 << self.n) - 2)
 
     def sqrt(self, a: Element) -> Element:
@@ -381,10 +382,11 @@ class FieldCtx:
     # -- subfields and traces ------------------------------------------------
 
     def in_subfield(self, a: Element, deg: int) -> bool:
-        """Whether a lies in the subfield of degree deg over F_2."""
+        """Whether a lies in the subfield of degree deg over F_2; never for
+        a >= 2^n, which frob(a, n) would return unchanged."""
         if self.n % deg != 0:
             raise DegreeMismatch(f"degree {deg} does not divide {self.n}")
-        return self.frob(a, deg) == a
+        return a >> self.n == 0 and self.frob(a, deg) == a
 
     def trace(self, a: Element, from_deg: int, to_deg: int) -> Element:
         """Additive trace from the degree-from_deg subfield down to to_deg.

@@ -21,6 +21,7 @@ from .errors import (
     CapExceeded,
     CtxMismatch,
     DegreeMismatch,
+    DomainError,
     NotDivisible,
     NotSelfAdjoint,
     OracleMismatch,
@@ -154,7 +155,7 @@ class SkewPoly:
 
     def __pow__(self, k: int) -> "SkewPoly":
         if k < 0:
-            raise ValueError("negative powers are not defined")
+            raise DomainError("negative powers are not defined")
         out, base = SkewPoly.one(self.ctx), self
         while k:
             if k & 1:

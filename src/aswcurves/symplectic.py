@@ -6,9 +6,10 @@ g^p + g = xF(y) + yF*(x).  Restricted to u in ker F and u* in ker F*,
 the value omega(u, u*) := g(u*, u) lands in F_p and the resulting
 pairing is nondegenerate; when F is self-adjoint it is alternating, so
 ker F becomes a symplectic F_p-space.  This module computes g, the
-pairing, orthogonal complements, constrained maximal isotropic
-subspaces, and the finite Heisenberg group attached to a linearized
-polynomial R (elements (a, b) with b^p + b = a*R(a)).
+pairing, orthogonal complements, maximal isotropic subspaces (grown one
+vector at a time, on which an optional F_p-linear form vanishes), and
+the finite Heisenberg group attached to a linearized polynomial R
+(elements (a, b) with b^p + b = a*R(a)).
 
 Everything is exact; pairing values are elements of the degree-p_log
 subfield of the working context.
@@ -27,7 +28,6 @@ from .errors import (
     NotSubspaceOfW,
     NotSymplectic,
     OracleMismatch,
-    StabilizerNotCompatible,
 )
 from .gf2field import Element, FieldCtx, Fp2Subspace, kernel_basis, rref_basis
 from .skew import SkewPoly
@@ -143,15 +143,16 @@ def factor_complement_check(
 def maximal_isotropic(
     pc: PairingCtx,
     phi: Callable[[Element], Element] | None = None,
-    stabilizer: Callable[[Element], Element] | None = None,
     within: Fp2Subspace | None = None,
 ) -> Fp2Subspace:
     """A maximal totally isotropic subspace of ker F, deterministically.
 
     Optional constraints: phi, an F_p-linear form that must vanish on
-    the result; stabilizer, an F_p-linear map that must fix the result
-    as a set; within, a subspace of ker F to work inside (the form may
+    the result; within, a subspace of ker F to work inside (the form may
     be degenerate there, and the result then contains its radical).
+    As omega and phi are F_p-linear, a vector v extends an isotropic U
+    on which phi vanishes exactly when phi(v), omega(v, v) and omega(u, v)
+    vanish for u in an F_p-basis of U; that is the one test applied.
     The search walks candidate vectors in increasing order with full
     backtracking, so the outcome is reproducible and exists whenever
     any constrained maximal isotropic subspace exists.
@@ -161,66 +162,34 @@ def maximal_isotropic(
     space = pc.W if within is None else within
     if within is not None and not within.is_subspace_of(pc.W):
         raise NotSubspaceOfW("within is not a subspace of ker F")
-    ctx = pc.ctx
     rad = pc.radical(space)
     if (space.dim_p - rad.dim_p) % 2:
         raise OracleMismatch(f"alternating form of odd rank {space.dim_p - rad.dim_p}")
     target = rad.dim_p + (space.dim_p - rad.dim_p) // 2
 
-    if stabilizer is not None:
-        fixed = [stabilizer(v) for v in space.basis]
-        if not all(space.contains(w) for w in fixed):
-            raise StabilizerNotCompatible("map does not preserve the space")
-
-    def closure(vecs: list[Element]) -> Fp2Subspace:
-        sub = Fp2Subspace.from_vectors(ctx, vecs, space.p_log)
-        if stabilizer is None:
-            return sub
-        while True:
-            extra = [stabilizer(v) for v in sub.basis if not sub.contains(stabilizer(v))]
-            if not extra:
-                return sub
-            sub = Fp2Subspace.from_vectors(ctx, list(sub.basis) + extra, space.p_log)
-
-    def admissible(sub: Fp2Subspace) -> bool:
-        if sub.dim_p > target or not sub.is_subspace_of(space):
+    def extends(basis: list[Element], v: Element) -> bool:
+        if phi is not None and phi(v) != 0:
             return False
-        basis = sub.fp_basis()
-        for a in basis:
-            if phi is not None and phi(a) != 0:
-                return False
-            for b in basis:
-                if pc.omega(a, b, check=False) != 0:
-                    return False
-        return True
+        return all(pc.omega(u, v, check=False) == 0 for u in basis + [v])
 
+    start = list(rad.fp_basis())
+    if not all(extends(start[:k], v) for k, v in enumerate(start)):
+        raise NotIsotropic("constraints fail on the radical")
     elements = space.elements()
-    start = closure(list(rad.basis))
-    if not admissible(start):
-        raise (
-            StabilizerNotCompatible("radical closure is not isotropic")
-            if stabilizer is not None
-            else NotIsotropic("constraints fail on the radical")
-        )
 
-    def extend(current: Fp2Subspace, floor: Element) -> Fp2Subspace | None:
+    def extend(basis: list[Element], floor: Element) -> Fp2Subspace | None:
+        current = Fp2Subspace.from_vectors(pc.ctx, basis, space.p_log)
         if current.dim_p == target:
             return current
         for v in elements:
-            if v <= floor or current.contains(v):
-                continue
-            grown = closure(list(current.basis) + [v])
-            if not admissible(grown):
-                continue
-            found = extend(grown, v)
-            if found is not None:
-                return found
+            if v > floor and not current.contains(v) and extends(basis, v):
+                found = extend(basis + [v], v)
+                if found is not None:
+                    return found
         return None
 
     result = extend(start, 0)
     if result is None:
-        if stabilizer is not None:
-            raise StabilizerNotCompatible("no invariant maximal isotropic subspace")
         raise NotIsotropic("no maximal isotropic subspace meets the constraints")
     return result
 

@@ -23,7 +23,14 @@ import re
 import numpy as np
 
 from . import bitvec
-from .errors import CtxMismatch, DegreeMismatch, NonRealCount, OracleMismatch, ParseError
+from .errors import (
+    CtxMismatch,
+    DegreeMismatch,
+    DomainError,
+    NonRealCount,
+    OracleMismatch,
+    ParseError,
+)
 from .gf2field import Element, FieldCtx, make_field
 
 
@@ -84,7 +91,7 @@ class GaussInt:
 
     def __pow__(self, e: int):
         if e < 0:
-            raise ValueError("negative powers stay outside Z[i]")
+            raise DomainError("negative powers stay outside Z[i]")
         r, b = GaussInt(1), self
         while e:
             if e & 1:

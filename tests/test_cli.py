@@ -405,3 +405,64 @@ def test_twists_and_recipe_output_is_pinned(capsys):
     text = json.dumps(records, separators=(",", ":"))
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == PINNED_COMMANDS_SHA256
+
+
+# -- reports, periods, searches and constructions, pinned by sha256 ---------
+
+# p = 2, 4 and 8, moduli 0x19 and 0x211, small budgets that push counts
+# onto the eigenvalue route alone, and error records
+PINNED_CURVES = [
+    ("q=F4; R=1,0", "1,2,3", None), ("q=F4; R=1,1", "1,2", "16"),
+    ("q=F16; R=1,0", "1,2", "16"), ("q=F16; R=1,6", "1,2", None),
+    ("q=F16; R=1,0,0", "1", None), ("q=F16:0x19; R=3,0", "1,2,3", "256"),
+    ("q=F16:0x19; R=1,0,1", "1,2", "16"), ("q=F16:p=4; R=1,0", "1,2", None),
+    ("q=F16:p=4; R=1,5", "1,2", "16"), ("q=F64:p=8; R=1,0", "1,2", "256"),
+    ("q=F64:p=8; R=2a,3", "1", "16"), ("q=F256; R=1,0,0", "1,2", "256"),
+    ("q=F256:p=4; R=2,7", "1", None), ("q=F512:0x211; R=1,0", "1", None),
+    ("q=F512:0x211; R=1,1", "1,2", "16"),
+]
+PINNED_PERIODS = [
+    ("p=2; R=1,0,1", "8", None), ("p=2; R=1,1,1", "16", "256"),
+    ("p=2; R=1,0,0,1", "4", "16"), ("p=4; R=1,1", "4", "16"),
+    ("p=4; R=3,2,1", "8", None), ("p=4; R=1,0,2", "16", "4096"),
+    ("p=8; R=1,0", "4", None), ("p=8; R=5,3", "2", "64"),
+]
+PINNED_SEARCHES = [
+    ("F4", "2", "maximal"), ("F16", "1", "extremal"), ("F16:p=4", "1", "minimal"),
+    ("F16:0x19", "1", "maximal"), ("F8", "2", "extremal"), ("F64:p=8", "1", "extremal"),
+]
+PINNED_HERMITIAN = [
+    ("F16", "0", None), ("F16", "6", None), ("F16:0x19", "3", None),
+    ("F16:p=4", "0", None), ("F16:p=4", "5", None), ("F64:p=8", "0", None),
+    ("F64:p=8", "2", None), ("F256", "3", "256"), ("F256:p=4", "0", "256"),
+    ("F512:0x211", "1", None), ("F256", "1", "4"),
+]
+PINNED_RECIPES_WITH_T = [
+    ("F16", "1", "6"), ("F16", "1,6", "5"), ("F16:p=4", "1", "2"),
+    ("F64:p=8", "1", "3"), ("F256:p=4", "1,6", "1"),
+]
+PINNED_REPORTS_SHA256 = "43c314281c4a1c751c45742fb72c6894cda2cf284aae5c4c847cf7bc29769460"
+
+
+def pinned_reports():
+    for curve, extensions, budget in PINNED_CURVES:
+        tail = ("--budget", budget) if budget else ()
+        yield ("analyze", curve, "--extensions", extensions, *tail)
+        yield ("verify", curve, "--extensions", extensions, *tail)
+    for curve, cap, budget in PINNED_PERIODS:
+        yield ("period", curve, "--cap", cap, *(("--budget", budget) if budget else ()))
+    for field, e_max, predicate in PINNED_SEARCHES:
+        yield ("search", "--field", field, "--e-max", e_max, "--predicate", predicate)
+    for field, a, budget in PINNED_HERMITIAN:
+        tail = ("--budget", budget) if budget else ()
+        yield ("construct", "--family", "hermitian", "--field", field, "--a", a, *tail)
+    for field, space, t in PINNED_RECIPES_WITH_T:
+        yield ("construct", "--family", "recipe", "--field", field, "--space", space, "--t", t)
+
+
+def test_reports_and_constructions_are_pinned(capsys):
+    records = [[list(argv), *run(capsys, *argv)] for argv in pinned_reports()]
+    assert len(records) == 60
+    text = json.dumps(records, separators=(",", ":"))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == PINNED_REPORTS_SHA256

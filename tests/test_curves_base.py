@@ -1,6 +1,9 @@
 """Curve/datum types, eigenvalue formulas, and the counting oracle."""
 
+import hashlib
+import json
 import os
+import random
 
 import pytest
 
@@ -9,23 +12,35 @@ from aswcurves.curves import (
     TwistDatum,
     brute_count,
     build_curve,
+    extremal_from_subspace,
     format_curve_spec,
     head_curve,
+    hermitian_twist,
     l_polynomial,
     parse_curve_spec,
+    period_parity,
     psi_sum,
+    quadratic_extension_maximal,
 )
 from aswcurves.curves.base import weil_class, weil_gap
 from aswcurves.curves import count
-from aswcurves.curves.count import checked_count
+from aswcurves.curves.count import checked_count, trace_zero_count
+from aswcurves.curves.lpoly import LPolynomial
+from aswcurves.curves.period import coefficient_range
+from aswcurves.curves.presentation import recover_head
+from aswcurves.curves.twists import least_admissible_parameter
 from aswcurves.errors import (
     AmbientTooSmall,
     BudgetExceeded,
+    Char2Error,
     ConditionViolated,
+    DegreeMismatch,
+    DomainError,
     OracleMismatch,
     ParseError,
+    ZeroDivisor,
 )
-from aswcurves.gf2field import Fp2Subspace, make_field
+from aswcurves.gf2field import Fp2Subspace, make_field, parse_field_spec
 from aswcurves.skew import SkewPoly
 from aswcurves.witt2 import GaussInt
 
@@ -163,6 +178,14 @@ class TestLPolynomial:
         fd = TwistDatum(SkewPoly.from_coeffs(F4, [1, 0, 1]), 2)
         lp = l_polynomial(fd, 0)
         assert lp.degree == 2 * build_curve(fd, 0).genus
+        assert lp.genus == build_curve(fd, 0).genus
+
+    def test_eigenvalue_count_checked_against_the_degree(self, monkeypatch):
+        # an explicit check, so it also runs under python -O
+        fd = recover_head(CurveSpec(F16, 4, (0, 0, 1)))
+        monkeypatch.setattr(fd, "adjoint_kernel", Fp2Subspace.from_vectors(F16, [1]))
+        with pytest.raises(OracleMismatch, match="2 eigenvalues for a datum of degree 2"):
+            l_polynomial(fd, 0)
 
 
 class TestWeilClass:
@@ -305,3 +328,143 @@ class TestCheckedCount:
         spec = CurveSpec(F16, 4, (3, 5, 9))
         for m in (1, 2):
             assert checked_count(spec, m, None) == brute_count(spec, m)
+
+
+def test_bit_patterns_past_the_field_lie_in_no_subfield():
+    fd = recover_head(CurveSpec(F16, 4, (0, 1)))
+    assert not F16.in_subfield(16, 4)
+    with pytest.raises(DegreeMismatch):
+        F16.trace(16, 4, 1)
+    for call in (fd.twist_coefficient, lambda t: l_polynomial(fd, t),
+                 lambda t: quadratic_extension_maximal(fd, t)):
+        with pytest.raises(DomainError):
+            call(16)
+
+
+WIDE_DATUM = TwistDatum(SkewPoly.from_coeffs(F16, [1, 1]), 2)  # F_4 inside F_16
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: CurveSpec(F4, 3, (0, 1)), DomainError, id="CurveSpec-degree"),
+        pytest.param(lambda: CurveSpec(F4, 2, (1,)), DomainError, id="CurveSpec-e"),
+        pytest.param(lambda: CurveSpec(F4, 2, (1, 0)), DomainError, id="CurveSpec-lead"),
+        pytest.param(lambda: CurveSpec(F16, 2, (0, 2)), DomainError, id="CurveSpec-subfield"),
+        pytest.param(
+            lambda: TwistDatum(SkewPoly.from_coeffs(F4, [1, 1]), 3), DomainError,
+            id="TwistDatum-degree",
+        ),
+        pytest.param(
+            lambda: TwistDatum(SkewPoly.from_coeffs(F16, [2, 1]), 2), DomainError,
+            id="TwistDatum-subfield",
+        ),
+        pytest.param(
+            lambda: LPolynomial(4, 0, (GaussInt(2),)), DomainError, id="LPolynomial-mult"
+        ),
+        pytest.param(
+            lambda: LPolynomial(4, 1, (GaussInt(1),)), DomainError, id="LPolynomial-norm"
+        ),
+        pytest.param(
+            lambda: LPolynomial(4, 1, (GaussInt(2),)).point_count(0), DomainError,
+            id="point_count",
+        ),
+        pytest.param(lambda: l_polynomial(WIDE_DATUM, 4), DomainError, id="l_polynomial"),
+        pytest.param(
+            lambda: trace_zero_count(CurveSpec(F4, 2, (0, 1)), 0), DomainError,
+            id="trace_zero_count",
+        ),
+        pytest.param(
+            lambda: period_parity(CurveSpec(F4, 2, (0, 1))), DomainError, id="period_parity"
+        ),
+        pytest.param(
+            lambda: recover_head(CurveSpec(F4, 2, (1, 1))), DomainError, id="recover_head"
+        ),
+        pytest.param(lambda: GaussInt(1) ** -1, DomainError, id="GaussInt-pow"),
+        pytest.param(lambda: SkewPoly.one(F4) ** -1, DomainError, id="SkewPoly-pow"),
+        pytest.param(lambda: F4.inv(0), ZeroDivisor, id="inv"),
+    ],
+)
+def test_errors_are_typed(call, error):
+    with pytest.raises(Char2Error) as info:
+        call()
+    assert type(info.value) is error
+
+
+# -- every extremality verdict on one fixed-seed draw, pinned by sha256 ------
+
+VERDICT_FIELDS = ["F16", "F16:p=4", "F64:p=8", "F256", "F256:p=4"]
+VERDICT_GRID_SHA256 = "fd950e0760680fcc4f05716f3b5ab662b02df2513f26920b46418cdbe344404a"
+
+
+def outcome(call):
+    """The call's result, or the name of the package error it raised."""
+    try:
+        return call()
+    except Char2Error as exc:
+        return type(exc).__name__
+
+
+def lp_flags(lp):
+    return [lp.is_extremal, lp.is_maximal, lp.is_minimal]
+
+
+def verdict_grid():
+    """Periods of every F_2 and F_4 tuple with e <= 2 at three cap/budget
+    pairs; hermitian twists, recipes and F_{q^2} verdicts on a draw over
+    each field; and the flags of every L-polynomial met on the way."""
+    rows = []
+    for p_log in (1, 2):
+        ctx = make_field(p_log, None, p_log)
+        for coeffs in coefficient_range(1 << p_log, 2):
+            spec = CurveSpec(ctx, p_log, coeffs)
+            for cap, budget in ((16, 1 << 16), (8, 256), (4, 16)):
+                pp = outcome(lambda: period_parity(spec, cap, budget))
+                pp = pp if isinstance(pp, str) else [pp.mu, pp.delta]
+                rows.append(["period", list(coeffs), cap, budget, pp])
+    rng = random.Random(12)
+    for text in VERDICT_FIELDS:
+        ctx = parse_field_spec(text)
+        field = ctx.subfield_elements(ctx.n)
+        for a in [0] + sorted(rng.sample(field, 6)):
+            rep = outcome(lambda: hermitian_twist(ctx, a, budget=1 << 12))
+            if not isinstance(rep, str):
+                rep = [
+                    rep.relative_trace, rep.is_extremal, rep.is_maximal,
+                    [str(z) for z in rep.eigenvalues], lp_flags(rep.lpoly),
+                    rep.counting_checked,
+                ]
+            rows.append(["hermitian", text, a, rep])
+        for _ in range(6):
+            space = Fp2Subspace.from_vectors(ctx, [1] + rng.sample(field, rng.randint(0, 1)))
+            least = least_admissible_parameter(space, ctx.n)
+            for t in sorted(rng.sample(field, 2)) + [least or 0]:
+                rec = outcome(lambda: extremal_from_subspace(space, t, ctx.n, budget=1 << 12))
+                if isinstance(rec, str):
+                    rows.append(["recipe", text, list(space.basis), t, rec])
+                    continue
+                rows.append([
+                    "recipe", text, list(space.basis), t, format_curve_spec(rec.curve),
+                    rec.is_maximal, lp_flags(rec.lpoly), rec.counting_checked,
+                ])
+                for u in sorted(rng.sample(field, 3)):
+                    verdict = outcome(
+                        lambda: quadratic_extension_maximal(rec.datum, u, budget=1 << 12)
+                    )
+                    flags = lp_flags(l_polynomial(rec.datum, u))
+                    rows.append(["quadratic", text, list(space.basis), u, verdict, flags])
+    for q, mult, roots in (  # hand-built, each with an integer count
+        (4, 1, ((-2, 0), (-2, 0))), (4, 1, ((2, 0), (2, 0))), (4, 1, ((-2, 0), (2, 0))),
+        (4, 3, ((0, 2), (0, -2))), (16, 1, ((-4, 0),) * 4),
+        (16, 2, ((4, 0), (0, 4), (0, -4), (-4, 0))), (2, 1, ((1, 1), (1, -1))),
+    ):
+        lp = LPolynomial(q, mult, tuple(GaussInt(*r) for r in roots))
+        rows.append(["lpoly", q, mult, lp.format_roots(), lp_flags(lp)])
+    return rows
+
+
+def test_verdict_grid_is_pinned():
+    rows = verdict_grid()
+    assert len(rows) > 350
+    text = json.dumps(rows, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == VERDICT_GRID_SHA256

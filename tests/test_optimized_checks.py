@@ -1,12 +1,14 @@
 """Result checks that must survive `python -O`, which strips `assert`.
 
-The skew, field, symplectic, families and twists suites run again in
-one child interpreter under -O: pytest keeps the asserts of test
-modules, so every check of the package they reach (among them the
-OracleMismatch raises of `from_subspace`, `factor_through_symmetric`,
-`Fp2Subspace.from_vectors`, `PairingCtx`, the pivot and palindrome
-checks of `curves.families` and the degree and route checks of
-`curves.twists`) is tested with the package's asserts gone.  Each test
+The skew, field, symplectic, families, twists, presentation, curve
+base, period and Witt suites run again in one child interpreter under
+-O: pytest keeps the asserts of test modules, so every check of the
+package they reach (among them the OracleMismatch raises of
+`from_subspace`, `factor_through_symmetric`, `Fp2Subspace.from_vectors`,
+`PairingCtx`, the pivot and palindrome checks of `curves.families`, the
+degree and route checks of `curves.twists`, the witness and recovery
+checks of `curves.presentation` and the eigenvalue count of
+`l_polynomial`) is tested with the package's asserts gone.  Each test
 below reads its suite's outcomes from the child's summary.
 """
 
@@ -24,6 +26,10 @@ SUITES = (
     "test_symplectic.py",
     "test_families.py",
     "test_twists.py",
+    "test_presentation.py",
+    "test_curves_base.py",
+    "test_period.py",
+    "test_witt2.py",
 )
 
 
@@ -52,8 +58,6 @@ def test_skew_suite_passes_under_python_O(optimized_run):
     assert_passes_under_python_O(optimized_run, "test_skew.py")
 
 
-@pytest.mark.parametrize(
-    "suite", ["test_gf2field.py", "test_symplectic.py", "test_families.py", "test_twists.py"]
-)
+@pytest.mark.parametrize("suite", SUITES[1:])
 def test_suite_passes_under_python_O(optimized_run, suite):
     assert_passes_under_python_O(optimized_run, suite)

@@ -5,14 +5,19 @@ import random
 
 import pytest
 
-from aswcurves.curves import CurveSpec, TwistDatum, build_curve, head_curve
+from aswcurves.curves import CurveSpec, TwistDatum, build_curve, head_curve, presentation
 from aswcurves.curves.presentation import (
     parameter_search,
     presentation_conditions,
     recover_datum,
     recover_head,
 )
-from aswcurves.errors import ConditionViolated, KernelNotRational, NoTwistParameter
+from aswcurves.errors import (
+    ConditionViolated,
+    KernelNotRational,
+    NoTwistParameter,
+    OracleMismatch,
+)
 from aswcurves.gf2field import make_field
 from aswcurves.skew import SkewPoly
 
@@ -188,3 +193,34 @@ class TestParameterSearch:
         assert fd.conditions[:2] == (True, False)
         with pytest.raises(ConditionViolated):
             parameter_search(fd, 0)
+
+
+class TestResultChecks:
+    """Explicit OracleMismatch raises, so they also run under python -O."""
+
+    SPEC = CurveSpec(F4, 2, (0, 1))
+
+    def test_parameter_must_exist_past_the_lagrangian(self, monkeypatch):
+        monkeypatch.setattr(presentation, "parameter_search", lambda fd, a0: None)
+        with pytest.raises(OracleMismatch, match="past its Lagrangian"):
+            presentation_conditions(self.SPEC)
+
+    def test_witness_must_rebuild_the_curve(self, monkeypatch):
+        monkeypatch.setattr(presentation, "build_curve", lambda fd, t: None)
+        with pytest.raises(OracleMismatch, match="witness of .* rebuilds another curve"):
+            presentation_conditions(self.SPEC)
+
+    def test_radical_must_be_the_frobenius_image(self, monkeypatch):
+        monkeypatch.setattr(presentation, "_frobenius_image", lambda ctx, V, q_deg: None)
+        with pytest.raises(OracleMismatch, match="image of u\\^q \\+ u"):
+            presentation_conditions(self.SPEC)
+
+    def test_recovered_datum_must_keep_the_head(self, monkeypatch):
+        monkeypatch.setattr(presentation, "head_curve", lambda fd: None)
+        with pytest.raises(OracleMismatch, match="has another head"):
+            recover_head(self.SPEC)
+
+    def test_recovered_datum_must_rebuild_the_curve(self, monkeypatch):
+        monkeypatch.setattr(presentation, "build_curve", lambda fd, t: None)
+        with pytest.raises(OracleMismatch, match="recovered for .* rebuilds another curve"):
+            recover_datum(self.SPEC)

@@ -1,18 +1,21 @@
 """Pairing, isotropic-subspace and group-law tests."""
 
+import hashlib
+import json
 import random
 from math import lcm
 
 import pytest
 
 from aswcurves.errors import (
+    CapExceeded,
+    Char2Error,
     CtxMismatch,
     NotInKernel,
     NotOnCurve,
     NotSubspaceOfW,
     NotSymplectic,
     OracleMismatch,
-    StabilizerNotCompatible,
 )
 from aswcurves.gf2field import Fp2Subspace, make_field
 from aswcurves.skew import SkewPoly
@@ -230,19 +233,6 @@ def test_maximal_isotropic_within_degenerate():
     assert all(big.omega(u, v) == 0 for u in W.elements() for v in W.elements())
 
 
-def test_maximal_isotropic_with_stabilizer():
-    big = PairingCtx(SkewPoly(F16, {2: 1, -2: 1}))
-    W = maximal_isotropic(big, stabilizer=F16.sqr)
-    assert W.dim_p == 2
-    assert all(W.contains(F16.sqr(v)) for v in W.elements())
-    # multiplication by a cube root of unity stabilizes no line of F_4
-    w = 2
-    assert F4.mul(w, F4.mul(w, w)) == 1
-    pc = PairingCtx(E4)
-    with pytest.raises(StabilizerNotCompatible):
-        maximal_isotropic(pc, stabilizer=lambda v: F4.mul(w, v))
-
-
 def test_kernel_subfield_dimensions_match():
     # for any field k containing the coefficients of F, the k-rational
     # parts of ker F and ker F* have the same size
@@ -361,3 +351,56 @@ def test_omega_r_is_power_of_omega():
         for u in pc.W.elements():
             for v in pc.W.elements():
                 assert omega_r_eval(Ramb, u, v) == pc.ctx.frob_p(pc.omega(u, v), e)
+
+
+# -- maximal isotropic subspaces on one fixed-seed draw, pinned by sha256 ---
+
+LAGRANGIAN_GRID_SHA256 = "b92fcde68e8ab898681e22496ea825c1701efb213c444c4ac37f655636817810"
+
+
+def self_adjoint_draws(rng, count):
+    """`count` pairings of random E = R + R*, p from 2 to 16, with at most
+    256 kernel elements, each in E's splitting field of at most 16 bits."""
+    drawn = 0
+    while drawn < count:
+        p_log = rng.randint(1, 4)
+        K = make_field(p_log * rng.randint(1, 2), None, p_log)
+        e = rng.randint(1, 3 if p_log == 1 else 1)
+        R = SkewPoly(K, {i: rng.randrange(K.order) for i in range(e + 1)})
+        E = R + R.adjoint()
+        if not E or (1 << (p_log * E.span)) > 256:
+            continue
+        try:
+            n = lcm(E.kernel_splitting_degree(16), K.n)
+        except CapExceeded:
+            continue
+        if n > 16:
+            continue
+        drawn += 1
+        yield PairingCtx(E, ambient=make_field(n, None, p_log))
+
+
+def lagrangian_grid():
+    """maximal_isotropic, or its error, for phi in {None, omega(c, .)} and
+    within in {None, a random subspace} on each drawn pairing."""
+    rng = random.Random(12)
+    rows = []
+    for pc in self_adjoint_draws(rng, 520):
+        W = pc.W.elements()
+        c = rng.choice(W)
+        sub = Fp2Subspace.from_vectors(pc.ctx, rng.sample(W, 2))
+        for phi in (None, lambda u: pc.omega(c, u, check=False)):
+            for within in (None, sub):
+                try:
+                    out = list(maximal_isotropic(pc, phi=phi, within=within).basis)
+                except Char2Error as exc:
+                    out = type(exc).__name__
+                rows.append([pc.ctx.n, pc.ctx.p_log, c, list(sub.basis), out])
+    return rows
+
+
+def test_lagrangian_grid_is_pinned():
+    rows = lagrangian_grid()
+    assert len(rows) == 4 * 520
+    text = json.dumps(rows, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == LAGRANGIAN_GRID_SHA256
