@@ -73,7 +73,13 @@ def quadratic_parity(images: Sequence[int], x: np.ndarray) -> np.ndarray:
 
 
 def field_mul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise field product of two arrays of bit patterns."""
+    """Entrywise field product of two arrays of bit patterns.
+
+    Nothing in the package calls it: it is the vectorised reference the
+    tests check the enumeration oracles against (the explicit shape of
+    the length-2 trace over a whole field), bit-serial and independent
+    of the scalar `FieldCtx.mul`.
+    """
     n, poly = ctx.n, ctx.poly
     acc = np.zeros_like(a)
     one = _U64(1)

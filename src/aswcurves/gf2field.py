@@ -353,16 +353,19 @@ class FieldCtx:
     def frob(self, a: Element, j: int) -> Element:
         """a^(2^j) for any integer j; negative j inverts Frobenius.
 
-        x -> x^(2^j) is F_2-linear, so a^(2^j) is its `linear_map`, built
-        the first time j mod n is used.
+        x -> x^(2^j) is F_2-linear, so a^(2^j) is its `frob_map`.
         """
         j %= self.n
-        if not j:
-            return a
+        return self.frob_map(j)(a) if j else a
+
+    def frob_map(self, j: int) -> Callable[[int], int]:
+        """x -> x^(2^j) as a `linear_map`, built the first time j mod n
+        is used; for j a multiple of n it is the identity on the field."""
+        j %= self.n
         fmap = self._frob_maps.get(j)
         if fmap is None:
             fmap = self._frob_maps[j] = linear_map(self._frob_images(j))
-        return fmap(a)
+        return fmap
 
     def _frob_images(self, j: int) -> list[int]:
         """(t^k)^(2^j) for k < n, t the root of the modulus: the powers of

@@ -303,7 +303,7 @@ class SkewPoly:
         if k == 0 and cap >= 1:  # the kernel is {0}
             return 1
         ctx = g.ctx
-        sqr, mul = ctx.sqr, ctx.mul
+        sqr, mul = ctx.frob_map(1), ctx.mul
         g0, tail = g[0], [g[i] for i in range(1, k)]
         one = [1] + [0] * (k - 1)
         r = one

@@ -13,7 +13,14 @@ Down-to-earth consequences used constantly upstream: the length-2 trace
 Tr(x, 0) of a pure first component has the explicit shape
 (sum of conjugates, second elementary symmetric function of conjugates),
 and the quadratic character Q(x) = xi(Tr(x, 0)) obeys
-Q(x+y) = Q(x) Q(y) psi(xy) with psi the usual parity character.
+Q(x+y) = Q(x) Q(y) psi(xy) with psi the usual parity character.  In
+F_2 terms the second component e2 is a quadratic form with polar form
+
+    e2(x+y) = e2(x) + e2(y) + Tr(x)Tr(y) + Tr(xy)
+
+(van der Geer and van der Vlugt, Reed-Muller codes and supersingular
+curves I, 1992), so `q_exponent_table` runs the explicit shape only at
+the unit vectors and takes every other value from this identity.
 """
 
 from __future__ import annotations
@@ -310,35 +317,40 @@ def q_exponent_table(deg: int) -> np.ndarray:
     the dedicated degree-deg context: Tr(x) + 2*e2(x), by the explicit
     shape of the length-2 trace (first component the field trace, second
     the second elementary symmetric function e2 of the Frobenius
-    conjugates).  Both components are polynomials of degree at most 2 in
-    the bits of x with value 0 at 0, so they are fixed by their values at
-    the unit vectors e_i and at the sums e_i + e_j, and only those go
-    through the explicit shape.  The trace is then parity(x & tau) with
-    bit i of tau equal to Tr(e_i), and e2 is the quadratic form
-    parity(x & U x), where U carries e2(e_j) on its diagonal and the
-    polarization B(e_i, e_j) = e2(e_i + e_j) + e2(e_i) + e2(e_j) above it.
+    conjugates).  The trace is F_2-linear and e2 is an F_2 quadratic
+    form with polar form
+
+        e2(x+y) = e2(x) + e2(y) + Tr(x)Tr(y) + Tr(xy),
+
+    so both are fixed by their values at the unit vectors e_i, and only
+    those go through the explicit shape, in the scalar arithmetic of the
+    context.  The trace is then parity(x & tau) with bit i of tau equal
+    to Tr(e_i), and e2 is the quadratic form parity(x & U x), where U
+    carries e2(e_j) on its diagonal and B(e_i, e_j) = Tr(e_i)Tr(e_j) +
+    Tr(t^(i+j)) above it, t the root of the modulus (e_i = t^i).
     Every element of the field is evaluated through these two forms.
     """
     K = make_field(deg)
-    pairs = [(i, j) for j in range(deg) for i in range(j)]
-    x = np.array(
-        [1 << i for i in range(deg)] + [(1 << i) | (1 << j) for i, j in pairs],
-        dtype=np.uint64,
-    )
-    conj = x.copy()
-    s = np.zeros_like(x)  # running sum of conjugates
-    e2 = np.zeros_like(x)  # running second symmetric function
-    for _ in range(deg):
-        e2 ^= bitvec.field_mul(K, s, conj)
-        s ^= conj
-        conj = bitvec.field_mul(K, conj, conj)
-    if int((s | e2).max()) > 1:
-        raise OracleMismatch(f"trace or e2 over F_{{2^{deg}}} lands outside F_2")
-    tau = sum(int(s[i]) << i for i in range(deg))
-    diag = [int(v) for v in e2[:deg]]
-    images = [diag[j] << j for j in range(deg)]
-    for (i, j), e2_sum in zip(pairs, e2[deg:]):
-        images[j] |= (int(e2_sum) ^ diag[i] ^ diag[j]) << i
+    mul, sqr = K.mul, K.sqr
+    tau, diag = 0, []
+    for i in range(deg):
+        conj, s, e2 = 1 << i, 0, 0  # conjugate, running sum, running e2
+        for _ in range(deg):
+            e2 ^= mul(s, conj)
+            s ^= conj
+            conj = sqr(conj)
+        if (s | e2) > 1:
+            raise OracleMismatch(f"trace or e2 over F_{{2^{deg}}} lands outside F_2")
+        tau |= s << i
+        diag.append(e2)
+    powers = [1]  # t^k for k <= 2*deg - 2
+    for _ in range(2 * deg - 2):
+        powers.append(mul(powers[-1], 2))
+    tr = [(y & tau).bit_count() & 1 for y in powers]
+    images = [
+        diag[j] << j | sum(((tr[i] & tr[j]) ^ tr[i + j]) << i for i in range(j))
+        for j in range(deg)
+    ]
     full = bitvec.arange_field(K)
     trace = np.bitwise_count(full & np.uint64(tau)) & np.uint8(1)
     return trace + 2 * bitvec.quadratic_parity(images, full)

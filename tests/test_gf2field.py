@@ -146,6 +146,19 @@ def test_frob_tables_match_repeated_squaring(n, poly, p_log):
             assert K.frob_p(a, i) == squarings(a, i * p_log), (i, a)
 
 
+@pytest.mark.parametrize("n,p_log", [(1, 1), (4, 1), (9, 1), (12, 2)])
+def test_frob_map_is_the_cached_frobenius(n, p_log):
+    K = FieldCtx(n, None, p_log)
+    samples = range(K.order) if n <= 9 else random.Random(n).sample(range(K.order), 50)
+    for j in (-n, -1, 0, 1, n - 1, n, n + 1, 2 * n):
+        fmap = K.frob_map(j)
+        assert fmap is K.frob_map(j + n)  # one map per class of j mod n
+        for a in samples:
+            assert fmap(a) == K.frob(a, j)
+            if j % n == 0:
+                assert fmap(a) == a  # F_2 contexts ask for j = 1 = n
+
+
 def test_frob_p():
     K = make_field(8, p_log=2)
     rng = random.Random(3)

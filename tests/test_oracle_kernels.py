@@ -6,6 +6,7 @@ by the sum of its conjugates, and the explicit shape of the length-2
 trace over the whole field.  The fast kernels must reproduce them exactly.
 """
 
+import hashlib
 import random
 
 import numpy as np
@@ -191,3 +192,19 @@ def test_q_exponent_table_matches_the_explicit_shape(deg):
     assert fast.dtype == np.uint8
     assert fast.tobytes() == q_exponent_table_by_shape(deg).tobytes()
 
+
+# sha256 of q_exponent_table(deg).tobytes() past the degrees the
+# reference above covers, recorded from a set-up that pushed every pair
+# sum e_i + e_j through the explicit shape, not the polar form
+TABLE_SHA256 = {
+    19: "8746963794c59a851cd57374067caeed67cbc79155aedeb4034f23236959cfb0",
+    20: "c7497e1d34c2a068b9f7d991f5c7ed4f9a7987eb5e2eb7a9acaabd3f30296b49",
+    21: "60d2ae95eb110ba16749a6b25f65f8bbb56c995fab3420222ba4e70d4b804809",
+    22: "74b5b8913d06c7a8011b4e790757cdb15306a32c4f968a8bc21d313459b4a6e3",
+}
+
+
+@pytest.mark.parametrize("deg", sorted(TABLE_SHA256))
+def test_q_exponent_table_pinned_past_the_explicit_shape(deg):
+    digest = hashlib.sha256(q_exponent_table(deg).tobytes()).hexdigest()
+    assert digest == TABLE_SHA256[deg]

@@ -7,7 +7,7 @@ import pytest
 
 from aswcurves import witt2
 from aswcurves.errors import CtxMismatch, DegreeMismatch, NonRealCount, OracleMismatch, ParseError
-from aswcurves.gf2field import make_field
+from aswcurves.gf2field import FieldCtx, make_field
 from aswcurves.witt2 import (
     GaussInt,
     GaussUnit,
@@ -145,11 +145,24 @@ def test_witt_trace_checks_its_result(monkeypatch):
 
 
 def test_q_exponent_table_checks_its_components(monkeypatch):
-    # with every product a | b the conjugates of x all equal x, and their
-    # sum over an odd degree is x itself, outside F_2 for x > 1
-    monkeypatch.setattr(witt2.bitvec, "field_mul", lambda K, a, b: a | b)
+    # with squaring broken to the identity the conjugates of e_i all equal
+    # e_i, and their sum over an odd degree is e_i itself, outside F_2 for
+    # i > 0: the check must fire, also under python -O
+    monkeypatch.setattr(FieldCtx, "sqr", lambda self, a: a)
     with pytest.raises(OracleMismatch):
         q_exponent_table(5)
+
+
+def test_q_exponent_table_needs_no_vectorised_product(monkeypatch):
+    # only the unit vectors go through the explicit shape, in scalar
+    # arithmetic; bitvec.field_mul is the tests' reference, not a step
+    expected = q_exponent_table(12).tobytes()
+
+    def refuse(*args):
+        raise AssertionError("bitvec.field_mul called")
+
+    monkeypatch.setattr(witt2.bitvec, "field_mul", refuse)
+    assert q_exponent_table(12).tobytes() == expected
 
 
 def test_xi2_table():
