@@ -12,7 +12,8 @@ Structured reports are JSON; tables (twists, search, hd-check) render
 as CSV with --format csv.  Exit codes are stable: 0 success, 1 domain
 error, 2 parse error, 3 ambient field too small, 4 oracle mismatch,
 5 cap or budget exceeded.  Runs degrade to formula-only output, with a
-warning record, when a direct count would exceed the budget.
+warning record, when a direct count would exceed the budget or the
+32-bit ambient field.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .curves import (
     DEFAULT_BUDGET,
     LPolynomial,
     PresentationReport,
-    brute_count,
     classify_twists,
     extremal_from_subspace,
     format_curve_spec,
@@ -159,23 +159,25 @@ def _presentation(
 
 def _extension_counts(
     spec: CurveSpec, lp: LPolynomial | None, degrees: list[int], cfg: RunConfig
-) -> tuple[dict[str, int], int, list[int]]:
+) -> tuple[dict[str, int], int, list[tuple[int, str]]]:
     """Point counts over the given extension degrees, by both routes.
 
     The eigenvalue count (when `lp` exists) and the direct count (when
-    the extension fits the budget) must agree, else OracleMismatch, and
-    every count must lie within the Weil bound.  Returns the counts, the
-    number of degrees where both routes ran, and the degrees over budget
-    (counted by the eigenvalue route alone, or not at all without `lp`).
+    `checked_count` runs one) must agree, else OracleMismatch, and every
+    count must lie within the Weil bound.  Returns the counts, the number
+    of degrees where both routes ran, and the other degrees with the
+    limit each exceeds, budget or ambient field (counted by the
+    eigenvalue route alone, or not at all without `lp`).
     """
     counts: dict[str, int] = {}
     compared = 0
-    over_budget = []
+    skipped = []
     for m in degrees:
         formula = lp.point_count(m) if lp is not None else None
         value = checked_count(spec, m, formula, cfg.budget, cfg.threads)
         if value is None:
-            over_budget.append(m)
+            limit = "budget" if spec.q**m > cfg.budget else f"the {MAX_DEGREE}-bit ambient"
+            skipped.append((m, limit))
             if formula is None:
                 continue
             value = formula
@@ -183,7 +185,7 @@ def _extension_counts(
             compared += 1
         weil_class(spec, m, value)
         counts[str(m)] = value
-    return counts, compared, over_budget
+    return counts, compared, skipped
 
 
 def _base_period(spec: CurveSpec, budget: int, warnings: list[str]) -> list[int] | None:
@@ -219,10 +221,10 @@ def curve_report(spec: CurveSpec, extensions: list[int], cfg: RunConfig) -> dict
             "lagrangian_in_subfield": report.lagrangian_in_subfield,
         }
 
-    counts, _, over_budget = _extension_counts(spec, lp, extensions, cfg)
+    counts, _, skipped = _extension_counts(spec, lp, extensions, cfg)
     route = " and no eigenvalue route" if lp is None else "; eigenvalue route only"
-    for m in over_budget:
-        warnings.append(f"extension {m}: size {spec.q**m} over budget{route}")
+    for m, limit in skipped:
+        warnings.append(f"extension {m}: size {spec.q**m} over {limit}{route}")
 
     if lp is not None:
         count = lp.point_count(1)
@@ -265,12 +267,9 @@ def cmd_twists(args: argparse.Namespace, cfg: RunConfig) -> _Output:
             f"classes from the eigenvalue route only"
         )
     tc = classify_twists(head, budget=cfg.budget, counting=counting)
-    gap = weil_gap(head)
-    deviations = {"max": gap, "min": -gap, "zero": 0}
-    rows = []
-    for a in range(head.q):
-        short = _CLASS_SHORT[tc.twist_class(a)]
-        rows.append([f"{a:x}", short, head.q + 1 + deviations[short]])
+    rows = [
+        [f"{a:x}", _CLASS_SHORT[tc.twist_class(a)], tc.twist_count(a)] for a in range(head.q)
+    ]
     data = {
         "head": format_curve_spec(head),
         "rows": [{"a": a, "class": c, "count": n} for a, c, n in rows],
@@ -360,10 +359,7 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> _Output:
     spec = parse_curve_spec(args.curve)
     requested = _parse_extensions(args.extensions)
     if not requested:
-        m, requested = 1, []
-        while spec.q**m <= cfg.budget and m <= 4:
-            requested.append(m)
-            m += 1
+        requested = [m for m in range(1, 5) if spec.q**m <= cfg.budget]
     checks: dict[str, object] = {}
     warnings: list[str] = []
     report, lp = _presentation(spec, warnings)
@@ -373,10 +369,10 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> _Output:
     if lp is not None:
         checks["witness_degree_matches_genus"] = lp.degree == 2 * spec.genus
 
-    counts, compared, over_budget = _extension_counts(spec, lp, requested, cfg)
+    counts, compared, skipped = _extension_counts(spec, lp, requested, cfg)
     if lp is None:
-        for m in over_budget:
-            warnings.append(f"extension {m}: no route within budget")
+        for m, limit in skipped:
+            warnings.append(f"extension {m}: no route within {limit}")
     checks["routes_compared"] = compared
     checks["weil_bound_checked"] = len(counts)
 
@@ -409,7 +405,6 @@ def cmd_search(args: argparse.Namespace, cfg: RunConfig) -> _Output:
         raise BudgetExceeded(
             f"searching F_{q} needs direct counts of size {q} > budget {cfg.budget}"
         )
-    results = []
     rows = []
     scales = _scale_factors(ctx, q_deg, args.e_max)
     for coeffs in coefficient_range(q, args.e_max):
@@ -419,16 +414,15 @@ def cmd_search(args: argparse.Namespace, cfg: RunConfig) -> _Output:
         spec = CurveSpec(ctx, q_deg, coeffs)
         if weil_gap(spec) is None:
             continue  # the bound is unattainable over this field
-        count = brute_count(spec, 1, budget=cfg.budget, threads=cfg.threads)
+        count = checked_count(spec, 1, None, cfg.budget, cfg.threads)
         label = weil_class(spec, 1, count)
         if label not in ("maximal", "minimal"):
             continue
         if args.predicate != "extremal" and args.predicate != label:
             continue
         _formula_cross_check(spec, count)
-        text = format_curve_spec(spec)
-        results.append({"curve": text, "count": count, "class": label})
-        rows.append([text, count, label])
+        rows.append([format_curve_spec(spec), count, label])
+    results = [{"curve": text, "count": n, "class": c} for text, n, c in rows]
     return _Output(results, (("curve", "count", "class"), rows))
 
 

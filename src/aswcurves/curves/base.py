@@ -40,17 +40,21 @@ __all__ = [
 ]
 
 
+def _check_subfield_degree(ctx: FieldCtx, q_deg: int) -> None:
+    """Raise DomainError unless F_{2^q_deg} is a subfield of ctx over F_p."""
+    if q_deg <= 0 or ctx.n % q_deg or q_deg % ctx.p_log:
+        raise DomainError(
+            f"subfield degree {q_deg} must divide {ctx.n} and be a multiple of {ctx.p_log}"
+        )
+
+
 class CurveSpec:
     """The curve y^p - y = x*R(x) with R given by its coefficients."""
 
     __slots__ = ("ctx", "q_deg", "coeffs")
 
     def __init__(self, ctx: FieldCtx, q_deg: int, coeffs: tuple[Element, ...]):
-        if q_deg <= 0 or ctx.n % q_deg or q_deg % ctx.p_log:
-            raise DomainError(
-                f"subfield degree {q_deg} must divide {ctx.n} and be a "
-                f"multiple of {ctx.p_log}"
-            )
+        _check_subfield_degree(ctx, q_deg)
         coeffs = tuple(coeffs)
         if len(coeffs) < 2:
             raise DomainError("the defining polynomial needs degree e >= 1")
@@ -129,6 +133,15 @@ class CurveSpec:
         """The curve moved to the default context of F_q itself."""
         return self.transport_to(make_field(self.q_deg, None, self.ctx.p_log))
 
+    def over(self, m: int) -> "CurveSpec":
+        """The curve declared over F_{q^m}, in its own context when that is
+        F_{q^m} and in the default context of F_{q^m} otherwise."""
+        deg = self.q_deg * m
+        if self.ctx.n == deg:
+            return self if m == 1 else CurveSpec(self.ctx, deg, self.coeffs)
+        dst = make_field(deg, None, self.ctx.p_log)
+        return CurveSpec(dst, deg, self.transport_to(dst).coeffs)
+
 
 class TwistDatum:
     """A skew polynomial F together with the flags gating curve building.
@@ -160,11 +173,7 @@ class TwistDatum:
 
     def __init__(self, F: SkewPoly, q_deg: int):
         ctx = F.ctx
-        if q_deg <= 0 or ctx.n % q_deg or q_deg % ctx.p_log:
-            raise DomainError(
-                f"subfield degree {q_deg} must divide {ctx.n} and be a "
-                f"multiple of {ctx.p_log}"
-            )
+        _check_subfield_degree(ctx, q_deg)
         for c in F.coeffs.values():
             if not ctx.in_subfield(c, q_deg):
                 raise DomainError(

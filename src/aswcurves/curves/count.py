@@ -20,6 +20,11 @@ across threads; partial sums are plain integers, so the result is
 identical for every thread count.  An eigenvalue count to compare
 arrives as a plain integer.
 
+`checked_count` is the one entry from the formula routes into this
+oracle and the one place where a formula count meets a direct count;
+one rule there decides whether a count runs.  A curve reaches F_{q^m}
+through `CurveSpec.over`.
+
 The twists R + a*x of one head share all of this set-up.  As
 Tr(y^2) = Tr(y), Tr_{Q/2}(w*a*x^2) = Tr_{Q/2}(sqrt(w*a)*x) =
 parity(x & l_w) with l_w = M sqrt(w*a), so the twist's form is the
@@ -42,8 +47,8 @@ from typing import Callable
 import numpy as np
 
 from ..bitvec import apply_tables, byte_tables
-from ..errors import AmbientTooSmall, BudgetExceeded, DomainError, OracleMismatch
-from ..gf2field import MAX_DEGREE, FieldCtx, linear_map, make_field
+from ..errors import BudgetExceeded, DomainError, OracleMismatch
+from ..gf2field import MAX_DEGREE, FieldCtx, linear_map
 from .base import CurveSpec, format_curve_spec
 
 __all__ = [
@@ -58,18 +63,6 @@ __all__ = [
 DEFAULT_BUDGET = 1 << 24
 
 _CHUNK = 1 << 20
-
-
-def _extension_spec(spec: CurveSpec, m: int) -> CurveSpec:
-    """The same curve viewed over a context of exactly F_{q^m}."""
-    deg = spec.q_deg * m
-    if deg > MAX_DEGREE:
-        raise AmbientTooSmall(
-            f"counting over 2^{deg} needs a field wider than {MAX_DEGREE} bits"
-        )
-    if spec.ctx.n == deg:
-        return spec
-    return spec.transport_to(make_field(deg, None, spec.ctx.p_log))
 
 
 def _power_traces(ctx: FieldCtx, length: int) -> int:
@@ -161,11 +154,8 @@ def trace_zero_count(
         raise BudgetExceeded(
             f"enumerating {size} elements exceeds the budget of {budget}"
         )
-    full = _extension_spec(spec, m)
-    ctx = full.ctx
-    if to_deg is None:
-        to_deg = ctx.p_log
-    forms = _twist_tables(full, to_deg)
+    full = spec.over(m)
+    forms = _twist_tables(full, full.ctx.p_log if to_deg is None else to_deg)
     bounds = list(range(0, size, _CHUNK)) + [size]
     jobs = list(zip(bounds[:-1], bounds[1:]))
     if threads <= 1 or len(jobs) <= 1:
@@ -205,9 +195,10 @@ def checked_count(
 ) -> int | None:
     """brute_count over F_{q^m} held against `formula` by check_count.
 
-    None, without counting, when q^m exceeds the budget.
+    The one rule for whether a direct count runs: None, without
+    counting, when q^m exceeds the budget or F_{q^m} the ambient cap.
     """
-    if spec.q**m > budget:
+    if spec.q**m > budget or spec.q_deg * m > MAX_DEGREE:
         return None
     return check_count(spec, m, formula, brute_count(spec, m, budget, threads))
 

@@ -40,7 +40,7 @@ from ..errors import (
     PairingConditionFailed,
     RootsNotSimple,
 )
-from ..gf2field import MAX_DEGREE, Element, FieldCtx, Fp2Subspace
+from ..gf2field import Element, FieldCtx, Fp2Subspace
 from ..skew import SkewPoly
 from ..witt2 import GaussInt, GaussUnit, WittPair, psi_char, q_char, witt_trace, witt_zero, xi2
 from .base import CurveSpec, TwistDatum, build_curve, head_curve, weil_class
@@ -126,9 +126,8 @@ def extremal_from_subspace(
 
 
 def _brute_against(spec: CurveSpec, lp: LPolynomial, budget: int) -> bool:
-    """Brute counts over F_q and, when representable, F_{q^2}; whether any ran."""
-    degrees = (1, 2) if 2 * spec.q_deg <= MAX_DEGREE else (1,)
-    counts = [checked_count(spec, m, lp.point_count(m), budget) for m in degrees]
+    """Checked counts over F_q and F_{q^2}; whether any ran."""
+    counts = [checked_count(spec, m, lp.point_count(m), budget) for m in (1, 2)]
     return any(c is not None for c in counts)
 
 

@@ -23,9 +23,9 @@ from ..errors import (
     NoTwistParameter,
     OracleMismatch,
 )
-from ..gf2field import MAX_DEGREE, Element, make_field, transport
+from ..gf2field import MAX_DEGREE, Element, make_field
 from .base import CurveSpec, weil_class
-from .count import DEFAULT_BUDGET, brute_count, checked_count
+from .count import DEFAULT_BUDGET, checked_count
 from .lpoly import l_polynomial
 from .presentation import recover_datum
 
@@ -51,25 +51,15 @@ class PeriodParity:
     delta: int
 
 
-def _extend(spec: CurveSpec, n: int) -> CurveSpec:
-    """The same curve viewed over the degree-n extension of F_p."""
-    ctx = spec.ctx
-    deg = n * ctx.p_log
-    big = make_field(deg, None, ctx.p_log)
-    coeffs = tuple(transport(ctx, c, big, spec.q_deg) for c in spec.coeffs)
-    return CurveSpec(big, deg, coeffs)
-
-
 # PeriodParity.delta of each Weil class that attains the bound
 _DELTA = {"maximal": -1, "minimal": 1}
 
 
-def _refute_by_count(spec_n: CurveSpec, budget: int) -> None:
-    """Confirm by direct count that the bound is not met, if affordable."""
-    if spec_n.q > budget:
-        return
-    if weil_class(spec_n, 1, brute_count(spec_n, 1, budget=budget)) in _DELTA:
-        raise OracleMismatch(f"{spec_n} meets the bound without a twist presentation")
+def _refute_by_count(spec: CurveSpec, m: int, budget: int) -> None:
+    """Confirm by direct count over F_{q^m}, if affordable, that the bound is not met."""
+    count = checked_count(spec, m, None, budget)
+    if count is not None and weil_class(spec, m, count) in _DELTA:
+        raise OracleMismatch(f"{spec.over(m)} meets the bound without a twist presentation")
 
 
 def _formula_class(spec_n: CurveSpec, budget: int) -> str | None:
@@ -83,7 +73,7 @@ def _formula_class(spec_n: CurveSpec, budget: int) -> str | None:
     try:
         fd, t = recover_datum(spec_n)
     except NoTwistParameter:
-        _refute_by_count(spec_n, budget)
+        _refute_by_count(spec_n, 1, budget)
         return None
     count = l_polynomial(fd, t).point_count(1)
     checked_count(spec_n, 1, count, budget)
@@ -116,23 +106,23 @@ def period_parity(
         if deg % 2:
             continue
         if deg % splitting:
-            if deg <= MAX_DEGREE and (1 << deg) <= budget:
-                _refute_by_count(_extend(spec, n), budget)
+            _refute_by_count(spec, n, budget)
             continue
         if deg > MAX_DEGREE:
             raise AmbientTooSmall(
                 f"extension degree {n} needs ambient degree {deg} > {MAX_DEGREE}"
             )
-        spec_n = _extend(spec, n)
+        spec_n = spec.over(n)
         if 2 * deg <= MAX_DEGREE:
             label = _formula_class(spec_n, budget)
-        elif spec_n.q <= budget:
-            label = weil_class(spec_n, 1, brute_count(spec_n, 1, budget=budget))
         else:
-            raise AmbientTooSmall(
-                f"extension degree {n} needs ambient degree {2 * deg} for the "
-                f"eigenvalue route and its field size exceeds budget {budget}"
-            )
+            count = checked_count(spec_n, 1, None, budget)
+            if count is None:
+                raise AmbientTooSmall(
+                    f"extension degree {n} needs ambient degree {2 * deg} for the "
+                    f"eigenvalue route and its field size exceeds budget {budget}"
+                )
+            label = weil_class(spec_n, 1, count)
         if label in _DELTA:
             return PeriodParity(n, _DELTA[label])
     raise CapExceeded(f"no extension degree up to {cap} attains the bound")
@@ -251,8 +241,7 @@ def impossibility_scan(
         for n in range(1, n_max + 1):
             if (n * p_log) % 2:
                 continue
-            spec_n = _extend(spec, n)
-            label = weil_class(spec_n, 1, brute_count(spec_n, 1, budget=budget))
+            label = weil_class(spec, n, checked_count(spec, n, None, budget))
             if label in _DELTA:
                 found = PeriodParity(n, _DELTA[label])
                 break

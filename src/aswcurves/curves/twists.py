@@ -11,7 +11,8 @@ must agree:
     sign, and t0 + F(u) is maximal or minimal by one quadratic-form bit,
   * trace form: the extremal twists solve an affine system on
     ker(R + R*), and the two cosets are compared by size and membership,
-  * brute point counts, when a budget allows enumerating F_q.
+  * brute point counts, when a budget allows enumerating F_q: the
+    `checked_count` of each twist against its `twist_count`.
 
 The forms are those of van der Geer-van der Vlugt (Reed-Muller codes
 and supersingular curves I, Compositio Math. 84, 1992).  The module
@@ -24,10 +25,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ..errors import BudgetExceeded, DomainError, KernelNotRational, NoSolution, OracleMismatch
-from ..gf2field import MAX_DEGREE, Element, Fp2Subspace, kernel_basis, span_contains
+from ..gf2field import Element, Fp2Subspace, kernel_basis, span_contains
 from ..witt2 import GaussUnit, psi_char, q_char
-from .base import CurveSpec, TwistDatum, build_curve, head_curve, weil_class
-from .count import DEFAULT_BUDGET, brute_count, checked_count
+from .base import CurveSpec, TwistDatum, build_curve, head_curve, weil_class, weil_gap
+from .count import DEFAULT_BUDGET, checked_count
 from .lpoly import l_polynomial
 from .presentation import recover_head
 
@@ -42,7 +43,7 @@ class TwistClassification:
     coefficients a by the point count of their curve.  `maximal_twists`
     is exactly the image of `maximal_parameters` under the coefficient
     map of `datum`, and likewise for minimal; `counting_checked` records
-    whether the brute-count route confirmed the partition.
+    whether a brute count confirmed the `twist_count` of every twist.
     """
 
     head: CurveSpec
@@ -69,6 +70,12 @@ class TwistClassification:
             return self._labels[a]
         except KeyError:
             raise DomainError(f"{a:#x} is not a twist coefficient of this family") from None
+
+    def twist_count(self, a: Element) -> int:
+        """Projective count over F_q of the twist a: q + 1, plus or minus
+        the Weil gap when the twist is maximal or minimal."""
+        sign = {"maximal": 1, "minimal": -1, "neutral": 0}[self.twist_class(a)]
+        return self.head.q + 1 + sign * weil_gap(self.head)
 
 
 def eigenvalue_targets(q_deg: int) -> tuple[GaussUnit, GaussUnit]:
@@ -165,7 +172,7 @@ def image_classification(
     order over an F_2-basis b_j, each step adding F(b_j) to t, E(b_j)^2
     to a, and to the bit its value at b_j plus Tr_{q/2}(u*E(b_j)).  The
     twists are checked against the trace route and, given a budget,
-    against brute counts.
+    each twist's `twist_count` against its brute count, in field order.
     """
     ctx, q_deg = fd.ctx, fd.q_deg
     head = head_curve(fd)
@@ -200,10 +207,13 @@ def image_classification(
     if shift is not None and len(maximal | minimal) * ctx.p ** (2 * fd.e) != 1 << q_deg:
         raise OracleMismatch("extremal coefficient set has the wrong size")
     _check_trace_route(head, fd.composite_kernel, maximal | minimal)
+    if budget is not None and head.q > budget:
+        raise BudgetExceeded(
+            f"counting {head.q} twists over F_{head.q} exceeds the budget {budget}; "
+            "pass counting=False for a formula-only classification"
+        )
     field = ctx.subfield_elements(q_deg)
-    if budget is not None:
-        check_counting_route(head, field, maximal, minimal, budget)
-    return TwistClassification(
+    tc = TwistClassification(
         head=head,
         datum=fd,
         extremal_parameters=tuple(sorted(extremal)),
@@ -215,6 +225,10 @@ def image_classification(
         neutral_twists=tuple(a for a in field if a not in maximal and a not in minimal),
         counting_checked=budget is not None,
     )
+    if budget is not None:
+        for a in field:
+            checked_count(head.with_a0(a), 1, tc.twist_count(a), budget)
+    return tc
 
 
 def _trace_coset(head: CurveSpec, kernel: Fp2Subspace) -> tuple[Element, tuple] | None:
@@ -254,37 +268,6 @@ def _check_trace_route(head: CurveSpec, kernel: Fp2Subspace, twists: set[Element
         raise OracleMismatch("trace-form extremality disagrees with the eigenvalue route")
 
 
-def check_counting_route(
-    head: CurveSpec,
-    elements: list[Element],
-    t_max: set[Element],
-    t_min: set[Element],
-    budget: int,
-) -> None:
-    """Re-derive the coefficient partition from brute point counts."""
-    q = head.q
-    if q > budget:
-        raise BudgetExceeded(
-            f"counting {q} twists over F_{q} exceeds the budget {budget}; "
-            "pass counting=False for a formula-only classification"
-        )
-    counted_max, counted_min = set(), set()
-    for a in elements:
-        twist = head.with_a0(a)
-        count = brute_count(twist, 1, budget=budget)
-        label = weil_class(twist, 1, count)
-        if label == "maximal":
-            counted_max.add(a)
-        elif label == "minimal":
-            counted_min.add(a)
-        elif label == "interior":
-            raise OracleMismatch(
-                f"twist {a:#x} has affine count {count - 1}, outside the trichotomy"
-            )
-    if counted_max != t_max or counted_min != t_min:
-        raise OracleMismatch("point counts disagree with the eigenvalue route")
-
-
 def quadratic_extension_maximal(
     fd: TwistDatum, t: Element, budget: int = DEFAULT_BUDGET
 ) -> bool:
@@ -292,8 +275,8 @@ def quadratic_extension_maximal(
 
     Reads the verdict off Tr_{q/2}(t) alone, re-derives it from the
     eigenvalue count over F_{q^2}, which must be maximal or minimal, and
-    confirms with a brute count over F_{q^2} when that fits the budget
-    and the ambient field.  Requires all four datum conditions.
+    confirms with `checked_count` over F_{q^2}, which counts when it
+    can.  Requires all four datum conditions.
     """
     fd.require(4)
     ctx, s = fd.ctx, fd.q_deg
@@ -307,6 +290,5 @@ def quadratic_extension_maximal(
     if weil_class(lp, 2, lp.point_count(2)) != ("maximal" if verdict else "minimal"):
         raise OracleMismatch("the count over F_{q^2} disagrees with the trace verdict")
 
-    if 2 * s <= MAX_DEGREE:
-        checked_count(build_curve(fd, t), 2, lp.point_count(2), budget)
+    checked_count(build_curve(fd, t), 2, lp.point_count(2), budget)
     return verdict

@@ -1,11 +1,15 @@
 """End-to-end command-line behavior: examples, formats, exit codes."""
 
+import csv
 import hashlib
+import io
 import json
+import random
 
 import pytest
 
 from aswcurves.cli import main
+from aswcurves.curves import count
 from aswcurves.witt2 import GaussInt
 
 
@@ -46,6 +50,28 @@ class TestAnalyze:
         assert data["counts"]["1"] == 9
         assert data["counts"]["4"] == 4**4 + 1 - 2 * (-2) ** 4
         assert data["warnings"]
+
+    def test_formula_carries_past_the_ambient(self, capsys, monkeypatch):
+        """A degree past F_{2^32} but within the budget degrades to the
+        eigenvalue route; it is never handed to the direct count."""
+        asked = []
+        original = count.brute_count
+
+        def recorded(spec, m=1, *args, **kwargs):
+            asked.append(m)
+            return original(spec, m, *args, **kwargs)
+
+        monkeypatch.setattr(count, "brute_count", recorded)
+        code, data = run_json(
+            capsys,
+            "analyze", "q=F4; R=1,0", "--extensions", "1,17", "--budget", str(1 << 35),
+        )
+        assert code == 0
+        assert data["counts"] == {"1": 9, "17": 17180131329}
+        assert data["warnings"] == [
+            "extension 17: size 17179869184 over the 32-bit ambient; eigenvalue route only"
+        ]
+        assert 17 not in asked
 
     def test_malformed_curve_exits_two(self, capsys):
         code, data = run_json(capsys, "analyze", "nonsense")
@@ -242,6 +268,24 @@ class TestVerify:
         assert data["checks"]["flags"][0] is False
         assert data["checks"]["weil_bound_checked"] >= 1
 
+    @pytest.mark.parametrize(
+        "curve, compared, counts, warnings",
+        [
+            ("q=F4; R=1,0", 1, {"1": 9, "17": 17180131329}, []),
+            ("q=F4; R=1,0,0", 0, {"1": 5},
+             ["extension 17: no route within the 32-bit ambient"]),
+        ],
+        ids=["witnessed", "unwitnessed"],
+    )
+    def test_past_the_ambient_within_budget(self, capsys, curve, compared, counts, warnings):
+        code, data = run_json(
+            capsys, "verify", curve, "--extensions", "1,17", "--budget", str(1 << 35)
+        )
+        assert code == 0
+        assert data["checks"]["routes_compared"] == compared
+        assert data["counts"] == counts
+        assert data["warnings"] == warnings
+
 
 class TestSearch:
     def test_f4_maximal_is_exactly_the_cubic_class(self, capsys):
@@ -348,6 +392,102 @@ def test_out_of_range_integer_is_a_parse_error(capsys, argv):
     code, data = run_json(capsys, *argv)
     assert (code, data["error"]) == (2, "ParseError")
     assert data["detail"].startswith("--")
+
+
+# -- grammar fuzz over the seven subcommands --------------------------------
+
+# At most 16 elements, so that every direct count a fuzzed run can ask
+# for stays small; each list is (well-formed, malformed).
+FUZZ_FIELDS = (
+    ["F2", "F4", "F8", "F16", "F16:0x19", "F16:0x1f", "F4:p=4", "F16:p=4", "F8:p=8",
+     "F16:0x19:p=4"],
+    ["F16:0x11", "F3", "F16:p=3", "F4:p=8", "G16"],
+)
+FUZZ_BAD_HEX = ["zz", "", "-1", "1.5", "100"]
+# q^m stays within 2^17 or passes the 32-bit ambient for every fuzz field
+FUZZ_EXTENSIONS = (["1", "2", "3", "17", "40", "1,2", "2,1,17", ""], ["0", "-1", "x", "1,,2"])
+FUZZ_BUDGETS = ["0", "1", "15", "16", "256", "65536", str(1 << 35), str(1 << 64)]
+
+
+def fuzz_argv(rng):
+    """One command line of a random subcommand with edge-case values,
+    and the rendering it asks for."""
+
+    def pick(choices):
+        good, bad = choices
+        return rng.choice(bad if rng.random() < 0.1 else good)
+
+    def hexes(k, order=16):
+        """k hex values below order, the leading one first and nonzero."""
+        values = [rng.randrange(1, order)] + [rng.randrange(order) for _ in range(k - 1)]
+        forms = ["{:x}", "0x{:x}", "{:X}"]
+        return ",".join(
+            rng.choice(FUZZ_BAD_HEX) if rng.random() < 0.05 else rng.choice(forms).format(v)
+            for v in values
+        )
+
+    def order(field):
+        return int(field[1:].split(":")[0])
+
+    def curve(least=2):
+        field = pick(FUZZ_FIELDS)
+        return f"q={field}; R={hexes(rng.randint(least, 3), order(field))}"
+
+    command = rng.choice(
+        ["analyze", "twists", "construct", "period", "verify", "search", "hd-check"]
+    )
+    budget = rng.choice(FUZZ_BUDGETS)
+    if command == "analyze":
+        # analyze also searches a period, which counts up to F_{2^32}
+        budget = rng.choice(FUZZ_BUDGETS[:6])
+        argv = ["analyze", curve(), "--extensions", pick(FUZZ_EXTENSIONS)]
+    elif command == "verify":
+        argv = ["verify", curve()]
+        if rng.random() < 0.7:
+            argv += ["--extensions", pick(FUZZ_EXTENSIONS)]
+    elif command == "twists":
+        argv = ["twists", curve(least=1)]
+    elif command == "construct":
+        family = rng.choice(["recipe", "hermitian", "palindromic"])
+        field = pick(FUZZ_FIELDS)
+        argv = ["construct", "--family", family, "--field", field]
+        for flag in ("--space", "--t", "--a", "--poly"):
+            if rng.random() < 0.5:  # "=" keeps a leading "-" a value
+                argv.append(f"{flag}={hexes(rng.randint(1, 3), order(field))}")
+        if rng.random() < 0.3:
+            argv += ["--q-deg", rng.choice(["-1", "0", "1", "2", "4"])]
+    elif command == "period":
+        p = pick((["2", "4"], ["3", "0"]))
+        cap = rng.choice(["-1", "0", "1", "4", "8"])  # p^cap <= 2^16
+        argv = ["period", f"p={p}; R={hexes(rng.randint(2, 3), max(int(p), 2))}", "--cap", cap]
+    elif command == "search":
+        field = pick((["F2", "F4", "F8", "F4:p=4", "F8:p=8", "F16:0x19"], ["F5", "F16:0x11"]))
+        e_max = rng.choice(["-1", "0", "1"] + (["2"] if "16" not in field else []))
+        predicate = rng.choice(["maximal", "minimal", "extremal"])
+        argv = ["search", "--field", field, "--e-max", e_max, "--predicate", predicate]
+    else:
+        argv = ["hd-check", "--cap", rng.choice(["-1", "0", "1", "5", "12", "33"])]
+    fmt = "csv" if command == "twists" else "json"
+    if rng.random() < 0.3:
+        fmt = rng.choice(["json", "csv"])
+        argv += ["--format", fmt]
+    return argv + ["--budget", budget], fmt
+
+
+def test_fuzzed_command_lines_give_one_record_and_a_stable_code(capsys):
+    rng = random.Random(20261018)
+    codes = set()
+    for _ in range(1500):
+        argv, fmt = fuzz_argv(rng)
+        code, out = run(capsys, *argv)
+        assert 0 <= code <= 5, argv
+        codes.add(code)
+        if code == 0 and fmt == "csv":
+            header, *rows = list(csv.reader(io.StringIO(out)))
+            assert header and all(len(row) == len(header) for row in rows), argv
+        else:
+            assert isinstance(json.loads(out), (dict, list)), argv
+    assert codes == {0, 1, 2, 3, 5}  # 4 would be a route disagreement
 
 
 class TestOutputFile:

@@ -6,6 +6,8 @@ import os
 import random
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from aswcurves.curves import (
     CurveSpec,
@@ -27,11 +29,12 @@ from aswcurves.curves import count
 from aswcurves.curves.count import checked_count, trace_zero_count
 from aswcurves.curves.lpoly import LPolynomial
 from aswcurves.curves.period import coefficient_range
-from aswcurves.curves.presentation import recover_head
+from aswcurves.curves.presentation import presentation_conditions, recover_head
 from aswcurves.curves.twists import least_admissible_parameter
 from aswcurves.errors import (
     AmbientTooSmall,
     BudgetExceeded,
+    CapExceeded,
     Char2Error,
     ConditionViolated,
     DegreeMismatch,
@@ -90,6 +93,17 @@ class TestCurveSpec:
         moved = spec.transport_to(big)
         assert moved.q_deg == 2
         assert moved.transport_to(F4) == spec
+
+    def test_over_declares_the_curve_over_the_extension(self):
+        spec = CurveSpec(F4, 2, (1, W))
+        assert spec.over(1) is spec
+        wide = spec.transport_to(make_field(4, 0x19))
+        assert wide.over(2) == CurveSpec(wide.ctx, 4, wide.coeffs)  # re-declared
+        assert wide.over(1) == spec  # F_q itself, in its default context
+        f64 = make_field(6)
+        assert spec.over(3) == CurveSpec(f64, 6, spec.transport_to(f64).coeffs)
+        with pytest.raises(AmbientTooSmall):
+            spec.over(17)
 
     def test_text_round_trip(self):
         spec = CurveSpec(F4, 2, (1, W))
@@ -328,6 +342,67 @@ class TestCheckedCount:
         spec = CurveSpec(F16, 4, (3, 5, 9))
         for m in (1, 2):
             assert checked_count(spec, m, None) == brute_count(spec, m)
+
+    def test_past_the_ambient_returns_none_without_counting(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("brute_count called past the ambient")
+
+        monkeypatch.setattr(count, "brute_count", refuse)
+        assert checked_count(CurveSpec(F4, 2, (0, 1)), 17, 1, budget=1 << 40) is None
+        assert checked_count(CurveSpec(F16, 2, (0, 6)), 17, None, budget=1 << 64) is None
+        assert checked_count(CurveSpec(F16, 4, (3, 5, 9)), 9, None, budget=1 << 64) is None
+
+
+# Contexts with non-default moduli, ambients wider than F_q, and p = 2, 4, 8.
+WIDE_AMBIENTS = ["F16:0x19", "F16:0x1f", "F16", "F64", "F16:p=4", "F256:p=4", "F64:p=8"]
+
+
+@st.composite
+def curves_with_degree(draw):
+    """A curve over some F_q inside one of WIDE_AMBIENTS, and an m with
+    q^m <= 2^16."""
+    ctx = parse_field_spec(draw(st.sampled_from(WIDE_AMBIENTS)))
+    q_deg = draw(st.sampled_from(
+        [d for d in range(ctx.p_log, ctx.n + 1, ctx.p_log) if ctx.n % d == 0]
+    ))
+    field = ctx.subfield_elements(q_deg)
+    coeffs = [draw(st.sampled_from(field)) for _ in range(draw(st.integers(1, 2)))]
+    coeffs.append(draw(st.sampled_from(field[1:])))
+    m = draw(st.sampled_from([m for m in (1, 2, 3) if q_deg * m <= 16]))
+    return CurveSpec(ctx, q_deg, tuple(coeffs)), m
+
+
+@seed(20261018)
+@settings(max_examples=60, deadline=None, database=None)
+@given(curves_with_degree())
+def test_count_is_independent_of_the_ambient(case):
+    spec, m = case
+    direct = brute_count(spec, m)
+    assert direct == brute_count(spec.canonical(), m)
+    witness = presentation_conditions(spec).witness
+    if witness is not None:
+        assert l_polynomial(*witness).point_count(m) == direct
+
+
+def period_outcome(spec):
+    try:
+        return period_parity(spec, cap=8, budget=1 << 12)
+    except (CapExceeded, AmbientTooSmall) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@seed(20261018)
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.sampled_from(WIDE_AMBIENTS), st.data())
+def test_period_is_independent_of_the_ambient(field, data):
+    """A curve over F_p in a wider context reaches each F_{p^n} that is
+    its context by re-declaring it, and elsewhere by moving."""
+    wide = parse_field_spec(field)
+    base = make_field(wide.p_log, None, wide.p_log)
+    p = base.order
+    tail = [data.draw(st.integers(0, p - 1)) for _ in range(data.draw(st.integers(1, 3)))]
+    spec = CurveSpec(base, base.n, (*tail, data.draw(st.integers(1, p - 1))))
+    assert period_outcome(spec.transport_to(wide)) == period_outcome(spec)
 
 
 def test_bit_patterns_past_the_field_lie_in_no_subfield():

@@ -1,5 +1,6 @@
-"""Source hygiene: no module imports another module's private names, and
-the counting oracle imports nothing from the routes it checks."""
+"""Source hygiene: no module imports another module's private names, the
+counting oracle imports nothing from the routes it checks, and the
+routes reach the oracle only through `curves.count.checked_count`."""
 
 import ast
 from pathlib import Path
@@ -87,3 +88,52 @@ def test_import_detector_sees_relative_and_absolute_forms():
     )
     got = imported_modules(source) & FORMULA_MODULES
     assert got == {"lpoly", "twists", "period", "witt2"}
+
+
+# The formula routes enter the enumeration oracle only through
+# `checked_count`; the package re-exports the entries as public API.
+ORACLE_ENTRIES = {"brute_count", "trace_zero_count"}
+ORACLE_EXEMPT = {"aswcurves/curves/count.py", "aswcurves/curves/__init__.py"}
+
+
+def oracle_references(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every import, name or attribute that names an
+    oracle entry."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name.split(".")[-1] for a in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name in ORACLE_ENTRIES]
+    return found
+
+
+def test_only_the_count_module_enters_the_oracle():
+    offenders = [
+        f"{path.relative_to(SRC)}:{line} refers to {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.relative_to(SRC).as_posix() not in ORACLE_EXEMPT
+        for line, name in oracle_references(path.read_text())
+    ]
+    assert offenders == []
+
+
+def test_oracle_detector_sees_imports_calls_and_attributes():
+    source = (
+        '"""brute_count in a docstring is prose."""\n'
+        "from .count import brute_count, checked_count\n"
+        "from . import count\n"
+        "n = count.trace_zero_count(spec)\n"
+        "m = brute_count(spec, 2)\n"
+        "k = checked_count(spec, 1, None)\n"
+    )
+    assert oracle_references(source) == [
+        (2, "brute_count"),
+        (4, "trace_zero_count"),
+        (5, "brute_count"),
+    ]

@@ -1,15 +1,16 @@
 """Result checks that must survive `python -O`, which strips `assert`.
 
 The skew, field, symplectic, families, twists, presentation, curve
-base, period and Witt suites run again in one child interpreter under
--O: pytest keeps the asserts of test modules, so every check of the
-package they reach (among them the OracleMismatch raises of
+base, period, Witt and CLI suites run again in one child interpreter
+under -O: pytest keeps the asserts of test modules, so every check of
+the package they reach (among them the OracleMismatch raises of
 `from_subspace`, `factor_through_symmetric`, `Fp2Subspace.from_vectors`,
 `PairingCtx`, the pivot and palindrome checks of `curves.families`, the
 degree and route checks of `curves.twists`, the witness and recovery
-checks of `curves.presentation` and the eigenvalue count of
-`l_polynomial`) is tested with the package's asserts gone.  Each test
-below reads its suite's outcomes from the child's summary.
+checks of `curves.presentation`, the eigenvalue count of
+`l_polynomial` and the exit codes of the command line) is tested with
+the package's asserts gone.  Each test below reads its suite's
+outcomes from the child's summary.
 """
 
 import os
@@ -30,6 +31,7 @@ SUITES = (
     "test_curves_base.py",
     "test_period.py",
     "test_witt2.py",
+    "test_cli.py",
 )
 
 

@@ -62,6 +62,16 @@ class TestClassifyAnchor:
         with pytest.raises(ValueError):
             tc.twist_class(4)
 
+    def test_twist_count_follows_the_class(self):
+        tc = classify_twists(CurveSpec(F16, 4, (0, 1)))
+        gap = {"maximal": 8, "minimal": -8, "neutral": 0}
+        for a in range(16):
+            assert tc.twist_count(a) == 17 + gap[tc.twist_class(a)] == brute_count(
+                CurveSpec(F16, 4, (a, 1))
+            )
+        with pytest.raises(DomainError):
+            tc.twist_count(16)
+
     def test_square_head_over_f16(self):
         tc = classify_twists(CurveSpec(F16, 4, (0, 1)))
         assert tc.maximal_twists == (1, 6, 7)
@@ -456,6 +466,31 @@ class TestChecksSurvivePythonO:
         monkeypatch.setattr(twists, "_datum_for", lambda head, datum: None)
         with pytest.raises(OracleMismatch, match="odd power"):
             classify_twists(CurveSpec(make_field(3), 3, (0, 1)))
+
+    @pytest.mark.parametrize(
+        "field,coeffs", [("F16", (0, 1)), ("F16:0x19", (0, 1)), ("F256:p=4", (0, 1))]
+    )
+    def test_a_moved_twist_count_stops_the_counting_route(self, monkeypatch, field, coeffs):
+        ctx = parse_field_spec(field)
+        head = CurveSpec(ctx, ctx.n, coeffs)
+        moved = classify_twists(head, counting=False).maximal_twists[-1]
+        true_count = twists.TwistClassification.twist_count
+        monkeypatch.setattr(
+            twists.TwistClassification, "twist_count",
+            lambda tc, a: true_count(tc, a) + (a == moved),
+        )
+        counted = []
+        original = count.trace_zero_count
+
+        def recording(spec, *args, **kwargs):
+            counted.append(spec.coeffs[0])
+            return original(spec, *args, **kwargs)
+
+        monkeypatch.setattr(count, "trace_zero_count", recording)
+        with pytest.raises(OracleMismatch, match="eigenvalue count .* != direct count"):
+            classify_twists(head)
+        field = ctx.subfield_elements(ctx.n)
+        assert counted == field[: field.index(moved) + 1]  # stops at the moved twist
 
     def test_quadratic_extension_needs_an_even_degree(self, monkeypatch):
         monkeypatch.setattr(TwistDatum, "require", lambda self, upto: None)
