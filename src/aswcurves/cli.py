@@ -397,6 +397,22 @@ def _scale_factors(ctx: FieldCtx, q_deg: int, e_max: int) -> list[tuple[int, ...
     ]
 
 
+def _least_rescaling(
+    ctx: FieldCtx, coeffs: tuple[int, ...], scales: list[tuple[int, ...]]
+) -> bool:
+    """Whether no rescaling of coeffs is a smaller tuple.  Each rescaling
+    is compared one product at a time, up to its first coefficient that
+    differs from coeffs."""
+    for factors in scales:
+        for c, f in zip(coeffs, factors):
+            scaled = ctx.mul(c, f)
+            if scaled != c:
+                if scaled < c:
+                    return False
+                break
+    return True
+
+
 def cmd_search(args: argparse.Namespace, cfg: RunConfig) -> _Output:
     ctx = parse_field_spec(args.field)
     q_deg = ctx.n
@@ -408,8 +424,7 @@ def cmd_search(args: argparse.Namespace, cfg: RunConfig) -> _Output:
     rows = []
     scales = _scale_factors(ctx, q_deg, args.e_max)
     for coeffs in coefficient_range(q, args.e_max):
-        rescalings = (tuple(map(ctx.mul, coeffs, factors)) for factors in scales)
-        if min(rescalings) != coeffs:
+        if not _least_rescaling(ctx, coeffs, scales):
             continue  # a smaller representative covers this class
         spec = CurveSpec(ctx, q_deg, coeffs)
         if weil_gap(spec) is None:
@@ -511,9 +526,18 @@ def _add_common(
         )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ParseError, so they
+    come out as a JSON record like every other error; --help still
+    prints and exits 0.  Subcommand parsers take the same class."""
+
+    def error(self, message: str):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aswcurves",
         description="Analysis of y^p - y = x*R(x) over binary fields.",
     )
@@ -581,14 +605,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    cfg = RunConfig(
-        budget=args.budget,
-        threads=args.threads,
-        format=args.format,
-        output=args.output,
-    )
     try:
+        args = _build_parser().parse_args(argv)
+        cfg = RunConfig(
+            budget=args.budget,
+            threads=args.threads,
+            format=args.format,
+            output=args.output,
+        )
         for name, least in (("cap", 1), ("e_max", 1), ("threads", 1), ("budget", 0)):
             value = getattr(args, name, least)
             if value < least:

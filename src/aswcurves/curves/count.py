@@ -28,14 +28,18 @@ through `CurveSpec.over`.
 The twists R + a*x of one head share all of this set-up.  As
 Tr(y^2) = Tr(y), Tr_{Q/2}(w*a*x^2) = Tr_{Q/2}(sqrt(w*a)*x) =
 parity(x & l_w) with l_w = M sqrt(w*a), so the twist's form is the
-head's plus a linear term: parity(x & U_w x) + parity(x & l_w) =
-parity(x & (U_w x + l_w)).  U_w x is the XOR of one byte-table lookup
-per byte of x, and every x looks up table 0 exactly once, so adding
-l_w to the 256 entries of table 0 (and to no other) gives the twist's
-form exactly, with the same work per element.  The head's tables are
-kept for the latest (context, q_deg, tail, to_deg) only, a key that
-costs a twist no validated head to build; each twist computes its l_w
-and is still evaluated at every element of F_Q.
+head's quadratic part plus a linear term: parity(x & U_w x) XOR
+parity(x & l_w).  The head's tables are kept for the latest two
+(context, q_deg, tail, to_deg) keys, which cost a twist no validated
+head to build.  The first count of a head is one fused pass: U_w x is
+the XOR of one byte-table lookup per byte of x, every x looks up
+table 0 exactly once, so l_w added to the 256 entries of table 0 gives
+the twist's form with the same work per element.  From the second
+count of a head whose universe fits one chunk on, the head's quadratic
+part is evaluated once: the entry keeps parity(x & U_w x) for every x,
+and each twist evaluates its linear part parity(x & l_w) at every
+element of F_Q and XORs it in.  Either way each twist is its own count
+over the whole universe.
 """
 
 from __future__ import annotations
@@ -96,13 +100,30 @@ def _trace_matrix(ctx: FieldCtx) -> Callable[[int], int]:
     return linear_map([(hankel >> k) & ((1 << n) - 1) for k in range(n)])
 
 
-@lru_cache(maxsize=1)
-def _head_tables(
-    ctx: FieldCtx, q_deg: int, tail: tuple[int, ...], to_deg: int
-) -> tuple[np.ndarray, ...]:
-    """Byte tables of U_w, x -> M(w*R(x)), for w in the F_2-basis of the
-    degree-to_deg subfield: parity(x & U_w x) = Tr_{Q/2}(w*x*R(x)), R the
-    head over F_{2^q_deg} with coefficients (0,) + tail."""
+class _Head:
+    """The count set-up of one head, shared by its twists: `tables`, the
+    byte tables of U_w for each w, and, once a second count of the head
+    fits one chunk, `parities`, the arrays parity(x & U_w x) over the
+    whole universe."""
+
+    __slots__ = ("tables", "counted", "parities")
+
+    def __init__(self, tables: tuple[np.ndarray, ...]):
+        self.tables = tables
+        self.counted = False
+        self.parities: tuple[np.ndarray, ...] | None = None
+
+
+@lru_cache(maxsize=2)
+def _head_tables(ctx: FieldCtx, q_deg: int, tail: tuple[int, ...], to_deg: int) -> _Head:
+    """The head's entry, with the byte tables of U_w, x -> M(w*R(x)), for w
+    in the F_2-basis of the degree-to_deg subfield: parity(x & U_w x) =
+    Tr_{Q/2}(w*x*R(x)), R the head over F_{2^q_deg} with coefficients
+    (0,) + tail.
+
+    Two entries, not one: `hermitian_twist` and `verify` count one curve
+    over F_q and F_{q^2} in turn, two keys that would evict each other.
+    """
     m = _trace_matrix(ctx)
     r_images = ctx.linear_images(CurveSpec(ctx, q_deg, (0,) + tail).r_skew())
     forms = []
@@ -110,28 +131,36 @@ def _head_tables(
         tables = byte_tables([m(ctx.mul(w, r)) for r in r_images])
         tables.flags.writeable = False  # shared by every twist of the head
         forms.append(tables)
-    return tuple(forms)
+    return _Head(tuple(forms))
 
 
-def _twist_tables(full: CurveSpec, to_deg: int) -> list[list[np.ndarray]]:
-    """The tables of the forms of `full`: its head's, with l_w = M sqrt(w*a)
-    folded into table 0, a the linear coefficient (module docstring)."""
-    ctx, a = full.ctx, full.coeffs[0]
-    m = _trace_matrix(ctx)
-    forms = []
-    head = _head_tables(ctx, full.q_deg, full.coeffs[1:], to_deg)
-    for w, tables in zip(ctx.subfield_basis(to_deg), head):
-        ell = m(ctx.sqrt(ctx.mul(w, a)))
-        forms.append([tables[0] ^ np.uint64(ell), *tables[1:]])
-    return forms
+def _quadratic_parity(tables: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """parity(x & U x) at every x, U given by its byte tables."""
+    return np.bitwise_count(xs & apply_tables(tables, xs)) & np.uint8(1)
 
 
 def _count_chunk(forms: list[list[np.ndarray]], lo: int, hi: int) -> int:
     xs = np.arange(lo, hi, dtype=np.uint64)
     nonzero = np.zeros(hi - lo, dtype=np.uint8)
     for tables in forms:
-        nonzero |= np.bitwise_count(xs & apply_tables(tables, xs)) & np.uint8(1)
+        nonzero |= _quadratic_parity(tables, xs)
     return (hi - lo) - int(np.count_nonzero(nonzero))
+
+
+def _count_repeat(head: _Head, ells: list[int], size: int) -> int:
+    """The zeros of the twist with linear terms `ells` from the head's
+    parities, built at the first repeat: parity(x & l_w) is evaluated at
+    every x and XORed with parity(x & U_w x)."""
+    xs = np.arange(size, dtype=np.uint64)
+    if head.parities is None:
+        parities = tuple(_quadratic_parity(tables, xs) for tables in head.tables)
+        for parity in parities:
+            parity.flags.writeable = False
+        head.parities = parities
+    nonzero = np.zeros(size, dtype=np.uint8)
+    for parity, ell in zip(head.parities, ells):
+        nonzero |= parity ^ (np.bitwise_count(xs & np.uint64(ell)) & np.uint8(1))
+    return size - int(np.count_nonzero(nonzero))
 
 
 def trace_zero_count(
@@ -155,7 +184,16 @@ def trace_zero_count(
             f"enumerating {size} elements exceeds the budget of {budget}"
         )
     full = spec.over(m)
-    forms = _twist_tables(full, full.ctx.p_log if to_deg is None else to_deg)
+    ctx, a = full.ctx, full.coeffs[0]
+    to_deg = ctx.p_log if to_deg is None else to_deg
+    head = _head_tables(ctx, full.q_deg, full.coeffs[1:], to_deg)
+    matrix = _trace_matrix(ctx)
+    ells = [matrix(ctx.sqrt(ctx.mul(w, a))) for w in ctx.subfield_basis(to_deg)]
+    if head.counted and size <= _CHUNK:
+        return _count_repeat(head, ells, size)
+    head.counted = True
+    # table 0 is looked up once per x: l_w there is the twist's linear term
+    forms = [[t[0] ^ np.uint64(ell), *t[1:]] for t, ell in zip(head.tables, ells)]
     bounds = list(range(0, size, _CHUNK)) + [size]
     jobs = list(zip(bounds[:-1], bounds[1:]))
     if threads <= 1 or len(jobs) <= 1:

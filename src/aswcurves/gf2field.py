@@ -342,9 +342,24 @@ class FieldCtx:
         return r
 
     def inv(self, a: Element) -> Element:
+        """a^(2^n - 2) by Itoh-Tsujii: b_k = a^(2^k - 1) satisfies
+        b_2k = b_k^(2^k) * b_k and b_(k+1) = b_k^2 * a, so b_(n-1)
+        follows the bits of n - 1 in about 2*log2(n) products, and
+        a^-1 = b_(n-1)^2.  The squarings reuse `frob_map(1)`, the map
+        `sqr` builds in every context, so inversion builds no map of its
+        own."""
         if a == 0:
             raise ZeroDivisor("inverting 0")
-        return self.pow(a, (1 << self.n) - 2)
+        sqr = self.frob_map(1)
+        b, k = a, 1  # b = b_k; for n = 1 only a = 1 is left
+        for bit in bin(self.n - 1)[3:]:
+            c = b
+            for _ in range(k):
+                c = sqr(c)
+            b, k = self.mul(c, b), 2 * k
+            if bit == "1":
+                b, k = self.mul(sqr(b), a), k + 1
+        return sqr(b)
 
     def sqrt(self, a: Element) -> Element:
         """The unique square root (Frobenius is bijective)."""

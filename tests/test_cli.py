@@ -394,6 +394,35 @@ def test_out_of_range_integer_is_a_parse_error(capsys, argv):
     assert data["detail"].startswith("--")
 
 
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (("analyze", "q=F4; R=1,0", "--budget", "abc"), "--budget: invalid int value: 'abc'"),
+        (("analyze", "q=F4; R=1,0", "--format", "xml"), "--format: invalid choice: 'xml'"),
+        (("search", "--field", "F16"), "required: --predicate"),
+        ((), "required: command"),
+        (("construct", "--family", "recipe", "--field", "F16", "--space", "-1,7"),
+         "--space: expected one argument"),
+    ],
+    ids=["not-an-int", "unknown-format", "missing-option", "missing-subcommand", "dash-value"],
+)
+def test_usage_error_is_a_parse_error_record(capsys, argv, detail):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    data = json.loads(captured.out)
+    assert (code, data["error"]) == (2, "ParseError")
+    assert detail in data["detail"]
+    assert captured.err == ""  # no usage text beside the record
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("search", "--help")])
+def test_help_still_prints_and_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        main(list(argv))
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: aswcurves")
+
+
 # -- grammar fuzz over the seven subcommands --------------------------------
 
 # At most 16 elements, so that every direct count a fuzzed run can ask

@@ -12,6 +12,7 @@ from aswcurves.errors import (
     OracleMismatch,
     ParseError,
     ReduciblePolynomial,
+    ZeroDivisor,
 )
 from aswcurves import bitvec
 from aswcurves.gf2field import (
@@ -519,6 +520,33 @@ def test_mul_and_sqr_reduce_the_carryless_product(n, poly):
         assert K.mul(a, b) == clmod(clmul(a, b), K.poly)
         assert K.sqr(a) == clmod(clmul(a, a), K.poly)
     assert K.sqr((1 << n) - 1) == K.mul((1 << n) - 1, (1 << n) - 1)
+
+
+def fermat_inverse(K, a):
+    """a^(2^n - 2) by square-and-multiply on the carry-less product."""
+    r, e = 1, K.order - 2
+    while e:
+        if e & 1:
+            r = clmod(clmul(r, a), K.poly)
+        a = clmod(clmul(a, a), K.poly)
+        e >>= 1
+    return r
+
+
+@pytest.mark.parametrize(
+    "n,poly",
+    [(1, None), (2, None), (3, None), (4, 0x13), (4, 0x19), (4, 0x1F), (9, 0x211),
+     (16, None), (31, None), (32, None)],
+)
+def test_inv_matches_fermat(n, poly):
+    K = FieldCtx(n, poly)  # a fresh context: the Frobenius maps are built here
+    rng = random.Random(n)
+    samples = range(1, K.order) if n <= 9 else [rng.randrange(1, K.order) for _ in range(200)]
+    for a in [*samples, K.order - 1]:
+        assert K.inv(a) == fermat_inverse(K, a), a
+        assert K.mul(a, K.inv(a)) == 1
+    with pytest.raises(ZeroDivisor):
+        K.inv(0)
 
 
 def test_bitvec_matches_scalar():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from aswcurves import bitvec
-from aswcurves.curves import CurveSpec, trace_zero_count
+from aswcurves.curves import CurveSpec, count, trace_zero_count
 from aswcurves.gf2field import make_field
 from aswcurves.witt2 import q_exponent_table
 
@@ -184,6 +184,49 @@ def test_twist_family_counts_match_products(n, q_deg, p_log, poly):
             for a in coefficients:
                 got = trace_zero_count(head.with_a0(a), m, to_deg, budget=1 << 18)
                 assert got == expected[which, m, a][to_deg], (which, m, to_deg, a)
+
+
+# (ambient degree, q_deg, p_log, modulus) of the repeated-count checks:
+# p = 2 under a non-default modulus, p = 4 and p = 8, and a non-default
+# ambient wider than F_q
+REPEAT_CONTEXTS = [(4, 4, 1, 0x19), (4, 4, 2, None), (6, 6, 3, None), (8, 4, 1, 0x11D)]
+
+
+def _stored_parities(spec, m, to_deg):
+    full = spec.over(m)
+    return count._head_tables(full.ctx, full.q_deg, full.coeffs[1:], to_deg).parities
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("n,q_deg,p_log,poly", REPEAT_CONTEXTS)
+def test_repeated_twist_counts_match_the_fused_pass(n, q_deg, p_log, poly, m):
+    """Every twist of two heads, counted in field order, reversed and
+    with the heads interleaved, so that all but the first count of a
+    head read its stored parities: each count equals the fused pass of
+    a first count and the product reference."""
+    (head_a, head_b), _ = _two_heads(n, q_deg, p_log, poly)
+    heads = {"A": head_a, "B": head_b}
+    field = make_field(n, poly, p_log).subfield_elements(q_deg)
+    to_degs = sorted({1, p_log})
+    products = {
+        (which, a): trace_zeros_by_products(head.with_a0(a), m, to_degs)
+        for which, head in heads.items()
+        for a in field
+    }
+    runs = [("A", a) for a in field] + [("A", a) for a in reversed(field)]
+    runs += [(which, a) for a in field for which in "BA"]
+    for to_deg in to_degs:
+        fused = {}
+        for which, a in products:
+            count._head_tables.cache_clear()  # a first count: the fused pass
+            fused[which, a] = trace_zero_count(heads[which].with_a0(a), m, to_deg)
+            assert fused[which, a] == products[which, a][to_deg], (which, a, to_deg)
+        count._head_tables.cache_clear()
+        for which, a in runs:
+            got = trace_zero_count(heads[which].with_a0(a), m, to_deg)
+            assert got == fused[which, a], (which, a, to_deg)
+        for head in heads.values():
+            assert _stored_parities(head, m, to_deg) is not None
 
 
 @pytest.mark.parametrize("deg", range(1, 19))

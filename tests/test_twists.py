@@ -143,6 +143,60 @@ class TestClassifyLargeField:
         assert len(r_images) == 1
 
 
+class TestRepeatedCounts:
+    """From the second count of a head on, a twist reads the head's stored
+    parities when its universe fits one chunk."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_head_tables(self):
+        count._head_tables.cache_clear()
+        yield
+        count._head_tables.cache_clear()  # no corrupted entry outlives its test
+
+    @staticmethod
+    def head_entry(head):
+        return count._head_tables(head.ctx, head.q_deg, head.coeffs[1:], head.ctx.p_log)
+
+    @pytest.mark.parametrize("field", ["F16", "F16:0x19", "F16:p=4", "F64:p=8", "F256:p=4"])
+    def test_classification_counts_equal_the_fused_pass(self, field):
+        ctx = parse_field_spec(field)
+        head = CurveSpec(ctx, ctx.n, (0, 1))
+        fused = {}
+        for a in ctx.subfield_elements(ctx.n):
+            count._head_tables.cache_clear()  # a first count: the fused pass
+            fused[a] = brute_count(head.with_a0(a))
+        count._head_tables.cache_clear()
+        tc = classify_twists(head)  # checks each count against twist_count
+        assert {a: tc.twist_count(a) for a in fused} == fused
+        assert self.head_entry(head).parities is not None
+
+    def test_a_multi_chunk_universe_stores_no_parities(self, monkeypatch):
+        monkeypatch.setattr(count, "_CHUNK", 1 << 8)
+        one_chunk = CurveSpec(make_field(8), 8, (0, 0, 1))
+        several = CurveSpec(make_field(10), 10, (0, 1))
+        for head in (one_chunk, several):
+            assert classify_twists(head).counting_checked
+        assert self.head_entry(one_chunk).parities is not None
+        entry = self.head_entry(several)
+        assert entry.counted and entry.parities is None
+
+    @pytest.mark.parametrize("field,flip", [("F16", "one"), ("F16:0x19", "one"), ("F256:p=4", "all")])
+    def test_a_corrupted_parity_stops_the_counting_route(self, field, flip):
+        ctx = parse_field_spec(field)
+        head = CurveSpec(ctx, ctx.n, (0, 1))
+        for _ in range(2):  # the fused pass, then the count that stores parities
+            brute_count(head)
+        entry = self.head_entry(head)
+        first = entry.parities[0].copy()
+        if flip == "one":
+            first[1] ^= 1
+        else:
+            first ^= 1
+        entry.parities = (first, *entry.parities[1:])
+        with pytest.raises(OracleMismatch, match="eigenvalue count .* != direct count"):
+            classify_twists(head)
+
+
 class TestClassifyInvariants:
     @pytest.mark.parametrize("coeffs", RATIONAL_HEADS_16)
     def test_parameter_set_is_image_coset(self, coeffs):
