@@ -23,6 +23,7 @@ import csv
 import functools
 import io
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -52,6 +53,7 @@ from .errors import (
     BudgetExceeded,
     CapExceeded,
     Char2Error,
+    DomainError,
     NonRealCount,
     NoSolution,
     OracleMismatch,
@@ -167,8 +169,17 @@ def _extension_counts(
     count must lie within the Weil bound.  Returns the counts, the number
     of degrees where both routes ran, and the other degrees with the
     limit each exceeds, budget or ambient field (counted by the
-    eigenvalue route alone, or not at all without `lp`).
+    eigenvalue route alone, or not at all without `lp`).  Every degree
+    is gated before the first count: DomainError when q^m, and so its
+    count, has more decimal digits than the interpreter will print
+    (`sys.get_int_max_str_digits()`, 0 for no limit).
     """
+    digits = sys.get_int_max_str_digits()
+    for m in degrees:
+        if digits and int(spec.q_deg * m * math.log10(2)) + 1 > digits:
+            raise DomainError(
+                f"extension {m}: {spec.q}^{m} has more than {digits} decimal digits"
+            )
     counts: dict[str, int] = {}
     compared = 0
     skipped = []

@@ -157,7 +157,7 @@ def presentation_conditions(spec: CurveSpec) -> PresentationReport:
     radical = pc.orthogonal_complement(Vq)
     if radical != _frobenius_image(probe, V, q_deg):
         raise OracleMismatch(f"radical of {spec!r} is not the image of u^q + u")
-    flag3 = not any(_form_sqrt(pspec, u) for u in radical.elements())
+    flag3 = not any(_form_sqrt(pspec, u) for u in radical.basis)  # F_p-linear
 
     try:
         lagrangian = maximal_isotropic(
@@ -182,7 +182,9 @@ def presentation_conditions(spec: CurveSpec) -> PresentationReport:
 
 
 def _quadratic_trace_vanishes(pspec: CurveSpec, V: Fp2Subspace) -> bool:
-    """Tr((u^q + u) * R(u)) from the quadratic extension, on all of V."""
+    """Tr((u^q + u) * R(u)) from the quadratic extension, on all of V.
+    The form is additive on V, as its cross terms cancel (R + R* kills V,
+    R has coefficients in F_q, Tr(y^q) = Tr(y)), so a basis decides."""
     ctx, q_deg = pspec.ctx, pspec.q_deg
     return all(
         ctx.trace(
@@ -191,7 +193,7 @@ def _quadratic_trace_vanishes(pspec: CurveSpec, V: Fp2Subspace) -> bool:
             ctx.p_log,
         )
         == 0
-        for u in V.elements()
+        for u in V.basis
     )
 
 

@@ -61,9 +61,7 @@ class PairingCtx:
 
     __slots__ = ("F", "W", "Wstar", "gram")
 
-    def __init__(self, F: SkewPoly, ambient: FieldCtx | None = None):
-        if ambient is not None:
-            F = F.transport_to(ambient)
+    def __init__(self, F: SkewPoly):
         self.F = F
         self.W = F.kernel()
         self.Wstar = F.adjoint().kernel()
@@ -128,16 +126,14 @@ class PairingCtx:
         return self._solve_perp(within.basis, within)
 
 
-def factor_complement_check(
-    E: SkewPoly, f: SkewPoly, ambient: FieldCtx | None = None
-) -> Fp2Subspace:
+def factor_complement_check(E: SkewPoly, f: SkewPoly) -> Fp2Subspace:
     """Kernel of h* for the cofactor h with E = h*f.
 
     This equals the orthogonal complement of ker f under the pairing of
     E; the test suite asserts that equality.
     """
     h = E.right_divide(f)
-    return h.adjoint().kernel(ambient)
+    return h.adjoint().kernel()
 
 
 def maximal_isotropic(

@@ -316,7 +316,8 @@ def test_criterion_09_symplectic_suite():
         (SkewPoly(F16, {2: 1}), None),
         (SkewPoly(F4, {1: 2}), make_field(6)),
     ):
-        pc2 = PairingCtx(Rbig + Rbig.adjoint(), ambient=ambient)
+        E = Rbig + Rbig.adjoint()
+        pc2 = PairingCtx(E if ambient is None else E.transport_to(ambient))
         Ramb = Rbig if ambient is None else Rbig.transport_to(ambient)
         e = Rbig.degree
         for u in pc2.W.elements():

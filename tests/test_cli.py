@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import random
+import sys
 
 import pytest
 
@@ -21,6 +22,15 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     return code, json.loads(out)
+
+
+@pytest.fixture
+def digit_limit_4300():
+    """The interpreter's default limit on the digits of a printed int."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
 
 
 class TestAnalyze:
@@ -72,6 +82,24 @@ class TestAnalyze:
             "extension 17: size 17179869184 over the 32-bit ambient; eigenvalue route only"
         ]
         assert 17 not in asked
+
+    def test_degree_past_the_printable_digits_exits_one(self, capsys, digit_limit_4300):
+        """4^7200 has more decimal digits than the interpreter prints;
+        the degree is refused before the first count."""
+        code, data = run_json(capsys, "analyze", "q=F4; R=1,0", "--extensions", "1,7200")
+        assert code == 1
+        assert data == {
+            "error": "DomainError",
+            "detail": "extension 7200: 4^7200 has more than 4300 decimal digits",
+        }
+
+    def test_large_prime_field_answers_from_bases(self, capsys):
+        """Over F_q = F_p with p = 2^16, flags 2 and 3 are read on bases:
+        listing ker(R + R*) would take 2^32 elements."""
+        code, data = run_json(capsys, "analyze", "q=F65536:p=65536; R=1,0")
+        assert code == 0
+        assert data["verdicts"] == dict.fromkeys(data["verdicts"], False)
+        assert data["counts"] == {"1": 65537}
 
     def test_malformed_curve_exits_two(self, capsys):
         code, data = run_json(capsys, "analyze", "nonsense")
@@ -286,6 +314,12 @@ class TestVerify:
         assert data["counts"] == counts
         assert data["warnings"] == warnings
 
+    def test_degree_past_the_printable_digits_exits_one(self, capsys, digit_limit_4300):
+        code, data = run_json(capsys, "verify", "q=F4; R=1,0", "--extensions", "7200")
+        assert code == 1
+        assert data["error"] == "DomainError"
+        assert data["detail"].startswith("extension 7200: ")
+
 
 class TestSearch:
     def test_f4_maximal_is_exactly_the_cubic_class(self, capsys):
@@ -433,8 +467,11 @@ FUZZ_FIELDS = (
     ["F16:0x11", "F3", "F16:p=3", "F4:p=8", "G16"],
 )
 FUZZ_BAD_HEX = ["zz", "", "-1", "1.5", "100"]
-# q^m stays within 2^17 or passes the 32-bit ambient for every fuzz field
-FUZZ_EXTENSIONS = (["1", "2", "3", "17", "40", "1,2", "2,1,17", ""], ["0", "-1", "x", "1,,2"])
+# q^m stays within 2^17, passes the 32-bit ambient or, at 15000, has more
+# decimal digits than the interpreter prints, for every fuzz field
+FUZZ_EXTENSIONS = (
+    ["1", "2", "3", "17", "40", "1,2", "2,1,17", "1,15000", ""], ["0", "-1", "x", "1,,2"]
+)
 FUZZ_BUDGETS = ["0", "1", "15", "16", "256", "65536", str(1 << 35), str(1 << 64)]
 
 

@@ -14,6 +14,7 @@ from aswcurves.curves import (
     TwistDatum,
     brute_count,
     build_curve,
+    classify_twists,
     extremal_from_subspace,
     format_curve_spec,
     head_curve,
@@ -39,6 +40,7 @@ from aswcurves.errors import (
     ConditionViolated,
     DegreeMismatch,
     DomainError,
+    KernelNotRational,
     OracleMismatch,
     ParseError,
     ZeroDivisor,
@@ -359,29 +361,66 @@ WIDE_AMBIENTS = ["F16:0x19", "F16:0x1f", "F16", "F64", "F16:p=4", "F256:p=4", "F
 
 @st.composite
 def curves_with_degree(draw):
-    """A curve over some F_q inside one of WIDE_AMBIENTS, and an m with
-    q^m <= 2^16."""
+    """A curve of degree e <= 3 over some F_q inside one of WIDE_AMBIENTS,
+    and an m with q^m <= 2^16.  Each coefficient between the linear and
+    the leading one is zero half the time, so that sparse curves, which
+    more often have a presentation, are drawn often."""
     ctx = parse_field_spec(draw(st.sampled_from(WIDE_AMBIENTS)))
     q_deg = draw(st.sampled_from(
         [d for d in range(ctx.p_log, ctx.n + 1, ctx.p_log) if ctx.n % d == 0]
     ))
     field = ctx.subfield_elements(q_deg)
-    coeffs = [draw(st.sampled_from(field)) for _ in range(draw(st.integers(1, 2)))]
+    coeffs = [draw(st.sampled_from(field))]
+    for _ in range(draw(st.integers(0, 2))):
+        coeffs.append(draw(st.sampled_from(field)) if draw(st.booleans()) else 0)
     coeffs.append(draw(st.sampled_from(field[1:])))
     m = draw(st.sampled_from([m for m in (1, 2, 3) if q_deg * m <= 16]))
     return CurveSpec(ctx, q_deg, tuple(coeffs)), m
 
 
 @seed(20261018)
-@settings(max_examples=60, deadline=None, database=None)
+@settings(max_examples=200, deadline=None, database=None)
 @given(curves_with_degree())
 def test_count_is_independent_of_the_ambient(case):
+    """Every route that applies to the drawn curve gives one answer, in
+    its own context and in the canonical context of F_q."""
     spec, m = case
-    direct = brute_count(spec, m)
-    assert direct == brute_count(spec.canonical(), m)
-    witness = presentation_conditions(spec).witness
-    if witness is not None:
-        assert l_polynomial(*witness).point_count(m) == direct
+    report = presentation_conditions(spec)
+    assert_routes_agree(
+        flags_in_context=report.flags,
+        flags_canonical=presentation_conditions(spec.canonical()).flags,
+    )
+    direct = {k: brute_count(spec, k) for k in {1, m}}
+    over_m = {
+        "direct_in_context": direct[m],
+        "direct_canonical": brute_count(spec.canonical(), m),
+    }
+    if report.witness is not None:
+        over_m["l_polynomial"] = l_polynomial(*report.witness).point_count(m)
+    assert_routes_agree(**over_m)
+
+    try:
+        classes = classify_twists(spec.head(), counting=False)
+        twists = classes.maximal_twists + classes.minimal_twists + classes.neutral_twists
+    except KernelNotRational:
+        twists = ()
+    a0 = spec.coeffs[0]
+    if a0 in twists:
+        assert_routes_agree(direct_over_q=direct[1], twist_count=classes.twist_count(a0))
+
+    if report.witness is not None and all(report.witness[0].conditions):
+        assert_routes_agree(
+            quadratic_extension_maximal=quadratic_extension_maximal(*report.witness),
+            direct_over_q2_maximal=weil_class(spec, 2, brute_count(spec, 2)) == "maximal",
+        )
+
+
+def assert_routes_agree(**routes):
+    """Every route gives the first route's answer; a failure names the
+    two routes that disagree."""
+    (first, value), *rest = routes.items()
+    for name, other in rest:
+        assert other == value, f"{first} gives {value} but {name} gives {other}"
 
 
 def period_outcome(spec):

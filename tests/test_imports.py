@@ -1,6 +1,7 @@
 """Source hygiene: no module imports another module's private names, the
-counting oracle imports nothing from the routes it checks, and the
-routes reach the oracle only through `curves.count.checked_count`."""
+counting oracle imports nothing from the routes it checks, the routes
+reach the oracle only through `curves.count.checked_count`, and no
+module holds what `python -O` would strip."""
 
 import ast
 from pathlib import Path
@@ -136,4 +137,55 @@ def test_oracle_detector_sees_imports_calls_and_attributes():
         (2, "brute_count"),
         (4, "trace_zero_count"),
         (5, "brute_count"),
+    ]
+
+
+# `python -O` changes a program in two ways only: it strips `assert`
+# statements and reads `__debug__` as False.  With neither in src/, the
+# package runs the same code with and without -O, on every input.
+def optimizer_sensitive(source: str) -> list[tuple[int, str]]:
+    """(line, form) of every `assert` statement and `__debug__` name or
+    attribute, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assert):
+            found.append((node.lineno, "assert"))
+        elif isinstance(node, ast.Name) and node.id == "__debug__":
+            found.append((node.lineno, "__debug__"))
+        elif isinstance(node, ast.Attribute) and node.attr == "__debug__":
+            found.append((node.lineno, "__debug__"))
+    return sorted(found)
+
+
+def test_python_O_changes_nothing_in_the_package():
+    files = sorted(SRC.rglob("*.py"))
+    assert files
+    offenders = [
+        f"{path.relative_to(SRC)}:{line} has {form}"
+        for path in files
+        for line, form in optimizer_sensitive(path.read_text())
+    ]
+    assert offenders == []
+
+
+def test_optimizer_detector_flags_asserts_and_debug_not_prose():
+    source = (
+        '"""Never assert in a module docstring."""\n'
+        "assert READY\n"
+        "def check(x):\n"
+        '    """assert x > 0"""\n'
+        "    assert x > 0, 'assert in a message'\n"
+        "    return 'assert x'\n"
+        "class Checked:\n"
+        "    assert True\n"
+        "if __debug__:\n"
+        "    check(1)\n"
+        "flag = builtins.__debug__  # assert\n"
+    )
+    assert optimizer_sensitive(source) == [
+        (2, "assert"),
+        (5, "assert"),
+        (8, "assert"),
+        (9, "__debug__"),
+        (11, "__debug__"),
     ]

@@ -18,8 +18,9 @@ from aswcurves.errors import (
     NoTwistParameter,
     OracleMismatch,
 )
-from aswcurves.gf2field import make_field
+from aswcurves.gf2field import make_field, parse_field_spec
 from aswcurves.skew import SkewPoly
+from aswcurves.symplectic import PairingCtx
 
 F2 = make_field(1)
 F4 = make_field(2)
@@ -71,12 +72,59 @@ class TestPresentationConditions:
                 assert build_curve(fd, t) == spec
         assert seen[True] > 0 and seen[False] > 0
 
+    def test_basis_reading_equals_every_element(self):
+        """Flags 2 and 3 read on a basis equal the same forms evaluated at
+        every element of V and of the radical, written out here."""
+        rng = random.Random(20261019)
+        seen = set()
+        for field in ("F16", "F64", "F16:p=4", "F256:p=4", "F64:p=8"):
+            ctx = parse_field_spec(field)
+            for q_deg in range(ctx.p_log, ctx.n + 1, ctx.p_log):
+                if ctx.n % q_deg:
+                    continue
+                field_q = ctx.subfield_elements(q_deg)
+                for _ in range(12):
+                    e = rng.randint(1, 3)
+                    coeffs = [rng.choice(field_q) for _ in range(e)]
+                    spec = CurveSpec(ctx, q_deg, (*coeffs, rng.choice(field_q[1:])))
+                    expected = every_element_flags(spec)
+                    if expected is None:
+                        continue  # V is not inside the quadratic extension
+                    report = presentation_conditions(spec)
+                    got = (report.extension_trace_vanishes, report.radical_trace_vanishes)
+                    assert got == expected, spec
+                    seen.add(expected)
+        assert seen == {(True, True), (False, False)}
+
     def test_degenerate_radical_case_over_f4(self):
         # e = 2 with kernel of the symmetrization meeting F_4 in a
         # proper subspace exercises the radical handling.
         spec = CurveSpec(F4, 2, (0, 0, 1))
         report = presentation_conditions(spec)
         assert report.flags[0] == report.flags[1] == report.flags[2]
+
+
+def every_element_flags(spec):
+    """(flag 2, flag 3) from every element of V = ker(R + R*) and of the
+    radical of V cap F_q, or None when V is not inside F_{q^2}."""
+    q_deg = spec.q_deg
+    if (2 * q_deg) % spec.e_skew().kernel_splitting_degree():
+        return None
+    ctx = make_field(2 * q_deg, None, spec.ctx.p_log)
+    pspec = spec.transport_to(ctx)
+    pc = PairingCtx(pspec.e_skew())
+    radical = pc.orthogonal_complement(pc.W.intersect_subfield(q_deg))
+    q_power = q_deg // ctx.p_log
+    flag2 = all(
+        ctx.trace(ctx.mul(ctx.frob_p(u, q_power) ^ u, pspec.evaluate(u)), 2 * q_deg, ctx.p_log)
+        == 0
+        for u in pc.W.elements()
+    )
+    flag3 = all(
+        ctx.trace(ctx.mul(u, pspec.evaluate(u)), q_deg, ctx.p_log) == 0
+        for u in radical.elements()
+    )
+    return flag2, flag3
 
 
 class TestRecovery:

@@ -76,7 +76,7 @@ def test_pairing_anchor_f4():
             assert pc.omega(u, v) == expected
     assert pc.gram == ((0, 1), (1, 0))
     with pytest.raises(NotInKernel):
-        PairingCtx(E4, ambient=F16).omega(2, 1)  # 2 generates F_16, not in ker
+        PairingCtx(E4.transport_to(F16)).omega(2, 1)  # 2 generates F_16, not in ker
 
 
 def test_pairing_nonsymplectic():
@@ -345,7 +345,7 @@ def test_omega_r_is_power_of_omega():
     ]
     for R, ambient in cases:
         E = R + R.adjoint()
-        pc = PairingCtx(E, ambient=ambient)
+        pc = PairingCtx(E if ambient is None else E.transport_to(ambient))
         Ramb = R if ambient is None else R.transport_to(ambient)
         e = R.degree
         for u in pc.W.elements():
@@ -377,7 +377,7 @@ def self_adjoint_draws(rng, count):
         if n > 16:
             continue
         drawn += 1
-        yield PairingCtx(E, ambient=make_field(n, None, p_log))
+        yield PairingCtx(E.transport_to(make_field(n, None, p_log)))
 
 
 def lagrangian_grid():
