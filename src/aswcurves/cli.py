@@ -60,7 +60,7 @@ from .errors import (
     PairingConditionFailed,
     ParseError,
 )
-from .gf2field import MAX_DEGREE, FieldCtx, Fp2Subspace, parse_field_spec
+from .gf2field import MAX_DEGREE, FieldCtx, Fp2Subspace, parse_field_spec, parse_int
 from .witt2 import GaussInt, hd_sum
 
 __all__ = ["RunConfig", "curve_report", "main"]
@@ -125,7 +125,7 @@ def _parse_prime_curve(text: str) -> CurveSpec:
     """Parse 'p=<2^k>; R=<hex>,...' (or a q= form declared over F_p)."""
     m = _PRIME_CURVE.match(text)
     if m:
-        p = int(m.group(1))
+        p = parse_int(m.group(1))
         if p < 2 or p & (p - 1):
             raise ParseError(f"base order {p} is not a power of 2")
         text = f"q=F{p}:p={p}; R={m.group(2)}"

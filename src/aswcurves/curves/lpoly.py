@@ -52,6 +52,9 @@ class LPolynomial:
             and self.roots == other.roots
         )
 
+    def __hash__(self) -> int:
+        return hash((self.q, self.multiplicity, self.roots))
+
     @property
     def degree(self) -> int:
         """Total degree counting multiplicity; equals twice the genus."""

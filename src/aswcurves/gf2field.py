@@ -636,19 +636,29 @@ class Fp2Subspace:
 _FIELD_RE = re.compile(r"^F(\d+)(?::(0[xX][0-9a-fA-F]+|\d+))?(?::p=(\d+))?$")
 
 
+def parse_int(digits: str, base: int = 10) -> int:
+    """int(digits, base), with a ParseError for what int() refuses: a
+    leading-zero decimal under base 0, or too many decimal digits."""
+    try:
+        return int(digits, base)
+    except ValueError:
+        shown = digits if len(digits) <= 20 else f"{digits[:8]}... ({len(digits)} digits)"
+        raise ParseError(f"number {shown} has leading zeros or too many digits") from None
+
+
 def parse_field_spec(text: str) -> FieldCtx:
     """Parse a field spec string into a (cached) context."""
     m = _FIELD_RE.match(text.strip())
     if not m:
         raise ParseError(f"bad field spec {text!r}")
-    order = int(m.group(1))
+    order = parse_int(m.group(1))
     n = order.bit_length() - 1
     if order <= 1 or (1 << n) != order:
         raise ParseError(f"field order {order} is not a power of 2")
-    poly = int(m.group(2), 0) if m.group(2) else None
+    poly = parse_int(m.group(2), 0) if m.group(2) else None
     p_log = 1
     if m.group(3):
-        p = int(m.group(3))
+        p = parse_int(m.group(3))
         p_log = p.bit_length() - 1
         if p <= 1 or (1 << p_log) != p:
             raise ParseError(f"base order {p} is not a power of 2")

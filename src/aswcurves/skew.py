@@ -13,7 +13,6 @@ objects.
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -25,7 +24,6 @@ from .errors import (
     NotDivisible,
     NotSelfAdjoint,
     OracleMismatch,
-    ParseError,
     ZeroDivisor,
     ZeroPolynomial,
 )
@@ -233,13 +231,6 @@ class SkewPoly:
             )
         return SkewPoly.tau(self.ctx, -s) * h2
 
-    def right_divides(self, f: "SkewPoly") -> bool:
-        try:
-            f.right_divide(self)
-            return True
-        except NotDivisible:
-            return False
-
     # -- kernels -------------------------------------------------------
 
     def kernel(self, ambient: FieldCtx | None = None) -> Fp2Subspace:
@@ -362,8 +353,6 @@ def factor_through_symmetric(E: SkewPoly, space: Fp2Subspace) -> SkewPoly:
 # ---------------------------------------------------------------------------
 # text form: hex coefficients against powers of t, highest exponent first
 
-_TERM_RE = re.compile(r"^(0[xX][0-9a-fA-F]+)(?:\s*\*\s*t\^(-?\d+))?$")
-
 
 def format_skew(f: SkewPoly) -> str:
     if not f:
@@ -371,22 +360,3 @@ def format_skew(f: SkewPoly) -> str:
     terms = [f"{f[i]:#x}*t^{i}" for i in sorted(f.coeffs, reverse=True)]
     return " + ".join(terms)
 
-
-def parse_skew(ctx: FieldCtx, text: str) -> SkewPoly:
-    """Parse the format emitted by format_skew (constants may omit *t^0)."""
-    body = text.strip()
-    if body == "0":
-        return SkewPoly.zero(ctx)
-    coeffs: dict[int, Element] = {}
-    for raw in body.split("+"):
-        m = _TERM_RE.match(raw.strip())
-        if m is None:
-            raise ParseError(f"bad skew term {raw.strip()!r}")
-        a = int(m.group(1), 16)
-        i = int(m.group(2)) if m.group(2) is not None else 0
-        if i in coeffs:
-            raise ParseError(f"repeated exponent {i}")
-        if a >= ctx.order:
-            raise ParseError(f"coefficient {a:#x} too large for F_{{2^{ctx.n}}}")
-        coeffs[i] = a
-    return SkewPoly(ctx, coeffs)

@@ -6,10 +6,8 @@ g^p + g = xF(y) + yF*(x).  Restricted to u in ker F and u* in ker F*,
 the value omega(u, u*) := g(u*, u) lands in F_p and the resulting
 pairing is nondegenerate; when F is self-adjoint it is alternating, so
 ker F becomes a symplectic F_p-space.  This module computes g, the
-pairing, orthogonal complements, maximal isotropic subspaces (grown one
-vector at a time, on which an optional F_p-linear form vanishes), and
-the finite Heisenberg group attached to a linearized polynomial R
-(elements (a, b) with b^p + b = a*R(a)).
+pairing, orthogonal complements and maximal isotropic subspaces (grown
+one vector at a time, on which an optional F_p-linear form vanishes).
 
 Everything is exact; pairing values are elements of the degree-p_log
 subfield of the working context.
@@ -20,11 +18,8 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .errors import (
-    CtxMismatch,
-    DegreeMismatch,
     NotInKernel,
     NotIsotropic,
-    NotOnCurve,
     NotSubspaceOfW,
     NotSymplectic,
     OracleMismatch,
@@ -126,16 +121,6 @@ class PairingCtx:
         return self._solve_perp(within.basis, within)
 
 
-def factor_complement_check(E: SkewPoly, f: SkewPoly) -> Fp2Subspace:
-    """Kernel of h* for the cofactor h with E = h*f.
-
-    This equals the orthogonal complement of ker f under the pairing of
-    E; the test suite asserts that equality.
-    """
-    h = E.right_divide(f)
-    return h.adjoint().kernel()
-
-
 def maximal_isotropic(
     pc: PairingCtx,
     phi: Callable[[Element], Element] | None = None,
@@ -149,9 +134,20 @@ def maximal_isotropic(
     As omega and phi are F_p-linear, a vector v extends an isotropic U
     on which phi vanishes exactly when phi(v), omega(v, v) and omega(u, v)
     vanish for u in an F_p-basis of U; that is the one test applied.
-    The search walks candidate vectors in increasing order with full
-    backtracking, so the outcome is reproducible and exists whenever
-    any constrained maximal isotropic subspace exists.
+
+    One ascending pass from the radical adds every vector that passes
+    the test and is not yet spanned, and it never ends short.  A phi
+    that vanishes on the radical is omega(v0, .) on the nondegenerate
+    quotient by it, for some v0.  An isotropic U inside ker phi that
+    contains the radical is orthogonal to v0, and omega(v0, v0) = 0, so
+    by Witt's extension theorem for alternating forms (E. Artin,
+    Geometric Algebra, 1957) U + <v0> lies in a maximal isotropic L,
+    which is orthogonal to v0 and so inside ker phi.  Below the target
+    dimension, then, some vector of L extends U.  A vector rejected once
+    stays rejected: phi(v) != 0, omega(u, v) != 0 for a chosen u, and v
+    in the span all persist as vectors are added.  So that extension
+    lies ahead in the scan, and the pass returns the least choice a
+    backtracking search would find first.
     """
     if not pc.is_symplectic:
         raise NotSymplectic("maximal isotropic subspaces need F = F*")
@@ -168,26 +164,19 @@ def maximal_isotropic(
             return False
         return all(pc.omega(u, v, check=False) == 0 for u in basis + [v])
 
-    start = list(rad.fp_basis())
-    if not all(extends(start[:k], v) for k, v in enumerate(start)):
+    basis = list(rad.fp_basis())
+    if not all(extends(basis[:k], v) for k, v in enumerate(basis)):
         raise NotIsotropic("constraints fail on the radical")
-    elements = space.elements()
-
-    def extend(basis: list[Element], floor: Element) -> Fp2Subspace | None:
-        current = Fp2Subspace.from_vectors(pc.ctx, basis, space.p_log)
+    current = Fp2Subspace.from_vectors(pc.ctx, basis, space.p_log)
+    for v in space.elements():
         if current.dim_p == target:
-            return current
-        for v in elements:
-            if v > floor and not current.contains(v) and extends(basis, v):
-                found = extend(basis + [v], v)
-                if found is not None:
-                    return found
-        return None
-
-    result = extend(start, 0)
-    if result is None:
-        raise NotIsotropic("no maximal isotropic subspace meets the constraints")
-    return result
+            break
+        if not current.contains(v) and extends(basis, v):
+            basis.append(v)
+            current = Fp2Subspace.from_vectors(pc.ctx, basis, space.p_log)
+    if current.dim_p != target:
+        raise OracleMismatch(f"isotropic pass ended at dim {current.dim_p} < {target}")
+    return current
 
 
 def _fp_rank(ctx: FieldCtx, rows: list[list[Element]]) -> int:
@@ -200,87 +189,3 @@ def _fp_rank(ctx: FieldCtx, rows: list[list[Element]]) -> int:
         for row in rows for c in scalars
     ]
     return len(rref_basis(packed)) // ctx.p_log
-
-
-# ---------------------------------------------------------------------------
-# Heisenberg group of a linearized polynomial with exponents 0..e
-
-
-def _check_heisenberg_shape(R: SkewPoly) -> int:
-    if not R or R.val < 0 or R.degree < 1:
-        raise DegreeMismatch("group data needs exponents 0..e with e >= 1")
-    return R.degree
-
-
-def heisenberg_ambient(R: SkewPoly) -> SkewPoly:
-    """t^e * (R + R*): the map whose kernel carries the group."""
-    e = _check_heisenberg_shape(R)
-    return SkewPoly.tau(R.ctx, e) * (R + R.adjoint())
-
-
-def f_r_eval(R: SkewPoly, x: Element, y: Element) -> Element:
-    """The cocycle of the group law; solves f^p + f = xR(y) + yR(x) on ker."""
-    e = _check_heisenberg_shape(R)
-    ctx = R.ctx
-    xr = ctx.mul(x, R(y))
-    out = 0
-    for i in range(e):
-        inner = ctx.frob_p(xr, i)
-        if R[i]:
-            base = ctx.mul(ctx.mul(R[i], ctx.frob_p(x, i)), y)
-            for j in range(e - i):
-                inner ^= ctx.frob_p(base, j)
-        out ^= inner
-    return out
-
-
-def omega_r_eval(R: SkewPoly, x: Element, y: Element) -> Element:
-    """f_R(x,y) + f_R(y,x); the commutator pairing of the group."""
-    return f_r_eval(R, x, y) ^ f_r_eval(R, y, x)
-
-
-class HeisenbergElt:
-    """A point (a, b) with E_R-membership for a and b^p + b = a*R(a)."""
-
-    __slots__ = ("R", "a", "b")
-
-    def __init__(self, R: SkewPoly, a: Element, b: Element):
-        ctx = R.ctx
-        if heisenberg_ambient(R)(a) != 0:
-            raise NotOnCurve(f"{a:#x} is not in the kernel of t^e*(R + R*)")
-        if ctx.frob_p(b, 1) ^ b != ctx.mul(a, R(a)):
-            raise NotOnCurve(f"({a:#x}, {b:#x}) fails b^p + b = a*R(a)")
-        self.R = R
-        self.a = a
-        self.b = b
-
-    def __repr__(self) -> str:
-        return f"HeisenbergElt({self.a:#x}, {self.b:#x})"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, HeisenbergElt)
-            and (self.R, self.a, self.b) == (other.R, other.a, other.b)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.R, self.a, self.b))
-
-    def __mul__(self, other: "HeisenbergElt") -> "HeisenbergElt":
-        if self.R != other.R:
-            raise CtxMismatch("group elements belong to different groups")
-        a, b = self.a, self.b
-        c, d = other.a, other.b
-        return HeisenbergElt(self.R, a ^ c, b ^ d ^ f_r_eval(self.R, a, c))
-
-    def inverse(self) -> "HeisenbergElt":
-        a, b = self.a, self.b
-        return HeisenbergElt(self.R, a, b ^ f_r_eval(self.R, a, a))
-
-    @classmethod
-    def identity(cls, R: SkewPoly) -> "HeisenbergElt":
-        return cls(R, 0, 0)
-
-
-def commutator(g1: HeisenbergElt, g2: HeisenbergElt) -> HeisenbergElt:
-    return g1 * g2 * g1.inverse() * g2.inverse()

@@ -25,8 +25,6 @@ the unit vectors and takes every other value from this identity.
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
 
 from . import bitvec
@@ -36,7 +34,6 @@ from .errors import (
     DomainError,
     NonRealCount,
     OracleMismatch,
-    ParseError,
 )
 from .gf2field import Element, FieldCtx, make_field
 
@@ -107,9 +104,6 @@ class GaussInt:
             e >>= 1
         return r
 
-    def conj(self) -> "GaussInt":
-        return GaussInt(self.re, -self.im)
-
     def abs2(self) -> int:
         """Norm re^2 + im^2."""
         return self.re * self.re + self.im * self.im
@@ -129,20 +123,6 @@ def _coerce(x) -> GaussInt:
     if isinstance(x, GaussUnit):
         return x.gauss()
     return NotImplemented
-
-
-_GAUSS_RE = re.compile(r"^\s*(-?\d+)\s*([+-]\s*\d+)\s*i\s*$")
-
-
-def parse_gauss_int(text: str) -> GaussInt:
-    """Parse the canonical "a+bi" form (also accepts bare integers)."""
-    m = _GAUSS_RE.match(text)
-    if m:
-        return GaussInt(int(m.group(1)), int(m.group(2).replace(" ", "")))
-    try:
-        return GaussInt(int(text.strip()))
-    except ValueError:
-        raise ParseError(f"bad Gaussian integer {text!r}") from None
 
 
 class GaussUnit:
@@ -188,13 +168,6 @@ class GaussUnit:
 
     def gauss(self) -> GaussInt:
         return (GaussInt(1), GaussInt(0, 1), GaussInt(-1), GaussInt(0, -1))[self.k]
-
-    @classmethod
-    def parse(cls, text: str) -> "GaussUnit":
-        t = text.strip()
-        if t not in cls._NAMES:
-            raise ParseError(f"bad Gaussian unit {text!r}")
-        return cls(cls._NAMES.index(t))
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +276,6 @@ def q_char(ctx: FieldCtx, x: Element, deg: int) -> GaussUnit:
 def psi_char(ctx: FieldCtx, x: Element, deg: int) -> GaussUnit:
     """The parity character psi(x) = (-1)^Tr(x) = xi(Tr(0, x))."""
     return GaussUnit(2 * ctx.trace(x, deg, 1))
-
-
-def bq_char(ctx: FieldCtx, x: Element, y: Element, deg: int) -> GaussUnit:
-    """The bilinear defect of Q: B(x, y) = Q(x+y)/Q(x)Q(y) = psi(x*y)."""
-    return psi_char(ctx, ctx.mul(x, y), deg)
 
 
 def q_exponent_table(deg: int) -> np.ndarray:

@@ -428,6 +428,26 @@ def test_out_of_range_integer_is_a_parse_error(capsys, argv):
     assert data["detail"].startswith("--")
 
 
+LONG = "1" + "0" * 4999  # more decimal digits than the interpreter converts
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "q=F16:013; R=1,0"),
+        ("analyze", f"q=F{LONG}; R=1,0"),
+        ("search", "--field", f"F16:{LONG}", "--predicate", "maximal"),
+        ("period", f"p={LONG}; R=1,0"),
+    ],
+    ids=["leading-zero-modulus", "long-field-order", "long-modulus", "long-base-order"],
+)
+def test_unreadable_number_is_a_parse_error(capsys, digit_limit_4300, argv):
+    code, data = run_json(capsys, *argv)
+    assert (code, data["error"]) == (2, "ParseError")
+    assert "leading zeros or too many digits" in data["detail"]
+    assert len(data["detail"]) < 100
+
+
 @pytest.mark.parametrize(
     "argv, detail",
     [
@@ -464,7 +484,7 @@ def test_help_still_prints_and_exits_zero(capsys, argv):
 FUZZ_FIELDS = (
     ["F2", "F4", "F8", "F16", "F16:0x19", "F16:0x1f", "F4:p=4", "F16:p=4", "F8:p=8",
      "F16:0x19:p=4"],
-    ["F16:0x11", "F3", "F16:p=3", "F4:p=8", "G16"],
+    ["F16:0x11", "F3", "F16:p=3", "F4:p=8", "G16", "F16:013"],
 )
 FUZZ_BAD_HEX = ["zz", "", "-1", "1.5", "100"]
 # q^m stays within 2^17, passes the 32-bit ambient or, at 15000, has more

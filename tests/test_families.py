@@ -113,6 +113,19 @@ def polys_with_nonzero_ends(ctx, max_degree):
                 yield (lo, *mid, hi)
 
 
+def test_equal_reports_hash_equal():
+    """Frozen reports hash by value, their L-polynomial included."""
+    space = Fp2Subspace.from_vectors(F4, [1])
+    first, second = (extremal_from_subspace(space, W, 2) for _ in range(2))
+    assert first == second and first is not second
+    assert hash(first.lpoly) == hash(second.lpoly)
+    assert hash(first) == hash(second)
+    assert len({first, second}) == 1
+    reports = [hermitian_twist(F16, a) for a in (1, 1, 2)]
+    assert hash(reports[0]) == hash(reports[1])
+    assert len(set(reports)) == 2
+
+
 class TestRecipe:
     def test_span_one_over_f4(self):
         rec = extremal_from_subspace(Fp2Subspace.from_vectors(F4, [1]), W, 2)

@@ -1,9 +1,12 @@
 """Source hygiene: no module imports another module's private names, the
 counting oracle imports nothing from the routes it checks, the routes
-reach the oracle only through `curves.count.checked_count`, and no
-module holds what `python -O` would strip."""
+reach the oracle only through `curves.count.checked_count`, no module
+holds what `python -O` would strip, and every function under `src/` is
+reached."""
 
 import ast
+import importlib
+from collections import defaultdict
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -188,4 +191,135 @@ def test_optimizer_detector_flags_asserts_and_debug_not_prose():
         (8, "assert"),
         (9, "__debug__"),
         (11, "__debug__"),
+    ]
+
+
+# Every function and method under src/ is reached: something in src/
+# names it outside its own body, or it is public, a dunder, or an
+# override of a method that a base class outside src/ calls.  A method
+# counts as named only through an attribute load, so that a local
+# variable of the same name cannot hide a dead method.
+REACH_EXEMPT = {
+    "aswcurves/bitvec.py:field_mul": (
+        "the benchmark's microbenchmark and tracer import it; it moves to "
+        "tests/ when the benchmark is next re-recorded"
+    ),
+}
+
+
+def _public_names() -> set[str]:
+    import aswcurves
+    from aswcurves import curves
+
+    return set(aswcurves.__all__) | set(curves.__all__)
+
+
+def _overrides(base: ast.expr, name: str, methods: dict[str, set[str]]) -> bool:
+    """Whether the class named by `base` defines `name`: a class of the
+    scanned sources, or a dotted name that imports (builtins if bare)."""
+    dotted = ast.unparse(base)
+    if dotted in methods:
+        return name in methods[dotted]
+    module, _, attr = dotted.rpartition(".")
+    try:
+        owner = getattr(importlib.import_module(module or "builtins"), attr)
+    except (ImportError, AttributeError):
+        return False
+    return hasattr(owner, name)
+
+
+def unreached(sources: dict[str, str], public: set[str]) -> list[str]:
+    """`path:qualname` of every function and method in `sources` that
+    no code in `sources` names outside its own body and that is not
+    public, a dunder or an override, in source order."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    loads = defaultdict(list)  # name -> (path, line, is_attribute)
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loads[node.id].append((path, node.lineno, False))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loads[node.attr].append((path, node.lineno, True))
+    methods = {
+        node.name: {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+    found = []
+    for path, tree in trees.items():
+        owners = {
+            id(f): node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for f in node.body
+        }
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            owner = owners.get(id(fn))
+            name = fn.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if (owner.name if owner else name) in public:
+                continue
+            if owner and any(_overrides(b, name, methods) for b in owner.bases):
+                continue
+            named = any(
+                (is_attr or owner is None)
+                and not (where == path and fn.lineno <= line <= fn.end_lineno)
+                for where, line, is_attr in loads[name]
+            )
+            if not named:
+                found.append((path, fn.lineno, (owner.name + "." if owner else "") + name))
+    return [f"{path}:{qualname}" for path, _, qualname in sorted(found)]
+
+
+def test_every_function_in_src_is_reached():
+    sources = {
+        path.relative_to(SRC).as_posix(): path.read_text() for path in sorted(SRC.rglob("*.py"))
+    }
+    assert sources
+    assert unreached(sources, _public_names()) == sorted(REACH_EXEMPT)
+    assert all(REACH_EXEMPT.values())
+
+
+def test_reach_detector_flags_dead_and_hidden_definitions():
+    sources = {
+        "pkg/a.py": (
+            "import argparse\n"
+            "def used(x):\n"
+            "    return x\n"
+            "def recursive(n):\n"
+            "    return recursive(n - 1) if n else 0\n"
+            "def entry():\n"
+            "    return used(1)\n"
+            "class Thing:\n"
+            "    def __init__(self):\n"
+            "        self.n = 0\n"
+            "    def read(self):\n"
+            "        return self.n\n"
+            "    def conj(self):\n"
+            "        return self\n"
+            "    def again(self):\n"
+            "        return self.again()\n"
+            "def table(thing):\n"
+            "    conj = thing.read()\n"
+            "    return conj\n"
+            "class Parser(argparse.ArgumentParser):\n"
+            "    def error(self, message):\n"
+            "        raise SystemExit(message)\n"
+            "    def extra(self):\n"
+            "        return None\n"
+            "class Exported:\n"
+            "    def anything(self):\n"
+            "        return None\n"
+        ),
+        "pkg/b.py": "from .a import table\nrows = table(None)\n",
+    }
+    assert unreached(sources, {"entry", "Exported"}) == [
+        "pkg/a.py:recursive",
+        "pkg/a.py:Thing.conj",
+        "pkg/a.py:Thing.again",
+        "pkg/a.py:Parser.extra",
     ]

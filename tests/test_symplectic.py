@@ -19,16 +19,13 @@ from aswcurves.errors import (
 )
 from aswcurves.gf2field import Fp2Subspace, make_field
 from aswcurves.skew import SkewPoly
-from aswcurves.symplectic import (
+from aswcurves.symplectic import PairingCtx, _fp_rank, g_witness, maximal_isotropic
+from reference import (
     HeisenbergElt,
-    PairingCtx,
-    _fp_rank,
     commutator,
     f_r_eval,
     factor_complement_check,
-    g_witness,
     heisenberg_ambient,
-    maximal_isotropic,
     omega_r_eval,
 )
 
@@ -178,6 +175,19 @@ def test_result_checks_raise_with_asserts_stripped(monkeypatch):
         g_witness(F, 1, 2)
 
 
+def test_isotropic_pass_ending_short_is_a_mismatch(monkeypatch):
+    # Witt's theorem rules out a pass that ends below half rank; force one
+    # with a form that is nonzero on the diagonal: the radical is zero and
+    # the rank even, but no vector is isotropic
+    pc = PairingCtx(E4)
+    monkeypatch.setattr(
+        PairingCtx, "omega", lambda self, u, v, check=True: int(u == v != 0)
+    )
+    assert pc.radical(pc.W).dim_p == 0
+    with pytest.raises(OracleMismatch, match="ended at dim 0 < 1"):
+        maximal_isotropic(pc)
+
+
 def test_factor_complement_check():
     pc = PairingCtx(E4)
     f = SkewPoly(F4, {1: 1, 0: 1})
@@ -277,7 +287,7 @@ def test_heisenberg_group_f4():
     R = SkewPoly.tau(F4)
     els = _group_elements(R)
     assert len(els) == 8  # |V_R| * p with V_R = F_4
-    e = HeisenbergElt.identity(R)
+    e = HeisenbergElt(R, 0, 0)
     for g1 in els:
         assert g1 * e == g1 and e * g1 == g1
         assert g1 * g1.inverse() == e
@@ -304,7 +314,7 @@ def test_heisenberg_membership_errors():
     with pytest.raises(NotOnCurve):
         HeisenbergElt(R16, 2, 0)
     with pytest.raises(CtxMismatch):
-        HeisenbergElt.identity(R) * HeisenbergElt.identity(R16)
+        HeisenbergElt(R, 0, 0) * HeisenbergElt(R16, 0, 0)
 
 
 def test_cocycle_identity_on_kernel():
