@@ -44,7 +44,7 @@ from .curves import (
     period_parity,
     presentation_conditions,
 )
-from .curves.base import weil_class, weil_gap
+from .curves.base import parse_hex, weil_class, weil_gap
 from .curves.count import check_count, checked_count
 from .curves.period import coefficient_range
 from .curves.twists import least_admissible_parameter
@@ -87,22 +87,27 @@ class _Output:
 # ---------------------------------------------------------------------------
 # small parsing helpers
 
-_HEX_ITEM = re.compile(r"^(?:0[xX])?[0-9a-fA-F]+$")
 _PRIME_CURVE = re.compile(r"^\s*p\s*=\s*(\d+)\s*;\s*R\s*=\s*(.+?)\s*$")
-
-
-def _hex_value(text: str, order: int) -> int:
-    item = text.strip()
-    if not _HEX_ITEM.match(item):
-        raise ParseError(f"{item!r} is not a hex literal")
-    value = int(item, 16)
-    if value >= order:
-        raise ParseError(f"{item} does not fit in the field")
-    return value
+_DIGIT_RUN = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
 
 def _hex_list(text: str, order: int) -> list[int]:
-    return [_hex_value(part, order) for part in text.split(",")]
+    return [parse_hex(part, order) for part in text.split(",")]
+
+
+def _decimal(text: str) -> int:
+    """int(text), except that a digit run int() refuses, which only its
+    length can make it do, raises parse_int's short ParseError instead
+    of a ValueError that echoes every digit."""
+    return parse_int(text) if _DIGIT_RUN.fullmatch(text) else int(text)
+
+
+def _int_option(text: str) -> int:
+    """`_decimal` for argparse, which would echo a ParseError's input."""
+    try:
+        return _decimal(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_extensions(text: str | None) -> list[int]:
@@ -111,7 +116,9 @@ def _parse_extensions(text: str | None) -> list[int]:
     degrees = []
     for part in text.split(","):
         try:
-            m = int(part)
+            m = _decimal(part)
+        except ParseError:  # past the digit limit: parse_int's short record
+            raise
         except ValueError as exc:
             raise ParseError(f"extension degree {part!r} is not an integer") from exc
         if m < 1:
@@ -270,14 +277,13 @@ def cmd_twists(args: argparse.Namespace, cfg: RunConfig) -> _Output:
     head = parse_curve_spec(f"{args.head},0")  # the linear term is implied
     if not head.is_head:
         raise ParseError("the twist table needs a head curve (zero linear term)")
+    tc = classify_twists(head, budget=cfg.budget)
     warnings: list[str] = []
-    counting = head.q <= cfg.budget
-    if not counting:
+    if not tc.counting_checked:
         warnings.append(
             f"field size {head.q} over budget {cfg.budget}; "
             f"classes from the eigenvalue route only"
         )
-    tc = classify_twists(head, budget=cfg.budget, counting=counting)
     rows = [
         [f"{a:x}", _CLASS_SHORT[tc.twist_class(a)], tc.twist_count(a)] for a in range(head.q)
     ]
@@ -297,7 +303,7 @@ def cmd_construct(args: argparse.Namespace, cfg: RunConfig) -> _Output:
             raise ParseError("--family recipe needs --space")
         space = Fp2Subspace.from_vectors(ctx, _hex_list(args.space, ctx.order))
         if args.t is not None:
-            t = _hex_value(args.t, ctx.order)
+            t = parse_hex(args.t, ctx.order)
         else:
             t = least_admissible_parameter(space, ctx.n)
         try:  # with no admissible t, the recipe's input checks still run at t = 0
@@ -319,7 +325,7 @@ def cmd_construct(args: argparse.Namespace, cfg: RunConfig) -> _Output:
     elif args.family == "hermitian":
         if args.a is None:
             raise ParseError("--family hermitian needs --a")
-        a = _hex_value(args.a, ctx.order)
+        a = parse_hex(args.a, ctx.order)
         q_deg = args.q_deg if args.q_deg is not None else ctx.n
         if q_deg < 1:
             raise ParseError(f"--q-deg {q_deg} must be >= 1")
@@ -340,10 +346,7 @@ def cmd_construct(args: argparse.Namespace, cfg: RunConfig) -> _Output:
         if args.poly is None:
             raise ParseError("--family palindromic needs --poly")
         f_coeffs = _hex_list(args.poly, ctx.order)
-        counting = (1 << ctx.n) <= cfg.budget
-        fam = palindromic_family(
-            ctx, ctx.n, tuple(f_coeffs), budget=cfg.budget, counting=counting
-        )
+        fam = palindromic_family(ctx, ctx.n, tuple(f_coeffs), budget=cfg.budget)
         tc = fam.classification
         data = {
             "family": "palindromic",
@@ -454,9 +457,9 @@ def cmd_search(args: argparse.Namespace, cfg: RunConfig) -> _Output:
 
 def _formula_cross_check(spec: CurveSpec, count: int) -> None:
     """Replay a count through the eigenvalue route when it exists."""
-    if 2 * spec.q_deg > MAX_DEGREE:
+    report, lp = _presentation(spec, [])
+    if report is None:
         return  # the quadratic extension does not fit the ambient field
-    _, lp = _presentation(spec, [])
     if lp is None:
         raise OracleMismatch(
             f"{format_curve_spec(spec)} meets the bound without a presentation"
@@ -520,6 +523,7 @@ def _fail(exc: Exception, code: int) -> int:
 def _add_common(
     parser: argparse.ArgumentParser, fmt: str = "json", cap: int | None = None
 ) -> None:
+    parser.register("type", int, _int_option)  # the errors still name the type int
     parser.add_argument(
         "--budget",
         type=int,

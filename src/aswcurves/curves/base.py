@@ -349,6 +349,18 @@ _CURVE_RE = re.compile(r"^\s*q\s*=\s*([^;]+?)\s*;\s*R\s*=\s*(.+?)\s*$")
 _HEX_RE = re.compile(r"(?:0[xX])?[0-9a-fA-F]+")
 
 
+def parse_hex(text: str, order: int, label: str = "") -> int:
+    """The hex literal `text`, blanks around it ignored, as an element of
+    a field with `order` elements; `label` leads the ParseError detail."""
+    item = text.strip()
+    if not _HEX_RE.fullmatch(item):
+        raise ParseError(f"{label}{item!r} is not a hex literal")
+    value = int(item, 16)
+    if value >= order:
+        raise ParseError(f"{label}{item} does not fit in the field")
+    return value
+
+
 def format_curve_spec(spec: CurveSpec) -> str:
     """Render a curve as text, normalizing the ambient to F_q itself."""
     fq = spec if spec.ctx.n == spec.q_deg else spec.canonical()
@@ -362,15 +374,7 @@ def parse_curve_spec(text: str) -> CurveSpec:
     if not m:
         raise ParseError("expected 'q=<fieldspec>; R=<hex>,...,<hex>'")
     ctx = parse_field_spec(m.group(1))
-    coeffs = []
-    for part in m.group(2).split(","):
-        part = part.strip()
-        if not _HEX_RE.fullmatch(part):
-            raise ParseError(f"coefficient {part!r} is not a hex literal")
-        v = int(part, 16)
-        if v >= ctx.order:
-            raise ParseError(f"coefficient {part} does not fit in the field")
-        coeffs.append(v)
+    coeffs = [parse_hex(part, ctx.order, "coefficient ") for part in m.group(2).split(",")]
     try:
         return CurveSpec(ctx, ctx.n, tuple(reversed(coeffs)))
     except ValueError as exc:

@@ -21,9 +21,9 @@ identical for every thread count.  An eigenvalue count to compare
 arrives as a plain integer.
 
 `checked_count` is the one entry from the formula routes into this
-oracle and the one place where a formula count meets a direct count;
-one rule there decides whether a count runs.  A curve reaches F_{q^m}
-through `CurveSpec.over`.
+oracle, where every formula count meets its direct count, and its rule
+alone decides whether a confirming count runs.  A curve reaches
+F_{q^m} through `CurveSpec.over`.
 
 The twists R + a*x of one head share all of this set-up.  As
 Tr(y^2) = Tr(y), Tr_{Q/2}(w*a*x^2) = Tr_{Q/2}(sqrt(w*a)*x) =

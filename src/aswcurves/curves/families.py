@@ -3,7 +3,9 @@
 `classify_twists` settles any admissible datum from the shift it solves
 for on ker F*; the functions here take the shift from exact formulas on
 structured inputs and classify through the same image classifier, with
-its trace route and, on request, point counts as cross-checks:
+its trace route and, through `checked_count` (the closed-form
+classifiers excepted), point counts as cross-checks that set
+`counting_checked`:
 
   * `extremal_from_subspace` builds a certified extremal curve from an
     F_p-subspace of F_q containing 1 together with a parameter whose
@@ -152,7 +154,7 @@ def classify_small_kernel(fd: TwistDatum) -> TwistClassification:
     quarter = q_deg // 4
     if not fd.adjoint_kernel.in_subfield(quarter):
         raise HypothesisFailed("adjoint kernel exceeds the fourth-root subfield")
-    return image_classification(fd, 0, (quarter + 1) % 2)
+    return image_classification(fd, 0, (quarter + 1) % 2, 0)
 
 
 def _pivot(ctx: FieldCtx, q1_deg: int) -> Element:
@@ -221,7 +223,7 @@ def classify_subfield_kernel(
     n = q_deg // (2 * q1_deg)
     t0 = _pivot(ctx, q1_deg)
     _check_pivot(ctx, t0, q1_deg)
-    return image_classification(fd, t0, (n + 1) % 2), t0
+    return image_classification(fd, t0, (n + 1) % 2, 0), t0
 
 
 # -- heads prescribed by an ordinary polynomial over F_p --------------------
@@ -250,13 +252,13 @@ class PalindromicFamily:
         return self.classification.datum
 
 
-def _order(poly: SkewPoly, cap: int) -> int:
-    """Multiplicative order of x modulo poly in F_p[t], if at most cap.
+def _order(poly: SkewPoly) -> int:
+    """Multiplicative order of x modulo poly in F_p[t], if at most 4096.
 
     x^k = 1 modulo poly exactly when ker poly lies in F_{p^k}, so the
     order is the kernel splitting degree over F_p.
     """
-    p_log = poly.ctx.p_log
+    p_log, cap = poly.ctx.p_log, 4096
     try:
         return poly.kernel_splitting_degree(cap * p_log) // p_log
     except CapExceeded:
@@ -267,9 +269,7 @@ def palindromic_family(
     ctx: FieldCtx,
     q_deg: int,
     f_coeffs: tuple[Element, ...],
-    cap: int = 4096,
     budget: int = DEFAULT_BUDGET,
-    counting: bool = True,
 ) -> PalindromicFamily:
     """Head and extremal twists prescribed by f over F_p with f(1) = 0.
 
@@ -284,8 +284,8 @@ def palindromic_family(
     Thm 3.8).  Raises HypothesisFailed unless f has degree >= 1 and
     nonzero ends, FOneNonzero, RootsNotSimple, FieldTooSmall when the
     order does not divide [F_q : F_p], and CapExceeded when an order
-    exceeds `cap`.  The classification enumerates F_q and, when
-    `counting`, re-derives the coefficient partition from brute counts.
+    exceeds 4096.  The classification enumerates F_q and confirms every
+    twist count through `checked_count` within `budget`.
     """
     f = [ctx.check(c) for c in f_coeffs]
     if len(f) < 2 or f[0] == 0 or f[-1] == 0:
@@ -295,10 +295,10 @@ def palindromic_family(
     F = SkewPoly.from_coeffs(ctx, f)
     if F(1):
         raise FOneNonzero(f"f(1) = {F(1):#x} must vanish")
-    if _order(F, cap) % 2 == 0:
+    if _order(F) % 2 == 0:
         raise RootsNotSimple("f shares a root with its derivative")
     adjoint = F.adjoint()
-    order = _order(adjoint * F, cap)
+    order = _order(adjoint * F)
     if order % 4 != 2:
         raise OracleMismatch(f"palindrome order {order} is not twice an odd number")
     if q_deg % (order * ctx.p_log):
@@ -321,7 +321,7 @@ def palindromic_family(
     r_one = head.evaluate(1)
     if fd.twist_coefficient(t0) != r_one ^ ctx.sqr(deriv_one):
         raise OracleMismatch("pivot coefficient misses R(1) + f'(1)^2")
-    tc = image_classification(fd, t0, (tower + 1) % 2, budget if counting else None)
+    tc = image_classification(fd, t0, (tower + 1) % 2, budget)
     return PalindromicFamily(tc, t0, order, tower)
 
 

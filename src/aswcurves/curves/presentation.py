@@ -201,7 +201,7 @@ def _frobenius_image(ctx: FieldCtx, V: Fp2Subspace, q_deg: int) -> Fp2Subspace:
     """Image of u -> u^q + u on V; equals the radical of V cap F_q."""
     steps = q_deg // ctx.p_log
     images = [ctx.frob_p(b, steps) ^ b for b in V.fp_basis()]
-    return Fp2Subspace.from_vectors(ctx, images, ctx.p_log)
+    return Fp2Subspace.from_vectors(ctx, images)
 
 
 def recover_head(head: CurveSpec) -> TwistDatum:

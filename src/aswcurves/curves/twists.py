@@ -11,8 +11,8 @@ must agree:
     sign, and t0 + F(u) is maximal or minimal by one quadratic-form bit,
   * trace form: the extremal twists solve an affine system on
     ker(R + R*), and the two cosets are compared by size and membership,
-  * brute point counts, when a budget allows enumerating F_q: the
-    `checked_count` of each twist against its `twist_count`.
+  * brute point counts: each twist's `twist_count` through
+    `checked_count`, which decides whether the count runs.
 
 The forms are those of van der Geer-van der Vlugt (Reed-Muller codes
 and supersingular curves I, Compositio Math. 84, 1992).  The module
@@ -21,10 +21,10 @@ also decides maximality over F_{q^2} from the trace of t alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
-from ..errors import BudgetExceeded, DomainError, KernelNotRational, NoSolution, OracleMismatch
+from ..errors import DomainError, KernelNotRational, NoSolution, OracleMismatch
 from ..gf2field import Element, Fp2Subspace, kernel_basis, span_contains
 from ..witt2 import GaussUnit, psi_char, q_char
 from .base import CurveSpec, TwistDatum, build_curve, head_curve, weil_class, weil_gap
@@ -130,17 +130,16 @@ def classify_twists(
     head: CurveSpec,
     datum: TwistDatum | None = None,
     budget: int = DEFAULT_BUDGET,
-    counting: bool = True,
 ) -> TwistClassification:
     """Classify every twist of a head curve over its base field.
 
     When `datum` is omitted one is recovered from the head.  The shift
     is the least admissible parameter on ker F*, and Q at the shift
-    says which value of the bit is maximal.  Raises KernelNotRational
-    when ker(R + R*) does not lie in F_q, OracleMismatch when any two
-    routes disagree, and BudgetExceeded when the counting route is
-    requested but F_q exceeds the budget (pass counting=False to
-    classify by formula alone).
+    says which value of the bit is maximal.  Every twist count is
+    confirmed through `checked_count` within `budget`, and
+    `counting_checked` says whether the counts ran.  Raises
+    KernelNotRational when ker(R + R*) does not lie in F_q and
+    OracleMismatch when any two routes disagree.
     """
     if not head.is_head:
         raise DomainError("expected a head curve (zero linear coefficient)")
@@ -157,11 +156,11 @@ def classify_twists(
                 f"extremal parameter {shift:#x} has non-real eigenvalue ratio {value}"
             )
         target_bit = targets.index(value)
-    return image_classification(fd, shift, target_bit, budget if counting else None)
+    return image_classification(fd, shift, target_bit, budget)
 
 
 def image_classification(
-    fd: TwistDatum, shift: Element | None, target_bit: int, budget: int | None = None
+    fd: TwistDatum, shift: Element | None, target_bit: int, budget: int
 ) -> TwistClassification:
     """Classification from the image parametrisation t = shift + F(u).
 
@@ -171,8 +170,9 @@ def image_classification(
     its twist is a0 + E(u)^2, E = R + R*.  u walks F_q in Gray-code
     order over an F_2-basis b_j, each step adding F(b_j) to t, E(b_j)^2
     to a, and to the bit its value at b_j plus Tr_{q/2}(u*E(b_j)).  The
-    twists are checked against the trace route and, given a budget,
-    each twist's `twist_count` against its brute count, in field order.
+    twists are checked against the trace route, then each twist's
+    `twist_count` through `checked_count` in field order; every twist
+    lives over F_q, so the first count declined declines them all.
     """
     ctx, q_deg = fd.ctx, fd.q_deg
     head = head_curve(fd)
@@ -207,11 +207,6 @@ def image_classification(
     if shift is not None and len(maximal | minimal) * ctx.p ** (2 * fd.e) != 1 << q_deg:
         raise OracleMismatch("extremal coefficient set has the wrong size")
     _check_trace_route(head, fd.composite_kernel, maximal | minimal)
-    if budget is not None and head.q > budget:
-        raise BudgetExceeded(
-            f"counting {head.q} twists over F_{head.q} exceeds the budget {budget}; "
-            "pass counting=False for a formula-only classification"
-        )
     field = ctx.subfield_elements(q_deg)
     tc = TwistClassification(
         head=head,
@@ -223,12 +218,12 @@ def image_classification(
         maximal_twists=tuple(sorted(maximal)),
         minimal_twists=tuple(sorted(minimal)),
         neutral_twists=tuple(a for a in field if a not in maximal and a not in minimal),
-        counting_checked=budget is not None,
+        counting_checked=False,
     )
-    if budget is not None:
-        for a in field:
-            checked_count(head.with_a0(a), 1, tc.twist_count(a), budget)
-    return tc
+    counted = all(
+        checked_count(head.with_a0(a), 1, tc.twist_count(a), budget) is not None for a in field
+    )
+    return replace(tc, counting_checked=counted)
 
 
 def _trace_coset(head: CurveSpec, kernel: Fp2Subspace) -> tuple[Element, tuple] | None:

@@ -526,32 +526,31 @@ def transport(src: FieldCtx, a: Element, dst: FieldCtx, deg: int | None = None) 
 
 
 class Fp2Subspace:
-    """An F_p-subspace of the ambient field, p = 2^p_log.
+    """An F_p-subspace of the ambient field, p = 2^p_log of its context.
 
     Stored as the canonical reduced F_2-basis of the underlying
     F_2-space; construction closes the span under multiplication by
     F_p, so the F_2 dimension is always p_log times the F_p dimension.
     """
 
-    __slots__ = ("ctx", "p_log", "basis")
+    __slots__ = ("ctx", "basis")
 
-    def __init__(self, ctx: FieldCtx, p_log: int, basis: tuple[int, ...]):
+    def __init__(self, ctx: FieldCtx, basis: tuple[int, ...]):
         self.ctx = ctx
-        self.p_log = p_log
         self.basis = basis
 
+    @property
+    def p_log(self) -> int:
+        return self.ctx.p_log
+
     @classmethod
-    def from_vectors(
-        cls, ctx: FieldCtx, vecs: Iterable[Element], p_log: int | None = None
-    ) -> "Fp2Subspace":
-        if p_log is None:
-            p_log = ctx.p_log
-        scalars = ctx.subfield_basis(p_log)
+    def from_vectors(cls, ctx: FieldCtx, vecs: Iterable[Element]) -> "Fp2Subspace":
+        scalars = ctx.subfield_basis(ctx.p_log)
         closed = [ctx.mul(c, v) for v in vecs for c in scalars]
         basis = rref_basis(closed)
-        if len(basis) % p_log:
-            raise OracleMismatch(f"an F_p-span of F_2-dimension {len(basis)}, p = 2^{p_log}")
-        return cls(ctx, p_log, basis)
+        if len(basis) % ctx.p_log:
+            raise OracleMismatch(f"an F_p-span of F_2-dimension {len(basis)}, p = 2^{ctx.p_log}")
+        return cls(ctx, basis)
 
     def __repr__(self) -> str:
         vecs = ", ".join(f"{v:#x}" for v in self.basis)
@@ -561,15 +560,14 @@ class Fp2Subspace:
         return (
             isinstance(other, Fp2Subspace)
             and self.ctx == other.ctx
-            and self.p_log == other.p_log
             and self.basis == other.basis
         )
 
     def __hash__(self) -> int:
-        return hash((self.ctx, self.p_log, self.basis))
+        return hash((self.ctx, self.basis))
 
     def _check_peer(self, other: "Fp2Subspace") -> None:
-        if self.ctx != other.ctx or self.p_log != other.p_log:
+        if self.ctx != other.ctx:
             raise CtxMismatch("subspaces live over different contexts")
 
     @property
@@ -607,13 +605,11 @@ class Fp2Subspace:
     def intersect(self, other: "Fp2Subspace") -> "Fp2Subspace":
         self._check_peer(other)
         inter = intersect_spans(self.basis, other.basis)
-        return Fp2Subspace(self.ctx, self.p_log, inter)
+        return Fp2Subspace(self.ctx, inter)
 
     def add(self, other: "Fp2Subspace") -> "Fp2Subspace":
         self._check_peer(other)
-        return Fp2Subspace(
-            self.ctx, self.p_log, rref_basis(self.basis + other.basis)
-        )
+        return Fp2Subspace(self.ctx, rref_basis(self.basis + other.basis))
 
     def is_subspace_of(self, other: "Fp2Subspace") -> bool:
         self._check_peer(other)
@@ -627,7 +623,7 @@ class Fp2Subspace:
         """Intersection with the degree-deg subfield (an F_p-space again)."""
         sub = self.ctx.subfield_basis(deg)
         inter = intersect_spans(self.basis, sub)
-        return Fp2Subspace(self.ctx, self.p_log, inter)
+        return Fp2Subspace(self.ctx, inter)
 
 
 # ---------------------------------------------------------------------------

@@ -245,7 +245,7 @@ class SkewPoly:
         ctx = f.ctx
         images = ctx.linear_images(f)
         basis = kernel_basis(images)
-        ker = Fp2Subspace(ctx, self.ctx.p_log, basis)
+        ker = Fp2Subspace(ctx, basis)
         if ker.dim_p != self.span:
             raise AmbientTooSmall(
                 f"kernel has p-dimension {ker.dim_p} in F_{{2^{ctx.n}}}, "

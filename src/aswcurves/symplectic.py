@@ -110,7 +110,7 @@ class PairingCtx:
             for w in wb
         ]
         vecs = kernel_basis(images, wb)
-        return Fp2Subspace.from_vectors(ctx, vecs, inside.p_log)
+        return Fp2Subspace.from_vectors(ctx, vecs)
 
     def radical(self, within: Fp2Subspace) -> Fp2Subspace:
         """Radical of the form restricted to a subspace of W (F = F*)."""
@@ -167,13 +167,13 @@ def maximal_isotropic(
     basis = list(rad.fp_basis())
     if not all(extends(basis[:k], v) for k, v in enumerate(basis)):
         raise NotIsotropic("constraints fail on the radical")
-    current = Fp2Subspace.from_vectors(pc.ctx, basis, space.p_log)
+    current = Fp2Subspace.from_vectors(pc.ctx, basis)
     for v in space.elements():
         if current.dim_p == target:
             break
         if not current.contains(v) and extends(basis, v):
             basis.append(v)
-            current = Fp2Subspace.from_vectors(pc.ctx, basis, space.p_log)
+            current = Fp2Subspace.from_vectors(pc.ctx, basis)
     if current.dim_p != target:
         raise OracleMismatch(f"isotropic pass ended at dim {current.dim_p} < {target}")
     return current

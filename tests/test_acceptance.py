@@ -114,7 +114,7 @@ def test_criterion_04_twist_partition_against_exhaustive_counts():
                     fd = recover_head(head)
                 except KernelNotRational:
                     continue
-                tc = classify_twists(head, fd, counting=False)
+                tc = classify_twists(head, fd, budget=0)
                 gap = 2 * head.genus * isqrt(q)
                 t_max, t_min = set(), set()
                 for a in elements:
@@ -204,7 +204,7 @@ def test_criterion_07_quadratic_extension_trace_test():
 
 def _all_f2_subspaces(ctx):
     """Every F_2-subspace of the context's field, by closure search."""
-    zero = Fp2Subspace.from_vectors(ctx, [], 1)
+    zero = Fp2Subspace.from_vectors(ctx, [])
     seen = {frozenset(zero.elements()): zero}
     frontier = [zero]
     while frontier:
@@ -212,7 +212,7 @@ def _all_f2_subspaces(ctx):
         for v in range(1, ctx.order):
             if W.contains(v):
                 continue
-            bigger = Fp2Subspace.from_vectors(ctx, list(W.fp_basis()) + [v], 1)
+            bigger = Fp2Subspace.from_vectors(ctx, list(W.fp_basis()) + [v])
             key = frozenset(bigger.elements())
             if key not in seen:
                 seen[key] = bigger

@@ -161,6 +161,18 @@ class TestTwists:
         kept = [f'{r["a"]},{r["class"]},{r["count"]}' for r in data["rows"]]
         assert kept == full.splitlines()[1:]
 
+    def test_one_short_of_the_field_keeps_its_warning_and_bytes(self, capsys):
+        code, out = run(
+            capsys, "twists", "q=F4096; R=1,0", "--budget", "4095", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["warnings"] == [
+            "field size 4096 over budget 4095; classes from the eigenvalue route only"
+        ]
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "5e3ce3b5da8ce2ed0c4ac6a7e19869574f402e030c3786f2af213c10b827b390"
+        )
+
 
 class TestConstruct:
     def test_recipe_line_subspace(self, capsys):
@@ -446,6 +458,72 @@ def test_unreadable_number_is_a_parse_error(capsys, digit_limit_4300, argv):
     assert (code, data["error"]) == (2, "ParseError")
     assert "leading zeros or too many digits" in data["detail"]
     assert len(data["detail"]) < 100
+
+
+def _option(prog, flag):
+    prefix = f"aswcurves {prog}: argument {flag}: "
+    return prefix, prefix + "invalid int value: {!r}"
+
+
+_EXTENSION = "", "extension degree {!r} is not an integer"
+
+# (argv before the value, text before the value, prefix of the digit-limit
+# record, record of a value that is no integer)
+INTEGER_READERS = [
+    (("analyze", "q=F4; R=1,0", "--extensions"), "", *_EXTENSION),
+    (("analyze", "q=F4; R=1,0", "--extensions"), "1,", *_EXTENSION),
+    (("verify", "q=F4; R=1,0", "--extensions"), "", *_EXTENSION),
+    (("analyze", "q=F4; R=1,0", "--budget"), "", *_option("analyze", "--budget")),
+    (("analyze", "q=F4; R=1,0", "--threads"), "", *_option("analyze", "--threads")),
+    (("period", "p=2; R=1,0", "--cap"), "", *_option("period", "--cap")),
+    (("hd-check", "--cap"), "", *_option("hd-check", "--cap")),
+    (("search", "--field", "F4", "--predicate", "maximal", "--e-max"), "",
+     *_option("search", "--e-max")),
+    (("construct", "--family", "hermitian", "--field", "F16", "--a", "1", "--q-deg"), "",
+     *_option("construct", "--q-deg")),
+]
+READER_IDS = ["analyze-extension", "second-extension", "verify-extension", "budget", "threads",
+              "period-cap", "hd-check-cap", "e-max", "q-deg"]
+
+
+@pytest.mark.parametrize("argv, lead, prefix, refusal", INTEGER_READERS, ids=READER_IDS)
+@pytest.mark.parametrize(
+    "text, shown",
+    [(LONG, "10000000... (5000 digits)"), ("1_" + LONG[1:], "1_000000... (5001 digits)")],
+)
+def test_integer_past_the_digit_limit_is_a_short_record(
+    capsys, digit_limit_4300, argv, lead, prefix, refusal, text, shown
+):
+    detail = f"{prefix}number {shown} has leading zeros or too many digits"
+    assert run_json(capsys, *argv, lead + text) == (2, {"error": "ParseError", "detail": detail})
+
+
+@pytest.mark.parametrize("argv, lead, prefix, refusal", INTEGER_READERS, ids=READER_IDS)
+@pytest.mark.parametrize("text", ["abc", "0x10", "1 2"])
+def test_integer_that_is_no_integer_keeps_its_record(capsys, argv, lead, prefix, refusal, text):
+    record = {"error": "ParseError", "detail": refusal.format(text)}
+    assert run_json(capsys, *argv, lead + text) == (2, record)
+
+
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (("construct", "--family", "hermitian", "--field", "F16", "--a", "zz"),
+         "'zz' is not a hex literal"),
+        (("construct", "--family", "hermitian", "--field", "F16", "--a", "1f"),
+         "1f does not fit in the field"),
+        (("construct", "--family", "recipe", "--field", "F16", "--space", "1, zz "),
+         "'zz' is not a hex literal"),
+        (("construct", "--family", "palindromic", "--field", "F16", "--poly", "1,1f"),
+         "1f does not fit in the field"),
+        (("analyze", "q=F16; R=1, zz"), "coefficient 'zz' is not a hex literal"),
+        (("analyze", "q=F16; R=1f,1"), "coefficient 1f does not fit in the field"),
+    ],
+    ids=["option-not-hex", "option-too-big", "list-not-hex", "list-too-big", "curve-not-hex",
+         "curve-too-big"],
+)
+def test_hex_literal_records(capsys, argv, detail):
+    assert run_json(capsys, *argv) == (2, {"error": "ParseError", "detail": detail})
 
 
 @pytest.mark.parametrize(

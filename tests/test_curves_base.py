@@ -153,7 +153,7 @@ class TestTwistDatum:
         fd._composite = SkewPoly.one(F4)
         with pytest.raises(OracleMismatch, match=r"R \+ R\*"):
             fd.head_coefficients()
-        monkeypatch.setattr(SkewPoly, "kernel", lambda self, ambient=None: Fp2Subspace(F4, 1, ()))
+        monkeypatch.setattr(SkewPoly, "kernel", lambda self, ambient=None: Fp2Subspace(F4, ()))
         with pytest.raises(OracleMismatch, match=r"ker F\*F"):
             datum_tau_plus_one()
 
@@ -400,7 +400,7 @@ def test_count_is_independent_of_the_ambient(case):
     assert_routes_agree(**over_m)
 
     try:
-        classes = classify_twists(spec.head(), counting=False)
+        classes = classify_twists(spec.head(), budget=0)
         twists = classes.maximal_twists + classes.minimal_twists + classes.neutral_twists
     except KernelNotRational:
         twists = ()

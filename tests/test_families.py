@@ -29,7 +29,7 @@ from aswcurves.errors import (
     PairingConditionFailed,
     RootsNotSimple,
 )
-from aswcurves.gf2field import Fp2Subspace, clgcd, make_field, parse_field_spec
+from aswcurves.gf2field import Fp2Subspace, clgcd, default_modulus, make_field, parse_field_spec
 from aswcurves.witt2 import psi_char, q_char
 
 F4 = make_field(2)
@@ -89,7 +89,7 @@ PALINDROMIC_GRID_SHA256 = "ad50d4eee651e5bd7dd12043aa5ea4a7ee62af838591fcd7b84f9
 def palindromic_outcome(ctx, q_deg, f):
     """What `palindromic_family` returns for f, or the error it raises."""
     try:
-        fam = palindromic_family(ctx, q_deg, f, counting=q_deg <= 8)
+        fam = palindromic_family(ctx, q_deg, f, budget=1 << 8)
     except Char2Error as exc:
         return [type(exc).__name__, str(exc)]
     tc = fam.classification
@@ -324,7 +324,7 @@ class TestPalindromic:
 
     def test_quartic_order_fourteen(self):
         ctx = make_field(14)
-        fam = palindromic_family(ctx, 14, (1, 0, 1, 1, 1), counting=False)
+        fam = palindromic_family(ctx, 14, (1, 0, 1, 1, 1), budget=0)
         assert fam.order == 14
         assert fam.power == 1
         assert not fam.classification.counting_checked
@@ -360,10 +360,14 @@ class TestPalindromic:
         assert hashlib.sha256(text.encode()).hexdigest() == PALINDROMIC_GRID_SHA256
 
     def test_cap_bounds_the_palindrome_order(self):
+        # f = (x + 1) m(x), m irreducible of degree 13: x has order 8191 > 4096
+        m = default_modulus(13)
+        product = m ^ (m << 1)
+        f = tuple((product >> i) & 1 for i in range(product.bit_length()))
         with pytest.raises(CapExceeded) as err:
-            palindromic_family(F64, 6, (1, 0, 0, 1), cap=5)
-        assert str(err.value) == "order of x modulo the palindrome exceeds 5"
-        assert palindromic_family(F64, 6, (1, 0, 0, 1), cap=6).order == 6
+            palindromic_family(F64, 6, f)
+        assert str(err.value) == "order of x modulo the palindrome exceeds 4096"
+        assert palindromic_family(F64, 6, (1, 0, 0, 1)).order == 6
 
     def test_simple_roots_match_the_derivative_gcd(self):
         # over F_2, f is squarefree exactly when gcd(f, f') = 1

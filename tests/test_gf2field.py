@@ -395,7 +395,7 @@ def test_result_checks_raise_with_asserts_stripped(monkeypatch):
     K = make_field(4, p_log=2)
     # one vector, not closed under F_4: F_p-dimension 0
     with pytest.raises(OracleMismatch):
-        Fp2Subspace(K, 2, (1,)).fp_basis()
+        Fp2Subspace(K, (1,)).fp_basis()
     # scalars spanning only F_2 leave an odd F_2-dimension
     monkeypatch.setattr(FieldCtx, "subfield_basis", lambda self, deg: (1,))
     with pytest.raises(OracleMismatch):

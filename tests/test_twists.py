@@ -23,7 +23,6 @@ from aswcurves.curves import (
 from aswcurves.curves import count, twists
 from aswcurves.curves.twists import least_admissible_parameter
 from aswcurves.errors import (
-    BudgetExceeded,
     Char2Error,
     ConditionViolated,
     DomainError,
@@ -201,7 +200,7 @@ class TestClassifyInvariants:
     @pytest.mark.parametrize("coeffs", RATIONAL_HEADS_16)
     def test_parameter_set_is_image_coset(self, coeffs):
         head = CurveSpec(F16, 4, coeffs)
-        tc = classify_twists(head, counting=False)
+        tc = classify_twists(head, budget=0)
         image = {tc.datum.F(u) for u in F16.subfield_elements(4)}
         base = tc.extremal_parameters[0]
         assert {base ^ t for t in tc.extremal_parameters} == image
@@ -210,7 +209,7 @@ class TestClassifyInvariants:
     @pytest.mark.parametrize("coeffs", RATIONAL_HEADS_16)
     def test_partitions_cover_the_field(self, coeffs):
         head = CurveSpec(F16, 4, coeffs)
-        tc = classify_twists(head, counting=False)
+        tc = classify_twists(head, budget=0)
         everything = sorted(F16.subfield_elements(4))
         assert sorted(
             tc.extremal_parameters + tc.neutral_parameters
@@ -246,7 +245,7 @@ class TestClassifyInvariants:
     def test_formula_only_matches_counted(self):
         head = CurveSpec(F16, 4, (0, 12))
         counted = classify_twists(head)
-        formula = classify_twists(head, counting=False)
+        formula = classify_twists(head, budget=0)
         assert not formula.counting_checked
         assert formula.maximal_twists == counted.maximal_twists
         assert formula.minimal_twists == counted.minimal_twists
@@ -278,11 +277,46 @@ class TestClassifyErrors:
             classify_twists(CurveSpec(F4, 1, (0, 1)), datum=fd_bad)
 
     def test_budget_gate(self):
-        head = CurveSpec(F16, 4, (0, 1))
-        with pytest.raises(BudgetExceeded):
-            classify_twists(head, budget=8)
-        tc = classify_twists(head, budget=8, counting=False)
+        tc = classify_twists(CurveSpec(F16, 4, (0, 1)), budget=8)
         assert not tc.counting_checked
+
+
+class TestCountRule:
+    """`checked_count` alone decides whether the twists are counted."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+        original = count.trace_zero_count
+
+        def recorded(*args, **kwargs):
+            made.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(count, "trace_zero_count", recorded)
+        return made
+
+    @pytest.mark.parametrize(
+        "budget, made, checked", [(0, 0, False), (15, 0, False), (16, 16, True)]
+    )
+    @pytest.mark.parametrize(
+        "classify",
+        [
+            lambda budget: classify_twists(CurveSpec(F16, 4, (0, 1)), budget=budget),
+            lambda budget: palindromic_family(F16, 4, (1, 1), budget=budget).classification,
+        ],
+        ids=["classify_twists", "palindromic_family"],
+    )
+    def test_budget_zero_q_minus_one_and_q(self, calls, classify, budget, made, checked):
+        tc = classify(budget)
+        assert len(calls) == made
+        assert tc.counting_checked is checked
+
+    def test_closed_forms_make_no_count(self, calls):
+        fd = recover_head(CurveSpec(F16, 4, (0, 1)))
+        assert not classify_small_kernel(fd).counting_checked
+        assert not classify_subfield_kernel(fd, 1)[0].counting_checked
+        assert calls == []
 
 
 class TestQuadraticExtension:
@@ -376,7 +410,7 @@ def classification_grid():
         for e in (1, 2):
             for head in grid_heads(rng, ctx, q_deg, e):
                 try:
-                    tc = classify_twists(head, counting=False)
+                    tc = classify_twists(head, budget=0)
                 except KernelNotRational:
                     continue
                 fd = tc.datum
@@ -399,7 +433,7 @@ def classification_grid():
                 f = [rng.choice(f_p[1:])] + [rng.choice(f_p) for _ in range(e)]
                 f[-1] = f[-1] or 1
                 try:
-                    fam = palindromic_family(ctx, q_deg, tuple(f), counting=False)
+                    fam = palindromic_family(ctx, q_deg, tuple(f), budget=0)
                 except Char2Error:
                     continue
                 rows.append(
@@ -456,7 +490,7 @@ class TestShiftSolve:
             return q_char(*args)
 
         monkeypatch.setattr(twists, "q_char", counted)
-        tc = classify_twists(head, counting=False)
+        tc = classify_twists(head, budget=0)
         assert tc.extremal_parameters
         assert len(calls) <= 2 * ctx.p ** head.e + 2
 
@@ -477,7 +511,7 @@ class TestShiftSolve:
     @pytest.mark.parametrize(
         "classify",
         [
-            lambda fd: classify_twists(head_curve(fd), datum=fd, counting=False),
+            lambda fd: classify_twists(head_curve(fd), datum=fd, budget=0),
             classify_small_kernel,
             lambda fd: classify_subfield_kernel(fd, 2)[0],
         ],
@@ -498,15 +532,15 @@ class TestShiftSolve:
     )
     def test_non_admissible_shift_is_a_mismatch(self, monkeypatch, field, q_deg, coeffs):
         head = CurveSpec(parse_field_spec(field), q_deg, coeffs)
-        neutral = classify_twists(head, counting=False).neutral_parameters[0]
+        neutral = classify_twists(head, budget=0).neutral_parameters[0]
         monkeypatch.setattr(twists, "least_admissible_parameter", lambda *args: neutral)
         with pytest.raises(OracleMismatch):
-            classify_twists(head, counting=False)
+            classify_twists(head, budget=0)
 
     def test_palindromic_family_checks_the_trace_route(self, monkeypatch):
         monkeypatch.setattr(twists, "_trace_coset", lambda head, kernel: None)
         with pytest.raises(OracleMismatch, match="trace-form"):
-            palindromic_family(F16, 4, (1, 1), counting=False)
+            palindromic_family(F16, 4, (1, 1), budget=0)
 
 
 class TestChecksSurvivePythonO:
@@ -527,7 +561,7 @@ class TestChecksSurvivePythonO:
     def test_a_moved_twist_count_stops_the_counting_route(self, monkeypatch, field, coeffs):
         ctx = parse_field_spec(field)
         head = CurveSpec(ctx, ctx.n, coeffs)
-        moved = classify_twists(head, counting=False).maximal_twists[-1]
+        moved = classify_twists(head, budget=0).maximal_twists[-1]
         true_count = twists.TwistClassification.twist_count
         monkeypatch.setattr(
             twists.TwistClassification, "twist_count",
@@ -560,7 +594,7 @@ def test_domain_errors_at_every_site():
     fd = recover_head(head)
     wide = TwistDatum(SkewPoly.from_coeffs(F16, [1, 1]), 2)
     sites = [
-        lambda: classify_twists(head, counting=False).twist_class(16),
+        lambda: classify_twists(head, budget=0).twist_class(16),
         lambda: classify_twists(CurveSpec(F16, 4, (0, 8)), datum=fd),
         lambda: classify_twists(CurveSpec(F16, 4, (1, 1))),
         lambda: quadratic_extension_maximal(wide, 4),
