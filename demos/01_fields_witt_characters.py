@@ -29,7 +29,7 @@ for k in range(2, 5):
     acc = acc + one
     print(f"{k} * (1,0) = ({acc.a}, {acc.b})")
 
-# xi2 maps Witt pairs to powers of i; summing the induced quadratic
+# xi2 maps Witt pairs to exponents of i; summing the induced quadratic
 # character over a whole field gives an exact Gaussian integer that
 # matches the closed form (-1-i)^s.
 for s in range(1, 9):
@@ -39,7 +39,7 @@ for s in range(1, 9):
 
 # Witt traces feed the same character from any subfield level.
 t = witt_trace(WittPair(K, 0b0110, 0), 4, 1)
-print(f"witt trace of (0b0110, 0) down to F_2: ({t.a}, {t.b}) -> i^? = {xi2(t)}")
+print(f"witt trace of (0b0110, 0) down to F_2: ({t.a}, {t.b}) -> i^{xi2(t)}")
 
 # Skew polynomials twist by the p-power Frobenius; the adjoint reverses
 # composition order and its kernel drives everything downstream.

@@ -44,7 +44,7 @@ from ..errors import (
 )
 from ..gf2field import Element, FieldCtx, Fp2Subspace
 from ..skew import SkewPoly
-from ..witt2 import GaussInt, GaussUnit, WittPair, psi_char, q_char, witt_trace, witt_zero, xi2
+from ..witt2 import GaussInt, WittPair, i_power, psi_char, q_char, witt_trace, witt_zero, xi2
 from .base import CurveSpec, TwistDatum, build_curve, head_curve, weil_class
 from .count import DEFAULT_BUDGET, checked_count
 from .lpoly import LPolynomial, l_polynomial
@@ -188,7 +188,7 @@ def _check_pivot(ctx: FieldCtx, t0: Element, q1_deg: int) -> None:
     if ctx.trace(norm, q1_deg, 1) != 1:
         raise OracleMismatch("pivot norm has absolute trace 0")
     traced = witt_trace(WittPair(ctx, t0, 0), 2 * q1_deg, 1)
-    if xi2(traced) != GaussUnit(q1_deg + 2):
+    if xi2(traced) != (q1_deg + 2) % 4:
         raise OracleMismatch("pivot Witt trace misses the prescribed unit")
     acc = witt_zero(ctx)
     one = WittPair(ctx, 1, 0)
@@ -411,7 +411,7 @@ def hermitian_twist(
     if not ctx.in_subfield(norm, ctx.p_log):
         raise OracleMismatch("norm of the relative trace leaves F_p")
     tb = ctx.trace(norm, ctx.p_log, 1)
-    lam = (1 << (q_deg // 2)) * GaussUnit(tb).gauss()
+    lam = (1 << (q_deg // 2)) * i_power(tb)
     expected = tuple(
         sorted([lam] * (ctx.p // 2) + [-lam] * (ctx.p // 2), key=lambda r: (r.re, r.im))
     )

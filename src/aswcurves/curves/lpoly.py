@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from ..errors import DomainError, OracleMismatch
 from ..gf2field import Element
-from ..witt2 import GaussInt, hd_sum, q_char
+from ..witt2 import GaussInt, hd_sum, i_power, q_char
 from .base import TwistDatum, weil_class
 
 __all__ = ["LPolynomial", "l_polynomial"]
@@ -115,12 +115,9 @@ def l_polynomial(fd: TwistDatum, t: Element) -> LPolynomial:
     ctx, s = fd.ctx, fd.q_deg
     if not ctx.in_subfield(t, s):
         raise DomainError(f"twist parameter {t:#x} is outside the subfield")
-    base = hd_sum(s)
-    roots = []
-    for v in fd.adjoint_kernel.elements():
-        tau = q_char(ctx, t ^ v, s).inv().gauss() * base
-        roots.append(tau)
-    lp = LPolynomial(1 << s, ctx.p - 1, tuple(roots))
+    base = hd_sum(s)  # (-1-i)^s; the root of v is Q(t + v)^-1 times it
+    roots = tuple(i_power(-q_char(ctx, t ^ v, s)) * base for v in fd.adjoint_kernel.elements())
+    lp = LPolynomial(1 << s, ctx.p - 1, roots)
     if lp.degree != 2 * ((ctx.p - 1) * ctx.p ** fd.e // 2):
         raise OracleMismatch(f"{len(roots)} eigenvalues for a datum of degree {fd.e}")
     return lp

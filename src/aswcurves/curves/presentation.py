@@ -1,8 +1,11 @@
 """Deciding whether a curve family comes from a datum, and recovering one.
 
 Write E = R + R* for the symmetrization of the defining polynomial and
-V = ker E.  Four independently computable conditions turn out to be
-equivalent, and this module evaluates each on its own:
+V = ker E.  Four conditions turn out to be equivalent.  This module
+evaluates conditions 2-4 each on its own and checks condition 1
+constructively: its witness is built from the Lagrangian that
+condition 4 finds, so it holds exactly when 4 does, and a witness that
+fails to rebuild R raises OracleMismatch.
 
   1. witnessed: a datum F with flags 1..3 and a parameter t rebuild R
      exactly (constructive, includes the verification);

@@ -26,7 +26,7 @@ from functools import cached_property
 
 from ..errors import DomainError, KernelNotRational, NoSolution, OracleMismatch
 from ..gf2field import Element, Fp2Subspace, kernel_basis, span_contains
-from ..witt2 import GaussUnit, psi_char, q_char
+from ..witt2 import psi_char, q_char
 from .base import CurveSpec, TwistDatum, build_curve, head_curve, weil_class, weil_gap
 from .count import DEFAULT_BUDGET, checked_count
 from .lpoly import l_polynomial
@@ -78,12 +78,12 @@ class TwistClassification:
         return self.head.q + 1 + sign * weil_gap(self.head)
 
 
-def eigenvalue_targets(q_deg: int) -> tuple[GaussUnit, GaussUnit]:
-    """Values of Q at maximal resp. minimal parameters, i.e. -+i^(s/2)."""
+def eigenvalue_targets(q_deg: int) -> tuple[int, int]:
+    """i-exponents of Q at maximal resp. minimal parameters, i.e. of -+i^(s/2)."""
     if q_deg % 2:
         raise OracleMismatch(f"eigenvalue targets need an even degree, not {q_deg}")
     half = q_deg // 2
-    return GaussUnit(half + 2), GaussUnit(half)
+    return (half + 2) % 4, half % 4
 
 
 def _datum_for(head: CurveSpec, datum: TwistDatum | None) -> TwistDatum:
@@ -109,16 +109,16 @@ def least_admissible_parameter(space: Fp2Subspace, q_deg: int) -> Element | None
     Q is non-real on the basis, or the system or the check fails.
     """
     ctx, basis = space.ctx, space.basis
-    values = {v: q_char(ctx, v, q_deg) for v in space.elements() if v}
-    signs = [values[v].k for v in basis]  # i-exponents, 2 for Q(v) = -1
-    if any(k % 2 for k in signs):
+    values = {v: q_char(ctx, v, q_deg) for v in space.elements() if v}  # i-exponents
+    if any(values[v] % 2 for v in basis):
         return None
 
     def traces(x: Element) -> int:
         return sum(ctx.trace(ctx.mul(x, v), q_deg, 1) << j for j, v in enumerate(basis))
 
     try:
-        t = ctx.solve_additive(traces, sum(k // 2 << j for j, k in enumerate(signs)), q_deg)
+        target = sum(values[v] // 2 << j for j, v in enumerate(basis))
+        t = ctx.solve_additive(traces, target, q_deg)
     except NoSolution:
         return None
     if any(psi_char(ctx, ctx.mul(t, v), q_deg) != value for v, value in values.items()):
@@ -153,7 +153,7 @@ def classify_twists(
         value, targets = q_char(ctx, shift, s), eigenvalue_targets(s)
         if value not in targets:
             raise OracleMismatch(
-                f"extremal parameter {shift:#x} has non-real eigenvalue ratio {value}"
+                f"extremal parameter {shift:#x} has non-real eigenvalue ratio i^{value}"
             )
         target_bit = targets.index(value)
     return image_classification(fd, shift, target_bit, budget)

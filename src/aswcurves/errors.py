@@ -67,10 +67,6 @@ class NotSymplectic(Char2Error, ValueError):
     """A pairing expected to be alternating/nondegenerate is not."""
 
 
-class NotOnCurve(Char2Error, ValueError):
-    """A point does not satisfy the curve equation."""
-
-
 class DomainError(Char2Error, ValueError):
     """An argument lies outside the domain of the operation it is given to."""
 

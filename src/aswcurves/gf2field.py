@@ -399,11 +399,17 @@ class FieldCtx:
 
     # -- subfields and traces ------------------------------------------------
 
+    def check_degrees(self, deg: int, sub: int = 1) -> None:
+        """Raise DegreeMismatch unless 1 <= sub | deg | n: deg is the
+        degree of a subfield, and sub of a subfield inside it."""
+        if not 1 <= sub <= deg or deg % sub or self.n % deg:
+            chain = f"{sub} | {deg}" if sub != 1 else str(deg)
+            raise DegreeMismatch(f"subfield degrees need 1 <= {chain} | {self.n}")
+
     def in_subfield(self, a: Element, deg: int) -> bool:
         """Whether a lies in the subfield of degree deg over F_2; never for
         a >= 2^n, which frob(a, n) would return unchanged."""
-        if self.n % deg != 0:
-            raise DegreeMismatch(f"degree {deg} does not divide {self.n}")
+        self.check_degrees(deg)
         return a >> self.n == 0 and self.frob(a, deg) == a
 
     def trace(self, a: Element, from_deg: int, to_deg: int) -> Element:
@@ -414,10 +420,7 @@ class FieldCtx:
         `linear_map` of the images of the unit vectors, built the first
         time the pair is used.
         """
-        if from_deg % to_deg != 0 or self.n % from_deg != 0:
-            raise DegreeMismatch(
-                f"need {to_deg} | {from_deg} | {self.n} for a trace"
-            )
+        self.check_degrees(from_deg, to_deg)
         if not self.in_subfield(a, from_deg):
             raise DegreeMismatch(f"{a:#x} not in the degree-{from_deg} subfield")
         tmap = self._trace_maps.get((from_deg, to_deg))
@@ -441,8 +444,7 @@ class FieldCtx:
     def subfield_basis(self, deg: int) -> tuple[int, ...]:
         """Canonical F_2-basis of the degree-deg subfield."""
         if deg not in self._sub_basis:
-            if self.n % deg != 0:
-                raise DegreeMismatch(f"degree {deg} does not divide {self.n}")
+            self.check_degrees(deg)
             images = [self.frob(1 << j, deg) ^ (1 << j) for j in range(self.n)]
             self._sub_basis[deg] = kernel_basis(images)
         return self._sub_basis[deg]
@@ -508,8 +510,7 @@ def transport(src: FieldCtx, a: Element, dst: FieldCtx, deg: int | None = None) 
     """
     if deg is None:
         deg = src.n
-    if src.n % deg or dst.n % deg:
-        raise DegreeMismatch(f"degree {deg} must divide {src.n} and {dst.n}")
+    dst.check_degrees(deg)
     if not src.in_subfield(a, deg):
         raise DegreeMismatch(f"{a:#x} not in the degree-{deg} subfield")
     if src.n == dst.n and src.poly == dst.poly:
@@ -617,6 +618,7 @@ class Fp2Subspace:
 
     def in_subfield(self, deg: int) -> bool:
         """Whether every element lies in the degree-deg subfield."""
+        self.ctx.check_degrees(deg)
         return all(self.ctx.in_subfield(v, deg) for v in self.basis)
 
     def intersect_subfield(self, deg: int) -> "Fp2Subspace":

@@ -6,8 +6,10 @@ A pair (a, b) of field elements adds and multiplies by
     (a, b) * (c, d) = (a*c, a^2*d + c^2*b)
 
 which over F_2 gives the ring Z/4 with (1, 0) as 1. The character xi
-sends (1, 0) to the imaginary unit i, so characters and character sums
-live in exact Gaussian integers; no floating point appears anywhere.
+sends (1, 0) to the imaginary unit i, so every character value is a
+power i^k and the characters return the exponent k in range(4); sums
+of characters live in exact Gaussian integers, and no floating point
+appears anywhere.
 
 Down-to-earth consequences used constantly upstream: the length-2 trace
 Tr(x, 0) of a pure first component has the explicit shape
@@ -60,7 +62,7 @@ class GaussInt:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __add__(self, other):
         other = _coerce(other)
@@ -120,54 +122,12 @@ def _coerce(x) -> GaussInt:
         return x
     if isinstance(x, int):
         return GaussInt(x)
-    if isinstance(x, GaussUnit):
-        return x.gauss()
     return NotImplemented
 
 
-class GaussUnit:
-    """A power of i, stored as the exponent mod 4."""
-
-    __slots__ = ("k",)
-    _NAMES = ("1", "i", "-1", "-i")
-
-    def __init__(self, k: int):
-        self.k = k & 3
-
-    def __repr__(self) -> str:
-        return f"GaussUnit({self.k})"
-
-    def __str__(self) -> str:
-        return self._NAMES[self.k]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, GaussUnit):
-            return self.k == other.k
-        if isinstance(other, (GaussInt, int)):
-            return self.gauss() == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.gauss())
-
-    def __mul__(self, other):
-        if isinstance(other, GaussUnit):
-            return GaussUnit(self.k + other.k)
-        return self.gauss() * other
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "GaussUnit":
-        return GaussUnit(self.k + 2)
-
-    def inv(self) -> "GaussUnit":
-        return GaussUnit(-self.k)
-
-    def __pow__(self, e: int) -> "GaussUnit":
-        return GaussUnit(self.k * (e & 3))
-
-    def gauss(self) -> GaussInt:
-        return (GaussInt(1), GaussInt(0, 1), GaussInt(-1), GaussInt(0, -1))[self.k]
+def i_power(k: int) -> GaussInt:
+    """The unit i^k; only k mod 4 matters."""
+    return GaussInt(*((1, 0), (0, 1), (-1, 0), (0, -1))[k & 3])
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +197,7 @@ def witt_zero(ctx: FieldCtx) -> WittPair:
 def witt_trace(x: WittPair, from_deg: int, to_deg: int) -> WittPair:
     """Witt-vector trace from the degree-from_deg subfield down to to_deg."""
     K = x.ctx
-    if from_deg % to_deg or K.n % from_deg:
-        raise DegreeMismatch(f"need {to_deg} | {from_deg} | {K.n} for a trace")
+    K.check_degrees(from_deg, to_deg)
     if not (K.in_subfield(x.a, from_deg) and K.in_subfield(x.b, from_deg)):
         raise DegreeMismatch("components outside the source subfield")
     acc = witt_zero(K)
@@ -253,29 +212,32 @@ def witt_trace(x: WittPair, from_deg: int, to_deg: int) -> WittPair:
 
 # ---------------------------------------------------------------------------
 # Characters. All of them take the working-subfield degree explicitly, so
-# one ambient context serves every subfield level.
+# one ambient context serves every subfield level, and all of them return
+# the exponent k in range(4) of their value i^k, the form of
+# `q_exponent_table`; `i_power` turns an exponent into its Gaussian integer.
 
 
-def xi2(pair: WittPair) -> GaussUnit:
-    """The order-4 character on length-2 Witt vectors over F_2."""
+def xi2(pair: WittPair) -> int:
+    """The order-4 character on length-2 Witt vectors over F_2, as an
+    i-exponent: (a, b) is a + 2b in Z/4."""
     if not (pair.a in (0, 1) and pair.b in (0, 1)):
         raise DegreeMismatch("xi2 needs components in F_2")
-    return GaussUnit(pair.a + 2 * pair.b)
+    return pair.a + 2 * pair.b
 
 
-def xi_q(pair: WittPair, deg: int) -> GaussUnit:
+def xi_q(pair: WittPair, deg: int) -> int:
     """xi composed with the Witt trace from the degree-deg subfield."""
     return xi2(witt_trace(pair, deg, 1))
 
 
-def q_char(ctx: FieldCtx, x: Element, deg: int) -> GaussUnit:
-    """The quadratic character Q(x) = xi(Tr(x, 0)); values are 4th roots."""
+def q_char(ctx: FieldCtx, x: Element, deg: int) -> int:
+    """i-exponent of the quadratic character Q(x) = xi(Tr(x, 0))."""
     return xi_q(WittPair(ctx, x, 0), deg)
 
 
-def psi_char(ctx: FieldCtx, x: Element, deg: int) -> GaussUnit:
-    """The parity character psi(x) = (-1)^Tr(x) = xi(Tr(0, x))."""
-    return GaussUnit(2 * ctx.trace(x, deg, 1))
+def psi_char(ctx: FieldCtx, x: Element, deg: int) -> int:
+    """i-exponent of the parity character psi(x) = (-1)^Tr(x) = xi(Tr(0, x))."""
+    return 2 * ctx.trace(x, deg, 1)
 
 
 def q_exponent_table(deg: int) -> np.ndarray:

@@ -4,7 +4,8 @@ No route of the package runs these, so they live beside the tests, not
 in `src/`:
 
 - the Heisenberg group of a linearized polynomial R, whose commutator
-  pairing is checked against `PairingCtx.omega` (acceptance gate 09);
+  pairing is checked against `PairingCtx.omega` (acceptance gate 09),
+  with `NotOnCurve` for the points that fail its equations;
 - `factor_complement_check`, the kernel of a cofactor's adjoint, checked
   against `PairingCtx.orthogonal_complement`;
 - `bq_char`, the bilinear defect of the quadratic character, checked
@@ -15,10 +16,10 @@ in `src/`:
 
 from __future__ import annotations
 
-from aswcurves.errors import CtxMismatch, DegreeMismatch, NotDivisible, NotOnCurve
+from aswcurves.errors import Char2Error, CtxMismatch, DegreeMismatch, NotDivisible
 from aswcurves.gf2field import Element, FieldCtx, Fp2Subspace
 from aswcurves.skew import SkewPoly
-from aswcurves.witt2 import GaussUnit, psi_char
+from aswcurves.witt2 import psi_char
 
 
 def right_divides(g: SkewPoly, f: SkewPoly) -> bool:
@@ -40,13 +41,18 @@ def factor_complement_check(E: SkewPoly, f: SkewPoly) -> Fp2Subspace:
     return h.adjoint().kernel()
 
 
-def bq_char(ctx: FieldCtx, x: Element, y: Element, deg: int) -> GaussUnit:
-    """The bilinear defect of Q: B(x, y) = Q(x+y)/Q(x)Q(y) = psi(x*y)."""
+def bq_char(ctx: FieldCtx, x: Element, y: Element, deg: int) -> int:
+    """i-exponent of the bilinear defect of Q: B(x, y) = Q(x+y)/Q(x)Q(y)
+    = psi(x*y)."""
     return psi_char(ctx, ctx.mul(x, y), deg)
 
 
 # ---------------------------------------------------------------------------
 # Heisenberg group of a linearized polynomial with exponents 0..e
+
+
+class NotOnCurve(Char2Error, ValueError):
+    """A point does not satisfy the group's defining equations."""
 
 
 def _check_heisenberg_shape(R: SkewPoly) -> int:

@@ -261,6 +261,16 @@ class TestConstruct:
         assert data["error"] == error
         assert data["detail"]
 
+    @pytest.mark.parametrize("q_deg", ["0", "-2"])
+    def test_q_deg_below_one_is_a_parse_error(self, capsys, q_deg):
+        argv = ("construct", "--family", "hermitian", "--field", "F16", "--a", "1")
+        code, out = run(capsys, *argv, "--q-deg", q_deg)
+        assert code == 2
+        assert out == (
+            '{\n  "error": "ParseError",\n'
+            f'  "detail": "--q-deg {q_deg} must be >= 1"\n}}\n'
+        )
+
 
 class TestPeriod:
     def test_quadratic_example(self, capsys):

@@ -21,6 +21,7 @@ from aswcurves.curves import (
 from aswcurves.errors import (
     CapExceeded,
     Char2Error,
+    DegreeMismatch,
     FieldTooSmall,
     FOneNonzero,
     HypothesisFailed,
@@ -409,6 +410,11 @@ class TestHermitian:
         assert rep.is_maximal
         assert rep.lpoly.point_count(1) == 9
         assert rep.counting_checked
+
+    @pytest.mark.parametrize("q_deg", [0, -2])
+    def test_degrees_below_one_are_rejected(self, q_deg):
+        with pytest.raises(DegreeMismatch, match="subfield degrees need 1 <="):
+            hermitian_twist(F16, 0, q_deg)
 
     def test_only_zero_is_extremal_over_f4(self):
         extremal = [a for a in range(4) if hermitian_twist(F4, a).is_extremal]

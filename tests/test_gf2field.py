@@ -260,6 +260,27 @@ def test_table_trace_keeps_its_degree_checks(n, poly):
             K.trace(0, from_deg, to_deg)
 
 
+F16 = make_field(4)
+SUBFIELD_SITES = {
+    "in_subfield": lambda d: F16.in_subfield(1, d),
+    "subfield_basis": F16.subfield_basis,
+    "subfield_elements": F16.subfield_elements,
+    "trace-from": lambda d: F16.trace(0, d, 1),
+    "trace-to": lambda d: F16.trace(0, 4, d),
+    "solve_additive": lambda d: F16.solve_additive(lambda x: x, 0, d),
+    "transport": lambda d: transport(F16, 1, make_field(8), d),
+    "Fp2Subspace.in_subfield": lambda d: Fp2Subspace(F16, ()).in_subfield(d),
+}
+
+
+@pytest.mark.parametrize("deg", [0, -2])
+@pytest.mark.parametrize("site", sorted(SUBFIELD_SITES))
+def test_subfield_degrees_below_one_are_rejected(site, deg):
+    # -2 divides 4 and a Frobenius step of -2 fixes F_4: only the check rejects it
+    with pytest.raises(DegreeMismatch, match="subfield degrees need 1 <="):
+        SUBFIELD_SITES[site](deg)
+
+
 def test_subfield_structure():
     K = make_field(12)
     for d in (1, 2, 3, 4, 6, 12):

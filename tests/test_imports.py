@@ -1,8 +1,8 @@
 """Source hygiene: no module imports another module's private names, the
 counting oracle imports nothing from the routes it checks, the routes
 reach the oracle only through `curves.count.checked_count`, no module
-holds what `python -O` would strip, and every function under `src/` is
-reached."""
+holds what `python -O` would strip, and every function and class under
+`src/` is reached."""
 
 import ast
 import importlib
@@ -194,11 +194,12 @@ def test_optimizer_detector_flags_asserts_and_debug_not_prose():
     ]
 
 
-# Every function and method under src/ is reached: something in src/
-# names it outside its own body, or it is public, a dunder, or an
+# Every function, method and class under src/ is reached: something in
+# src/ names it outside its own body, or it is public, a dunder, or an
 # override of a method that a base class outside src/ calls.  A method
 # counts as named only through an attribute load, so that a local
-# variable of the same name cannot hide a dead method.
+# variable of the same name cannot hide a dead method; an import alone
+# names nothing.
 REACH_EXEMPT = {
     "aswcurves/bitvec.py:field_mul": (
         "the benchmark's microbenchmark and tracer import it; it moves to "
@@ -229,9 +230,9 @@ def _overrides(base: ast.expr, name: str, methods: dict[str, set[str]]) -> bool:
 
 
 def unreached(sources: dict[str, str], public: set[str]) -> list[str]:
-    """`path:qualname` of every function and method in `sources` that
-    no code in `sources` names outside its own body and that is not
-    public, a dunder or an override, in source order."""
+    """`path:qualname` of every function, method and class in `sources`
+    that no code in `sources` names outside its own body and that is
+    not public, a dunder or an override, in source order."""
     trees = {path: ast.parse(text) for path, text in sources.items()}
     loads = defaultdict(list)  # name -> (path, line, is_attribute)
     for path, tree in trees.items():
@@ -255,9 +256,12 @@ def unreached(sources: dict[str, str], public: set[str]) -> list[str]:
             for f in node.body
         }
         for fn in ast.walk(tree):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(fn, ast.ClassDef):
+                owner = None
+            elif isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = owners.get(id(fn))
+            else:
                 continue
-            owner = owners.get(id(fn))
             name = fn.name
             if name.startswith("__") and name.endswith("__"):
                 continue
@@ -314,12 +318,30 @@ def test_reach_detector_flags_dead_and_hidden_definitions():
             "class Exported:\n"
             "    def anything(self):\n"
             "        return None\n"
+            "class Raised(ValueError):\n"
+            "    pass\n"
+            "class Dead(ValueError):\n"
+            "    pass\n"
+            "class Lonely:\n"
+            "    @classmethod\n"
+            "    def make(cls):\n"
+            "        return Lonely()\n"
         ),
-        "pkg/b.py": "from .a import table\nrows = table(None)\n",
+        "pkg/b.py": (
+            "from .a import Dead, Parser, Raised, Thing, table\n"
+            "rows = table(Thing())\n"
+            "def parse(text):\n"
+            "    if not text:\n"
+            "        raise Raised(text)\n"
+            "    return Parser().parse_args(text)\n"
+        ),
     }
-    assert unreached(sources, {"entry", "Exported"}) == [
+    assert unreached(sources, {"entry", "Exported", "parse"}) == [
         "pkg/a.py:recursive",
         "pkg/a.py:Thing.conj",
         "pkg/a.py:Thing.again",
         "pkg/a.py:Parser.extra",
+        "pkg/a.py:Dead",
+        "pkg/a.py:Lonely",
+        "pkg/a.py:Lonely.make",
     ]

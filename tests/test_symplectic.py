@@ -12,7 +12,6 @@ from aswcurves.errors import (
     Char2Error,
     CtxMismatch,
     NotInKernel,
-    NotOnCurve,
     NotSubspaceOfW,
     NotSymplectic,
     OracleMismatch,
@@ -22,6 +21,7 @@ from aswcurves.skew import SkewPoly
 from aswcurves.symplectic import PairingCtx, _fp_rank, g_witness, maximal_isotropic
 from reference import (
     HeisenbergElt,
+    NotOnCurve,
     commutator,
     f_r_eval,
     factor_complement_check,

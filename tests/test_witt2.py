@@ -7,12 +7,13 @@ import pytest
 
 from aswcurves import witt2
 from aswcurves.errors import CtxMismatch, DegreeMismatch, NonRealCount, OracleMismatch
-from aswcurves.gf2field import FieldCtx, make_field
+from aswcurves.curves.twists import eigenvalue_targets
+from aswcurves.gf2field import FieldCtx, make_field, transport
 from aswcurves.witt2 import (
     GaussInt,
-    GaussUnit,
     WittPair,
     hd_sum,
+    i_power,
     psi_char,
     q_char,
     q_exponent_table,
@@ -42,16 +43,21 @@ def test_gauss_int_ring():
     assert str(GaussInt(-1, -1)) == "-1-1i"
 
 
-def test_gauss_unit():
-    i = GaussUnit(1)
-    assert i * i == GaussUnit(2)
-    assert i.inv() == GaussUnit(3)
-    assert (i ** 3) == GaussUnit(3)
-    assert -i == GaussUnit(3)
-    assert i.gauss() == GaussInt(0, 1)
-    assert str(-i) == "-i"
-    assert GaussUnit(2) == GaussInt(-1, 0)
-    assert i * GaussInt(1, 1) == GaussInt(-1, 1)
+def test_gauss_int_hashes_like_the_int_it_equals():
+    assert GaussInt(2) == 2
+    assert hash(GaussInt(2)) == hash(2)
+    assert len({GaussInt(2), 2}) == 1
+    assert len({GaussInt(-1, 0), -1, GaussInt(0, -1)}) == 2
+    assert {GaussInt(3, 4): "a"}[GaussInt(3, 4)] == "a"
+
+
+def test_i_power():
+    i = GaussInt(0, 1)
+    assert [i_power(k) for k in range(4)] == [1, i, -1, -i]
+    for k in range(-8, 9):
+        assert i_power(k) == i ** (k % 4)
+        assert i_power(k) * i_power(-k) == 1
+    assert i_power(1) * GaussInt(1, 1) == GaussInt(-1, 1)
 
 
 def test_witt_ring_over_f2_is_z4():
@@ -156,10 +162,10 @@ def test_q_exponent_table_needs_no_vectorised_product(monkeypatch):
 
 
 def test_xi2_table():
-    assert xi2(WittPair(F2, 0, 0)) == GaussUnit(0)
-    assert xi2(WittPair(F2, 1, 0)) == GaussUnit(1)
-    assert xi2(WittPair(F2, 0, 1)) == GaussUnit(2)
-    assert xi2(WittPair(F2, 1, 1)) == GaussUnit(3)
+    assert xi2(WittPair(F2, 0, 0)) == 0
+    assert xi2(WittPair(F2, 1, 0)) == 1
+    assert xi2(WittPair(F2, 0, 1)) == 2
+    assert xi2(WittPair(F2, 1, 1)) == 3
     with pytest.raises(DegreeMismatch):
         xi2(WittPair(F4, W, 0))
 
@@ -170,25 +176,25 @@ def test_xi_q_is_additive_character():
     for _ in range(100):
         x = WittPair(K, rng.randrange(256), rng.randrange(256))
         y = WittPair(K, rng.randrange(256), rng.randrange(256))
-        assert xi_q(x + y, 8) == xi_q(x, 8) * xi_q(y, 8)
+        assert xi_q(x + y, 8) == (xi_q(x, 8) + xi_q(y, 8)) % 4
 
 
 def test_q_char_anchor_table_f4():
-    assert q_char(F4, 0, 2) == GaussUnit(0)
-    assert q_char(F4, 1, 2) == GaussUnit(2)  # -1
-    assert q_char(F4, W, 2) == GaussUnit(3)  # -i
-    assert q_char(F4, W ^ 1, 2) == GaussUnit(3)
+    assert q_char(F4, 0, 2) == 0
+    assert q_char(F4, 1, 2) == 2  # -1
+    assert q_char(F4, W, 2) == 3  # -i
+    assert q_char(F4, W ^ 1, 2) == 3
 
 
 def test_psi_char():
-    assert psi_char(F4, 0, 2) == GaussUnit(0)
-    assert psi_char(F4, 1, 2) == GaussUnit(0)
-    assert psi_char(F4, W, 2) == GaussUnit(2)
+    assert psi_char(F4, 0, 2) == 0
+    assert psi_char(F4, 1, 2) == 0
+    assert psi_char(F4, W, 2) == 2
     K = make_field(12)
     rng = random.Random(14)
     for _ in range(50):
         x, y = rng.randrange(K.order), rng.randrange(K.order)
-        assert psi_char(K, x ^ y, 12) == psi_char(K, x, 12) * psi_char(K, y, 12)
+        assert psi_char(K, x ^ y, 12) == (psi_char(K, x, 12) + psi_char(K, y, 12)) % 4
 
 
 def test_q_squares_to_psi_and_galois_invariance():
@@ -196,7 +202,7 @@ def test_q_squares_to_psi_and_galois_invariance():
         K = make_field(deg)
         for x in range(K.order):
             qx = q_char(K, x, deg)
-            assert qx * qx == psi_char(K, x, deg)
+            assert 2 * qx % 4 == psi_char(K, x, deg)
             assert q_char(K, K.sqr(x), deg) == qx
 
 
@@ -206,7 +212,7 @@ def test_bq_identity_exhaustive_small():
         for x in range(K.order):
             for y in range(K.order):
                 lhs = q_char(K, x ^ y, deg)
-                rhs = q_char(K, x, deg) * q_char(K, y, deg) * bq_char(K, x, y, deg)
+                rhs = (q_char(K, x, deg) + q_char(K, y, deg) + bq_char(K, x, y, deg)) % 4
                 assert lhs == rhs
 
 
@@ -262,7 +268,48 @@ def test_q_exponent_table_matches_scalar():
         K = make_field(deg)
         tab = q_exponent_table(deg)
         for x in range(K.order):
-            assert GaussUnit(int(tab[x])) == q_char(K, x, deg)
+            assert int(tab[x]) == q_char(K, x, deg)
+
+
+# (n, modulus, p_log, deg): non-default moduli, p = 2, 4, 8, and ambients
+# wider than the degree-deg field the characters work in.
+CHARACTER_CONTEXTS = [
+    (4, 0x19, 1, 4),
+    (4, 0x1F, 1, 4),
+    (4, 0x19, 2, 2),
+    (8, None, 2, 4),
+    (8, 0x11D, 2, 8),
+    (6, None, 3, 6),
+    (12, None, 3, 6),
+    (12, None, 2, 4),
+]
+
+
+@pytest.mark.parametrize("n, poly, p_log, deg", CHARACTER_CONTEXTS)
+def test_characters_return_i_exponents(n, poly, p_log, deg):
+    K = FieldCtx(n, poly, p_log)
+    tab = q_exponent_table(deg)
+    field = K.subfield_elements(deg)
+    assert len(field) == 1 << deg
+    exponents = [xi2(WittPair(K, a, b)) for a in (0, 1) for b in (0, 1)]
+    for j, x in enumerate(field):
+        qx = q_char(K, x, deg)
+        exponents += [qx, psi_char(K, x, deg), xi_q(WittPair(K, x, field[-1 - j]), deg)]
+        assert qx == tab[transport(K, x, make_field(deg), deg)]
+    if deg % 2 == 0:
+        exponents += eigenvalue_targets(deg)
+    assert {type(k) for k in exponents} == {int}
+    assert set(exponents) <= set(range(4))
+
+
+def test_witt_trace_rejects_degrees_below_one():
+    K = make_field(4)
+    pair = WittPair(K, 1, 0)
+    for deg in (0, -2):
+        with pytest.raises(DegreeMismatch, match="subfield degrees need 1 <="):
+            witt_trace(pair, deg, 1)
+        with pytest.raises(DegreeMismatch, match="subfield degrees need 1 <="):
+            witt_trace(pair, 4, deg)
 
 
 def test_hd_sum_anchors():
