@@ -1,15 +1,15 @@
 """
-Binary fields, length-2 Witt vectors, and exact character sums
+Binary fields, the order-4 character, and exact character sums
 ==============================================================
 
 The ground layer of the package: ambient fields F_{2^N} on int bit
-patterns, the ring of length-2 Witt vectors over them, and the order-4
-character that turns Witt arithmetic into exact Gaussian integers.
+patterns, and the order-4 character Q that the length-2 Witt trace
+induces on them, whose sums are exact Gaussian integers.
 """
 
 from aswcurves.gf2field import make_field
 from aswcurves.skew import SkewPoly, format_skew
-from aswcurves.witt2 import GaussInt, WittPair, hd_sum, witt_trace, xi2
+from aswcurves.witt2 import GaussInt, hd_sum, q_char
 
 # F_16 with its frozen defining polynomial; elements are ints 0..15.
 K = make_field(4)
@@ -22,24 +22,19 @@ print(f"Tr to F_2 of every element: {[K.trace(a, 4, 1) for a in range(16)]}")
 # The degree-2 subfield sits inside F_16 as specific bit patterns.
 print(f"F_4 inside F_16: {sorted(K.subfield_elements(2))}")
 
-# Length-2 Witt vectors add with a carry; over F_2 they realize Z/4.
-one = WittPair(make_field(1), 1, 0)
-acc = one
-for k in range(2, 5):
-    acc = acc + one
-    print(f"{k} * (1,0) = ({acc.a}, {acc.b})")
-
-# xi2 maps Witt pairs to exponents of i; summing the induced quadratic
-# character over a whole field gives an exact Gaussian integer that
-# matches the closed form (-1-i)^s.
+# The quadratic character Q returns exponents of i; summing it over a
+# whole field gives an exact Gaussian integer that matches the closed
+# form (-1-i)^s.
 for s in range(1, 9):
     total = hd_sum(s)
     assert total == GaussInt(-1, -1) ** s
     print(f"s={s:2d}  sum = {total}")
 
-# Witt traces feed the same character from any subfield level.
-t = witt_trace(WittPair(K, 0b0110, 0), 4, 1)
-print(f"witt trace of (0b0110, 0) down to F_2: ({t.a}, {t.b}) -> i^{xi2(t)}")
+# Q(x) = i^(Tr(x) + 2*e2(x)): the length-2 Witt trace of (x, 0) down to
+# F_2 is the pair (Tr(x), e2(x)), the sum and the second elementary
+# symmetric function of the conjugates of x.
+k = q_char(K, 0b0110, 4)
+print(f"Q(0b0110) over F_16: (Tr, e2) = ({k & 1}, {k >> 1}) -> i^{k}")
 
 # Skew polynomials twist by the p-power Frobenius; the adjoint reverses
 # composition order and its kernel drives everything downstream.

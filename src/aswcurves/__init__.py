@@ -3,7 +3,7 @@
 The layers, bottom up:
 
 - gf2field: ambient fields F_{2^N}, subfields, F_2/F_p linear algebra;
-- witt2: length-2 Witt vectors, their order-4 character, character sums;
+- witt2: the order-4 character of the length-2 Witt trace, character sums;
 - skew: twisted Laurent polynomials in the p-power Frobenius;
 - symplectic: the residue pairing between adjoint kernels, orthogonal
   complements, and maximal isotropic subspaces;

@@ -134,8 +134,10 @@ def forbidden_pairs(p_log: int, n_max: int) -> frozenset[tuple[int, int]]:
     Odd degrees never carry a first attainment; a first attainment at
     degree 2 is never minimal; one at degree 4 is never minimal when
     p = 2; and for odd m > 1 dividing p - 1 a first attainment at
-    degree 2m is never minimal.
+    degree 2m is never minimal.  DomainError unless p_log >= 1.
     """
+    if p_log < 1:
+        raise DomainError(f"p = 2^{p_log} needs p_log >= 1")
     p = 1 << p_log
     pairs: set[tuple[int, int]] = set()
     for n in range(1, n_max + 1, 2):
@@ -218,8 +220,14 @@ def impossibility_scan(
     (BudgetExceeded otherwise; `n_max` defaults to the largest degree the
     budget allows).  Each curve's decided period, or its absence, is then
     replayed through `period_parity` as an independent route.  A
-    forbidden pair attained by any curve raises OracleMismatch.
+    forbidden pair attained by any curve raises OracleMismatch, and a
+    range that decides nothing (p_log, e_max or a given n_max below 1)
+    raises DomainError.
     """
+    if min(p_log, e_max, 1 if n_max is None else n_max) < 1:
+        raise DomainError(
+            f"a scan needs p_log, e_max and n_max >= 1, not {p_log}, {e_max}, {n_max}"
+        )
     p = 1 << p_log
     if n_max is None:
         n_max = max(1, (budget.bit_length() - 1) // p_log)

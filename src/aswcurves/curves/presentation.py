@@ -123,10 +123,11 @@ def parameter_search(fd: TwistDatum, a0: Element) -> Element | None:
 
     The coefficient of t is gamma + F*(t)^2, gamma that of t = 0, so t
     solves F*(t) = sqrt(a0 + gamma) in F_q; None when nothing does.
-    ConditionViolated unless the datum has flags 1 and 2.
+    ConditionViolated unless the datum has flags 1 and 2, CtxMismatch
+    when a0 is not an element of the field.
     """
     ctx = fd.ctx
-    target = ctx.sqrt(a0 ^ fd.twist_coefficient(0))
+    target = ctx.sqrt(fd.twist_coefficient(0) ^ ctx.check(a0))
     try:
         return ctx.solve_additive(fd.F.adjoint(), target, fd.q_deg)
     except NoSolution:

@@ -547,7 +547,7 @@ class Fp2Subspace:
     @classmethod
     def from_vectors(cls, ctx: FieldCtx, vecs: Iterable[Element]) -> "Fp2Subspace":
         scalars = ctx.subfield_basis(ctx.p_log)
-        closed = [ctx.mul(c, v) for v in vecs for c in scalars]
+        closed = [ctx.mul(c, v) for v in map(ctx.check, vecs) for c in scalars]
         basis = rref_basis(closed)
         if len(basis) % ctx.p_log:
             raise OracleMismatch(f"an F_p-span of F_2-dimension {len(basis)}, p = 2^{ctx.p_log}")

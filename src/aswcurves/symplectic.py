@@ -54,12 +54,15 @@ def g_witness(F: SkewPoly, x: Element, y: Element) -> Element:
 class PairingCtx:
     """ker F paired with ker F* by omega(u, u*) = g(u*, u)."""
 
-    __slots__ = ("F", "W", "Wstar", "gram")
+    __slots__ = ("F", "W", "Wstar", "gram", "is_symplectic")
 
     def __init__(self, F: SkewPoly):
         self.F = F
+        Fstar = F.adjoint()
+        # F = F* makes omega an alternating form on W, and W* = W
+        self.is_symplectic = F == Fstar
         self.W = F.kernel()
-        self.Wstar = F.adjoint().kernel()
+        self.Wstar = self.W if self.is_symplectic else Fstar.kernel()
         if self.W.dim_p != self.Wstar.dim_p:
             raise OracleMismatch(f"dim ker F {self.W.dim_p} != dim ker F* {self.Wstar.dim_p}")
         rows = [
@@ -73,11 +76,6 @@ class PairingCtx:
     @property
     def ctx(self) -> FieldCtx:
         return self.F.ctx
-
-    @property
-    def is_symplectic(self) -> bool:
-        """Whether F = F*, making omega an alternating form on W."""
-        return self.F == self.F.adjoint()
 
     def omega(self, u: Element, ustar: Element, check: bool = True) -> Element:
         """Pairing value in F_p."""

@@ -1,22 +1,18 @@
-"""Length-2 Witt vectors over binary fields and their order-4 character.
+"""The order-4 character Q of binary fields, and exact character sums.
 
-A pair (a, b) of field elements adds and multiplies by
+Q(x) = xi(Tr(x, 0)) is the order-4 character xi of the length-2 Witt
+vectors over F_2 (the ring Z/4, with xi((1, 0)) = i) composed with the
+length-2 trace of the pure first component (x, 0).  That trace has the
+explicit shape (Tr(x), e2(x)): the sum of the Frobenius conjugates of x
+and their second elementary symmetric function.  So every value of Q is
+a power i^k, and the characters return the exponent k = Tr(x) + 2*e2(x)
+in range(4), read off that shape; sums of characters live in exact
+Gaussian integers, and no floating point appears anywhere.  The Witt
+ring itself is not needed here; it lives in `tests/reference.py`, the
+independent reference that `q_char` is checked against.
 
-    (a, b) + (c, d) = (a + c, b + d + a*c)
-    (a, b) * (c, d) = (a*c, a^2*d + c^2*b)
-
-which over F_2 gives the ring Z/4 with (1, 0) as 1. The character xi
-sends (1, 0) to the imaginary unit i, so every character value is a
-power i^k and the characters return the exponent k in range(4); sums
-of characters live in exact Gaussian integers, and no floating point
-appears anywhere.
-
-Down-to-earth consequences used constantly upstream: the length-2 trace
-Tr(x, 0) of a pure first component has the explicit shape
-(sum of conjugates, second elementary symmetric function of conjugates),
-and the quadratic character Q(x) = xi(Tr(x, 0)) obeys
-Q(x+y) = Q(x) Q(y) psi(xy) with psi the usual parity character.  In
-F_2 terms the second component e2 is a quadratic form with polar form
+Q obeys Q(x+y) = Q(x) Q(y) psi(xy) with psi the usual parity character.
+In F_2 terms e2 is a quadratic form with polar form
 
     e2(x+y) = e2(x) + e2(y) + Tr(x)Tr(y) + Tr(xy)
 
@@ -31,7 +27,6 @@ import numpy as np
 
 from . import bitvec
 from .errors import (
-    CtxMismatch,
     DegreeMismatch,
     DomainError,
     NonRealCount,
@@ -131,113 +126,46 @@ def i_power(k: int) -> GaussInt:
 
 
 # ---------------------------------------------------------------------------
-
-
-class WittPair:
-    """Length-2 Witt vector over a field context."""
-
-    __slots__ = ("ctx", "a", "b")
-
-    def __init__(self, ctx: FieldCtx, a: Element, b: Element):
-        self.ctx = ctx
-        self.a = ctx.check(a)
-        self.b = ctx.check(b)
-
-    def __repr__(self) -> str:
-        return f"WittPair({self.a:#x}, {self.b:#x})"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, WittPair)
-            and self.ctx == other.ctx
-            and (self.a, self.b) == (other.a, other.b)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ctx, self.a, self.b))
-
-    def _peer(self, other: "WittPair") -> None:
-        if not isinstance(other, WittPair):
-            raise TypeError("expected a WittPair")
-        if self.ctx != other.ctx:
-            raise CtxMismatch("Witt pairs over different contexts")
-
-    def __add__(self, other: "WittPair") -> "WittPair":
-        self._peer(other)
-        K = self.ctx
-        return WittPair(
-            K, self.a ^ other.a, self.b ^ other.b ^ K.mul(self.a, other.a)
-        )
-
-    def __neg__(self) -> "WittPair":
-        return WittPair(self.ctx, self.a, self.b ^ self.ctx.sqr(self.a))
-
-    def __sub__(self, other: "WittPair") -> "WittPair":
-        return self + (-other)
-
-    def __mul__(self, other: "WittPair") -> "WittPair":
-        self._peer(other)
-        K = self.ctx
-        return WittPair(
-            K,
-            K.mul(self.a, other.a),
-            K.mul(K.sqr(self.a), other.b) ^ K.mul(K.sqr(other.a), self.b),
-        )
-
-    def frob(self, j: int) -> "WittPair":
-        """Componentwise 2-power Frobenius."""
-        K = self.ctx
-        return WittPair(K, K.frob(self.a, j), K.frob(self.b, j))
-
-
-def witt_zero(ctx: FieldCtx) -> WittPair:
-    return WittPair(ctx, 0, 0)
-
-
-def witt_trace(x: WittPair, from_deg: int, to_deg: int) -> WittPair:
-    """Witt-vector trace from the degree-from_deg subfield down to to_deg."""
-    K = x.ctx
-    K.check_degrees(from_deg, to_deg)
-    if not (K.in_subfield(x.a, from_deg) and K.in_subfield(x.b, from_deg)):
-        raise DegreeMismatch("components outside the source subfield")
-    acc = witt_zero(K)
-    y = x
-    for _ in range(from_deg // to_deg):
-        acc = acc + y
-        y = y.frob(to_deg)
-    if not (K.in_subfield(acc.a, to_deg) and K.in_subfield(acc.b, to_deg)):
-        raise OracleMismatch(f"Witt trace of {x!r} lands outside the degree-{to_deg} subfield")
-    return acc
-
-
-# ---------------------------------------------------------------------------
 # Characters. All of them take the working-subfield degree explicitly, so
 # one ambient context serves every subfield level, and all of them return
 # the exponent k in range(4) of their value i^k, the form of
 # `q_exponent_table`; `i_power` turns an exponent into its Gaussian integer.
 
 
-def xi2(pair: WittPair) -> int:
-    """The order-4 character on length-2 Witt vectors over F_2, as an
-    i-exponent: (a, b) is a + 2b in Z/4."""
-    if not (pair.a in (0, 1) and pair.b in (0, 1)):
-        raise DegreeMismatch("xi2 needs components in F_2")
-    return pair.a + 2 * pair.b
+def _length2_trace(ctx: FieldCtx, x: Element, deg: int) -> tuple[int, int]:
+    """(Tr(x), e2(x)) for x in the degree-deg subfield: the length-2 trace
+    Tr(x, 0) down to F_2, in its explicit shape.
 
-
-def xi_q(pair: WittPair, deg: int) -> int:
-    """xi composed with the Witt trace from the degree-deg subfield."""
-    return xi2(witt_trace(pair, deg, 1))
+    A running sum and a running e2 over the conjugates x^(2^j), j < deg;
+    DegreeMismatch when x is outside the subfield, OracleMismatch when
+    either part lands outside F_2.
+    """
+    if not ctx.in_subfield(ctx.check(x), deg):
+        raise DegreeMismatch(f"{x:#x} is outside the degree-{deg} subfield")
+    conj, s, e2 = x, 0, 0
+    for _ in range(deg):
+        e2 ^= ctx.mul(s, conj)
+        s ^= conj
+        conj = ctx.sqr(conj)
+    if (s | e2) > 1:
+        raise OracleMismatch(f"length-2 trace of {x:#x} from degree {deg} lands outside F_2")
+    return s, e2
 
 
 def q_char(ctx: FieldCtx, x: Element, deg: int) -> int:
-    """i-exponent of the quadratic character Q(x) = xi(Tr(x, 0))."""
-    return xi_q(WittPair(ctx, x, 0), deg)
+    """i-exponent of the quadratic character Q(x) = xi(Tr(x, 0)) = Tr(x) + 2*e2(x)."""
+    s, e2 = _length2_trace(ctx, x, deg)
+    return s + 2 * e2
 
 
 def psi_char(ctx: FieldCtx, x: Element, deg: int) -> int:
     """i-exponent of the parity character psi(x) = (-1)^Tr(x) = xi(Tr(0, x))."""
     return 2 * ctx.trace(x, deg, 1)
+
+
+# q_exponent_table evaluates the field in slices of this many elements,
+# so that its temporaries stay small next to the table it returns.
+_CHUNK = 1 << 16
 
 
 def q_exponent_table(deg: int) -> np.ndarray:
@@ -261,29 +189,26 @@ def q_exponent_table(deg: int) -> np.ndarray:
     Every element of the field is evaluated through these two forms.
     """
     K = make_field(deg)
-    mul, sqr = K.mul, K.sqr
     tau, diag = 0, []
     for i in range(deg):
-        conj, s, e2 = 1 << i, 0, 0  # conjugate, running sum, running e2
-        for _ in range(deg):
-            e2 ^= mul(s, conj)
-            s ^= conj
-            conj = sqr(conj)
-        if (s | e2) > 1:
-            raise OracleMismatch(f"trace or e2 over F_{{2^{deg}}} lands outside F_2")
+        s, e2 = _length2_trace(K, 1 << i, deg)
         tau |= s << i
         diag.append(e2)
     powers = [1]  # t^k for k <= 2*deg - 2
     for _ in range(2 * deg - 2):
-        powers.append(mul(powers[-1], 2))
+        powers.append(K.mul(powers[-1], 2))
     tr = [(y & tau).bit_count() & 1 for y in powers]
     images = [
         diag[j] << j | sum(((tr[i] & tr[j]) ^ tr[i + j]) << i for i in range(j))
         for j in range(deg)
     ]
     full = bitvec.arange_field(K)
-    trace = np.bitwise_count(full & np.uint64(tau)) & np.uint8(1)
-    return trace + 2 * bitvec.quadratic_parity(images, full)
+    table = np.empty(len(full), dtype=np.uint8)
+    for lo in range(0, len(full), _CHUNK):
+        xs = full[lo : lo + _CHUNK]
+        trace = np.bitwise_count(xs & np.uint64(tau)) & np.uint8(1)
+        table[lo : lo + len(xs)] = trace + 2 * bitvec.quadratic_parity(images, xs)
+    return table
 
 
 def hd_sum(deg: int) -> GaussInt:

@@ -10,13 +10,23 @@ in `src/`:
   against `PairingCtx.orthogonal_complement`;
 - `bq_char`, the bilinear defect of the quadratic character, checked
   against `q_char`;
+- the ring of length-2 Witt vectors `WittPair`, its trace `witt_trace`
+  and its order-4 character `xi2`: `xi2(witt_trace((x, 0)))` is the
+  quadratic character that `q_char` reads off the explicit shape of
+  the trace;
 - `right_divides`, divisibility as a yes/no, checked against kernel
   containment (acceptance gate 08).
 """
 
 from __future__ import annotations
 
-from aswcurves.errors import Char2Error, CtxMismatch, DegreeMismatch, NotDivisible
+from aswcurves.errors import (
+    Char2Error,
+    CtxMismatch,
+    DegreeMismatch,
+    NotDivisible,
+    OracleMismatch,
+)
 from aswcurves.gf2field import Element, FieldCtx, Fp2Subspace
 from aswcurves.skew import SkewPoly
 from aswcurves.witt2 import psi_char
@@ -45,6 +55,94 @@ def bq_char(ctx: FieldCtx, x: Element, y: Element, deg: int) -> int:
     """i-exponent of the bilinear defect of Q: B(x, y) = Q(x+y)/Q(x)Q(y)
     = psi(x*y)."""
     return psi_char(ctx, ctx.mul(x, y), deg)
+
+
+# ---------------------------------------------------------------------------
+# Length-2 Witt vectors: (a, b) + (c, d) = (a + c, b + d + a*c) and
+# (a, b) * (c, d) = (a*c, a^2*d + c^2*b), which over F_2 is the ring Z/4
+# with (1, 0) as 1.
+
+
+class WittPair:
+    """Length-2 Witt vector over a field context."""
+
+    __slots__ = ("ctx", "a", "b")
+
+    def __init__(self, ctx: FieldCtx, a: Element, b: Element):
+        self.ctx = ctx
+        self.a = ctx.check(a)
+        self.b = ctx.check(b)
+
+    def __repr__(self) -> str:
+        return f"WittPair({self.a:#x}, {self.b:#x})"
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, WittPair)
+            and self.ctx == other.ctx
+            and (self.a, self.b) == (other.a, other.b)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ctx, self.a, self.b))
+
+    def _peer(self, other: "WittPair") -> None:
+        if not isinstance(other, WittPair):
+            raise TypeError("expected a WittPair")
+        if self.ctx != other.ctx:
+            raise CtxMismatch("Witt pairs over different contexts")
+
+    def __add__(self, other: "WittPair") -> "WittPair":
+        self._peer(other)
+        K = self.ctx
+        return WittPair(
+            K, self.a ^ other.a, self.b ^ other.b ^ K.mul(self.a, other.a)
+        )
+
+    def __neg__(self) -> "WittPair":
+        return WittPair(self.ctx, self.a, self.b ^ self.ctx.sqr(self.a))
+
+    def __sub__(self, other: "WittPair") -> "WittPair":
+        return self + (-other)
+
+    def __mul__(self, other: "WittPair") -> "WittPair":
+        self._peer(other)
+        K = self.ctx
+        return WittPair(
+            K,
+            K.mul(self.a, other.a),
+            K.mul(K.sqr(self.a), other.b) ^ K.mul(K.sqr(other.a), self.b),
+        )
+
+    def frob(self, j: int) -> "WittPair":
+        """Componentwise 2-power Frobenius."""
+        K = self.ctx
+        return WittPair(K, K.frob(self.a, j), K.frob(self.b, j))
+
+
+def witt_trace(x: WittPair, from_deg: int, to_deg: int) -> WittPair:
+    """Witt-vector trace from the degree-from_deg subfield down to to_deg:
+    the sum of the conjugates of x in the Witt ring."""
+    K = x.ctx
+    K.check_degrees(from_deg, to_deg)
+    if not (K.in_subfield(x.a, from_deg) and K.in_subfield(x.b, from_deg)):
+        raise DegreeMismatch("components outside the source subfield")
+    acc = WittPair(K, 0, 0)
+    y = x
+    for _ in range(from_deg // to_deg):
+        acc = acc + y
+        y = y.frob(to_deg)
+    if not (K.in_subfield(acc.a, to_deg) and K.in_subfield(acc.b, to_deg)):
+        raise OracleMismatch(f"Witt trace of {x!r} lands outside the degree-{to_deg} subfield")
+    return acc
+
+
+def xi2(pair: WittPair) -> int:
+    """The order-4 character on length-2 Witt vectors over F_2, as an
+    i-exponent: (a, b) is a + 2b in Z/4."""
+    if not (pair.a in (0, 1) and pair.b in (0, 1)):
+        raise DegreeMismatch("xi2 needs components in F_2")
+    return pair.a + 2 * pair.b
 
 
 # ---------------------------------------------------------------------------

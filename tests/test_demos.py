@@ -16,7 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 STDOUT_SHA256 = {
-    "01_fields_witt_characters.py": "884886a3204e03b5d88f97460369f0479d803eef8a1d9e016e81728a8fad8789",
+    "01_fields_witt_characters.py": "7f70de97fa73b363cc0bf36bd67a7108801fbfd552db50b94bd0b7ec7359505f",
     "02_counting_and_twists.py": "1111ca0bc82042bf76d902b9725689627079961f2ecd373fbfc117506017087b",
     "03_constructions.py": "2d1f4c04d06ce68d2bf999f3eeb74d7e543b8f944f364b41c8f4d54b19c25203",
     "04_period_scan.py": "2a78bbb9e89b62a18bd5a8e32d5f4457b8082aea4b544270177a3488170ee487",

@@ -289,6 +289,26 @@ class TestSubfieldKernel:
         with pytest.raises(HypothesisFailed):
             classify_subfield_kernel(fd, 1)
 
+    @pytest.mark.parametrize("q1_deg", [0, -2])
+    def test_subfield_degrees_below_one_are_rejected(self, q1_deg):
+        fd = recover_head(CurveSpec(F16, 4, (0, 1)))
+        with pytest.raises(DegreeMismatch, match="subfield degrees need 1 <="):
+            classify_subfield_kernel(fd, q1_deg)
+
+
+def _shifted_q_char(ctx, x, deg):
+    return (q_char(ctx, x, deg) + 1) % 4
+
+
+def test_pivot_character_check_fires(monkeypatch):
+    # a character one quarter-turn off misses the prescribed unit
+    # i^(log2(q1) + 2) at every pivot, also under python -O
+    monkeypatch.setattr(families, "q_char", _shifted_q_char)
+    with pytest.raises(OracleMismatch, match="pivot Witt trace misses the prescribed unit"):
+        classify_subfield_kernel(recover_head(CurveSpec(F16, 4, (0, 1))), 1)
+    with pytest.raises(OracleMismatch, match="pivot Witt trace misses the prescribed unit"):
+        palindromic_family(F16_P4, 4, (1, 1))
+
 
 class TestPalindromic:
     def test_linear_anchor_over_f4(self):

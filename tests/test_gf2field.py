@@ -469,6 +469,14 @@ def test_fp2subspace_ctx_mismatch():
         V1.add(V2)
 
 
+def test_fp2subspace_rejects_non_elements():
+    K = make_field(4)
+    with pytest.raises(CtxMismatch, match="0x10 is not an element of F_"):
+        Fp2Subspace.from_vectors(K, [0x10])
+    with pytest.raises(CtxMismatch):
+        Fp2Subspace.from_vectors(make_field(4, None, 2), [1, -1])
+
+
 def test_subspace_subfield_helpers():
     K = make_field(8)
     V = Fp2Subspace.from_vectors(K, K.subfield_basis(4))

@@ -1,8 +1,9 @@
 """Source hygiene: no module imports another module's private names, the
 counting oracle imports nothing from the routes it checks, the routes
 reach the oracle only through `curves.count.checked_count`, no module
-holds what `python -O` would strip, and every function and class under
-`src/` is reached."""
+holds what `python -O` would strip, every function and class under
+`src/` is reached, and every reference in `tests/reference.py` is
+compared against by some test."""
 
 import ast
 import importlib
@@ -345,3 +346,74 @@ def test_reach_detector_flags_dead_and_hidden_definitions():
         "pkg/a.py:Lonely",
         "pkg/a.py:Lonely.make",
     ]
+
+
+# Every top-level function and class of tests/reference.py is a reference
+# that some test compares against: a public one is named in some
+# tests/test_*.py, a private helper in reference.py outside its own body.
+# As for src/, an import alone names nothing.
+TESTS = Path(__file__).resolve().parent
+
+
+def _loaded_names(tree: ast.AST) -> list[tuple[str, int]]:
+    """(name, line) of every name or attribute that is read."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.append((node.attr, node.lineno))
+    return found
+
+
+def uncompared(reference: str, tests: dict[str, str]) -> list[str]:
+    """Top-level functions and classes of `reference` that no test names
+    (private ones: that `reference` names nowhere outside their body),
+    in source order."""
+    tree = ast.parse(reference)
+    in_tests = {name for text in tests.values() for name, _ in _loaded_names(ast.parse(text))}
+    in_reference = _loaded_names(tree)
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if node.name.startswith("_"):
+            named = any(
+                name == node.name and not node.lineno <= line <= node.end_lineno
+                for name, line in in_reference
+            )
+        else:
+            named = node.name in in_tests
+        if not named:
+            found.append(node.name)
+    return found
+
+
+def test_every_reference_is_compared_against():
+    tests = {path.name: path.read_text() for path in sorted(TESTS.glob("test_*.py"))}
+    assert tests
+    assert uncompared((TESTS / "reference.py").read_text(), tests) == []
+
+
+def test_reference_detector_flags_uncompared_definitions():
+    reference = (
+        "def _helper(x):\n"
+        "    return x\n"
+        "def _orphan(x):\n"
+        "    return _orphan(x - 1) if x else 0\n"
+        "def compared(x):\n"
+        "    return _helper(x)\n"
+        "class Model:\n"
+        "    def run(self):\n"
+        "        return imported_only(self)\n"
+        "def imported_only(x):\n"
+        "    return x\n"
+        "def dead(x):\n"
+        "    return compared(x)\n"
+        "VALUE = 1\n"
+    )
+    tests = {
+        "test_a.py": "from reference import Model, compared, imported_only\n",
+        "test_b.py": "def test_x():\n    assert compared(1) == reference.Model().run()\n",
+    }
+    assert uncompared(reference, tests) == ["_orphan", "imported_only", "dead"]

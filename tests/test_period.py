@@ -11,7 +11,7 @@ from aswcurves.curves import (
     period_parity,
 )
 from aswcurves.curves.period import coefficient_range
-from aswcurves.errors import AmbientTooSmall, BudgetExceeded, CapExceeded
+from aswcurves.errors import AmbientTooSmall, BudgetExceeded, CapExceeded, DomainError
 from aswcurves.gf2field import make_field
 
 F2 = make_field(1)
@@ -83,6 +83,10 @@ class TestForbiddenPairs:
     def test_pairs_beyond_the_range_are_dropped(self):
         assert forbidden_pairs(1, 1) == frozenset({(1, 1), (1, -1)})
 
+    def test_rejects_p_log_below_one(self):
+        with pytest.raises(DomainError, match="p_log >= 1"):
+            forbidden_pairs(0, 4)
+
 
 class TestImpossibilityScan:
     def test_base_range_over_f2_avoids_forbidden_pairs(self):
@@ -127,6 +131,11 @@ class TestImpossibilityScan:
     def test_excludes_only_inside_the_scanned_range(self):
         report = impossibility_scan(1, 1, n_max=4, budget=1 << 4)
         assert not report.excludes(6, 1)
+
+    @pytest.mark.parametrize("args", [(0,), (1, 0), (1, 2, 0), (1, 2, -3)])
+    def test_rejects_ranges_that_decide_nothing(self, args):
+        with pytest.raises(DomainError, match="a scan needs p_log, e_max and n_max >= 1"):
+            impossibility_scan(*args)
 
 
 def test_coefficient_range_order():

@@ -14,6 +14,7 @@ from aswcurves.curves.presentation import (
 )
 from aswcurves.errors import (
     ConditionViolated,
+    CtxMismatch,
     KernelNotRational,
     NoTwistParameter,
     OracleMismatch,
@@ -235,6 +236,15 @@ class TestParameterSearch:
                 assert parameter_search(fd, a0) == scanned_parameter(fd, a0)
             assert all(parameter_search(fd, a0) is not None for a0 in image)
             assert all(parameter_search(fd, a0) is None for a0 in targets[4:])
+
+    @pytest.mark.parametrize("a0", [0x10, 1 << 40])
+    def test_coefficient_outside_the_field_is_rejected(self, a0):
+        # the square root would drop the bits past the field and answer
+        # for another coefficient
+        fd = recover_head(CurveSpec(F16, 4, (0, 1)))
+        assert parameter_search(fd, a0 & 0xF) == 6
+        with pytest.raises(CtxMismatch, match="is not an element of F_"):
+            parameter_search(fd, a0)
 
     def test_adjoint_not_killing_one_is_rejected(self):
         fd = TwistDatum(SkewPoly(F16, {0: 1, 1: 2}), 4)

@@ -86,6 +86,25 @@ def test_pairing_nonsymplectic():
         maximal_isotropic(pc)
 
 
+def test_self_adjoint_pairing_builds_one_kernel(monkeypatch):
+    built = []
+    kernel = SkewPoly.kernel
+
+    def counted(self, *args):
+        built.append(self)
+        return kernel(self, *args)
+
+    monkeypatch.setattr(SkewPoly, "kernel", counted)
+    E = SkewPoly(F16, {1: 1, -1: 1})
+    pc = PairingCtx(E)
+    assert built == [E]
+    assert pc.Wstar is pc.W and pc.Wstar == E.adjoint().kernel()
+    F = SkewPoly(F4, {1: 1, 0: 1})
+    built.clear()
+    PairingCtx(F)
+    assert built == [F, F.adjoint()]
+
+
 def test_omega_galois_equivariance():
     # coefficients in the prime field: Frobenius preserves the pairing
     E = SkewPoly(F16, {2: 1, -2: 1})

@@ -1,4 +1,6 @@
-"""Witt layer tests: ring laws, traces, characters, character sums."""
+"""Witt layer tests: the characters and character sums of the package,
+and the ring laws and traces of the Witt-ring reference they are checked
+against."""
 
 import random
 
@@ -11,17 +13,13 @@ from aswcurves.curves.twists import eigenvalue_targets
 from aswcurves.gf2field import FieldCtx, make_field, transport
 from aswcurves.witt2 import (
     GaussInt,
-    WittPair,
     hd_sum,
     i_power,
     psi_char,
     q_char,
     q_exponent_table,
-    witt_trace,
-    xi2,
-    xi_q,
 )
-from reference import bq_char
+from reference import WittPair, bq_char, witt_trace, xi2
 
 F2 = make_field(1)
 F4 = make_field(2)
@@ -170,13 +168,14 @@ def test_xi2_table():
         xi2(WittPair(F4, W, 0))
 
 
-def test_xi_q_is_additive_character():
+def test_xi2_of_witt_trace_is_additive_character():
     K = make_field(8)
     rng = random.Random(13)
+    xi_q = lambda pair: xi2(witt_trace(pair, 8, 1))
     for _ in range(100):
         x = WittPair(K, rng.randrange(256), rng.randrange(256))
         y = WittPair(K, rng.randrange(256), rng.randrange(256))
-        assert xi_q(x + y, 8) == (xi_q(x, 8) + xi_q(y, 8)) % 4
+        assert xi_q(x + y) == (xi_q(x) + xi_q(y)) % 4
 
 
 def test_q_char_anchor_table_f4():
@@ -291,15 +290,45 @@ def test_characters_return_i_exponents(n, poly, p_log, deg):
     tab = q_exponent_table(deg)
     field = K.subfield_elements(deg)
     assert len(field) == 1 << deg
-    exponents = [xi2(WittPair(K, a, b)) for a in (0, 1) for b in (0, 1)]
-    for j, x in enumerate(field):
+    exponents = []
+    for x in field:
         qx = q_char(K, x, deg)
-        exponents += [qx, psi_char(K, x, deg), xi_q(WittPair(K, x, field[-1 - j]), deg)]
+        exponents += [qx, psi_char(K, x, deg)]
         assert qx == tab[transport(K, x, make_field(deg), deg)]
     if deg % 2 == 0:
         exponents += eigenvalue_targets(deg)
     assert {type(k) for k in exponents} == {int}
     assert set(exponents) <= set(range(4))
+
+
+@pytest.mark.parametrize("n, poly, p_log, deg", CHARACTER_CONTEXTS)
+def test_q_char_matches_the_witt_ring_reference(n, poly, p_log, deg):
+    # every subfield degree d | n, every element of F_{2^d}: the explicit
+    # shape (Tr, e2) against the sum of conjugates in the Witt ring
+    K = FieldCtx(n, poly, p_log)
+    for d in range(1, n + 1):
+        if n % d:
+            continue
+        for x in K.subfield_elements(d):
+            assert q_char(K, x, d) == xi2(witt_trace(WittPair(K, x, 0), d, 1)), (d, x)
+
+
+def test_q_char_checks_its_input_and_its_parts(monkeypatch):
+    K = make_field(4)
+    with pytest.raises(DegreeMismatch, match="outside the degree-2 subfield"):
+        q_char(K, 2, 2)
+    with pytest.raises(CtxMismatch):
+        q_char(K, 0x10, 4)
+    for deg in (0, -2):
+        with pytest.raises(DegreeMismatch, match="subfield degrees need 1 <="):
+            q_char(K, 1, deg)
+    # with squaring broken to the identity the sum of the three
+    # "conjugates" of t over F_8 is t itself, outside F_2: the check must
+    # fire, also under python -O
+    K = make_field(3)
+    monkeypatch.setattr(FieldCtx, "sqr", lambda self, a: a)
+    with pytest.raises(OracleMismatch, match="lands outside F_2"):
+        q_char(K, 2, 3)
 
 
 def test_witt_trace_rejects_degrees_below_one():
