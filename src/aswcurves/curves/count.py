@@ -31,10 +31,13 @@ parity(x & l_w) with l_w = M sqrt(w*a), so the twist's form is the
 head's quadratic part plus a linear term: parity(x & U_w x) XOR
 parity(x & l_w).  The head's tables are kept for the latest two
 (context, q_deg, tail, to_deg) keys, which cost a twist no validated
-head to build.  The first count of a head is one fused pass: U_w x is
-the XOR of one byte-table lookup per byte of x, every x looks up
-table 0 exactly once, so l_w added to the 256 entries of table 0 gives
-the twist's form with the same work per element.  From the second
+head to build.  The first count of a head is one fused pass: l_w
+added to the 256 entries of table 0 gives the byte tables of the
+twist's x -> U_w x XOR l_w.  With each x of a chunk written high | low,
+low its low byte, that map at x is its value at high XOR t0[low] XOR
+t0[0], t0 the shifted table 0, whose entry l_w both other terms carry.
+So the byte tables are looked up once per high part, one x in 256,
+and every x costs one broadcast XOR against table 0.  From the second
 count of a head whose universe fits one chunk on, the head's quadratic
 part is evaluated once: the entry keeps parity(x & U_w x) for every x,
 and each twist evaluates its linear part parity(x & l_w) at every
@@ -46,7 +49,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache, lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -134,16 +137,23 @@ def _head_tables(ctx: FieldCtx, q_deg: int, tail: tuple[int, ...], to_deg: int) 
     return _Head(tuple(forms))
 
 
-def _quadratic_parity(tables: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """parity(x & U x) at every x, U given by its byte tables."""
-    return np.bitwise_count(xs & apply_tables(tables, xs)) & np.uint8(1)
+def _parities(tables: Sequence[np.ndarray], lo: int, hi: int) -> np.ndarray:
+    """parity(x & U x) for x in [lo, hi), U given by its byte tables, in
+    rows of 256: each x is high | low with low its low byte, so
+    U x = U(high) XOR t0[low] XOR t0[0], t0 = table 0, whose entry 0 (a
+    twist's l_w) both other terms carry."""
+    low = np.arange(min(256, hi - lo), dtype=np.uint64)
+    highs = np.arange(lo, hi, low.size, dtype=np.uint64)
+    t0 = tables[0]
+    ux = (apply_tables(tables, highs) ^ t0[0])[:, None] ^ t0[: low.size]
+    ux &= highs[:, None] | low
+    return np.bitwise_count(ux) & np.uint8(1)
 
 
 def _count_chunk(forms: list[list[np.ndarray]], lo: int, hi: int) -> int:
-    xs = np.arange(lo, hi, dtype=np.uint64)
-    nonzero = np.zeros(hi - lo, dtype=np.uint8)
-    for tables in forms:
-        nonzero |= _quadratic_parity(tables, xs)
+    nonzero = _parities(forms[0], lo, hi)
+    for tables in forms[1:]:
+        nonzero |= _parities(tables, lo, hi)
     return (hi - lo) - int(np.count_nonzero(nonzero))
 
 
@@ -153,7 +163,7 @@ def _count_repeat(head: _Head, ells: list[int], size: int) -> int:
     every x and XORed with parity(x & U_w x)."""
     xs = np.arange(size, dtype=np.uint64)
     if head.parities is None:
-        parities = tuple(_quadratic_parity(tables, xs) for tables in head.tables)
+        parities = tuple(_parities(tables, 0, size).ravel() for tables in head.tables)
         for parity in parities:
             parity.flags.writeable = False
         head.parities = parities

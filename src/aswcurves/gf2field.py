@@ -456,24 +456,50 @@ class FieldCtx:
         return self._sub_elems[deg]
 
     def subfield_generator(self, deg: int) -> int:
-        """Least root of the default degree-deg modulus in this field.
+        """Least root of the default degree-deg modulus m in this field.
 
         This pins down one canonical copy of F_{2^deg} inside every
         context, which is what makes cross-context transport of subfield
-        elements well defined.
+        elements well defined.  The roots of m are the deg conjugates of
+        any one root, so one root is found by trace splitting (von zur
+        Gathen-Gerhard, Modern Computer Algebra, ch. 14): for beta in
+        the subfield, Tr(beta*X) mod m is the sum of the beta^(2^i) times
+        the F_2 patterns X^(2^i) mod m, and gcd(f, Tr(beta*X)) keeps the
+        roots r of f with Tr(beta*r) = 0.  The trace form is
+        nondegenerate, so an F_2-basis of betas leaves one linear factor.
         """
         if deg not in self._sub_gen:
             m = default_modulus(deg)
-            for cand in self.subfield_elements(deg):
-                acc = 0
-                for bit in range(m.bit_length() - 1, -1, -1):
-                    acc = self.mul(acc, cand) ^ ((m >> bit) & 1)
-                if acc == 0:
-                    self._sub_gen[deg] = cand
+            powers = [clmod(2, m)]  # X^(2^i) mod m
+            for _ in range(deg - 1):
+                powers.append(clmod(clmul(powers[-1], powers[-1]), m))
+            f = [(m >> k) & 1 for k in range(deg, -1, -1)]  # leading first
+            for beta in self.subfield_basis(deg):
+                if len(f) == 2:
                     break
-            else:
-                raise DegreeMismatch(f"no degree-{deg} root found")  # unreachable
+                tr = [0] * deg  # Tr(beta*X) mod m, leading first
+                for power in powers:
+                    tr = [c ^ beta * (power >> k & 1) for c, k in zip(tr, range(deg - 1, -1, -1))]
+                    beta = self.sqr(beta)
+                f = g if len(g := self._poly_gcd(f, tr)) > 1 else f
+            if len(f) != 2:
+                raise OracleMismatch(f"trace splitting left a degree-{len(f) - 1} factor of {m:#x}")
+            root = self.mul(f[1], self.inv(f[0]))
+            # root^(2^i) for i = 1..deg, the last one root again
+            self._sub_gen[deg] = min([root := self.sqr(root) for _ in range(deg)])
         return self._sub_gen[deg]
+
+    def _poly_gcd(self, a: list[int], b: list[int]) -> list[int]:
+        """A gcd in F_{2^n}[X] of two coefficient lists, leading
+        coefficient first; a's leading coefficient is nonzero."""
+        while b := b[next((i for i, c in enumerate(b) if c), len(b)) :]:
+            lead = self.inv(b[0])
+            while len(a) >= len(b):
+                c = self.mul(a[0], lead)
+                a = [x ^ self.mul(c, y) for x, y in zip(a[1:], b[1:])] + a[len(b) :]
+                a = a[next((i for i, c in enumerate(a) if c), len(a)) :]
+            a, b = b, a
+        return a
 
     # -- linear-map helpers ---------------------------------------------------
 

@@ -28,11 +28,12 @@ from .gf2field import Element, FieldCtx, Fp2Subspace, kernel_basis, rref_basis
 from .skew import SkewPoly
 
 
-def g_witness(F: SkewPoly, x: Element, y: Element) -> Element:
+def g_witness(F: SkewPoly, x: Element, y: Element, Fstar: SkewPoly | None = None) -> Element:
     """The unique bi-additive g with g^p + g = xF(y) + yF*(x), g(0,0) = 0.
 
     Built one exponent at a time: the term with coefficient b at t^i
     contributes the partial Artin-Schreier sum of z = y*(b*x)^(p^-i).
+    Fstar, when given, is F.adjoint(), built once by the caller.
     """
     ctx = F.ctx
     ctx.check(x)
@@ -46,7 +47,8 @@ def g_witness(F: SkewPoly, x: Element, y: Element) -> Element:
             z = ctx.frob_p(z, i)
         for j in range(abs(i)):
             g ^= ctx.frob_p(z, j)
-    if ctx.frob_p(g, 1) ^ g != ctx.mul(x, F(y)) ^ ctx.mul(y, F.adjoint()(x)):
+    Fstar = F.adjoint() if Fstar is None else Fstar
+    if ctx.frob_p(g, 1) ^ g != ctx.mul(x, F(y)) ^ ctx.mul(y, Fstar(x)):
         raise OracleMismatch(f"g({x:#x}, {y:#x}) = {g:#x} fails g^p + g = xF(y) + yF*(x)")
     return g
 
@@ -54,15 +56,15 @@ def g_witness(F: SkewPoly, x: Element, y: Element) -> Element:
 class PairingCtx:
     """ker F paired with ker F* by omega(u, u*) = g(u*, u)."""
 
-    __slots__ = ("F", "W", "Wstar", "gram", "is_symplectic")
+    __slots__ = ("F", "Fstar", "W", "Wstar", "gram", "is_symplectic")
 
     def __init__(self, F: SkewPoly):
         self.F = F
-        Fstar = F.adjoint()
+        self.Fstar = F.adjoint()
         # F = F* makes omega an alternating form on W, and W* = W
-        self.is_symplectic = F == Fstar
+        self.is_symplectic = F == self.Fstar
         self.W = F.kernel()
-        self.Wstar = self.W if self.is_symplectic else Fstar.kernel()
+        self.Wstar = self.W if self.is_symplectic else self.Fstar.kernel()
         if self.W.dim_p != self.Wstar.dim_p:
             raise OracleMismatch(f"dim ker F {self.W.dim_p} != dim ker F* {self.Wstar.dim_p}")
         rows = [
@@ -84,7 +86,7 @@ class PairingCtx:
                 raise NotInKernel(f"{u:#x} is not in ker F")
             if not self.Wstar.contains(ustar):
                 raise NotInKernel(f"{ustar:#x} is not in ker F*")
-        value = g_witness(self.F, ustar, u)
+        value = g_witness(self.F, ustar, u, self.Fstar)
         if not self.ctx.in_subfield(value, self.ctx.p_log):
             raise OracleMismatch(f"omega({u:#x}, {ustar:#x}) = {value:#x} is not in F_p")
         return value

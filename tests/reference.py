@@ -15,7 +15,10 @@ in `src/`:
   quadratic character that `q_char` reads off the explicit shape of
   the trace;
 - `right_divides`, divisibility as a yes/no, checked against kernel
-  containment (acceptance gate 08).
+  containment (acceptance gate 08);
+- `subfield_generator_by_scan`, the least root of a default modulus by
+  an ascending scan of the subfield, checked against the trace
+  splitting of `FieldCtx.subfield_generator`.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from aswcurves.errors import (
     NotDivisible,
     OracleMismatch,
 )
-from aswcurves.gf2field import Element, FieldCtx, Fp2Subspace
+from aswcurves.gf2field import Element, FieldCtx, Fp2Subspace, default_modulus
 from aswcurves.skew import SkewPoly
 from aswcurves.witt2 import psi_char
 
@@ -49,6 +52,20 @@ def factor_complement_check(E: SkewPoly, f: SkewPoly) -> Fp2Subspace:
     """
     h = E.right_divide(f)
     return h.adjoint().kernel()
+
+
+def subfield_generator_by_scan(ctx: FieldCtx, deg: int) -> Element:
+    """Least root of the default degree-deg modulus in ctx: the first
+    element of the degree-deg subfield, in ascending order, at which the
+    modulus vanishes by Horner's rule."""
+    m = default_modulus(deg)
+    for cand in ctx.subfield_elements(deg):
+        acc = 0
+        for bit in range(m.bit_length() - 1, -1, -1):
+            acc = ctx.mul(acc, cand) ^ ((m >> bit) & 1)
+        if acc == 0:
+            return cand
+    raise OracleMismatch(f"no root of {m:#x} in the degree-{deg} subfield")
 
 
 def bq_char(ctx: FieldCtx, x: Element, y: Element, deg: int) -> int:

@@ -33,6 +33,7 @@ from aswcurves.gf2field import (
     span_elements,
     transport,
 )
+from reference import subfield_generator_by_scan
 
 # Frozen modulus table: least irreducible bit pattern with constant term 1.
 MODULI = {
@@ -298,6 +299,32 @@ def test_subfield_structure():
     f4 = set(K.subfield_elements(2))
     f8 = set(K.subfield_elements(3))
     assert f4 & f8 == {0, 1}
+
+
+# (ambient degree, modulus) of the generator pins: every default modulus
+# up to degree 16, three non-default ones, and F_{2^24}, whose degree-12
+# subfield the `verify` jobs over F4096:0x1053 reach
+GENERATOR_FIELDS = [(n, None) for n in range(1, 17)] + [(4, 0x19), (9, 0x211), (12, 0x1053)]
+
+
+@pytest.mark.parametrize("n,poly", GENERATOR_FIELDS)
+def test_subfield_generator_is_the_least_root(n, poly):
+    for d in (d for d in range(1, n + 1) if n % d == 0):
+        assert FieldCtx(n, poly).subfield_generator(d) == subfield_generator_by_scan(
+            FieldCtx(n, poly), d
+        ), (n, poly, d)
+
+
+def test_subfield_generator_of_degree_12_in_f_2_24():
+    assert FieldCtx(24).subfield_generator(12) == subfield_generator_by_scan(FieldCtx(24), 12)
+
+
+def test_subfield_generator_raises_when_the_split_fails(monkeypatch):
+    # one trace of a basis cannot tell six conjugates apart
+    basis = FieldCtx.subfield_basis
+    monkeypatch.setattr(FieldCtx, "subfield_basis", lambda self, deg: basis(self, deg)[:1])
+    with pytest.raises(OracleMismatch, match="trace splitting left a degree-"):
+        FieldCtx(12).subfield_generator(6)
 
 
 def test_rref_canonical():

@@ -8,6 +8,7 @@ trace over the whole field.  The fast kernels must reproduce them exactly.
 
 import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,6 +185,64 @@ def test_twist_family_counts_match_products(n, q_deg, p_log, poly):
             for a in coefficients:
                 got = trace_zero_count(head.with_a0(a), m, to_deg, budget=1 << 18)
                 assert got == expected[which, m, a][to_deg], (which, m, to_deg, a)
+
+
+# (ambient degree, q_deg, p_log, modulus, m, chunk, threads) of the
+# first-count kernel, which splits each x into high bytes | low byte:
+# universes of 2^1..2^7 elements, below one 256-entry low byte; chunks of
+# 2^8 (None: the module's) over 2^10 and 2^12 universes; p = 4 and p = 8,
+# where each count has several forms; ambients wider than F_q; and two
+# threads over several chunks
+KERNEL_CASES = [
+    *[(d, d, 1, None, 1, None, 1) for d in range(1, 8)],
+    (3, 3, 1, 0xD, 2, None, 1),
+    (10, 10, 1, None, 1, 1 << 8, 1),
+    (12, 12, 1, None, 1, 1 << 8, 2),
+    (6, 6, 2, None, 2, 1 << 8, 2),
+    (12, 4, 2, None, 2, None, 1),
+    (12, 6, 3, None, 1, None, 1),
+    (9, 3, 3, 0x211, 2, 1 << 8, 2),
+    (12, 6, 1, 0x1053, 1, 1 << 8, 2),
+]
+
+
+@pytest.mark.parametrize("n,q_deg,p_log,poly,m,chunk,threads", KERNEL_CASES)
+def test_first_count_kernel_matches_products(
+    monkeypatch, n, q_deg, p_log, poly, m, chunk, threads
+):
+    """Each spec with a0 = 0 and with a0 != 0, whose l_w sits in entry 0
+    of table 0; every count is the first of its head."""
+    if chunk is not None:
+        monkeypatch.setattr(count, "_CHUNK", chunk)
+    rng = random.Random(n * 31 + q_deg * 7 + m)
+    elements = make_field(n, poly, p_log).subfield_elements(q_deg)
+    to_degs = sorted({1, p_log, q_deg * m})
+    for head in _random_specs(n, q_deg, p_log, poly, 4):
+        for spec in (head.with_a0(0), head.with_a0(rng.choice(elements[1:]))):
+            expected = trace_zeros_by_products(spec, m, to_degs)
+            for to_deg in to_degs:
+                count._head_tables.cache_clear()
+                got = trace_zero_count(spec, m, to_deg, budget=1 << 18, threads=threads)
+                assert got == expected[to_deg], (spec, m, to_deg)
+
+
+# tracemalloc peak, in bytes, of one first count over F_{2^20} with the
+# kernel that looked up every byte table at every x (its 2^20-element
+# temporaries: the chunk, the image and a fancy-index temporary)
+PER_BYTE_KERNEL_PEAK = 26_293_577
+
+
+def test_first_count_peak_memory_stays_below_the_per_byte_kernel():
+    spec = CurveSpec(make_field(20), 20, (0x5, 0, 0x3))
+    trace_zero_count(spec)  # maps built once per context stay out of the peak
+    count._head_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        trace_zero_count(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PER_BYTE_KERNEL_PEAK
 
 
 # (ambient degree, q_deg, p_log, modulus) of the repeated-count checks:

@@ -53,6 +53,22 @@ def test_g_witness_identity_and_biadditivity():
             assert g_witness(F, x, y ^ z) == g ^ g_witness(F, x, z)
 
 
+def test_pairing_builds_the_adjoint_once(monkeypatch):
+    """omega passes the adjoint PairingCtx holds: one adjoint for the
+    context, its Gram matrix and a maximal isotropic search, with the
+    same values as g_witness building its own."""
+    built = []
+    adjoint = SkewPoly.adjoint
+    monkeypatch.setattr(SkewPoly, "adjoint", lambda self: built.append(self) or adjoint(self))
+    F256 = make_field(8)
+    pc = PairingCtx(SkewPoly(F256, {1: 1, -1: 1}))
+    lagrangian = maximal_isotropic(pc)
+    assert len(built) == 1 and lagrangian.dim_p == pc.W.dim_p // 2
+    monkeypatch.undo()
+    W = pc.W.elements()
+    assert [pc.omega(u, v) for u in W for v in W] == [g_witness(pc.F, v, u) for u in W for v in W]
+
+
 def test_g_symmetric_for_self_adjoint():
     rng = random.Random(32)
     K = make_field(12)
@@ -170,11 +186,11 @@ def test_result_checks_raise_with_asserts_stripped(monkeypatch):
     pc = PairingCtx(big)
     line = Fp2Subspace.from_vectors(F16, [1])
     # a pairing value outside F_p
-    monkeypatch.setattr("aswcurves.symplectic.g_witness", lambda F, x, y: 2)
+    monkeypatch.setattr("aswcurves.symplectic.g_witness", lambda F, x, y, Fstar=None: 2)
     with pytest.raises(OracleMismatch):
         pc.omega(1, 1)
     # a zero pairing: degenerate Gram matrix, complements too large
-    monkeypatch.setattr("aswcurves.symplectic.g_witness", lambda F, x, y: 0)
+    monkeypatch.setattr("aswcurves.symplectic.g_witness", lambda F, x, y, Fstar=None: 0)
     with pytest.raises(OracleMismatch):
         PairingCtx(big)
     with pytest.raises(OracleMismatch):
