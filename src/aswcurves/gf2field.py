@@ -14,6 +14,10 @@ irreducible over F_2. That makes contexts reproducible from scratch
 (F_4 uses 0b111, F_16 uses 0x13, and so on) and keeps x invertible in
 the quotient.
 
+Up to degree TABLE_MAX_DEGREE, products, inverses and powers are lookups
+in log/antilog tables shared per modulus and built on the first product;
+above it, and off the field, products stay carry-less and reduced.
+
 F_2-linear algebra on bit-pattern vectors (canonical reduced bases,
 kernels, lexicographically least solutions) lives here too, since
 F_p-subspaces of the field are the main currency of the higher layers.
@@ -22,6 +26,7 @@ F_p-subspaces of the field are the main currency of the higher layers.
 from __future__ import annotations
 
 import re
+from array import array
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
@@ -40,6 +45,7 @@ from .errors import (
 Element = int
 
 MAX_DEGREE = 32
+TABLE_MAX_DEGREE = 16
 
 
 def _check_field_degree(n: int) -> None:
@@ -79,11 +85,13 @@ def clgcd(a: int, b: int) -> int:
     return a
 
 
-def _clpowmod_x(e: int, m: int) -> int:
-    """x^(2^e) modulo m in GF(2)[x], by repeated squaring."""
-    r = 2  # the polynomial x
-    for _ in range(e):
+def _clpowmod(a: int, e: int, m: int) -> int:
+    """a^e modulo m in GF(2)[x], by square-and-multiply."""
+    r = 1
+    for bit in bin(e)[2:]:
         r = clmod(clmul(r, r), m)
+        if bit == "1":
+            r = clmod(clmul(r, a), m)
     return r
 
 
@@ -92,10 +100,10 @@ def poly_is_irreducible(f: int) -> bool:
     n = f.bit_length() - 1
     if n <= 0:
         return False
-    if _clpowmod_x(n, f) != clmod(2, f):  # x^(2^n) == x mod f
+    if _clpowmod(2, 1 << n, f) != clmod(2, f):  # x^(2^n) == x mod f
         return False
     for ell in _prime_divisors(n):
-        if clgcd(_clpowmod_x(n // ell, f) ^ 2, f) != 1:
+        if clgcd(_clpowmod(2, 1 << (n // ell), f) ^ 2, f) != 1:
             return False
     return True
 
@@ -122,6 +130,27 @@ def default_modulus(n: int) -> int:
     while not poly_is_irreducible(f):
         f += 2  # keep the constant term
     return f
+
+
+@lru_cache(maxsize=None)
+def _log_tables(n: int, poly: int) -> tuple[array, array]:
+    """16-bit (log, exp) arrays for F_2[x]/(poly) and its least primitive g:
+    exp[i] = g^i for i < 2(q - 1), so a sum of two logs indexes exp."""
+    q1 = (1 << n) - 1
+    cofactors = [q1 // ell for ell in _prime_divisors(q1)]  # g is primitive iff no g^c is 1
+    g = next((g for g in range(1, q1 + 1) if all(_clpowmod(g, c, poly) != 1 for c in cofactors)), 0)
+    # x -> x*g is F_2-linear: one lookup for the low byte of x, one for the high
+    lo, hi = ([clmod(clmul(b << s, g), poly) for b in range(min(256, (q1 >> s) + 1))]
+              for s in (0, 8))
+    exp, log = array("H", [0]) * (2 * q1), array("H", [0]) * (q1 + 1)
+    x = 1
+    for i in range(q1):
+        exp[i] = exp[i + q1] = x
+        log[x] = i
+        x = lo[x & 255] ^ hi[x >> 8]
+    if log.count(0) != 2:  # log[a] = 0 for a = 0, 1 only: the powers are F_q*
+        raise OracleMismatch(f"no generator of F_q* modulo {poly:#x} (tried {g:#x})")
+    return log, exp
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +287,7 @@ class FieldCtx:
 
     __slots__ = (
         "n", "poly", "p_log", "_hash", "_poly_bits", "_frob_maps", "_trace_maps",
-        "_sub_basis", "_sub_elems", "_sub_gen",
+        "_sub_basis", "_sub_elems", "_sub_gen", "_tables",
     )
 
     def __init__(self, n: int, poly: int | None = None, p_log: int = 1):
@@ -281,6 +310,7 @@ class FieldCtx:
         self._sub_basis: dict[int, tuple[int, ...]] = {}
         self._sub_elems: dict[int, list[int]] = {}
         self._sub_gen: dict[int, int] = {}
+        self._tables: tuple[array, array] | None = None
 
     # -- identity ----------------------------------------------------------
 
@@ -314,23 +344,35 @@ class FieldCtx:
     # -- ring operations ----------------------------------------------------
 
     def mul(self, a: Element, b: Element) -> Element:
-        """The carry-less product reduced modulo the modulus.
-
-        Each round adds high * modulus, high = r >> n: that clears the
-        bits from n up and leaves high times the lower terms of the
-        modulus, of lower degree, so a sparse modulus takes few rounds.
+        """Up to degree TABLE_MAX_DEGREE, with a and b in [0, 2^n), 0 or
+        exp[log a + log b] from `_log_tables`.  Else the carry-less product,
+        reduced: each round adds high * modulus, high = r >> n, and leaves
+        high times the lower terms, so a sparse modulus takes few rounds.
         """
-        r, n = clmul(a, b), self.n
+        n = self.n
+        if n <= TABLE_MAX_DEGREE and not (a | b) >> n:
+            if not (a and b):
+                return 0
+            log, exp = self._tables or self._load_tables()
+            return exp[log[a] + log[b]]
+        r = clmul(a, b)
         while r >> n:
             high = r >> n
             for k in self._poly_bits:
                 r ^= high << k
         return r
 
+    def _load_tables(self) -> tuple[array, array]:
+        self._tables = _log_tables(self.n, self.poly)
+        return self._tables
+
     def sqr(self, a: Element) -> Element:
         return self.frob(a, 1)
 
     def pow(self, a: Element, e: int) -> Element:
+        if a and not a >> self.n and self.n <= TABLE_MAX_DEGREE:
+            log, exp = self._tables or self._load_tables()
+            return exp[log[a] * e % ((1 << self.n) - 1)]
         if e < 0:
             a, e = self.inv(a), -e
         r = 1
@@ -347,9 +389,12 @@ class FieldCtx:
         follows the bits of n - 1 in about 2*log2(n) products, and
         a^-1 = b_(n-1)^2.  The squarings reuse `frob_map(1)`, the map
         `sqr` builds in every context, so inversion builds no map of its
-        own."""
+        own.  Where `mul` reads tables, a^-1 = exp[(q - 1) - log a]."""
         if a == 0:
             raise ZeroDivisor("inverting 0")
+        if not a >> self.n and self.n <= TABLE_MAX_DEGREE:
+            log, exp = self._tables or self._load_tables()
+            return exp[(1 << self.n) - 1 - log[a]]
         sqr = self.frob_map(1)
         b, k = a, 1  # b = b_k; for n = 1 only a = 1 is left
         for bit in bin(self.n - 1)[3:]:
@@ -541,12 +586,17 @@ def transport(src: FieldCtx, a: Element, dst: FieldCtx, deg: int | None = None) 
         raise DegreeMismatch(f"{a:#x} not in the degree-{deg} subfield")
     if src.n == dst.n and src.poly == dst.poly:
         return a
+    return _transport_eliminator(src, dst, deg).solve(a)
+
+
+@lru_cache(maxsize=None)
+def _transport_eliminator(src: FieldCtx, dst: FieldCtx, deg: int) -> _Eliminator:
     g_src, g_dst = src.subfield_generator(deg), dst.subfield_generator(deg)
     images, sources = [1], [1]
     for _ in range(deg - 1):  # a in powers of g_src, read back in powers of g_dst
         images.append(src.mul(images[-1], g_src))
         sources.append(dst.mul(sources[-1], g_dst))
-    return _Eliminator(images, sources).solve(a)
+    return _Eliminator(images, sources)
 
 
 # ---------------------------------------------------------------------------

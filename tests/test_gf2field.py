@@ -1,6 +1,7 @@
 """Field-layer tests: contexts, subfields, linear algebra, subspaces."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -14,7 +15,7 @@ from aswcurves.errors import (
     ReduciblePolynomial,
     ZeroDivisor,
 )
-from aswcurves import bitvec
+from aswcurves import bitvec, gf2field
 from aswcurves.gf2field import (
     FieldCtx,
     Fp2Subspace,
@@ -603,6 +604,119 @@ def test_inv_matches_fermat(n, poly):
         assert K.mul(a, K.inv(a)) == 1
     with pytest.raises(ZeroDivisor):
         K.inv(0)
+
+
+# -- log/antilog tables up to degree 16 ----------------------------------------
+
+# x generates F_q^* modulo 0x13 and 0x19 but not modulo 0x1f (order 5)
+# or 0x11b (order 51), where the tables take the least primitive element
+@pytest.mark.parametrize("n,poly", [(n, None) for n in range(1, 9)] + [(4, 0x19), (4, 0x1F)])
+def test_table_mul_is_the_carryless_product_on_every_pair(n, poly):
+    K = make_field(n, poly)
+    for a in range(K.order):
+        for b in range(K.order):
+            assert K.mul(a, b) == clmod(clmul(a, b), K.poly), (a, b)
+
+
+@pytest.mark.parametrize(
+    "n,poly", [(9, 0x211), (12, 0x1053), (16, None), (16, 0x1100B), (24, None), (32, None)]
+)
+def test_mul_is_the_carryless_product_on_random_pairs(n, poly):
+    K = make_field(n, poly)  # above degree 16 the product stays bit-serial
+    rng = random.Random(n ^ K.poly)
+    for _ in range(20_000):
+        a, b = rng.getrandbits(n), rng.getrandbits(n)
+        assert K.mul(a, b) == clmod(clmul(a, b), K.poly), (a, b)
+
+
+@pytest.mark.parametrize("n,poly", [(n, None) for n in range(1, 13)] + [(8, 0x11D), (12, 0x1053)])
+def test_exp_inverts_log(n, poly):
+    K = make_field(n, poly)
+    log, exp = K._load_tables()
+    assert (len(log), len(exp)) == (K.order, 2 * (K.order - 1))
+    assert [exp[log[a]] for a in range(1, K.order)] == list(range(1, K.order))
+
+
+@pytest.mark.parametrize("n,poly", [(1, None), (4, 0x1F), (8, None), (9, 0x211), (16, None), (24, None)])
+def test_pow_matches_square_and_multiply(n, poly):
+    K = make_field(n, poly)
+    rng = random.Random(n)
+    for a in [0, 1, K.order - 1] + [rng.randrange(K.order) for _ in range(20)]:
+        for e in (0, 1, 2, 5, K.order - 1, K.order, 3 * K.order + 7, -1, -6):
+            if a == 0 and e < 0:
+                with pytest.raises(ZeroDivisor):
+                    K.pow(a, e)
+                continue
+            base, r = (a if e >= 0 else fermat_inverse(K, a)), 1
+            for bit in bin(abs(e))[2:]:
+                r = clmod(clmul(r, r), K.poly)
+                if bit == "1":
+                    r = clmod(clmul(r, base), K.poly)
+            assert K.pow(a, e) == r, (a, e)
+
+
+def test_operands_outside_the_field_keep_the_bit_serial_answers():
+    # pinned from the bit-serial product, inverse and power, which every
+    # operand took before the tables
+    K1, K4, K8, K16 = (make_field(n) for n in (1, 4, 8, 16))
+    assert K8.mul(0x1FF, 3) == 0x37
+    assert K8.mul(0x100, 0x100) == 0x5E
+    assert K8.mul(3, 0x1234) == 0xE0
+    assert K4.mul(0x35, 2) == 0
+    assert K16.mul(1 << 16, 0xFFFF) == 0x3DA
+    assert K16.mul(0x12345, 0x6789A) == 0xF88A
+    assert K1.mul(2, 3) == 0
+    assert (K8.inv(0x1FF), K8.pow(0x1FF, 3), K8.pow(0x1FF, 0)) == (248, 245, 1)
+    assert (K4.inv(17), K4.pow(17, -2)) == (12, 15)
+
+
+def test_contexts_with_one_modulus_share_their_tables():
+    K, K4 = FieldCtx(16), FieldCtx(16, None, 4)
+    assert K._tables is None  # built on the first product
+    assert K.mul(3, 5) == 15 and K4.inv(1) == 1
+    assert K._tables is K4._tables is make_field(16)._load_tables()
+
+
+def test_building_the_degree_16_tables_stays_compact():
+    # log and exp take 2 * 2^16 + 4 * (2^16 - 1) bytes
+    tracemalloc.start()
+    try:
+        gf2field._log_tables.__wrapped__(16, default_modulus(16))  # uncached
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 450_000
+
+
+@pytest.mark.parametrize(
+    "name,fake",
+    [("_prime_divisors", lambda n: []), ("_clpowmod", lambda a, e, m: 1)],
+    ids=["1 passes the order test", "nothing passes it"],
+)
+def test_table_build_raises_without_a_generator(monkeypatch, name, fake):
+    monkeypatch.setattr(gf2field, name, fake)
+    with pytest.raises(OracleMismatch, match="no generator of F_q"):
+        gf2field._log_tables.__wrapped__(8, 0x11B)
+
+
+def test_repeated_transport_builds_no_second_eliminator(monkeypatch):
+    built = []
+
+    class Counted(gf2field._Eliminator):
+        def __init__(self, images, sources):
+            built.append(len(images))
+            super().__init__(images, sources)
+
+    monkeypatch.setattr(gf2field, "_Eliminator", Counted)
+    src, dst = make_field(6), make_field(12, 0x1053)
+    a, b = src.subfield_elements(3)[5:7]
+    fa, fb = transport(src, a, dst, 3), transport(src, b, dst, 3)
+    before = len(built)
+    assert (transport(src, a, dst, 3), transport(src, b, dst, 3)) == (fa, fb)
+    assert transport(src, a ^ b, dst, 3) == fa ^ fb
+    assert len(built) == before
+    with pytest.raises(DegreeMismatch):
+        transport(src, 2, dst, 3)
 
 
 def test_bitvec_matches_scalar():
