@@ -6,7 +6,8 @@ curves from the closed-form constructions), `period` (first
 bound-attaining extension degree over F_p), `verify` (dual-route
 consistency audit), `search` (exhaustive sweep for bound-attaining
 curves), and `hd-check` (full-field character sums against the closed
-form).
+form).  Each formats a library report; the two routes of `analyze`,
+`verify` and `search` meet in `curves.zeta_report`.
 
 Structured reports are JSON; tables (twists, search, hd-check) render
 as CSV with --format csv.  Exit codes are stable: 0 success, 1 domain
@@ -23,7 +24,6 @@ import csv
 import functools
 import io
 import json
-import math
 import re
 import sys
 from dataclasses import dataclass
@@ -32,17 +32,14 @@ from pathlib import Path
 from .curves import (
     CurveSpec,
     DEFAULT_BUDGET,
-    LPolynomial,
-    PresentationReport,
     classify_twists,
     extremal_from_subspace,
     format_curve_spec,
     hermitian_twist,
-    l_polynomial,
     palindromic_family,
     parse_curve_spec,
     period_parity,
-    presentation_conditions,
+    zeta_report,
 )
 from .curves.base import parse_hex, weil_class, weil_gap
 from .curves.count import check_count, checked_count
@@ -53,7 +50,6 @@ from .errors import (
     BudgetExceeded,
     CapExceeded,
     Char2Error,
-    DomainError,
     NonRealCount,
     NoSolution,
     OracleMismatch,
@@ -63,17 +59,7 @@ from .errors import (
 from .gf2field import MAX_DEGREE, FieldCtx, Fp2Subspace, parse_field_spec, parse_int
 from .witt2 import GaussInt, hd_sum
 
-__all__ = ["RunConfig", "curve_report", "main"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Shared run settings collected from the command line."""
-
-    budget: int = DEFAULT_BUDGET
-    threads: int = 1
-    format: str = "json"
-    output: str = "-"
+__all__ = ["main"]
 
 
 @dataclass(frozen=True)
@@ -143,67 +129,9 @@ def _parse_prime_curve(text: str) -> CurveSpec:
 
 
 # ---------------------------------------------------------------------------
-# report assembly
+# subcommands
 
 _CLASS_SHORT = {"maximal": "max", "minimal": "min", "neutral": "zero"}
-
-
-def _presentation(
-    spec: CurveSpec, warnings: list[str]
-) -> tuple[PresentationReport | None, LPolynomial | None]:
-    """Presentation report of a curve and the L-polynomial of its witness.
-
-    Both are None, with a warning, when the quadratic extension of F_q
-    does not fit the ambient field; the L-polynomial is None when the
-    curve has no witness.
-    """
-    try:
-        report = presentation_conditions(spec)
-    except AmbientTooSmall as exc:
-        warnings.append(f"presentation conditions unavailable: {exc}")
-        return None, None
-    lp = l_polynomial(*report.witness) if report.witness is not None else None
-    return report, lp
-
-
-def _extension_counts(
-    spec: CurveSpec, lp: LPolynomial | None, degrees: list[int], cfg: RunConfig
-) -> tuple[dict[str, int], int, list[tuple[int, str]]]:
-    """Point counts over the given extension degrees, by both routes.
-
-    The eigenvalue count (when `lp` exists) and the direct count (when
-    `checked_count` runs one) must agree, else OracleMismatch, and every
-    count must lie within the Weil bound.  Returns the counts, the number
-    of degrees where both routes ran, and the other degrees with the
-    limit each exceeds, budget or ambient field (counted by the
-    eigenvalue route alone, or not at all without `lp`).  Every degree
-    is gated before the first count: DomainError when q^m, and so its
-    count, has more decimal digits than the interpreter will print
-    (`sys.get_int_max_str_digits()`, 0 for no limit).
-    """
-    digits = sys.get_int_max_str_digits()
-    for m in degrees:
-        if digits and int(spec.q_deg * m * math.log10(2)) + 1 > digits:
-            raise DomainError(
-                f"extension {m}: {spec.q}^{m} has more than {digits} decimal digits"
-            )
-    counts: dict[str, int] = {}
-    compared = 0
-    skipped = []
-    for m in degrees:
-        formula = lp.point_count(m) if lp is not None else None
-        value = checked_count(spec, m, formula, cfg.budget, cfg.threads)
-        if value is None:
-            limit = "budget" if spec.q**m > cfg.budget else f"the {MAX_DEGREE}-bit ambient"
-            skipped.append((m, limit))
-            if formula is None:
-                continue
-            value = formula
-        elif formula is not None:
-            compared += 1
-        weil_class(spec, m, value)
-        counts[str(m)] = value
-    return counts, compared, skipped
 
 
 def _base_period(spec: CurveSpec, budget: int, warnings: list[str]) -> list[int] | None:
@@ -220,68 +148,56 @@ def _base_period(spec: CurveSpec, budget: int, warnings: list[str]) -> list[int]
         return None
 
 
-def curve_report(spec: CurveSpec, extensions: list[int], cfg: RunConfig) -> dict:
-    """Full analysis record for one curve: flags, eigenvalues, counts.
-
-    Counts come from the eigenvalue route whenever a presentation
-    witness exists and are confirmed by direct enumeration within the
-    budget; without a witness they fall back to enumeration alone.
-    Disagreement between the two routes raises OracleMismatch.
-    """
+def cmd_analyze(args: argparse.Namespace) -> _Output:
+    """The `zeta_report` of one curve, with its class over F_q (from the
+    eigenvalue route, else a direct count) and its base period."""
+    spec = parse_curve_spec(args.curve)
+    zeta = zeta_report(spec, _parse_extensions(args.extensions), args.budget, args.threads)
+    report, lp = zeta.presentation, zeta.lpoly
     warnings: list[str] = []
-    report, lp = _presentation(spec, warnings)
     verdicts = None
-    if report is not None:
+    if report is None:
+        warnings.append(f"presentation conditions unavailable: {zeta.unavailable}")
+    else:
         verdicts = {
             "witnessed": report.witnessed,
             "extension_trace_vanishes": report.extension_trace_vanishes,
             "radical_trace_vanishes": report.radical_trace_vanishes,
             "lagrangian_in_subfield": report.lagrangian_in_subfield,
         }
-
-    counts, _, skipped = _extension_counts(spec, lp, extensions, cfg)
     route = " and no eigenvalue route" if lp is None else "; eigenvalue route only"
-    for m, limit in skipped:
+    for m, limit in zeta.skipped:
         warnings.append(f"extension {m}: size {spec.q**m} over {limit}{route}")
-
     if lp is not None:
         count = lp.point_count(1)
-    else:
-        count = checked_count(spec, 1, None, cfg.budget, cfg.threads)
+    else:  # a second direct count of F_q when extension 1 was counted
+        count = checked_count(spec, 1, None, args.budget, args.threads)
     twist_class = None if count is None else weil_class(spec, 1, count)
     if count is None:
         warnings.append("class unavailable: no eigenvalue route and field over budget")
-
-    return {
-        "curve": format_curve_spec(spec),
-        "genus": spec.genus,
-        "L_roots": lp.format_roots() if lp is not None else None,
-        "counts": counts,
-        "twist_class": twist_class,
-        "verdicts": verdicts,
-        "period_parity": _base_period(spec, cfg.budget, warnings),
-        "warnings": warnings,
-    }
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-
-def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> _Output:
-    spec = parse_curve_spec(args.curve)
-    extensions = _parse_extensions(args.extensions)
-    return _Output(curve_report(spec, extensions, cfg))
+    return _Output(
+        {
+            "curve": format_curve_spec(spec),
+            "genus": spec.genus,
+            "L_roots": lp.format_roots() if lp is not None else None,
+            "counts": {str(m): n for m, n in zeta.counts.items()},
+            "twist_class": twist_class,
+            "verdicts": verdicts,
+            "period_parity": _base_period(spec, args.budget, warnings),
+            "warnings": warnings,
+        }
+    )
 
 
-def cmd_twists(args: argparse.Namespace, cfg: RunConfig) -> _Output:
+def cmd_twists(args: argparse.Namespace) -> _Output:
     head = parse_curve_spec(f"{args.head},0")  # the linear term is implied
     if not head.is_head:
         raise ParseError("the twist table needs a head curve (zero linear term)")
-    tc = classify_twists(head, budget=cfg.budget)
+    tc = classify_twists(head, budget=args.budget)
     warnings: list[str] = []
     if not tc.counting_checked:
         warnings.append(
-            f"field size {head.q} over budget {cfg.budget}; "
+            f"field size {head.q} over budget {args.budget}; "
             f"classes from the eigenvalue route only"
         )
     rows = [
@@ -296,7 +212,7 @@ def cmd_twists(args: argparse.Namespace, cfg: RunConfig) -> _Output:
     return _Output(data, (("a", "class", "count"), rows))
 
 
-def cmd_construct(args: argparse.Namespace, cfg: RunConfig) -> _Output:
+def cmd_construct(args: argparse.Namespace) -> _Output:
     ctx = parse_field_spec(args.field)
     if args.family == "recipe":
         if args.space is None:
@@ -307,7 +223,7 @@ def cmd_construct(args: argparse.Namespace, cfg: RunConfig) -> _Output:
         else:
             t = least_admissible_parameter(space, ctx.n)
         try:  # with no admissible t, the recipe's input checks still run at t = 0
-            rec = extremal_from_subspace(space, t or 0, ctx.n, budget=cfg.budget)
+            rec = extremal_from_subspace(space, t or 0, ctx.n, budget=args.budget)
         except PairingConditionFailed:
             if t is not None:
                 raise
@@ -329,7 +245,7 @@ def cmd_construct(args: argparse.Namespace, cfg: RunConfig) -> _Output:
         q_deg = args.q_deg if args.q_deg is not None else ctx.n
         if q_deg < 1:
             raise ParseError(f"--q-deg {q_deg} must be >= 1")
-        rep = hermitian_twist(ctx, a, q_deg, budget=cfg.budget)
+        rep = hermitian_twist(ctx, a, q_deg, budget=args.budget)
         if not rep.is_extremal:
             label = "interior"
         else:
@@ -346,7 +262,7 @@ def cmd_construct(args: argparse.Namespace, cfg: RunConfig) -> _Output:
         if args.poly is None:
             raise ParseError("--family palindromic needs --poly")
         f_coeffs = _hex_list(args.poly, ctx.order)
-        fam = palindromic_family(ctx, ctx.n, tuple(f_coeffs), budget=cfg.budget)
+        fam = palindromic_family(ctx, ctx.n, tuple(f_coeffs), budget=args.budget)
         tc = fam.classification
         data = {
             "family": "palindromic",
@@ -361,40 +277,38 @@ def cmd_construct(args: argparse.Namespace, cfg: RunConfig) -> _Output:
     return _Output(data)
 
 
-def cmd_period(args: argparse.Namespace, cfg: RunConfig) -> _Output:
+def cmd_period(args: argparse.Namespace) -> _Output:
     spec = _parse_prime_curve(args.curve)
-    pp = period_parity(spec, cap=args.cap, budget=cfg.budget)
+    pp = period_parity(spec, cap=args.cap, budget=args.budget)
     return _Output(
         {"curve": format_curve_spec(spec), "mu": pp.mu, "delta": pp.delta}
     )
 
 
-def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> _Output:
+def cmd_verify(args: argparse.Namespace) -> _Output:
     spec = parse_curve_spec(args.curve)
     requested = _parse_extensions(args.extensions)
     if not requested:
-        requested = [m for m in range(1, 5) if spec.q**m <= cfg.budget]
+        requested = [m for m in range(1, 5) if spec.q**m <= args.budget]
+    zeta = zeta_report(spec, requested, args.budget, args.threads)
     checks: dict[str, object] = {}
     warnings: list[str] = []
-    report, lp = _presentation(spec, warnings)
-    if report is not None:
-        checks["flags"] = list(report.flags)
-        checks["flags_agree"] = len(set(report.flags)) == 1
-    if lp is not None:
-        checks["witness_degree_matches_genus"] = lp.degree == 2 * spec.genus
-
-    counts, compared, skipped = _extension_counts(spec, lp, requested, cfg)
-    if lp is None:
-        for m, limit in skipped:
-            warnings.append(f"extension {m}: no route within {limit}")
-    checks["routes_compared"] = compared
-    checks["weil_bound_checked"] = len(counts)
-
+    if zeta.presentation is None:
+        warnings.append(f"presentation conditions unavailable: {zeta.unavailable}")
+    else:
+        checks["flags"] = list(zeta.presentation.flags)
+        checks["flags_agree"] = len(set(zeta.presentation.flags)) == 1
+    if zeta.lpoly is not None:
+        checks["witness_degree_matches_genus"] = zeta.lpoly.degree == 2 * spec.genus
+    else:
+        warnings += [f"extension {m}: no route within {limit}" for m, limit in zeta.skipped]
+    checks["routes_compared"] = len(zeta.compared)
+    checks["weil_bound_checked"] = len(zeta.counts)
     return _Output(
         {
             "curve": format_curve_spec(spec),
             "checks": checks,
-            "counts": counts,
+            "counts": {str(m): n for m, n in zeta.counts.items()},
             "warnings": warnings,
             "ok": True,
         }
@@ -427,13 +341,13 @@ def _least_rescaling(
     return True
 
 
-def cmd_search(args: argparse.Namespace, cfg: RunConfig) -> _Output:
+def cmd_search(args: argparse.Namespace) -> _Output:
     ctx = parse_field_spec(args.field)
     q_deg = ctx.n
     q = 1 << q_deg
-    if q > cfg.budget:
+    if q > args.budget:
         raise BudgetExceeded(
-            f"searching F_{q} needs direct counts of size {q} > budget {cfg.budget}"
+            f"searching F_{q} needs direct counts of size {q} > budget {args.budget}"
         )
     rows = []
     scales = _scale_factors(ctx, q_deg, args.e_max)
@@ -443,7 +357,7 @@ def cmd_search(args: argparse.Namespace, cfg: RunConfig) -> _Output:
         spec = CurveSpec(ctx, q_deg, coeffs)
         if weil_gap(spec) is None:
             continue  # the bound is unattainable over this field
-        count = checked_count(spec, 1, None, cfg.budget, cfg.threads)
+        count = checked_count(spec, 1, None, args.budget, args.threads)
         label = weil_class(spec, 1, count)
         if label not in ("maximal", "minimal"):
             continue
@@ -457,24 +371,24 @@ def cmd_search(args: argparse.Namespace, cfg: RunConfig) -> _Output:
 
 def _formula_cross_check(spec: CurveSpec, count: int) -> None:
     """Replay a count through the eigenvalue route when it exists."""
-    report, lp = _presentation(spec, [])
-    if report is None:
+    zeta = zeta_report(spec, [])
+    if zeta.presentation is None:
         return  # the quadratic extension does not fit the ambient field
-    if lp is None:
+    if zeta.lpoly is None:
         raise OracleMismatch(
             f"{format_curve_spec(spec)} meets the bound without a presentation"
         )
-    check_count(spec, 1, lp.point_count(1), count)
+    check_count(spec, 1, zeta.lpoly.point_count(1), count)
 
 
-def cmd_hd_check(args: argparse.Namespace, cfg: RunConfig) -> _Output:
+def cmd_hd_check(args: argparse.Namespace) -> _Output:
     degrees = range(1, args.cap + 1)
     for s in degrees:  # every degree is gated before the first sum
         if s > MAX_DEGREE:
             raise AmbientTooSmall(f"degree {s} exceeds the ambient cap {MAX_DEGREE}")
-        if (1 << s) > cfg.budget:
+        if (1 << s) > args.budget:
             raise BudgetExceeded(
-                f"summing over F_{{2^{s}}} exceeds the budget {cfg.budget}"
+                f"summing over F_{{2^{s}}} exceeds the budget {args.budget}"
             )
     records = []
     rows = []
@@ -497,8 +411,8 @@ def cmd_hd_check(args: argparse.Namespace, cfg: RunConfig) -> _Output:
 # ---------------------------------------------------------------------------
 # wiring
 
-def _emit(out: _Output, cfg: RunConfig) -> None:
-    if cfg.format == "csv":
+def _emit(out: _Output, fmt: str, output: str) -> None:
+    if fmt == "csv":
         if out.table is None:
             raise ParseError("this subcommand has no CSV rendering; use json")
         buffer = io.StringIO()
@@ -508,10 +422,10 @@ def _emit(out: _Output, cfg: RunConfig) -> None:
         text = buffer.getvalue()
     else:
         text = json.dumps(out.data, indent=2) + "\n"
-    if cfg.output == "-":
+    if output == "-":
         sys.stdout.write(text)
     else:
-        Path(cfg.output).write_text(text)
+        Path(output).write_text(text)
 
 
 def _fail(exc: Exception, code: int) -> int:
@@ -622,19 +536,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        cfg = RunConfig(
-            budget=args.budget,
-            threads=args.threads,
-            format=args.format,
-            output=args.output,
-        )
         for name, least in (("cap", 1), ("e_max", 1), ("threads", 1), ("budget", 0)):
             value = getattr(args, name, least)
             if value < least:
                 flag = "--" + name.replace("_", "-")
                 raise ParseError(f"{flag} {value} must be >= {least}")
-        out = args.func(args, cfg)
-        _emit(out, cfg)
+        _emit(args.func(args), args.format, args.output)
     except ParseError as exc:
         return _fail(exc, 2)
     except AmbientTooSmall as exc:

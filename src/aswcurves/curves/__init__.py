@@ -4,7 +4,8 @@ Submodules: base (curve and datum types), lpoly (eigenvalue formulas),
 count (enumeration oracle), presentation (existence of a datum behind a
 given R and recovery), twists (classification of the linear-coefficient
 family), families (closed-form constructions), period (extremality
-period and parity over growing fields).
+period and parity over growing fields), zeta (the eigenvalue route
+checked by direct counts, the one home of the two-route contract).
 """
 
 from .base import (
@@ -42,6 +43,7 @@ from .presentation import (
     recover_head,
 )
 from .twists import TwistClassification, classify_twists, quadratic_extension_maximal
+from .zeta import ZetaReport, zeta_report
 
 __all__ = [
     "CurveSpec",
@@ -55,6 +57,7 @@ __all__ = [
     "ScanReport",
     "TwistClassification",
     "TwistDatum",
+    "ZetaReport",
     "brute_count",
     "build_curve",
     "classify_small_kernel",
@@ -77,4 +80,5 @@ __all__ = [
     "recover_datum",
     "recover_head",
     "trace_zero_count",
+    "zeta_report",
 ]

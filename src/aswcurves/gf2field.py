@@ -348,6 +348,7 @@ class FieldCtx:
         exp[log a + log b] from `_log_tables`.  Else the carry-less product,
         reduced: each round adds high * modulus, high = r >> n, and leaves
         high times the lower terms, so a sparse modulus takes few rounds.
+        A negative operand, which `clmul` never returns on, fails `check`.
         """
         n = self.n
         if n <= TABLE_MAX_DEGREE and not (a | b) >> n:
@@ -355,6 +356,8 @@ class FieldCtx:
                 return 0
             log, exp = self._tables or self._load_tables()
             return exp[log[a] + log[b]]
+        if (a | b) < 0:
+            self.check(min(a, b))
         r = clmul(a, b)
         while r >> n:
             high = r >> n

@@ -1,7 +1,11 @@
 """Field-layer tests: contexts, subfields, linear algebra, subspaces."""
 
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -668,6 +672,28 @@ def test_operands_outside_the_field_keep_the_bit_serial_answers():
     assert K1.mul(2, 3) == 0
     assert (K8.inv(0x1FF), K8.pow(0x1FF, 3), K8.pow(0x1FF, 0)) == (248, 245, 1)
     assert (K4.inv(17), K4.pow(17, -2)) == (12, 15)
+
+
+@pytest.mark.parametrize("n", [8, 24])
+@pytest.mark.parametrize("call", ["mul(3, -1)", "inv(-1)"])
+def test_negative_operand_fails_check_instead_of_looping(n, call):
+    # clmul never returns on a negative multiplier, so the call runs in a
+    # child interpreter, where a hang fails at the timeout
+    program = (
+        "from aswcurves.errors import CtxMismatch\n"
+        "from aswcurves.gf2field import make_field\n"
+        "try:\n"
+        f"    make_field({n}).{call}\n"
+        "except CtxMismatch as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    run = subprocess.run(
+        [sys.executable, "-c", program], env=env, capture_output=True, text=True, timeout=10
+    )
+    assert run.stdout == f"-0x1 is not an element of F_{{2^{n}}}\n", run.stderr
 
 
 def test_contexts_with_one_modulus_share_their_tables():

@@ -1,8 +1,9 @@
 """Source hygiene: no module imports another module's private names, the
 counting oracle imports nothing from the routes it checks, the routes
-reach the oracle only through `curves.count.checked_count`, no module
-holds what `python -O` would strip, every function and class under
-`src/` is reached, and every reference in `tests/reference.py` is
+reach the oracle only through `curves.count.checked_count`, the command
+line reaches the eigenvalue route only through `curves.zeta_report`, no
+module holds what `python -O` would strip, every function and class
+under `src/` is reached, and every reference in `tests/reference.py` is
 compared against by some test."""
 
 import ast
@@ -101,9 +102,9 @@ ORACLE_ENTRIES = {"brute_count", "trace_zero_count"}
 ORACLE_EXEMPT = {"aswcurves/curves/count.py", "aswcurves/curves/__init__.py"}
 
 
-def oracle_references(source: str) -> list[tuple[int, str]]:
-    """(line, name) of every import, name or attribute that names an
-    oracle entry."""
+def references(source: str, entries: set[str]) -> list[tuple[int, str]]:
+    """(line, name) of every import, name or attribute that names one
+    of `entries`."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -114,7 +115,7 @@ def oracle_references(source: str) -> list[tuple[int, str]]:
             names = [node.attr]
         else:
             continue
-        found += [(node.lineno, name) for name in names if name in ORACLE_ENTRIES]
+        found += [(node.lineno, name) for name in names if name in entries]
     return found
 
 
@@ -123,7 +124,7 @@ def test_only_the_count_module_enters_the_oracle():
         f"{path.relative_to(SRC)}:{line} refers to {name}"
         for path in sorted(SRC.rglob("*.py"))
         if path.relative_to(SRC).as_posix() not in ORACLE_EXEMPT
-        for line, name in oracle_references(path.read_text())
+        for line, name in references(path.read_text(), ORACLE_ENTRIES)
     ]
     assert offenders == []
 
@@ -137,11 +138,19 @@ def test_oracle_detector_sees_imports_calls_and_attributes():
         "m = brute_count(spec, 2)\n"
         "k = checked_count(spec, 1, None)\n"
     )
-    assert oracle_references(source) == [
+    assert references(source, ORACLE_ENTRIES) == [
         (2, "brute_count"),
         (4, "trace_zero_count"),
         (5, "brute_count"),
     ]
+
+
+# The command line compares the two routes only through the library's
+# report: the eigenvalue route reaches cli.py through `zeta_report`.
+def test_cli_reaches_the_eigenvalue_route_only_through_zeta_report():
+    source = (SRC / "aswcurves/cli.py").read_text()
+    assert references(source, {"presentation_conditions", "l_polynomial"}) == []
+    assert references(source, {"zeta_report"})
 
 
 # `python -O` changes a program in two ways only: it strips `assert`
