@@ -1,19 +1,23 @@
 """Vectorized field arithmetic on numpy arrays of bit patterns.
 
-These helpers exist for the exhaustive enumerations (point counts,
-character tables), where evaluating one element at a time in Python is
-too slow. Everything operates on uint64 arrays of bit patterns with the
-same LSB convention as gf2field and produces bit-identical results to
-the scalar methods, which the tests check directly.
+The one module that enumerates a universe: the direct count and the
+character table evaluate their forms at every x of a range [lo, hi) of
+bit patterns (LSB convention of gf2field) with `apply_linear`,
+`quadratic_parity` and `linear_parity`, checked bit for bit against
+per-element references in the tests.
 
 An F_2-linear map is applied byte by byte: the image of x is the XOR,
 over the bytes of x, of a 256-entry table lookup, each table holding
 the XOR of the unit-vector images for every pattern of its eight bits.
-By linearity that is exactly the sum of the images of the set bits.
 A quadratic form over F_2 is x -> parity(x & U x) for a linear U (x^T U x
-with the products x_i x_j read off bitwise), so every exhaustive count
-of a quadratic form's zeros is one linear map and one popcount per
-element.
+with the products x_i x_j read off bitwise), so an exhaustive count of
+its zeros is one linear map and one popcount per element.
+
+A range is laid out in rows of 256: x = high | low, low its low byte,
+so U x = U(high) XOR t0[low] XOR t0[0], t0 table 0, where U(high) XOR
+t0[0] XORs the other tables at the bytes of high: one lookup per row,
+then one broadcast XOR per x.  With l XORed into every entry of t0 the
+rows give the affine x -> U x XOR l, a twist's form in the direct count.
 """
 
 from __future__ import annotations
@@ -26,50 +30,53 @@ from .gf2field import FieldCtx
 
 _U64 = np.uint64
 
-
-def arange_field(ctx: FieldCtx) -> np.ndarray:
-    """All 2^n elements of the field as a uint64 array."""
-    return np.arange(1 << ctx.n, dtype=_U64)
+_FLIPS = np.array([8] + [(k & -k).bit_length() - 1 for k in range(1, 256)])
+_ORDER = np.array(sorted(range(256), key=lambda k: k ^ (k >> 1)))
 
 
 def byte_tables(images: Sequence[int]) -> np.ndarray:
     """One 256-entry table per byte of the input, as the rows of one array:
     entry b is the XOR of the images of the bits set in b (bits past the
-    last image map to 0).  Entries 2^i..2^(i+1)-1 are entries 0..2^i-1
-    XOR the image of bit i, so eight slice steps fill every table."""
+    last image map to 0).  In Gray-code order step k > 0 flips one bit,
+    bit ctz(k) (_FLIPS; step 0 reads column 8, a zero), so a running XOR
+    of the images of the flipped bits gives every entry, and _ORDER[b],
+    the step that reaches pattern b, puts it in place."""
     padded = list(images) + [0] * (-len(images) % 8)
-    images8 = np.array(padded, dtype=_U64).reshape(-1, 8)
-    tables = np.zeros((images8.shape[0], 256), dtype=_U64)
-    for i in range(8):
-        tables[:, 1 << i : 2 << i] = tables[:, : 1 << i] ^ images8[:, i : i + 1]
-    return tables
+    rows = np.array([padded[i : i + 8] + [0] for i in range(0, len(padded), 8)], dtype=_U64)
+    steps = np.bitwise_xor.accumulate(rows.reshape(-1, 9).take(_FLIPS, axis=1), axis=1)
+    return steps.take(_ORDER, axis=1)
 
 
-def apply_tables(tables: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
-    """XOR over the bytes k of every entry of x of tables[k][byte k].
+def apply_linear(tables: Sequence[np.ndarray], lo: int, hi: int) -> np.ndarray:
+    """U x for every x in [lo, hi) in order, U given by its byte tables
+    (table 0 may be affine), by the row broadcast of the module docstring.
 
-    With the tables of byte_tables this is the linear map itself; bytes
-    of x past the last table are ignored.
+    lo is a multiple of 256, and hi - lo is a multiple of 256 or less
+    than 256.  Bytes of x past the last table are ignored.
     """
-    octets = np.ascontiguousarray(x, dtype="<u8").view(np.uint8).reshape(-1, 8)
-    out = np.zeros(octets.shape[0], dtype=_U64)
-    for k, table in enumerate(tables):
-        out ^= table[octets[:, k]]
-    return out
+    width = min(256, hi - lo)
+    highs = np.arange(lo, hi, width, dtype=_U64)
+    octets = highs.view(np.uint8).reshape(-1, 8)
+    row = np.zeros(len(highs), dtype=_U64)
+    for k in range(1, len(tables)):
+        row ^= tables[k][octets[:, k]]
+    return (row[:, None] ^ tables[0][:width]).ravel()
 
 
-def apply_linear(images: Sequence[int], x: np.ndarray) -> np.ndarray:
-    """Apply an additive map given by unit-vector images to every entry.
+def quadratic_parity(tables: Sequence[np.ndarray], lo: int, hi: int) -> np.ndarray:
+    """parity(x & U x) for every x in [lo, hi) in order, as a uint8 array
+    of 0s and 1s; U and the range as for `apply_linear`."""
+    ux = apply_linear(tables, lo, hi)
+    ux &= np.arange(lo, hi, dtype=_U64)
+    return np.bitwise_count(ux) & np.uint8(1)
 
-    Bits of x at or above len(images) are ignored.
-    """
-    return apply_tables(byte_tables(images), x)
 
-
-def quadratic_parity(images: Sequence[int], x: np.ndarray) -> np.ndarray:
-    """parity(x & U x) for every entry, U given by unit-vector images,
-    as a uint8 array of 0s and 1s."""
-    return np.bitwise_count(x & apply_linear(images, x)) & np.uint8(1)
+def linear_parity(mask: int, lo: int, hi: int) -> np.ndarray:
+    """parity(x & mask) for every x in [lo, hi) in order, as a uint8
+    array of 0s and 1s."""
+    masked = np.arange(lo, hi, dtype=_U64)
+    masked &= _U64(mask)
+    return np.bitwise_count(masked) & np.uint8(1)
 
 
 def field_mul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:

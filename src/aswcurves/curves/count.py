@@ -33,27 +33,24 @@ parity(x & l_w).  The head's tables are kept for the latest two
 (context, q_deg, tail, to_deg) keys, which cost a twist no validated
 head to build.  The first count of a head is one fused pass: l_w
 added to the 256 entries of table 0 gives the byte tables of the
-twist's x -> U_w x XOR l_w.  With each x of a chunk written high | low,
-low its low byte, that map at x is its value at high XOR t0[low] XOR
-t0[0], t0 the shifted table 0, whose entry l_w both other terms carry.
-So the byte tables are looked up once per high part, one x in 256,
-and every x costs one broadcast XOR against table 0.  From the second
-count of a head whose universe fits one chunk on, the head's quadratic
-part is evaluated once: the entry keeps parity(x & U_w x) for every x,
-and each twist evaluates its linear part parity(x & l_w) at every
-element of F_Q and XORs it in.  Either way each twist is its own count
-over the whole universe.
+twist's x -> U_w x XOR l_w, which `bitvec.quadratic_parity` evaluates
+by its row broadcast.  From the second count of a head whose universe
+fits one chunk on, the head's quadratic part is evaluated once: the
+entry keeps parity(x & U_w x) for every x, and each twist evaluates its
+linear part parity(x & l_w) at every element of F_Q with
+`bitvec.linear_parity` and XORs it in.  Either way each twist is its
+own count over the whole universe.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache, lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from ..bitvec import apply_tables, byte_tables
+from ..bitvec import byte_tables, linear_parity, quadratic_parity
 from ..errors import BudgetExceeded, DomainError, OracleMismatch
 from ..gf2field import MAX_DEGREE, FieldCtx, linear_map
 from .base import CurveSpec, format_curve_spec
@@ -137,23 +134,10 @@ def _head_tables(ctx: FieldCtx, q_deg: int, tail: tuple[int, ...], to_deg: int) 
     return _Head(tuple(forms))
 
 
-def _parities(tables: Sequence[np.ndarray], lo: int, hi: int) -> np.ndarray:
-    """parity(x & U x) for x in [lo, hi), U given by its byte tables, in
-    rows of 256: each x is high | low with low its low byte, so
-    U x = U(high) XOR t0[low] XOR t0[0], t0 = table 0, whose entry 0 (a
-    twist's l_w) both other terms carry."""
-    low = np.arange(min(256, hi - lo), dtype=np.uint64)
-    highs = np.arange(lo, hi, low.size, dtype=np.uint64)
-    t0 = tables[0]
-    ux = (apply_tables(tables, highs) ^ t0[0])[:, None] ^ t0[: low.size]
-    ux &= highs[:, None] | low
-    return np.bitwise_count(ux) & np.uint8(1)
-
-
 def _count_chunk(forms: list[list[np.ndarray]], lo: int, hi: int) -> int:
-    nonzero = _parities(forms[0], lo, hi)
+    nonzero = quadratic_parity(forms[0], lo, hi)
     for tables in forms[1:]:
-        nonzero |= _parities(tables, lo, hi)
+        nonzero |= quadratic_parity(tables, lo, hi)
     return (hi - lo) - int(np.count_nonzero(nonzero))
 
 
@@ -161,15 +145,14 @@ def _count_repeat(head: _Head, ells: list[int], size: int) -> int:
     """The zeros of the twist with linear terms `ells` from the head's
     parities, built at the first repeat: parity(x & l_w) is evaluated at
     every x and XORed with parity(x & U_w x)."""
-    xs = np.arange(size, dtype=np.uint64)
     if head.parities is None:
-        parities = tuple(_parities(tables, 0, size).ravel() for tables in head.tables)
+        parities = tuple(quadratic_parity(tables, 0, size) for tables in head.tables)
         for parity in parities:
             parity.flags.writeable = False
         head.parities = parities
     nonzero = np.zeros(size, dtype=np.uint8)
     for parity, ell in zip(head.parities, ells):
-        nonzero |= parity ^ (np.bitwise_count(xs & np.uint64(ell)) & np.uint8(1))
+        nonzero |= parity ^ linear_parity(ell, 0, size)
     return size - int(np.count_nonzero(nonzero))
 
 

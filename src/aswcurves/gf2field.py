@@ -280,9 +280,10 @@ def intersect_spans(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
 class FieldCtx:
     """Ambient field F_{2^n} with a marked semilinear base F_{2^p_log}.
 
-    Elements are ints in range(2^n). All methods take and return those
-    ints; nothing here allocates wrappers. Instances are immutable and
-    hash/compare by (n, poly, p_log).
+    Elements are ints in range(2^n), and `mul`, `inv`, `pow` and `frob`
+    (so `sqr`, `sqrt`, `frob_p`) fail `check` on any other int. All
+    methods take and return those ints; nothing here allocates wrappers.
+    Instances are immutable and hash/compare by (n, poly, p_log).
     """
 
     __slots__ = (
@@ -344,20 +345,21 @@ class FieldCtx:
     # -- ring operations ----------------------------------------------------
 
     def mul(self, a: Element, b: Element) -> Element:
-        """Up to degree TABLE_MAX_DEGREE, with a and b in [0, 2^n), 0 or
-        exp[log a + log b] from `_log_tables`.  Else the carry-less product,
-        reduced: each round adds high * modulus, high = r >> n, and leaves
-        high times the lower terms, so a sparse modulus takes few rounds.
-        A negative operand, which `clmul` never returns on, fails `check`.
+        """Up to degree TABLE_MAX_DEGREE, 0 or exp[log a + log b] from
+        `_log_tables`.  Else the carry-less product, reduced: each round
+        adds high * modulus, high = r >> n, and leaves high times the
+        lower terms, so a sparse modulus takes few rounds.  An operand
+        outside [0, 2^n), negative ones included, fails `check`.
         """
         n = self.n
-        if n <= TABLE_MAX_DEGREE and not (a | b) >> n:
+        if (a | b) >> n:
+            self.check(a)
+            self.check(b)
+        if n <= TABLE_MAX_DEGREE:
             if not (a and b):
                 return 0
             log, exp = self._tables or self._load_tables()
             return exp[log[a] + log[b]]
-        if (a | b) < 0:
-            self.check(min(a, b))
         r = clmul(a, b)
         while r >> n:
             high = r >> n
@@ -373,7 +375,9 @@ class FieldCtx:
         return self.frob(a, 1)
 
     def pow(self, a: Element, e: int) -> Element:
-        if a and not a >> self.n and self.n <= TABLE_MAX_DEGREE:
+        if a >> self.n:
+            self.check(a)
+        if a and self.n <= TABLE_MAX_DEGREE:
             log, exp = self._tables or self._load_tables()
             return exp[log[a] * e % ((1 << self.n) - 1)]
         if e < 0:
@@ -395,7 +399,9 @@ class FieldCtx:
         own.  Where `mul` reads tables, a^-1 = exp[(q - 1) - log a]."""
         if a == 0:
             raise ZeroDivisor("inverting 0")
-        if not a >> self.n and self.n <= TABLE_MAX_DEGREE:
+        if a >> self.n:
+            self.check(a)
+        if self.n <= TABLE_MAX_DEGREE:
             log, exp = self._tables or self._load_tables()
             return exp[(1 << self.n) - 1 - log[a]]
         sqr = self.frob_map(1)
@@ -418,6 +424,8 @@ class FieldCtx:
 
         x -> x^(2^j) is F_2-linear, so a^(2^j) is its `frob_map`.
         """
+        if a >> self.n:
+            self.check(a)
         j %= self.n
         return self.frob_map(j)(a) if j else a
 
@@ -456,7 +464,7 @@ class FieldCtx:
 
     def in_subfield(self, a: Element, deg: int) -> bool:
         """Whether a lies in the subfield of degree deg over F_2; never for
-        a >= 2^n, which frob(a, n) would return unchanged."""
+        an int outside [0, 2^n), on which frob would fail `check`."""
         self.check_degrees(deg)
         return a >> self.n == 0 and self.frob(a, deg) == a
 
@@ -574,16 +582,13 @@ def make_field(n: int, poly: int | None = None, p_log: int = 1) -> FieldCtx:
     return FieldCtx(n, poly, p_log)
 
 
-def transport(src: FieldCtx, a: Element, dst: FieldCtx, deg: int | None = None) -> Element:
+def transport(src: FieldCtx, a: Element, dst: FieldCtx, deg: int) -> Element:
     """Carry an element of the degree-deg subfield of src into dst.
 
     Both contexts must contain F_{2^deg}; the canonical embedding sends
     the least root of the default degree-deg modulus in src to the least
     root in dst, so transports compose consistently across contexts.
-    deg defaults to src.n (transport of the whole source field).
     """
-    if deg is None:
-        deg = src.n
     dst.check_degrees(deg)
     if not src.in_subfield(a, deg):
         raise DegreeMismatch(f"{a:#x} not in the degree-{deg} subfield")

@@ -233,17 +233,17 @@ class SkewPoly:
 
     # -- kernels -------------------------------------------------------
 
-    def kernel(self, ambient: FieldCtx | None = None) -> Fp2Subspace:
-        """Kernel of the evaluation map on ambient, as an F_p-subspace.
+    def kernel(self) -> Fp2Subspace:
+        """Kernel of the evaluation map on the context, as an F_p-subspace.
 
-        The ambient must contain the whole kernel (p-dimension span),
-        else AmbientTooSmall.
+        The context must contain the whole kernel (p-dimension span),
+        else AmbientTooSmall; `transport_to` moves the polynomial into a
+        larger one.
         """
         if not self.coeffs:
             raise ZeroPolynomial("the zero polynomial has full kernel")
-        f = self if ambient is None else self.transport_to(ambient)
-        ctx = f.ctx
-        images = ctx.linear_images(f)
+        ctx = self.ctx
+        images = ctx.linear_images(self)
         basis = kernel_basis(images)
         ker = Fp2Subspace(ctx, basis)
         if ker.dim_p != self.span:

@@ -28,12 +28,12 @@ from .gf2field import Element, FieldCtx, Fp2Subspace, kernel_basis, rref_basis
 from .skew import SkewPoly
 
 
-def g_witness(F: SkewPoly, x: Element, y: Element, Fstar: SkewPoly | None = None) -> Element:
+def g_witness(F: SkewPoly, x: Element, y: Element, Fstar: SkewPoly) -> Element:
     """The unique bi-additive g with g^p + g = xF(y) + yF*(x), g(0,0) = 0.
 
     Built one exponent at a time: the term with coefficient b at t^i
     contributes the partial Artin-Schreier sum of z = y*(b*x)^(p^-i).
-    Fstar, when given, is F.adjoint(), built once by the caller.
+    Fstar is F.adjoint(), built once by the caller.
     """
     ctx = F.ctx
     ctx.check(x)
@@ -47,7 +47,6 @@ def g_witness(F: SkewPoly, x: Element, y: Element, Fstar: SkewPoly | None = None
             z = ctx.frob_p(z, i)
         for j in range(abs(i)):
             g ^= ctx.frob_p(z, j)
-    Fstar = F.adjoint() if Fstar is None else Fstar
     if ctx.frob_p(g, 1) ^ g != ctx.mul(x, F(y)) ^ ctx.mul(y, Fstar(x)):
         raise OracleMismatch(f"g({x:#x}, {y:#x}) = {g:#x} fails g^p + g = xF(y) + yF*(x)")
     return g

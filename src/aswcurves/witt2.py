@@ -18,7 +18,8 @@ In F_2 terms e2 is a quadratic form with polar form
 
 (van der Geer and van der Vlugt, Reed-Muller codes and supersingular
 curves I, 1992), so `q_exponent_table` runs the explicit shape only at
-the unit vectors and takes every other value from this identity.
+the unit vectors and takes every other value from this identity, with
+the range kernel of `bitvec`.
 """
 
 from __future__ import annotations
@@ -186,7 +187,8 @@ def q_exponent_table(deg: int) -> np.ndarray:
     to Tr(e_i), and e2 is the quadratic form parity(x & U x), where U
     carries e2(e_j) on its diagonal and B(e_i, e_j) = Tr(e_i)Tr(e_j) +
     Tr(t^(i+j)) above it, t the root of the modulus (e_i = t^i).
-    Every element of the field is evaluated through these two forms.
+    Every element of the field is evaluated through these two forms, by
+    `bitvec.linear_parity` and `bitvec.quadratic_parity`.
     """
     K = make_field(deg)
     tau, diag = 0, []
@@ -202,12 +204,14 @@ def q_exponent_table(deg: int) -> np.ndarray:
         diag[j] << j | sum(((tr[i] & tr[j]) ^ tr[i + j]) << i for i in range(j))
         for j in range(deg)
     ]
-    full = bitvec.arange_field(K)
-    table = np.empty(len(full), dtype=np.uint8)
-    for lo in range(0, len(full), _CHUNK):
-        xs = full[lo : lo + _CHUNK]
-        trace = np.bitwise_count(xs & np.uint64(tau)) & np.uint8(1)
-        table[lo : lo + len(xs)] = trace + 2 * bitvec.quadratic_parity(images, xs)
+    tables = bitvec.byte_tables(images)
+    size = 1 << deg
+    table = np.empty(size, dtype=np.uint8)
+    for lo in range(0, size, _CHUNK):
+        hi = min(size, lo + _CHUNK)
+        exponent = bitvec.quadratic_parity(tables, lo, hi) << 1
+        exponent |= bitvec.linear_parity(tau, lo, hi)
+        table[lo:hi] = exponent
     return table
 
 
@@ -217,6 +221,7 @@ def hd_sum(deg: int) -> GaussInt:
     Equals (-1-i)^deg; the closed form is checked against this sum in the
     acceptance suite rather than assumed here.
     """
-    counts = np.bincount(q_exponent_table(deg), minlength=4)
-    total = GaussInt(int(counts[0]) - int(counts[2]), int(counts[1]) - int(counts[3]))
-    return -total
+    table = q_exponent_table(deg)
+    # the uint8 table is compared in place; bincount would widen it first
+    c0, c1, c2, c3 = (int(np.count_nonzero(table == k)) for k in range(4))
+    return -GaussInt(c0 - c2, c1 - c3)

@@ -18,11 +18,15 @@ in `src/`:
   containment (acceptance gate 08);
 - `subfield_generator_by_scan`, the least root of a default modulus by
   an ascending scan of the subfield, checked against the trace
-  splitting of `FieldCtx.subfield_generator`.
+  splitting of `FieldCtx.subfield_generator`;
+- `quotient_curve`, the Artin-Schreier curve over F_2 below a curve
+  over F_p, whose count checks the several trace forms that
+  `brute_count` evaluates for p > 2.
 """
 
 from __future__ import annotations
 
+from aswcurves.curves import CurveSpec
 from aswcurves.errors import (
     Char2Error,
     CtxMismatch,
@@ -30,7 +34,7 @@ from aswcurves.errors import (
     NotDivisible,
     OracleMismatch,
 )
-from aswcurves.gf2field import Element, FieldCtx, Fp2Subspace, default_modulus
+from aswcurves.gf2field import Element, FieldCtx, Fp2Subspace, default_modulus, make_field
 from aswcurves.skew import SkewPoly
 from aswcurves.witt2 import psi_char
 
@@ -244,3 +248,21 @@ class HeisenbergElt:
 
 def commutator(g1: HeisenbergElt, g2: HeisenbergElt) -> HeisenbergElt:
     return g1 * g2 * g1.inverse() * g2.inverse()
+
+
+def quotient_curve(spec: CurveSpec) -> CurveSpec:
+    """y^2 - y = x*R(x) for the curve y^p - y = x*R(x), p = 2^k: the same
+    coefficients, a_i now at exponent 2^(k*i), in the same modulus with
+    p_log 1.
+
+    Over F_{q^m} the two counts satisfy
+    #C - (q^m + 1) = (p - 1) * (#C_1 - (q^m + 1)): the character sum of
+    Tr(w*x*R(x)) is the same for every w in F_p^*, as x -> u*x with
+    u in F_p and w*u^2 = 1 turns it into that of Tr(x*R(x)).
+    """
+    k = spec.ctx.p_log
+    coeffs = [0] * (k * spec.e + 1)
+    for i, a in enumerate(spec.coeffs):
+        coeffs[k * i] = a
+    ctx = make_field(spec.ctx.n, spec.ctx.poly, 1)
+    return CurveSpec(ctx, spec.q_deg, tuple(coeffs))

@@ -532,7 +532,7 @@ def test_transport_is_field_embedding():
         assert transport(src, 0, dst, 4) == 0
         assert transport(src, 1, dst, 4) == 1
     # whole-field transport into the same context is the identity
-    assert transport(src, 7, make_field(4)) == 7
+    assert transport(src, 7, make_field(4), 4) == 7
     with pytest.raises(DegreeMismatch):
         transport(src, 7, make_field(6), 4)
 
@@ -659,19 +659,30 @@ def test_pow_matches_square_and_multiply(n, poly):
             assert K.pow(a, e) == r, (a, e)
 
 
-def test_operands_outside_the_field_keep_the_bit_serial_answers():
-    # pinned from the bit-serial product, inverse and power, which every
-    # operand took before the tables
-    K1, K4, K8, K16 = (make_field(n) for n in (1, 4, 8, 16))
-    assert K8.mul(0x1FF, 3) == 0x37
-    assert K8.mul(0x100, 0x100) == 0x5E
-    assert K8.mul(3, 0x1234) == 0xE0
-    assert K4.mul(0x35, 2) == 0
-    assert K16.mul(1 << 16, 0xFFFF) == 0x3DA
-    assert K16.mul(0x12345, 0x6789A) == 0xF88A
-    assert K1.mul(2, 3) == 0
-    assert (K8.inv(0x1FF), K8.pow(0x1FF, 3), K8.pow(0x1FF, 0)) == (248, 245, 1)
-    assert (K4.inv(17), K4.pow(17, -2)) == (12, 15)
+@pytest.mark.parametrize("n", [1, 4, 8, 16, 24])
+def test_operands_outside_the_field_fail_check(n):
+    # one element domain: no operation reduces, truncates or wraps an int
+    # outside [0, 2^n), whether mul reads tables or not
+    K = make_field(n)
+    calls = {
+        "mul": lambda a: K.mul(a, 1),
+        "mul (right)": lambda a: K.mul(1, a),
+        "inv": K.inv,
+        "pow": lambda a: K.pow(a, 3),
+        "pow 0": lambda a: K.pow(a, 0),
+        "pow -2": lambda a: K.pow(a, -2),
+        "frob": lambda a: K.frob(a, 1),
+        "sqr": K.sqr,
+        "sqrt": K.sqrt,
+        "frob_p": lambda a: K.frob_p(a, 1),
+    }
+    for a in (1 << n, (1 << n) | 1, (1 << (n + 8)) - 1, -1):
+        for name, call in calls.items():
+            with pytest.raises(CtxMismatch, match=f"is not an element of F_{{2\\^{n}}}"):
+                call(a)
+                pytest.fail(f"{name}({a:#x}) returned")
+        assert not K.in_subfield(a, n)
+    assert K.mul((1 << n) - 1, K.inv((1 << n) - 1)) == 1
 
 
 @pytest.mark.parametrize("n", [8, 24])
@@ -758,6 +769,6 @@ def test_bitvec_matches_scalar():
         for i in range(0, size, 37):
             assert int(prod[i]) == K.mul(int(a[i]), int(b[i]))
         images = K.linear_images(lambda v: K.frob(v, 1))
-        sq = bitvec.apply_linear(images, a)
+        sq = bitvec.apply_linear(bitvec.byte_tables(images), 0, size)
         for i in range(0, size, 41):
-            assert int(sq[i]) == clmod(clmul(int(a[i]), int(a[i])), K.poly)
+            assert int(sq[i]) == clmod(clmul(i, i), K.poly)

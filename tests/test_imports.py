@@ -1,10 +1,11 @@
 """Source hygiene: no module imports another module's private names, the
 counting oracle imports nothing from the routes it checks, the routes
 reach the oracle only through `curves.count.checked_count`, the command
-line reaches the eigenvalue route only through `curves.zeta_report`, no
-module holds what `python -O` would strip, every function and class
-under `src/` is reached, and every reference in `tests/reference.py` is
-compared against by some test."""
+line reaches the eigenvalue route only through `curves.zeta_report`,
+only `bitvec` builds numpy ranges, no module holds what `python -O`
+would strip, every function and class under `src/` is reached, and
+every reference in `tests/reference.py` is compared against by some
+test."""
 
 import ast
 import importlib
@@ -94,6 +95,63 @@ def test_import_detector_sees_relative_and_absolute_forms():
     )
     got = imported_modules(source) & FORMULA_MODULES
     assert got == {"lpoly", "twists", "period", "witt2"}
+
+
+# Whole-universe enumeration stays behind the one range kernel: under
+# src/, only bitvec.py builds a numpy range.
+ARANGE_HOME = "aswcurves/bitvec.py"
+
+
+def numpy_aranges(source: str) -> list[int]:
+    """Line of every numpy `arange`: the attribute of a name that an
+    import binds to numpy, or the name imported from numpy."""
+    tree = ast.parse(source)
+    aliases = {
+        a.asname or a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for a in node.names
+        if a.name == "numpy"
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [node.lineno for a in node.names if a.name == "arange"]
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "arange"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        ):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_only_bitvec_builds_numpy_ranges():
+    offenders = [
+        f"{path.relative_to(SRC)}:{line}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.relative_to(SRC).as_posix() != ARANGE_HOME
+        for line in numpy_aranges(path.read_text())
+    ]
+    assert offenders == []
+    assert numpy_aranges((SRC / ARANGE_HOME).read_text())
+
+
+def test_arange_detector_flags_numpy_ranges_not_prose():
+    source = (
+        '"""np.arange in a docstring is prose."""\n'
+        "import numpy as np\n"
+        "import numpy\n"
+        "from numpy import arange, zeros\n"
+        "xs = np.arange(4)\n"
+        "ys = numpy.arange(2, dtype=numpy.uint64)\n"
+        "zs = range(4)\n"
+        "ws = torch.arange(3)\n"
+        "label = 'np.arange'\n"
+        "f = np.arange\n"
+    )
+    assert numpy_aranges(source) == [4, 5, 6, 10]
 
 
 # The formula routes enter the enumeration oracle only through

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from aswcurves import bitvec
-from aswcurves.curves import CurveSpec, count, trace_zero_count
+from aswcurves.curves import CurveSpec, brute_count, count, trace_zero_count
 from aswcurves.gf2field import make_field
 from aswcurves.witt2 import q_exponent_table
+from reference import quotient_curve
 
 
 def apply_linear_bitloop(images, x):
@@ -46,7 +47,7 @@ def trace_zeros_by_products(spec, m, to_degs):
     if spec.ctx.n != deg:
         full = spec.transport_to(make_field(deg, None, spec.ctx.p_log))
     ctx = full.ctx
-    xs = bitvec.arange_field(ctx)
+    xs = np.arange(1 << ctx.n, dtype=np.uint64)
     prod = bitvec.field_mul(ctx, xs, apply_linear_bitloop(ctx.linear_images(full.r_skew()), xs))
     zeros = {}
     for to_deg in to_degs:
@@ -67,7 +68,7 @@ def conjugate_sum(ctx, x, to_deg):
 
 def q_exponent_table_by_shape(deg):
     K = make_field(deg)
-    x = bitvec.arange_field(K)
+    x = np.arange(1 << deg, dtype=np.uint64)
     conj = x.copy()
     s = np.zeros_like(x)
     e2 = np.zeros_like(x)
@@ -79,13 +80,59 @@ def q_exponent_table_by_shape(deg):
     return (s + 2 * e2).astype(np.uint8)
 
 
+def parity_bitloop(x):
+    out = np.zeros(x.shape, dtype=np.uint64)
+    for j in range(64):
+        out ^= (x >> np.uint64(j)) & np.uint64(1)
+    return out.astype(np.uint8)
+
+
+def kernel_ranges(n, rng):
+    """[lo, hi) ranges of F_{2^n} that the range kernel accepts: lo a
+    multiple of 256, above 0 where the field has room, and widths under
+    256 as well as multiples of 256."""
+    size = 1 << n
+    ranges = [(0, min(size, 1 << 12)), (0, min(size, 37)), (0, 1)]
+    if size > 256:
+        lo = rng.randrange(1, size >> 8) << 8
+        ranges += [(lo, lo + 1), (lo, lo + 200), (lo, min(size, lo + 3 * 256)), (size - 256, size)]
+    return ranges
+
+
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 17, 24, 32])
 def test_apply_linear_matches_bitloop(n):
+    """Linear and affine maps (l XORed into every entry of table 0, as
+    the fused count pass builds them) on ranges of the field."""
     rng = random.Random(n)
     images = [rng.getrandbits(32) | (1 << 31) for _ in range(n)]
     images[n // 2] = 0
-    x = np.array([rng.getrandbits(n) for _ in range(3000)] + [0, (1 << n) - 1], dtype=np.uint64)
-    assert np.array_equal(bitvec.apply_linear(images, x), apply_linear_bitloop(images, x))
+    tables = bitvec.byte_tables(images)
+    ell = rng.getrandbits(32)
+    affine = [tables[0] ^ np.uint64(ell), *tables[1:]]
+    for lo, hi in kernel_ranges(n, rng):
+        x = np.arange(lo, hi, dtype=np.uint64)
+        expected = apply_linear_bitloop(images, x)
+        assert np.array_equal(bitvec.apply_linear(tables, lo, hi), expected), (lo, hi)
+        assert np.array_equal(bitvec.apply_linear(affine, lo, hi), expected ^ np.uint64(ell)), (lo, hi)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 17, 24, 32])
+def test_quadratic_and_linear_parity_match_bitloop(n):
+    rng = random.Random(50 + n)
+    images = [rng.getrandbits(n) for _ in range(n)]
+    tables = bitvec.byte_tables(images)
+    ell = rng.getrandbits(n)
+    affine = [tables[0] ^ np.uint64(ell), *tables[1:]]
+    for lo, hi in kernel_ranges(n, rng):
+        x = np.arange(lo, hi, dtype=np.uint64)
+        ux = apply_linear_bitloop(images, x)
+        for got, expected in (
+            (bitvec.quadratic_parity(tables, lo, hi), parity_bitloop(x & ux)),
+            (bitvec.quadratic_parity(affine, lo, hi), parity_bitloop(x & (ux ^ np.uint64(ell)))),
+            (bitvec.linear_parity(ell, lo, hi), parity_bitloop(x & np.uint64(ell))),
+        ):
+            assert got.dtype == np.uint8 and got.shape == (hi - lo,)
+            assert np.array_equal(got, expected), (lo, hi)
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 17, 24, 32, 64])
@@ -103,20 +150,35 @@ def test_byte_tables_match_concatenation(n):
 
 
 def test_apply_linear_ignores_bits_past_the_images():
-    x = np.array([0xFF, 0x1FF, 1 << 40], dtype=np.uint64)
-    assert bitvec.apply_linear([1, 2, 4], x).tolist() == [7, 7, 0]
+    tables = bitvec.byte_tables([1, 2, 4])
+    for lo in (0, 0x100, 1 << 40):
+        assert bitvec.apply_linear(tables, lo, lo + 256).tolist() == [x & 7 for x in range(256)]
 
 
 def test_quadratic_parity_is_x_transpose_u_x():
     rng = random.Random(5)
     n = 11
     images = [rng.getrandbits(n) for _ in range(n)]
-    x = np.arange(1 << n, dtype=np.uint64)
+    tables = bitvec.byte_tables(images)
     expected = [
         sum((v >> i) & (v >> j) & (images[j] >> i) for i in range(n) for j in range(n)) & 1
         for v in range(1 << n)
     ]
-    assert bitvec.quadratic_parity(images, x).tolist() == expected
+    assert bitvec.quadratic_parity(tables, 0, 1 << n).tolist() == expected
+    for lo, hi in ((512, 768), (1280, 1300), (0, 5)):
+        assert bitvec.quadratic_parity(tables, lo, hi).tolist() == expected[lo:hi]
+
+
+def test_q_exponent_table_peak_memory_stays_near_its_output():
+    # the 2^20-entry table is 1 MB; the 2^16-element slices add the rest
+    q_exponent_table(20)  # maps built once per context stay out of the peak
+    tracemalloc.start()
+    try:
+        q_exponent_table(20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4_000_000
 
 
 # (ambient degree, q_deg, p_log, modulus): non-default moduli, p = 4 and
@@ -185,6 +247,32 @@ def test_twist_family_counts_match_products(n, q_deg, p_log, poly):
             for a in coefficients:
                 got = trace_zero_count(head.with_a0(a), m, to_deg, budget=1 << 18)
                 assert got == expected[which, m, a][to_deg], (which, m, to_deg, a)
+
+
+# (ambient degree, q_deg, p_log, modulus) of the multi-form counts: p = 4
+# and p = 8, the moduli 0x19 and 0x11d and default ones, and ambients
+# wider than F_q
+QUOTIENT_CONTEXTS = [
+    (4, 4, 2, 0x19),
+    (8, 8, 2, 0x11D),
+    (8, 4, 2, 0x11D),
+    (6, 6, 3, None),
+    (12, 6, 3, None),
+    (12, 4, 2, None),
+]
+
+
+@pytest.mark.parametrize("n,q_deg,p_log,poly", QUOTIENT_CONTEXTS)
+def test_multi_form_counts_match_the_quotient_over_f2(n, q_deg, p_log, poly):
+    """For p > 2 a count reads several trace forms, one per w in an
+    F_2-basis of F_p; the curve over F_2 below it reads one, and the two
+    counts differ by the factor p - 1 (`quotient_curve`)."""
+    for spec in _random_specs(n, q_deg, p_log, poly, 8):
+        quotient = quotient_curve(spec)
+        for m in (1, 2):
+            middle = spec.q**m + 1
+            got = brute_count(spec, m) - middle
+            assert got == (spec.p - 1) * (brute_count(quotient, m) - middle), (spec, m)
 
 
 # (ambient degree, q_deg, p_log, modulus, m, chunk, threads) of the

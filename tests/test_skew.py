@@ -159,8 +159,8 @@ def test_kernel_needs_big_enough_ambient():
     with pytest.raises(AmbientTooSmall):
         f.kernel()
     with pytest.raises(AmbientTooSmall):
-        f.kernel(F16)
-    ker = f.kernel(make_field(6))
+        f.transport_to(F16).kernel()
+    ker = f.transport_to(make_field(6)).kernel()
     assert ker.dim_p == 2
     assert f.kernel_splitting_degree() == 3
 
@@ -313,7 +313,7 @@ def test_transport_commutes_with_evaluation():
         f = rand_poly(K, rng, lo=-2, hi=2, terms=3)
         g = f.transport_to(L)
         x = rng.randrange(4)
-        assert transport(K, f(x), L) == g(transport(K, x, L))
+        assert transport(K, f(x), L, K.n) == g(transport(K, x, L, K.n))
 
 
 def test_rebase_preserves_evaluation():

@@ -47,16 +47,17 @@ def test_g_witness_identity_and_biadditivity():
         for _ in range(40):
             F = rand_poly(K, rng)
             x, y, z = (rng.randrange(K.order) for _ in range(3))
-            g = g_witness(F, x, y)  # defining identity asserted inside
-            assert g_witness(F, 0, y) == 0 and g_witness(F, x, 0) == 0
-            assert g_witness(F, x ^ z, y) == g ^ g_witness(F, z, y)
-            assert g_witness(F, x, y ^ z) == g ^ g_witness(F, x, z)
+            Fstar = F.adjoint()
+            g = g_witness(F, x, y, Fstar)  # defining identity asserted inside
+            assert g_witness(F, 0, y, Fstar) == 0 and g_witness(F, x, 0, Fstar) == 0
+            assert g_witness(F, x ^ z, y, Fstar) == g ^ g_witness(F, z, y, Fstar)
+            assert g_witness(F, x, y ^ z, Fstar) == g ^ g_witness(F, x, z, Fstar)
 
 
 def test_pairing_builds_the_adjoint_once(monkeypatch):
     """omega passes the adjoint PairingCtx holds: one adjoint for the
     context, its Gram matrix and a maximal isotropic search, with the
-    same values as g_witness building its own."""
+    same values as g_witness given a fresh adjoint."""
     built = []
     adjoint = SkewPoly.adjoint
     monkeypatch.setattr(SkewPoly, "adjoint", lambda self: built.append(self) or adjoint(self))
@@ -66,7 +67,8 @@ def test_pairing_builds_the_adjoint_once(monkeypatch):
     assert len(built) == 1 and lagrangian.dim_p == pc.W.dim_p // 2
     monkeypatch.undo()
     W = pc.W.elements()
-    assert [pc.omega(u, v) for u in W for v in W] == [g_witness(pc.F, v, u) for u in W for v in W]
+    Fstar = pc.F.adjoint()
+    assert [pc.omega(u, v) for u in W for v in W] == [g_witness(pc.F, v, u, Fstar) for u in W for v in W]
 
 
 def test_g_symmetric_for_self_adjoint():
@@ -76,7 +78,8 @@ def test_g_symmetric_for_self_adjoint():
         F = rand_poly(K, rng)
         E = F + F.adjoint()
         x, y = rng.randrange(K.order), rng.randrange(K.order)
-        assert g_witness(E, x, y) == g_witness(E, y, x)
+        Estar = E.adjoint()
+        assert g_witness(E, x, y, Estar) == g_witness(E, y, x, Estar)
 
 
 def test_pairing_anchor_f4():
@@ -207,7 +210,7 @@ def test_result_checks_raise_with_asserts_stripped(monkeypatch):
     with pytest.raises(OracleMismatch):
         PairingCtx(F)
     with pytest.raises(OracleMismatch):
-        g_witness(F, 1, 2)
+        g_witness(F, 1, 2, F.adjoint())
 
 
 def test_isotropic_pass_ending_short_is_a_mismatch(monkeypatch):
@@ -292,8 +295,8 @@ def test_kernel_subfield_dimensions_match():
         if amb_deg > 24:
             continue
         amb = make_field(amb_deg)
-        W = F.kernel(amb)
-        Wstar = F.adjoint().kernel(amb)
+        W = F.transport_to(amb).kernel()
+        Wstar = F.adjoint().transport_to(amb).kernel()
         for d in range(K.n, amb_deg + 1, K.n):
             if amb_deg % d:
                 continue
