@@ -3,8 +3,10 @@
 The one module that enumerates a universe: the direct count and the
 character table evaluate their forms at every x of a range [lo, hi) of
 bit patterns (LSB convention of gf2field) with `apply_linear`,
-`quadratic_parity` and `linear_parity`, checked bit for bit against
-per-element references in the tests.
+`quadratic_parity` and `linear_parity`, and the direct count's repeats
+hold a whole universe as bitsets from `pack_bits` and `bit_columns`;
+each is checked bit for bit against per-element references in the
+tests.
 
 An F_2-linear map is applied byte by byte: the image of x is the XOR,
 over the bytes of x, of a 256-entry table lookup, each table holding
@@ -18,6 +20,12 @@ so U x = U(high) XOR t0[low] XOR t0[0], t0 table 0, where U(high) XOR
 t0[0] XORs the other tables at the bytes of high: one lookup per row,
 then one broadcast XOR per x.  With l XORed into every entry of t0 the
 rows give the affine x -> U x XOR l, a twist's form in the direct count.
+
+A form evaluated over a whole universe [0, 2^n) can also be kept as
+one Python int, bit x holding its value at x (`pack_bits`).  Beside
+it, the n columns of the universe (`bit_columns`: bit x of column k is
+bit k of x) give every linear form bit-parallel: parity(x & l) at
+every x is the XOR of the columns at the set bits of l.
 """
 
 from __future__ import annotations
@@ -77,6 +85,24 @@ def linear_parity(mask: int, lo: int, hi: int) -> np.ndarray:
     masked = np.arange(lo, hi, dtype=_U64)
     masked &= _U64(mask)
     return np.bitwise_count(masked) & np.uint8(1)
+
+
+def pack_bits(bits: np.ndarray) -> int:
+    """The uint8 array of 0s and 1s `bits` as one int: bit x is bits[x]."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def bit_columns(n: int) -> tuple[int, ...]:
+    """The n columns of the universe [0, 2^n) as ints: bit x of column k
+    is bit k of x.  By doubling: the columns of [0, 2^(k+1)) are those of
+    [0, 2^k) repeated twice, and a new top column of 2^k zeros then 2^k
+    ones."""
+    columns: list[int] = []
+    for k in range(n):
+        width = 1 << k
+        columns = [c | c << width for c in columns]
+        columns.append(((1 << width) - 1) << width)
+    return tuple(columns)
 
 
 def field_mul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -200,8 +200,9 @@ def cmd_twists(args: argparse.Namespace) -> _Output:
             f"field size {head.q} over budget {args.budget}; "
             f"classes from the eigenvalue route only"
         )
+    labels = [tc.twist_class(a) for a in range(head.q)]
     rows = [
-        [f"{a:x}", _CLASS_SHORT[tc.twist_class(a)], tc.twist_count(a)] for a in range(head.q)
+        [f"{a:x}", _CLASS_SHORT[label], tc.class_counts[label]] for a, label in enumerate(labels)
     ]
     data = {
         "head": format_curve_spec(head),

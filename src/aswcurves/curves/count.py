@@ -35,11 +35,14 @@ head to build.  The first count of a head is one fused pass: l_w
 added to the 256 entries of table 0 gives the byte tables of the
 twist's x -> U_w x XOR l_w, which `bitvec.quadratic_parity` evaluates
 by its row broadcast.  From the second count of a head whose universe
-fits one chunk on, the head's quadratic part is evaluated once: the
-entry keeps parity(x & U_w x) for every x, and each twist evaluates its
-linear part parity(x & l_w) at every element of F_Q with
-`bitvec.linear_parity` and XORs it in.  Either way each twist is its
-own count over the whole universe.
+fits one chunk on, the counts are bit-sliced: the entry keeps each
+parity(x & U_w x) packed into one int P_w, bit x the parity at x, and
+the universe's columns, bit x of column k being bit k of x
+(`bitvec.pack_bits`, `bitvec.bit_columns`).  The XOR L_w of the
+columns at the set bits of l_w has bit x equal to parity(x & l_w), so
+the twist's zeros are the size of the universe less the popcount of
+the OR of the P_w ^ L_w.  Either way each twist is its own count over
+the whole universe.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..bitvec import byte_tables, linear_parity, quadratic_parity
+from ..bitvec import bit_columns, byte_tables, pack_bits, quadratic_parity
 from ..errors import BudgetExceeded, DomainError, OracleMismatch
 from ..gf2field import MAX_DEGREE, FieldCtx, linear_map
 from .base import CurveSpec, format_curve_spec
@@ -103,15 +106,16 @@ def _trace_matrix(ctx: FieldCtx) -> Callable[[int], int]:
 class _Head:
     """The count set-up of one head, shared by its twists: `tables`, the
     byte tables of U_w for each w, and, once a second count of the head
-    fits one chunk, `parities`, the arrays parity(x & U_w x) over the
-    whole universe."""
+    fits one chunk, `parities`, the bitsets of parity(x & U_w x) over the
+    whole universe, with `columns`, the universe's column bitsets."""
 
-    __slots__ = ("tables", "counted", "parities")
+    __slots__ = ("tables", "counted", "parities", "columns")
 
     def __init__(self, tables: tuple[np.ndarray, ...]):
         self.tables = tables
         self.counted = False
-        self.parities: tuple[np.ndarray, ...] | None = None
+        self.parities: tuple[int, ...] | None = None
+        self.columns: tuple[int, ...] = ()
 
 
 @lru_cache(maxsize=2)
@@ -142,18 +146,21 @@ def _count_chunk(forms: list[list[np.ndarray]], lo: int, hi: int) -> int:
 
 
 def _count_repeat(head: _Head, ells: list[int], size: int) -> int:
-    """The zeros of the twist with linear terms `ells` from the head's
-    parities, built at the first repeat: parity(x & l_w) is evaluated at
-    every x and XORed with parity(x & U_w x)."""
+    """The zeros of the twist with linear terms `ells`, bit-sliced over
+    the head's parities, packed at the first repeat: P_w ^ L_w, L_w the
+    XOR of the columns at the set bits of l_w, is the twist's form w at
+    every x."""
     if head.parities is None:
-        parities = tuple(quadratic_parity(tables, 0, size) for tables in head.tables)
-        for parity in parities:
-            parity.flags.writeable = False
-        head.parities = parities
-    nonzero = np.zeros(size, dtype=np.uint8)
-    for parity, ell in zip(head.parities, ells):
-        nonzero |= parity ^ linear_parity(ell, 0, size)
-    return size - int(np.count_nonzero(nonzero))
+        head.columns = bit_columns(size.bit_length() - 1)
+        head.parities = tuple(pack_bits(quadratic_parity(t, 0, size)) for t in head.tables)
+    nonzero = 0
+    for form, ell in zip(head.parities, ells):
+        while ell:
+            low = ell & -ell
+            form ^= head.columns[low.bit_length() - 1]
+            ell ^= low
+        nonzero |= form
+    return size - nonzero.bit_count()
 
 
 def trace_zero_count(

@@ -71,11 +71,16 @@ class TwistClassification:
         except KeyError:
             raise DomainError(f"{a:#x} is not a twist coefficient of this family") from None
 
+    @cached_property
+    def class_counts(self) -> dict[str, int]:
+        """Projective count over F_q of a twist in each class: q + 1, plus
+        or minus the Weil gap when the twist is maximal or minimal."""
+        middle, gap = self.head.q + 1, weil_gap(self.head)
+        return {"maximal": middle + gap, "minimal": middle - gap, "neutral": middle}
+
     def twist_count(self, a: Element) -> int:
-        """Projective count over F_q of the twist a: q + 1, plus or minus
-        the Weil gap when the twist is maximal or minimal."""
-        sign = {"maximal": 1, "minimal": -1, "neutral": 0}[self.twist_class(a)]
-        return self.head.q + 1 + sign * weil_gap(self.head)
+        """Projective count over F_q of the twist a (`class_counts`)."""
+        return self.class_counts[self.twist_class(a)]
 
 
 def eigenvalue_targets(q_deg: int) -> tuple[int, int]:

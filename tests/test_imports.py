@@ -98,13 +98,15 @@ def test_import_detector_sees_relative_and_absolute_forms():
 
 
 # Whole-universe enumeration stays behind the one range kernel: under
-# src/, only bitvec.py builds a numpy range.
-ARANGE_HOME = "aswcurves/bitvec.py"
+# src/, only bitvec.py builds a numpy range or packs a numpy bit array.
+UNIVERSE_HOME = "aswcurves/bitvec.py"
+UNIVERSE_CALLS = ("arange", "packbits")
 
 
-def numpy_aranges(source: str) -> list[int]:
-    """Line of every numpy `arange`: the attribute of a name that an
-    import binds to numpy, or the name imported from numpy."""
+def numpy_universe_calls(source: str, names: tuple[str, ...] = UNIVERSE_CALLS) -> list[int]:
+    """Line of every numpy `arange` or `packbits` (or other `names`): the
+    attribute of a name that an import binds to numpy, or the name
+    imported from numpy."""
     tree = ast.parse(source)
     aliases = {
         a.asname or a.name
@@ -116,10 +118,10 @@ def numpy_aranges(source: str) -> list[int]:
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "numpy":
-            found += [node.lineno for a in node.names if a.name == "arange"]
+            found += [node.lineno for a in node.names if a.name in names]
         elif (
             isinstance(node, ast.Attribute)
-            and node.attr == "arange"
+            and node.attr in names
             and isinstance(node.value, ast.Name)
             and node.value.id in aliases
         ):
@@ -131,11 +133,12 @@ def test_only_bitvec_builds_numpy_ranges():
     offenders = [
         f"{path.relative_to(SRC)}:{line}"
         for path in sorted(SRC.rglob("*.py"))
-        if path.relative_to(SRC).as_posix() != ARANGE_HOME
-        for line in numpy_aranges(path.read_text())
+        if path.relative_to(SRC).as_posix() != UNIVERSE_HOME
+        for line in numpy_universe_calls(path.read_text())
     ]
     assert offenders == []
-    assert numpy_aranges((SRC / ARANGE_HOME).read_text())
+    home = (SRC / UNIVERSE_HOME).read_text()
+    assert all(numpy_universe_calls(home, (name,)) for name in UNIVERSE_CALLS)
 
 
 def test_arange_detector_flags_numpy_ranges_not_prose():
@@ -150,8 +153,12 @@ def test_arange_detector_flags_numpy_ranges_not_prose():
         "ws = torch.arange(3)\n"
         "label = 'np.arange'\n"
         "f = np.arange\n"
+        "from numpy import packbits as pack\n"
+        "bits = np.packbits(xs, bitorder='little')\n"
+        "words = np.unpackbits(bits)\n"
     )
-    assert numpy_aranges(source) == [4, 5, 6, 10]
+    assert numpy_universe_calls(source) == [4, 5, 6, 10, 11, 12]
+    assert numpy_universe_calls(source, ("packbits",)) == [11, 12]
 
 
 # The formula routes enter the enumeration oracle only through

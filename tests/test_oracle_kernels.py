@@ -8,13 +8,14 @@ trace over the whole field.  The fast kernels must reproduce them exactly.
 
 import hashlib
 import random
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from aswcurves import bitvec
-from aswcurves.curves import CurveSpec, brute_count, count, trace_zero_count
+from aswcurves.curves import CurveSpec, brute_count, count, psi_sum, trace_zero_count
 from aswcurves.gf2field import make_field
 from aswcurves.witt2 import q_exponent_table
 from reference import quotient_curve
@@ -339,9 +340,14 @@ def test_first_count_peak_memory_stays_below_the_per_byte_kernel():
 REPEAT_CONTEXTS = [(4, 4, 1, 0x19), (4, 4, 2, None), (6, 6, 3, None), (8, 4, 1, 0x11D)]
 
 
-def _stored_parities(spec, m, to_deg):
+def _head_entry(spec, m, to_deg):
+    """The head entry of spec's count over F_{q^m} to degree to_deg."""
     full = spec.over(m)
-    return count._head_tables(full.ctx, full.q_deg, full.coeffs[1:], to_deg).parities
+    return count._head_tables(full.ctx, full.q_deg, full.coeffs[1:], to_deg)
+
+
+def _stored_parities(spec, m, to_deg):
+    return _head_entry(spec, m, to_deg).parities
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -374,6 +380,92 @@ def test_repeated_twist_counts_match_the_fused_pass(n, q_deg, p_log, poly, m):
             assert got == fused[which, a], (which, a, to_deg)
         for head in heads.values():
             assert _stored_parities(head, m, to_deg) is not None
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_bit_columns_match_a_bit_loop(n):
+    expected = [sum(1 << x for x in range(1 << n) if x >> k & 1) for k in range(n)]
+    assert list(bitvec.bit_columns(n)) == expected
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 8, 9, 256, 1000])
+def test_pack_bits_puts_element_x_at_bit_x(size):
+    bits = np.random.default_rng(size).integers(0, 2, size, dtype=np.uint8)
+    assert bitvec.pack_bits(bits) == sum(int(b) << x for x, b in enumerate(bits))
+
+
+# (ambient degree, q_deg, p_log, modulus, m) of the bit-sliced repeats:
+# universes of 2^1..2^12 and 2^16 elements, p = 4 and p = 8, the moduli
+# 0x19, 0x211 and 0x1053, ambients wider than F_q, and m = 2 through
+# `over`, in the curve's context or carried to the default one
+BITSLICE_CASES = [
+    *[(d, d, 1, None, 1) for d in (*range(1, 13), 16)],
+    (4, 4, 1, 0x19, 1),
+    (9, 9, 1, 0x211, 1),
+    (12, 6, 1, 0x1053, 2),
+    (4, 4, 2, 0x19, 2),
+    (8, 8, 2, None, 1),
+    (16, 8, 2, None, 2),
+    (6, 6, 3, None, 2),
+    (12, 12, 3, None, 1),
+    (8, 4, 1, None, 2),
+    (12, 4, 2, None, 2),
+]
+
+
+@pytest.mark.parametrize("n,q_deg,p_log,poly,m", BITSLICE_CASES)
+def test_bit_sliced_repeats_equal_the_fused_pass(n, q_deg, p_log, poly, m):
+    """Up to 16 twists of one head, each counted first with the cache
+    cleared (the fused pass), then all in a row, so that all but the
+    first count read the head's bitsets; with to_deg = 1 the row runs
+    through `psi_sum`.  No stored bitset has a bit at or past the
+    universe."""
+    ctx = make_field(n, poly, p_log)
+    elements = ctx.subfield_elements(q_deg)
+    rng = random.Random(n * 10 + q_deg + p_log * 100 + m)
+    head = CurveSpec(ctx, q_deg, (0, rng.choice(elements), rng.choice(elements[1:])))
+    twists = elements if len(elements) <= 16 else [0, *rng.sample(elements[1:], 15)]
+    size = 1 << (q_deg * m)
+    for to_deg in sorted({1, p_log}):
+        fused = {}
+        for a in twists:
+            count._head_tables.cache_clear()
+            fused[a] = trace_zero_count(head.with_a0(a), m, to_deg)
+        count._head_tables.cache_clear()
+        for a in twists:
+            if to_deg == 1:
+                assert psi_sum(head.with_a0(a), m) == 2 * fused[a] - size, (a, to_deg)
+            else:
+                assert trace_zero_count(head.with_a0(a), m, to_deg) == fused[a], (a, to_deg)
+        entry = _head_entry(head, m, to_deg)
+        assert len(entry.parities) == to_deg and len(entry.columns) == q_deg * m
+        assert all(0 <= b < 1 << size for b in entry.parities + entry.columns)
+
+
+def test_bitsets_are_stored_up_to_one_chunk(monkeypatch):
+    """A universe of exactly one chunk stores the bitsets at its second
+    count, one of two chunks counts every twist by the fused pass."""
+    monkeypatch.setattr(count, "_CHUNK", 1 << 8)
+    for n, stored in ((8, True), (9, False)):
+        head = CurveSpec(make_field(n), n, (0, 0, 1))
+        fused = []
+        for a in (1, 2):
+            count._head_tables.cache_clear()
+            fused.append(trace_zero_count(head.with_a0(a)))
+        count._head_tables.cache_clear()
+        assert [trace_zero_count(head.with_a0(a)) for a in (1, 2)] == fused
+        entry = _head_entry(head, 1, 1)
+        assert entry.counted and (entry.parities is not None) == stored, n
+    count._head_tables.cache_clear()  # no entry of the small chunk outlives the test
+
+
+def test_a_stored_form_packs_about_one_bit_per_element():
+    head = CurveSpec(make_field(16), 16, (0, 0x1234, 1))
+    count._head_tables.cache_clear()
+    for a in (0, 1):
+        trace_zero_count(head.with_a0(a))
+    (form,) = _stored_parities(head, 1, 1)
+    assert sys.getsizeof(form) * 8 <= 1.1 * (1 << 16)
 
 
 @pytest.mark.parametrize("deg", range(1, 19))

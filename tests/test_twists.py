@@ -33,6 +33,7 @@ from aswcurves.errors import (
 from aswcurves.gf2field import FieldCtx, Fp2Subspace, make_field, parse_field_spec
 from aswcurves.skew import SkewPoly, factor_through_symmetric
 from aswcurves.witt2 import psi_char, q_char
+from reference import quotient_curve
 
 F4 = make_field(2)
 F16 = make_field(4)
@@ -186,14 +187,54 @@ class TestRepeatedCounts:
         for _ in range(2):  # the fused pass, then the count that stores parities
             brute_count(head)
         entry = self.head_entry(head)
-        first = entry.parities[0].copy()
-        if flip == "one":
-            first[1] ^= 1
-        else:
-            first ^= 1
+        first = entry.parities[0] ^ (2 if flip == "one" else (1 << head.q) - 1)
         entry.parities = (first, *entry.parities[1:])
         with pytest.raises(OracleMismatch, match="eigenvalue count .* != direct count"):
             classify_twists(head)
+
+
+# (ambient degree, q_deg, p_log, modulus) of the quotient classification:
+# p = 4 and p = 8, the moduli 0x19 and 0x11d, and ambients wider than F_q
+QUOTIENT_CONTEXTS = [
+    (4, 4, 2, 0x19),
+    (8, 8, 2, 0x11D),
+    (8, 4, 2, None),
+    (6, 6, 3, None),
+    (12, 6, 3, None),
+    (16, 8, 2, None),
+]
+
+
+@pytest.mark.parametrize("n,q_deg,p_log,poly", QUOTIENT_CONTEXTS)
+def test_classification_matches_the_quotient_over_f2(n, q_deg, p_log, poly):
+    """The twist a of y^p - y = x*R(x) and of its quotient over F_2
+    (`quotient_curve`) lie on the same side of q + 1, so the two heads
+    classify every a alike, with every twist counted: each count of the
+    first ORs p_log forms, each count of the quotient reads one.  Heads
+    R = c*x^p in a fixed-seed order until two of them classify; a head
+    without a rational kernel must be refused for both curves."""
+    ctx = make_field(n, poly, p_log)
+    elements = ctx.subfield_elements(q_deg)
+    rng = random.Random(n * 100 + q_deg * 10 + p_log)
+    classified, extremal = 0, False
+    for c in rng.sample(elements[1:], len(elements) - 1):
+        head = CurveSpec(ctx, q_deg, (0, c))
+        outcomes = []
+        for spec in (head, quotient_curve(head)):
+            try:
+                tc = classify_twists(spec)
+            except KernelNotRational:
+                outcomes.append(None)
+            else:
+                assert tc.counting_checked
+                outcomes.append([tc.twist_class(a) for a in elements])
+        assert outcomes[0] == outcomes[1], c
+        if outcomes[0] is not None:
+            classified += 1
+            extremal |= set(outcomes[0]) != {"neutral"}
+        if classified == 2:
+            break
+    assert classified == 2 and extremal
 
 
 class TestClassifyInvariants:
