@@ -48,6 +48,14 @@ def _check_subfield_degree(ctx: FieldCtx, q_deg: int) -> None:
         )
 
 
+def _check_coefficient(ctx: FieldCtx, q_deg: int, c: Element) -> None:
+    """CtxMismatch unless c is an element of ctx, DomainError unless it
+    lies in F_{2^q_deg}."""
+    ctx.check(c)
+    if not ctx.in_subfield(c, q_deg):
+        raise DomainError(f"coefficient {c:#x} is outside the declared subfield")
+
+
 class CurveSpec:
     """The curve y^p - y = x*R(x) with R given by its coefficients."""
 
@@ -61,9 +69,7 @@ class CurveSpec:
         if coeffs[-1] == 0:
             raise DomainError("the leading coefficient must be nonzero")
         for c in coeffs:
-            ctx.check(c)
-            if not ctx.in_subfield(c, q_deg):
-                raise DomainError(f"coefficient {c:#x} is outside the declared subfield")
+            _check_coefficient(ctx, q_deg, c)
         self.ctx = ctx
         self.q_deg = q_deg
         self.coeffs = coeffs
@@ -118,8 +124,12 @@ class CurveSpec:
         return self.r_skew()(x)
 
     def with_a0(self, a: Element) -> "CurveSpec":
-        """The family member with linear coefficient a."""
-        return CurveSpec(self.ctx, self.q_deg, (a,) + self.coeffs[1:])
+        """The family member with linear coefficient a.  The tail was
+        checked when self was built, so only a is checked here."""
+        _check_coefficient(self.ctx, self.q_deg, a)
+        spec = object.__new__(CurveSpec)
+        spec.ctx, spec.q_deg, spec.coeffs = self.ctx, self.q_deg, (a,) + self.coeffs[1:]
+        return spec
 
     def head(self) -> "CurveSpec":
         return self.with_a0(0)

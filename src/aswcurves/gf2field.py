@@ -195,17 +195,24 @@ def span_contains(basis: Sequence[int], v: int) -> bool:
     return reduce_vector(basis, v) == 0
 
 
-def linear_map(images: Sequence[int]) -> Callable[[int], int]:
-    """The F_2-linear map bit j -> images[j] as a function on ints: one
-    256-entry table per byte of the input, entry b the XOR of the images
-    of the bits set in b, so the image of x is the XOR over its bytes of
-    one lookup each.  Bits past the last image map to 0."""
+def _byte_tables(images: Sequence[int]) -> list[list[int]]:
+    """One 256-entry table per byte of the input of the F_2-linear map
+    bit j -> images[j]: entry b of table k is the XOR of the images of
+    the bits set in b << 8k."""
     tables = []
     for lo in range(0, len(images), 8):
         table = [0]
         for img in images[lo : lo + 8]:
             table += [v ^ img for v in table]
         tables.append(table * (256 // len(table)))  # repeats ignore the missing bits
+    return tables
+
+
+def linear_map(images: Sequence[int]) -> Callable[[int], int]:
+    """The F_2-linear map bit j -> images[j] as a function on ints: the
+    image of x is the XOR over its bytes of one `_byte_tables` lookup
+    each.  Bits past the last image map to 0."""
+    tables = _byte_tables(images)
 
     def apply(x: int) -> int:
         out = 0
@@ -280,10 +287,16 @@ def intersect_spans(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
 class FieldCtx:
     """Ambient field F_{2^n} with a marked semilinear base F_{2^p_log}.
 
-    Elements are ints in range(2^n), and `mul`, `inv`, `pow` and `frob`
-    (so `sqr`, `sqrt`, `frob_p`) fail `check` on any other int. All
+    Elements are ints in range(2^n), and `mul`, `inv`, `pow`, `frob`,
+    `frob_p`, `sqr` and `sqrt` fail `check` on any other int. All
     methods take and return those ints; nothing here allocates wrappers.
     Instances are immutable and hash/compare by (n, poly, p_log).
+
+    Each Frobenius power and each trace is an F_2-linear map, cached the
+    first time it is used (`_field_map`).  Up to 8 bits an element is one
+    byte, so the map is the lookup of one byte table and applying it opens
+    no Python frame; `frob`, `frob_p`, `sqr`, `sqrt` and `in_subfield`
+    read the cached Frobenius maps themselves, without calling each other.
     """
 
     __slots__ = (
@@ -306,7 +319,7 @@ class FieldCtx:
         self.p_log = p_log
         self._hash = hash((n, poly, p_log))
         self._poly_bits = tuple(k for k in range(n + 1) if (poly >> k) & 1)
-        self._frob_maps: dict[int, Callable[[int], int]] = {}
+        self._frob_maps: list[Callable[[int], int] | None] = [None] * n  # by j mod n
         self._trace_maps: dict[tuple[int, int], Callable[[int], int]] = {}
         self._sub_basis: dict[int, tuple[int, ...]] = {}
         self._sub_elems: dict[int, list[int]] = {}
@@ -372,7 +385,9 @@ class FieldCtx:
         return self._tables
 
     def sqr(self, a: Element) -> Element:
-        return self.frob(a, 1)
+        if a >> self.n:
+            self.check(a)
+        return (self._frob_maps[1 % self.n] or self.frob_map(1))(a)
 
     def pow(self, a: Element, e: int) -> Element:
         if a >> self.n:
@@ -416,8 +431,10 @@ class FieldCtx:
         return sqr(b)
 
     def sqrt(self, a: Element) -> Element:
-        """The unique square root (Frobenius is bijective)."""
-        return self.frob(a, self.n - 1)
+        """The unique square root (Frobenius is bijective): a^(2^(n-1))."""
+        if a >> self.n:
+            self.check(a)
+        return (self._frob_maps[-1] or self.frob_map(-1))(a)
 
     def frob(self, a: Element, j: int) -> Element:
         """a^(2^j) for any integer j; negative j inverts Frobenius.
@@ -427,16 +444,27 @@ class FieldCtx:
         if a >> self.n:
             self.check(a)
         j %= self.n
-        return self.frob_map(j)(a) if j else a
+        return (self._frob_maps[j] or self.frob_map(j))(a) if j else a
 
     def frob_map(self, j: int) -> Callable[[int], int]:
-        """x -> x^(2^j) as a `linear_map`, built the first time j mod n
-        is used; for j a multiple of n it is the identity on the field."""
+        """x -> x^(2^j) on the elements of the field, as a `_field_map`
+        built the first time j mod n is used; for j a multiple of n it is
+        the identity.  It is defined on field elements only and checks
+        nothing: an int outside [0, 2^n) gets no defined answer."""
         j %= self.n
-        fmap = self._frob_maps.get(j)
+        fmap = self._frob_maps[j]
         if fmap is None:
-            fmap = self._frob_maps[j] = linear_map(self._frob_images(j))
+            fmap = self._frob_maps[j] = self._field_map(self._frob_images(j))
         return fmap
+
+    def _field_map(self, images: list[int]) -> Callable[[int], int]:
+        """The F_2-linear map t^k -> images[k] on the field's elements.
+        Up to 8 bits, one byte, it is the lookup of the single table of
+        `_byte_tables`, which runs no Python code; above, `linear_map`."""
+        if self.n > 8:
+            return linear_map(images)
+        (table,) = _byte_tables(images)
+        return table.__getitem__
 
     def _frob_images(self, j: int) -> list[int]:
         """(t^k)^(2^j) for k < n, t the root of the modulus: the powers of
@@ -450,8 +478,11 @@ class FieldCtx:
         return images
 
     def frob_p(self, a: Element, i: int) -> Element:
-        """a^(p^i) for any integer i, p = 2^p_log."""
-        return self.frob(a, i * self.p_log)
+        """a^(p^i) for any integer i, p = 2^p_log: `frob` at j = i*p_log."""
+        if a >> self.n:
+            self.check(a)
+        j = i * self.p_log % self.n
+        return (self._frob_maps[j] or self.frob_map(j))(a) if j else a
 
     # -- subfields and traces ------------------------------------------------
 
@@ -463,17 +494,19 @@ class FieldCtx:
             raise DegreeMismatch(f"subfield degrees need 1 <= {chain} | {self.n}")
 
     def in_subfield(self, a: Element, deg: int) -> bool:
-        """Whether a lies in the subfield of degree deg over F_2; never for
-        an int outside [0, 2^n), on which frob would fail `check`."""
+        """Whether a lies in the subfield of degree deg over F_2, that is
+        a^(2^deg) == a; never for an int outside [0, 2^n)."""
         self.check_degrees(deg)
-        return a >> self.n == 0 and self.frob(a, deg) == a
+        return a >> self.n == 0 and (
+            deg == self.n or (self._frob_maps[deg] or self.frob_map(deg))(a) == a
+        )
 
     def trace(self, a: Element, from_deg: int, to_deg: int) -> Element:
         """Additive trace from the degree-from_deg subfield down to to_deg.
 
         On that subfield the trace is the F_2-linear map
         x -> x + x^(2^to_deg) + ... (from_deg/to_deg terms), so it is the
-        `linear_map` of the images of the unit vectors, built the first
+        `_field_map` of the images of the unit vectors, built the first
         time the pair is used.
         """
         self.check_degrees(from_deg, to_deg)
@@ -481,7 +514,7 @@ class FieldCtx:
             raise DegreeMismatch(f"{a:#x} not in the degree-{from_deg} subfield")
         tmap = self._trace_maps.get((from_deg, to_deg))
         if tmap is None:
-            tmap = self._trace_maps[from_deg, to_deg] = linear_map(
+            tmap = self._trace_maps[from_deg, to_deg] = self._field_map(
                 self._trace_images(from_deg, to_deg)
             )
         return tmap(a)

@@ -38,6 +38,7 @@ from aswcurves.errors import (
     CapExceeded,
     Char2Error,
     ConditionViolated,
+    CtxMismatch,
     DegreeMismatch,
     DomainError,
     KernelNotRational,
@@ -69,6 +70,24 @@ class TestCurveSpec:
             # modulus only at mask 6; raw 2 generates F_16 itself
         with pytest.raises(ValueError):
             CurveSpec(F4, 3, (0, 1))  # 3 does not divide 2
+
+    def test_with_a0_is_the_validated_spec(self):
+        # only a0 is checked; the tail was checked when the head was built
+        K = make_field(8, 0x11D, 2)
+        sub = K.subfield_elements(4)
+        head = CurveSpec(K, 4, (0, sub[5], sub[3]))
+        for a in sub:
+            twist = head.with_a0(a)
+            built = CurveSpec(K, 4, (a,) + head.coeffs[1:])
+            assert twist == built and hash(twist) == hash(built)
+            assert (twist.ctx, twist.q_deg, twist.coeffs) == (built.ctx, built.q_deg, built.coeffs)
+            assert format_curve_spec(twist) == format_curve_spec(built)
+        for a in (a for a in range(K.order) if a not in sub):
+            with pytest.raises(DomainError, match="outside the declared subfield"):
+                head.with_a0(a)
+        for a in (K.order, K.order + 1, -1):
+            with pytest.raises(CtxMismatch):
+                head.with_a0(a)
 
     def test_genus_and_sizes(self):
         spec = CurveSpec(F4, 2, (0, 1))

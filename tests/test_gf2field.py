@@ -266,6 +266,98 @@ def test_table_trace_keeps_its_degree_checks(n, poly):
             K.trace(0, from_deg, to_deg)
 
 
+# Fresh contexts of degree 1..9 under the default moduli and 0x19, 0x1f,
+# 0x11b, 0x11d and 0x211, with every p_log that divides the degree: the
+# cached Frobenius and trace maps are one byte table up to 8 bits and the
+# byte-table closure at 9.
+TABLE_PATH_CONTEXTS = [
+    (n, poly, p_log)
+    for n, poly in [*((n, None) for n in range(1, 10)),
+                    (4, 0x19), (4, 0x1F), (8, 0x11B), (8, 0x11D), (9, 0x211)]
+    for p_log in range(1, n + 1)
+    if n % p_log == 0
+]
+
+
+@pytest.mark.parametrize("n,poly,p_log", TABLE_PATH_CONTEXTS)
+def test_frobenius_and_trace_maps_match_squaring_at_every_element(n, poly, p_log):
+    K = FieldCtx(n, poly, p_log)  # a fresh context: no map built yet
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    chains = [(f, t) for f in divisors for t in divisors if f % t == 0]
+    steps = 2 * n // p_log
+    for a in range(K.order):
+        conj = [a]  # conj[k] = a^(2^k) for k < n
+        for _ in range(n - 1):
+            conj.append(clmod(clmul(conj[-1], conj[-1]), K.poly))
+        for j in range(-2 * n, 2 * n + 1):
+            assert K.frob(a, j) == conj[j % n], (a, j)
+            assert K.frob_map(j)(a) == conj[j % n], (a, j)
+        for i in range(-steps, steps + 1):
+            assert K.frob_p(a, i) == conj[i * p_log % n], (a, i)
+        assert (K.sqr(a), K.sqrt(a)) == (conj[1 % n], conj[-1]), a
+        for d in divisors:
+            assert K.in_subfield(a, d) == (conj[d % n] == a), (a, d)
+        for from_deg, to_deg in chains:
+            if conj[from_deg % n] == a:
+                expected = 0
+                for k in range(0, from_deg, to_deg):
+                    expected ^= conj[k]
+                assert K.trace(a, from_deg, to_deg) == expected, (a, from_deg, to_deg)
+
+
+@pytest.mark.parametrize("n,poly,p_log", TABLE_PATH_CONTEXTS)
+def test_table_path_keeps_the_element_domain(n, poly, p_log):
+    K = FieldCtx(n, poly, p_log)
+    ops = {
+        **{f"frob {j}": lambda a, j=j: K.frob(a, j) for j in range(-2 * n, 2 * n + 1)},
+        **{f"frob_p {i}": lambda a, i=i: K.frob_p(a, i) for i in range(-3, 4)},
+        "sqr": K.sqr,
+        "sqrt": K.sqrt,
+    }
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    for _ in range(2):  # before any map is built, then after
+        for a in (1 << n, (1 << n) + 1, -1):
+            for name, op in ops.items():
+                with pytest.raises(CtxMismatch):
+                    op(a)
+                    pytest.fail(f"{name}({a:#x}) returned")
+            assert not any(K.in_subfield(a, d) for d in divisors), a
+        for op in ops.values():
+            op(1)
+        for d in divisors:
+            K.in_subfield(1, d)
+
+
+def _python_frames(fn, *args):
+    """Names of the Python functions that run in fn(*args), fn first."""
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return names
+
+
+@pytest.mark.parametrize("n,p_log", [(4, 2), (8, 1)])
+def test_warm_scalar_frobenius_runs_in_one_python_frame(n, p_log):
+    # F16:p=4 and F256: each op reads its cached map itself, and the map
+    # is a byte table's lookup, which runs no Python code
+    K, a = FieldCtx(n, None, p_log), 7
+    calls = {"frob": (K.frob, a, 3), "frob_p": (K.frob_p, a, 1), "sqr": (K.sqr, a), "sqrt": (K.sqrt, a)}
+    for name, (fn, *args) in calls.items():
+        fn(*args)  # builds the map
+        assert _python_frames(fn, *args) == [name]
+    K.in_subfield(a, 2)
+    assert _python_frames(K.in_subfield, a, 2) == ["in_subfield", "check_degrees"]
+    assert _python_frames(K.frob_map(1), a) == []
+
+
 F16 = make_field(4)
 SUBFIELD_SITES = {
     "in_subfield": lambda d: F16.in_subfield(1, d),

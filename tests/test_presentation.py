@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from aswcurves.curves import CurveSpec, TwistDatum, build_curve, head_curve, presentation
+from aswcurves.curves import CurveSpec, TwistDatum, build_curve, head_curve, l_polynomial, presentation
 from aswcurves.curves.presentation import (
     parameter_search,
     presentation_conditions,
@@ -22,6 +22,7 @@ from aswcurves.errors import (
 from aswcurves.gf2field import make_field, parse_field_spec
 from aswcurves.skew import SkewPoly
 from aswcurves.symplectic import PairingCtx
+from reference import quotient_curve
 
 F2 = make_field(1)
 F4 = make_field(2)
@@ -282,3 +283,59 @@ class TestResultChecks:
         monkeypatch.setattr(presentation, "build_curve", lambda fd, t: None)
         with pytest.raises(OracleMismatch, match="recovered for .* rebuilds another curve"):
             recover_datum(self.SPEC)
+
+
+# (ambient degree, q_deg, p_log, modulus): p = 4 and p = 8, the moduli
+# 0x19, 0x1f and 0x11d, and ambients wider than F_q
+QUOTIENT_CONTEXTS = [
+    (4, 4, 2, 0x19),
+    (4, 4, 2, 0x1F),
+    (8, 4, 2, 0x11D),
+    (8, 8, 2, 0x11D),
+    (6, 6, 3, None),
+    (12, 6, 3, None),
+    (12, 3, 3, None),
+]
+
+
+def _quotient_draws(n, q_deg, p_log, poly):
+    """Fixed-seed curves with e <= 2: ten with random coefficients, mostly
+    unwitnessed, then curves of random data F with F*(1) = 0 and a
+    rational adjoint kernel, which all are, until three of those."""
+    ctx = make_field(n, poly, p_log)
+    elements = ctx.subfield_elements(q_deg)
+    rng = random.Random(n * 100 + q_deg * 10 + p_log)
+    for k in range(10):
+        coeffs = [rng.choice(elements) for _ in range(1 + k % 2)] + [rng.choice(elements[1:])]
+        yield CurveSpec(ctx, q_deg, tuple(coeffs))
+    built = 0
+    for k in range(200):
+        tail = [rng.choice(elements) for _ in range(k % 2)] + [rng.choice(elements[1:])]
+        b0 = 0  # F*(1) = b0 + sum b_i^(p^-i)
+        for i, b in enumerate(tail, 1):
+            b0 ^= ctx.frob_p(b, -i)
+        if b0:
+            fd = TwistDatum(SkewPoly.from_coeffs(ctx, [b0, *tail]), q_deg)
+            if all(fd.conditions[:3]):
+                yield build_curve(fd, rng.choice(elements))
+                built += 1
+                if built == 3:
+                    return
+    raise AssertionError("fewer than three data with flags 1..3")
+
+
+@pytest.mark.parametrize("n,q_deg,p_log,poly", QUOTIENT_CONTEXTS)
+def test_flags_and_l_polynomial_match_the_quotient_over_f2(n, q_deg, p_log, poly):
+    """C: y^p - y = x*R(x) and its quotient C_1 over F_2 (`quotient_curve`)
+    have the same four flags, and L_C = L_{C_1}^(p - 1): the same roots,
+    each with multiplicity p - 1 against 1."""
+    witnessed = 0
+    for spec in _quotient_draws(n, q_deg, p_log, poly):
+        report, quotient = presentation_conditions(spec), presentation_conditions(quotient_curve(spec))
+        assert report.flags == quotient.flags, spec
+        if report.witnessed:
+            lp, lq = l_polynomial(*report.witness), l_polynomial(*quotient.witness)
+            assert lp.roots == lq.roots, spec
+            assert (lp.multiplicity, lq.multiplicity) == (spec.p - 1, 1), spec
+            witnessed += 1
+    assert witnessed >= 3
