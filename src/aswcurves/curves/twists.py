@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from ..errors import DomainError, KernelNotRational, NoSolution, OracleMismatch
+from ..errors import DomainError, KernelNotRational, OracleMismatch
 from ..gf2field import Element, Fp2Subspace, kernel_basis, span_contains
 from ..witt2 import psi_char, q_char
 from .base import CurveSpec, TwistDatum, build_curve, head_curve, weil_class, weil_gap
@@ -108,10 +108,11 @@ def least_admissible_parameter(space: Fp2Subspace, q_deg: int) -> Element | None
     """Least t in F_q, as a bit pattern, with psi(t*v) = Q(v) on `space`.
 
     On the F_2-basis v_j of the subspace the conditions
-    Tr(t*v_j) = [Q(v_j) = -1] are one additive system; its least
-    solution is checked at every point.  The admissible t are empty or
-    that solution plus the annihilator of `space`, so None means none:
-    Q is non-real on the basis, or the system or the check fails.
+    Tr(t*v_j) = [Q(v_j) = -1] are one additive system, onto because the
+    v_j are F_2-independent in F_q and the trace form is nondegenerate;
+    its least solution is checked at every point.  The admissible t are
+    empty or that solution plus the annihilator of `space`, so None
+    means none: Q is non-real on the basis, or the check fails.
     """
     ctx, basis = space.ctx, space.basis
     values = {v: q_char(ctx, v, q_deg) for v in space.elements() if v}  # i-exponents
@@ -121,11 +122,8 @@ def least_admissible_parameter(space: Fp2Subspace, q_deg: int) -> Element | None
     def traces(x: Element) -> int:
         return sum(ctx.trace(ctx.mul(x, v), q_deg, 1) << j for j, v in enumerate(basis))
 
-    try:
-        target = sum(values[v] // 2 << j for j, v in enumerate(basis))
-        t = ctx.solve_additive(traces, target, q_deg)
-    except NoSolution:
-        return None
+    target = sum(values[v] // 2 << j for j, v in enumerate(basis))
+    t = ctx.solve_additive(traces, target, q_deg)
     if any(psi_char(ctx, ctx.mul(t, v), q_deg) != value for v, value in values.items()):
         return None
     return t
@@ -231,14 +229,14 @@ def image_classification(
     return replace(tc, counting_checked=counted)
 
 
-def _trace_coset(head: CurveSpec, kernel: Fp2Subspace) -> tuple[Element, tuple] | None:
+def _trace_coset(head: CurveSpec, kernel: Fp2Subspace) -> tuple[Element, tuple]:
     """Twists a with Tr_{q/p}(u(R(u) + au)) = 0 on kernel = ker(R + R*).
 
     There u -> Tr_{q/2}(u(R(u) + au)) is additive and u -> cu, c in
     F_p, scales its argument by c^2, so an F_2-basis u_j of the kernel
     gives the whole condition: Tr_{q/2}(u_j^2 * a) = Tr_{q/2}(u_j*R(u_j)).
-    Returns the least solution and a basis of the kernel of this affine
-    system, or None without a solution.
+    The u_j^2 are F_2-independent in F_q, so the system is onto; returns
+    its least solution and a basis of its kernel.
     """
     ctx, s = head.ctx, head.q_deg
     rows = [(ctx.sqr(u), ctx.trace(ctx.mul(u, head.evaluate(u)), s, 1)) for u in kernel.basis]
@@ -246,25 +244,15 @@ def _trace_coset(head: CurveSpec, kernel: Fp2Subspace) -> tuple[Element, tuple] 
     def lhs(a: Element) -> int:
         return sum(ctx.trace(ctx.mul(w, a), s, 1) << j for j, (w, _) in enumerate(rows))
 
-    try:
-        offset = ctx.solve_additive(lhs, sum(r << j for j, (_, r) in enumerate(rows)), s)
-    except NoSolution:
-        return None
+    offset = ctx.solve_additive(lhs, sum(r << j for j, (_, r) in enumerate(rows)), s)
     basis = ctx.subfield_basis(s)
     return offset, kernel_basis([lhs(b) for b in basis], basis)
 
 
 def _check_trace_route(head: CurveSpec, kernel: Fp2Subspace, twists: set[Element]) -> None:
     """The trace route's coset must be the eigenvalue route's extremal twists."""
-    coset = _trace_coset(head, kernel)
-    if coset is None:
-        agree = not twists
-    else:
-        offset, basis = coset
-        agree = len(twists) == 1 << len(basis) and all(
-            span_contains(basis, a ^ offset) for a in twists
-        )
-    if not agree:
+    offset, basis = _trace_coset(head, kernel)
+    if len(twists) != 1 << len(basis) or not all(span_contains(basis, a ^ offset) for a in twists):
         raise OracleMismatch("trace-form extremality disagrees with the eigenvalue route")
 
 

@@ -510,7 +510,8 @@ class FieldCtx:
         time the pair is used.
         """
         self.check_degrees(from_deg, to_deg)
-        if not self.in_subfield(a, from_deg):
+        fmap = from_deg < self.n and (self._frob_maps[from_deg] or self.frob_map(from_deg))
+        if a >> self.n or fmap and fmap(a) != a:  # `in_subfield` without its degree check
             raise DegreeMismatch(f"{a:#x} not in the degree-{from_deg} subfield")
         tmap = self._trace_maps.get((from_deg, to_deg))
         if tmap is None:

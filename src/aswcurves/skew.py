@@ -20,7 +20,6 @@ from .errors import (
     CapExceeded,
     CtxMismatch,
     DegreeMismatch,
-    DomainError,
     NotDivisible,
     NotSelfAdjoint,
     OracleMismatch,
@@ -130,15 +129,7 @@ class SkewPoly:
             out[i] = out.get(i, 0) ^ a
         return SkewPoly(self.ctx, out)
 
-    def __sub__(self, other: "SkewPoly") -> "SkewPoly":
-        return self + other
-
-    def __neg__(self) -> "SkewPoly":
-        return self
-
-    def __mul__(self, other: "SkewPoly | int") -> "SkewPoly":
-        if isinstance(other, int):
-            other = SkewPoly.const(self.ctx, other)
+    def __mul__(self, other: "SkewPoly") -> "SkewPoly":
         self._peer(other)
         ctx = self.ctx
         out: dict[int, Element] = {}
@@ -147,20 +138,6 @@ class SkewPoly:
                 k = i + j
                 out[k] = out.get(k, 0) ^ ctx.mul(a, ctx.frob_p(b, i))
         return SkewPoly(ctx, out)
-
-    def __rmul__(self, other: int) -> "SkewPoly":
-        return SkewPoly.const(self.ctx, other) * self
-
-    def __pow__(self, k: int) -> "SkewPoly":
-        if k < 0:
-            raise DomainError("negative powers are not defined")
-        out, base = SkewPoly.one(self.ctx), self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def adjoint(self) -> "SkewPoly":
         """sum(a_i^(p^-i) * t^-i); an anti-automorphism of the ring."""

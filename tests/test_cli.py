@@ -101,6 +101,17 @@ class TestAnalyze:
         assert data["verdicts"] == dict.fromkeys(data["verdicts"], False)
         assert data["counts"] == {"1": 65537}
 
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_presentation_past_the_ambient_is_a_warning(self, capsys, command):
+        """Over F_{2^17} the quadratic helper extension needs degree 34,
+        past the 32-bit ambient: the report still comes, with a warning."""
+        code, data = run_json(capsys, command, "q=F131072; R=1,0", "--extensions", "1")
+        assert code == 0
+        assert data["counts"] == {"1": 131073}
+        assert data["warnings"] == [
+            "presentation conditions unavailable: the quadratic extension needs degree 34 > 32"
+        ]
+
     def test_malformed_curve_exits_two(self, capsys):
         code, data = run_json(capsys, "analyze", "nonsense")
         assert code == 2
@@ -226,6 +237,17 @@ class TestConstruct:
         assert code == 0
         assert (data["order"], data["tower"]) == (6, 1)
         assert len(data["maximal_twists"]) == 10
+
+    def test_recipe_without_a_parameter_is_no_solution(self, capsys):
+        # Q is real on the basis of span{1, 2, 4}, but no t matches it on the span
+        code, data = run_json(
+            capsys, "construct", "--family", "recipe", "--field", "F16", "--space", "4,2,1"
+        )
+        assert code == 1
+        assert data == {
+            "error": "NoSolution",
+            "detail": "no parameter matches the quadratic character on the subspace",
+        }
 
     def test_missing_family_argument_exits_two(self, capsys):
         code, data = run_json(

@@ -514,7 +514,6 @@ WIDE_DATUM = TwistDatum(SkewPoly.from_coeffs(F16, [1, 1]), 2)  # F_4 inside F_16
             lambda: recover_head(CurveSpec(F4, 2, (1, 1))), DomainError, id="recover_head"
         ),
         pytest.param(lambda: GaussInt(1) ** -1, DomainError, id="GaussInt-pow"),
-        pytest.param(lambda: SkewPoly.one(F4) ** -1, DomainError, id="SkewPoly-pow"),
         pytest.param(lambda: F4.inv(0), ZeroDivisor, id="inv"),
     ],
 )

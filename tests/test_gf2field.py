@@ -358,6 +358,18 @@ def test_warm_scalar_frobenius_runs_in_one_python_frame(n, p_log):
     assert _python_frames(K.frob_map(1), a) == []
 
 
+@pytest.mark.parametrize("n,p_log", [(4, 2), (8, 1)])
+def test_warm_trace_checks_its_degrees_once(n, p_log):
+    # membership reads the cached Frobenius map inline, so only the one
+    # degree check opens a frame besides `trace`
+    K = FieldCtx(n, None, p_log)
+    for a, deg in ((7, n), (1, 2)):
+        K.trace(a, deg, 1)
+        assert _python_frames(K.trace, a, deg, 1) == ["trace", "check_degrees"]
+    with pytest.raises(DegreeMismatch, match="0x2 not in the degree-2 subfield"):
+        K.trace(2, 2, 1)
+
+
 F16 = make_field(4)
 SUBFIELD_SITES = {
     "in_subfield": lambda d: F16.in_subfield(1, d),

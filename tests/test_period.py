@@ -10,6 +10,7 @@ from aswcurves.curves import (
     impossibility_scan,
     period_parity,
 )
+from aswcurves.curves import period
 from aswcurves.curves.period import coefficient_range
 from aswcurves.errors import AmbientTooSmall, BudgetExceeded, CapExceeded, DomainError
 from aswcurves.gf2field import make_field
@@ -56,6 +57,17 @@ class TestPeriodParity:
         assert spec.e_skew().kernel_splitting_degree() == 18
         with pytest.raises(AmbientTooSmall):
             period_parity(spec, cap=18, budget=1 << 10)
+
+    def test_degree_past_the_helper_ambient_is_decided_by_count(self, monkeypatch):
+        """At n = 18 the quadratic helper extension needs degree 36 > 32,
+        so the direct count alone decides, without datum recovery."""
+        spec = CurveSpec(F2, 1, (0,) * 9 + (1,))
+        monkeypatch.setattr(period, "_formula_class", lambda *args: pytest.fail("formula"))
+        found = period_parity(spec, cap=18)
+        assert found == PeriodParity(18, -1)
+        lifted = CurveSpec(make_field(18), 18, spec.coeffs)
+        gap = 2 * lifted.genus * (1 << 9)
+        assert brute_count(lifted, 1) == lifted.q + 1 - found.delta * gap
 
     def test_rejects_coefficients_beyond_the_base_field(self):
         with pytest.raises(ValueError):

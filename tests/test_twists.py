@@ -507,6 +507,19 @@ def least_admissible_by_scan(ctx, space, q_deg):
     return None
 
 
+def recorded_systems(monkeypatch):
+    """Every (ctx, fn, deg) handed to `FieldCtx.solve_additive`."""
+    systems = []
+    solve = FieldCtx.solve_additive
+
+    def recorded(ctx, fn, target, deg):
+        systems.append((ctx, fn, deg))
+        return solve(ctx, fn, target, deg)
+
+    monkeypatch.setattr(FieldCtx, "solve_additive", recorded)
+    return systems
+
+
 # (field, q_deg, head): p = 2, 4, 16, e = 1 and 2, an ambient wider than F_q
 SHIFT_HEADS = [
     ("F16", 4, (0, 1)),
@@ -549,6 +562,15 @@ class TestShiftSolve:
             found.add(want is None)
         assert found == {True, False}
 
+    def test_a_check_failed_at_every_point_is_no_parameter(self, monkeypatch):
+        # Q is real on the basis of span{1, 2, 4}, so the system is solved,
+        # but no solution matches Q at every point of the span
+        space = Fp2Subspace.from_vectors(F16, [1, 2, 4])
+        systems = recorded_systems(monkeypatch)
+        assert least_admissible_parameter(space, 4) is None
+        assert len(systems) == 1
+        assert least_admissible_by_scan(F16, space, 4) is None
+
     @pytest.mark.parametrize(
         "classify",
         [
@@ -579,9 +601,66 @@ class TestShiftSolve:
             classify_twists(head, budget=0)
 
     def test_palindromic_family_checks_the_trace_route(self, monkeypatch):
-        monkeypatch.setattr(twists, "_trace_coset", lambda head, kernel: None)
+        neutral = palindromic_family(F16, 4, (1, 1), budget=0).classification.neutral_twists[0]
+        solve = twists._trace_coset
+        monkeypatch.setattr(
+            twists, "_trace_coset", lambda head, kernel: (neutral, solve(head, kernel)[1])
+        )
         with pytest.raises(OracleMismatch, match="trace-form"):
             palindromic_family(F16, 4, (1, 1), budget=0)
+
+
+# -- the two trace systems are onto: neither solve can raise NoSolution -----
+
+
+def assert_onto(system, k):
+    """Every target in F_2^k has a solution in the subfield."""
+    ctx, fn, deg = system
+    assert {fn(x) for x in ctx.subfield_elements(deg)} == set(range(1 << k))
+
+
+# (field, q_deg): p = 2, 4 and 8, moduli 0x19, 0x11d and 0x211, and
+# ambients wider than F_q
+PREMISE_FIELDS = [
+    ("F16:0x19", 4), ("F16:0x19:p=4", 4), ("F256:0x11d", 8), ("F256:0x11d:p=4", 8),
+    ("F256:0x11d", 4), ("F64:p=8", 6), ("F512:0x211:p=8", 9), ("F512:0x211", 3),
+]
+
+
+@pytest.mark.parametrize("field,q_deg", PREMISE_FIELDS)
+def test_the_trace_systems_are_onto(monkeypatch, field, q_deg):
+    """The shift system Tr(t*v_j) on a subspace of F_q, and the coset
+    system Tr(u_j^2 * a) on ker(R + R*) of a recovered head, reach every
+    target: the v_j and u_j^2 are F_2-independent in F_q."""
+    ctx = parse_field_spec(field)
+    rng = random.Random(27)
+    systems = recorded_systems(monkeypatch)
+    elements = ctx.subfield_elements(q_deg)
+    spaces = [
+        Fp2Subspace.from_vectors(ctx, rng.sample(elements, rng.randint(1, 3)))
+        for _ in range(12)
+    ]
+    solved = kernels = 0
+    for e in (1, 2):
+        for head in grid_heads(rng, ctx, q_deg, e):
+            try:
+                fd = recover_head(head)
+            except KernelNotRational:
+                continue
+            spaces.append(fd.adjoint_kernel)
+            systems.clear()
+            twists._trace_coset(head, fd.composite_kernel)
+            (system,) = systems
+            assert_onto(system, fd.composite_kernel.dim2)
+            kernels += 1
+    for space in spaces:
+        systems.clear()
+        least_admissible_parameter(space, q_deg)
+        if systems:
+            (system,) = systems
+            assert_onto(system, space.dim2)
+            solved += 1
+    assert solved and (kernels or q_deg % 2)
 
 
 class TestChecksSurvivePythonO:
