@@ -193,18 +193,19 @@ class TwistDatum:
         self.q_deg = q_deg
         self._adjoint = adjoint = F.adjoint()
         self._composite = composite = adjoint * F
-        self.separable = bool(F) and F.val == 0 and F.degree >= 1
-        self.adjoint_kills_one = bool(F) and adjoint(1) == 0
-        if F:
+        nonzero = bool(F)
+        self.separable = nonzero and F.val == 0 and F.degree >= 1
+        self.adjoint_kills_one = nonzero and adjoint(1) == 0
+        if nonzero:
             self.adjoint_splitting = adjoint.kernel_splitting_degree()
             self.composite_splitting = composite.kernel_splitting_degree()
         else:
             self.adjoint_splitting = self.composite_splitting = 0
         self.adjoint_kernel_rational = (
-            bool(F) and q_deg % self.adjoint_splitting == 0
+            nonzero and q_deg % self.adjoint_splitting == 0
         )
         self.composite_kernel_rational = (
-            bool(F) and q_deg % self.composite_splitting == 0
+            nonzero and q_deg % self.composite_splitting == 0
         )
         if self.adjoint_kernel_rational:
             self.adjoint_kernel = adjoint.kernel()

@@ -257,10 +257,16 @@ class SkewPoly:
         No extension context is built.
 
         The remainder r_d of t^d is kept as its k coefficients and
-        stepped by one left multiplication by t: t*r_d has top
-        coefficient c = r[k-1]^2 at t^k, and taking off c*g leaves
+        stepped by one left multiplication by t: t*r_d shifts them up
+        one place and squares them, leaving the carry c = r[k-1]^2 at
+        t^k, and taking off c*g leaves
         r_{d+1} = [c*g_0] + [r[i-1]^2 + c*g_i for i = 1..k-1].  Only
-        left multiples keep the class: t^d = h*g + r_d gives
+        the live terms are computed: the shift squares the nonzero
+        coefficients alone, and c*g_i is added only when c != 0 and
+        only at the taps i with g_i != 0, so no product has a zero
+        factor (a rebased p = 4 polynomial has no odd taps at all).
+
+        Only left multiples keep the class: t^d = h*g + r_d gives
         t^(d+1) = (t*h)*g + t*r_d.  Square-and-multiply on remainders
         is wrong in this ring: t^(2d) = t^d*r_d + (t^d*h)*g, and
         r_d*r_d differs from t^d*r_d by h*g*r_d, in general no left
@@ -272,12 +278,16 @@ class SkewPoly:
             return 1
         ctx = g.ctx
         sqr, mul = ctx.frob_map(1), ctx.mul
-        g0, tail = g[0], [g[i] for i in range(1, k)]
+        taps = [(i, a) for i, a in g.coeffs.items() if i < k]
         one = [1] + [0] * (k - 1)
         r = one
         for d in range(1, cap + 1):
-            c = sqr(r[-1])
-            r = [mul(c, g0)] + [sqr(x) ^ mul(c, a) for x, a in zip(r, tail)]
+            c = r[-1]
+            r = [0] + [sqr(x) if x else 0 for x in r[:-1]]
+            if c:
+                c = sqr(c)
+                for i, a in taps:
+                    r[i] ^= mul(c, a)
             if r == one:
                 return d
         raise CapExceeded(f"kernel splitting degree exceeds {cap}")

@@ -153,6 +153,26 @@ class TestTwistDatum:
         with pytest.raises(ConditionViolated):
             fd.head_coefficients()
 
+    def test_zero_polynomial_has_no_flag(self):
+        fd = TwistDatum(SkewPoly.zero(F16), 4)
+        assert fd.conditions == (False, False, False, False)
+        assert fd.adjoint_splitting == fd.composite_splitting == 0
+        assert fd.adjoint_kernel is fd.kernel is fd.composite_kernel is None
+        with pytest.raises(ConditionViolated):
+            fd.require(1)
+
+    @pytest.mark.parametrize("ctx", [F16, make_field(4, None, 2)], ids=["F16", "F16:p=4"])
+    def test_positive_valuation_is_not_separable(self, ctx):
+        # F = t^2 + t = t*(t + 1): F*(1) = 0, and ker F*, ker F*F lie in F_16
+        fd = TwistDatum(SkewPoly(ctx, {2: 1, 1: 1}), 4)
+        assert fd.conditions == (False, True, True, True)
+        # in 2-Frobenius degrees: ker F* = F_p, ker F*F = F_{p^2}
+        assert (fd.adjoint_splitting, fd.composite_splitting) == (ctx.p_log, 2 * ctx.p_log)
+        assert fd.adjoint_kernel.dim_p == 1 and fd.composite_kernel.dim_p == 2
+        assert fd.kernel is None
+        with pytest.raises(ConditionViolated):
+            fd.require(1)
+
     def test_offset_and_twist_coefficient(self):
         fd = datum_tau_plus_one()
         # offset = sum over i < j of b_i^(p^-i) b_j^(p^-j) = 1 * 1 = 1

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from aswcurves.errors import (
@@ -115,6 +115,11 @@ def test_right_divide_reconstructs():
         (SkewPoly.one(K)).right_divide(SkewPoly.zero(K))
 
 
+def test_zero_right_divided_is_zero():
+    g = SkewPoly(F16, {2: 3, -1: 1})
+    assert SkewPoly.zero(F16).right_divide(g) == SkewPoly.zero(F16)
+
+
 def test_right_divide_failure():
     # t^2 + t + 1 over F_2 has kernel of size 4 not containing F_2
     f = SkewPoly(F2, {2: 1, 1: 1, 0: 1})
@@ -204,32 +209,80 @@ KSD_CONTEXTS += (make_field(6, None, 3),)
 
 @st.composite
 def laurent_polys(draw):
-    """Non-monic Laurent polynomials with 2-Frobenius degree <= 4 after
-    normalizing, so every splitting degree stays below 64."""
+    """Non-monic Laurent polynomials with splitting degree below 64.
+
+    Half are binomials a*t^m + b*t^(m+s), whose rebased remainder runs
+    through up to s*p_log - 1 zero carries in a row: 2-Frobenius degree
+    <= 7 over F16 (<= 4 over F64, where t^6 + c splits only in degree
+    378).  The rest have 2-Frobenius degree <= 4 and each interior
+    coefficient zero half the time.  Rebasing p = 4 or 8 leaves every
+    tap off the multiples of p_log zero."""
     ctx = draw(st.sampled_from(KSD_CONTEXTS))
-    span = draw(st.integers(0, 4 // ctx.p_log))
+    binomial = draw(st.booleans())
+    top = 7 if binomial and ctx.n == 4 else 4
+    span = draw(st.integers(0, top // ctx.p_log))
     lo = draw(st.integers(-2, 2))
     unit = st.integers(1, ctx.order - 1)
     coeffs = {lo: draw(unit), lo + span: draw(unit)}
     for i in range(lo + 1, lo + span):
-        coeffs[i] = draw(st.integers(0, ctx.order - 1))
+        coeffs[i] = 0 if binomial or draw(st.booleans()) else draw(unit)
     return SkewPoly(ctx, coeffs)
 
 
+# the fixed inputs (n, p_log, coefficients) of the splitting-degree
+# micro timing in bench/micro.py
+KSD_FIXED = (
+    (4, 2, (1, 2, 3)),
+    (4, 2, (5, 0, 7)),
+    (4, 2, (9, 4, 1)),
+    (4, 1, (3, 1, 6)),
+    (4, 1, (7, 11)),
+    (8, 1, (0x53, 0xCA)),
+    (8, 2, (0x1B, 0x02, 0x8D)),
+)
+
+
+def forbid_zero_products(monkeypatch):
+    """Make every FieldCtx.mul with a zero operand fail the test."""
+    mul = FieldCtx.mul
+
+    def nonzero_mul(self, a, b):
+        if not a or not b:
+            pytest.fail(f"product with a zero factor: {a:#x} * {b:#x}")
+        return mul(self, a, b)
+
+    monkeypatch.setattr(FieldCtx, "mul", nonzero_mul)
+
+
 @seed(20261018)
-@settings(max_examples=60, deadline=None, database=None)
+@settings(max_examples=120, deadline=None, database=None)
 @given(laurent_polys())
+# over F16:p=4 both rebase to 2-Frobenius degree 6, five zero carries in a row
+@example(SkewPoly(KSD_CONTEXTS[3], {3: 1, 0: 1}))
+@example(SkewPoly(KSD_CONTEXTS[1], {1: 5, -2: 1}))
 def test_kernel_splitting_degree_against_reference_and_definition(f):
-    D = f.kernel_splitting_degree()
+    with pytest.MonkeyPatch.context() as mp:
+        forbid_zero_products(mp)
+        D = f.kernel_splitting_degree()
+        assert f.kernel_splitting_degree(cap=D) == D
+        with pytest.raises(CapExceeded):
+            f.kernel_splitting_degree(cap=D - 1)
     assert D == ring_recurrence_degree(f, 4096)
     # the definition: g right-divides t^D + 1 and no t^d + 1 with d < D
     _, _, g = f.rebase().normalize()
     ctx = g.ctx
     assert right_divides(g, SkewPoly(ctx, {D: 1, 0: 1}))
     assert not any(right_divides(g, SkewPoly(ctx, {d: 1, 0: 1})) for d in range(1, D))
-    assert f.kernel_splitting_degree(cap=D) == D
-    with pytest.raises(CapExceeded):
-        f.kernel_splitting_degree(cap=D - 1)
+
+
+@pytest.mark.parametrize("n, p_log, coeffs", KSD_FIXED)
+def test_kernel_splitting_degree_of_fixed_inputs_never_multiplies_by_zero(
+    monkeypatch, n, p_log, coeffs
+):
+    f = SkewPoly.from_coeffs(make_field(n, None, p_log), coeffs)
+    D = ring_recurrence_degree(f, 4096)
+    forbid_zero_products(monkeypatch)
+    assert f.kernel_splitting_degree() == D
 
 
 @pytest.mark.parametrize("coeffs", [{3: 1}, {1: 1, 0: 1}], ids=["t^3", "t+1"])
