@@ -1,12 +1,12 @@
-"""Vectorized field arithmetic on numpy arrays of bit patterns.
+"""Field arithmetic over whole ranges of bit patterns, vectorized on
+numpy arrays or bit-sliced into Python ints.
 
 The one module that enumerates a universe: the direct count and the
 character table evaluate their forms at every x of a range [lo, hi) of
 bit patterns (LSB convention of gf2field) with `apply_linear`,
-`quadratic_parity` and `linear_parity`, and the direct count's repeats
-hold a whole universe as bitsets from `pack_bits` and `bit_columns`;
-each is checked bit for bit against per-element references in the
-tests.
+`quadratic_parity` and `linear_parity`, or hold a whole universe
+[0, 2^n) as bitsets from `quadratic_bits` and `bit_columns`; each is
+checked bit for bit against per-element references in the tests.
 
 An F_2-linear map is applied byte by byte: the image of x is the XOR,
 over the bytes of x, of a 256-entry table lookup, each table holding
@@ -21,11 +21,13 @@ t0[0] XORs the other tables at the bytes of high: one lookup per row,
 then one broadcast XOR per x.  With l XORed into every entry of t0 the
 rows give the affine x -> U x XOR l, a twist's form in the direct count.
 
-A form evaluated over a whole universe [0, 2^n) can also be kept as
-one Python int, bit x holding its value at x (`pack_bits`).  Beside
-it, the n columns of the universe (`bit_columns`: bit x of column k is
-bit k of x) give every linear form bit-parallel: parity(x & l) at
-every x is the XOR of the columns at the set bits of l.
+A form over a whole universe [0, 2^n) can also be kept as one Python
+int, bit x holding its value at x.  Beside it, the n columns of the
+universe (`bit_columns`: bit x of column k is bit k of x) give every
+linear form bit-parallel: parity(x & l) at every x is the XOR of the
+columns at the set bits of l.  `quadratic_bits` builds a quadratic
+form's int by doubling, from the form's values on [0, 2^k) and one
+such linear form, with no value computed element by element.
 """
 
 from __future__ import annotations
@@ -87,11 +89,6 @@ def linear_parity(mask: int, lo: int, hi: int) -> np.ndarray:
     return np.bitwise_count(masked) & np.uint8(1)
 
 
-def pack_bits(bits: np.ndarray) -> int:
-    """The uint8 array of 0s and 1s `bits` as one int: bit x is bits[x]."""
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
 def bit_columns(n: int) -> tuple[int, ...]:
     """The n columns of the universe [0, 2^n) as ints: bit x of column k
     is bit k of x.  By doubling: the columns of [0, 2^(k+1)) are those of
@@ -103,6 +100,39 @@ def bit_columns(n: int) -> tuple[int, ...]:
         columns = [c | c << width for c in columns]
         columns.append(((1 << width) - 1) << width)
     return tuple(columns)
+
+
+def quadratic_bits(images: Sequence[int], columns: Sequence[int]) -> int:
+    """parity(x & U x) for every x in [0, 2^n) as one int, bit x the
+    parity at x, U given by its images u_k = U e_k and the universe by
+    its n columns (`bit_columns(n)`).
+
+    By the polar identity of x^T U x, for y < 2^k
+
+        Q(y + e_k) = Q(y) XOR parity(y & v_k) XOR U_kk,
+
+    v_k the bits below k of u_k XOR row k of U (bit j of row k is bit
+    k of u_j).  So the bits of Q over [2^k, 2^(k+1)) are its bits over
+    [0, 2^k) XOR the linear form v_k there, complemented when U_kk = 1:
+    each step touches only the 2^k bits built so far, and the linear
+    form is the XOR of the columns at the set bits of v_k, cut to their
+    low 2^k bits.
+    """
+    bits = 0
+    for k in range(len(columns)):
+        width = 1 << k
+        low = (1 << width) - 1
+        u = v = images[k]
+        for j in range(k):  # row k of U
+            v ^= (images[j] >> k & 1) << j
+        v &= width - 1
+        form = low if u >> k & 1 else 0
+        while v:
+            bit = v & -v
+            form ^= columns[bit.bit_length() - 1] & low
+            v ^= bit
+        bits |= (bits ^ form) << width
+    return bits
 
 
 def field_mul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:

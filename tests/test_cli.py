@@ -9,8 +9,11 @@ import sys
 
 import pytest
 
+from aswcurves import cli
 from aswcurves.cli import main
-from aswcurves.curves import count
+from aswcurves.curves import CurveSpec, brute_count, count, zeta_report
+from aswcurves.curves.base import weil_class
+from aswcurves.gf2field import parse_field_spec
 from aswcurves.witt2 import GaussInt
 
 
@@ -410,6 +413,16 @@ class TestSearch:
             "--predicate", "extremal", "--threads", "4",
         )
         assert single == threaded
+
+    def test_cross_check_of_a_curve_past_the_helper_ambient_returns(self):
+        """The first extremal tuple of `search --field F262144` is
+        y^2 + y = x^3, whose quadratic extension needs 36 bits: it has no
+        presentation to replay, so the cross-check returns without one."""
+        spec = CurveSpec(parse_field_spec("F262144"), 18, (0, 1))
+        counted = brute_count(spec)
+        assert weil_class(spec, 1, counted) == "maximal"
+        assert zeta_report(spec, []).presentation is None
+        assert cli._formula_cross_check(spec, counted) is None
 
 
 class TestHdCheck:

@@ -98,13 +98,13 @@ def test_import_detector_sees_relative_and_absolute_forms():
 
 
 # Whole-universe enumeration stays behind the one range kernel: under
-# src/, only bitvec.py builds a numpy range or packs a numpy bit array.
+# src/, only bitvec.py builds a numpy range.
 UNIVERSE_HOME = "aswcurves/bitvec.py"
-UNIVERSE_CALLS = ("arange", "packbits")
+UNIVERSE_CALLS = ("arange",)
 
 
 def numpy_universe_calls(source: str, names: tuple[str, ...] = UNIVERSE_CALLS) -> list[int]:
-    """Line of every numpy `arange` or `packbits` (or other `names`): the
+    """Line of every numpy `arange` (or other `names`): the
     attribute of a name that an import binds to numpy, or the name
     imported from numpy."""
     tree = ast.parse(source)
@@ -157,7 +157,7 @@ def test_arange_detector_flags_numpy_ranges_not_prose():
         "bits = np.packbits(xs, bitorder='little')\n"
         "words = np.unpackbits(bits)\n"
     )
-    assert numpy_universe_calls(source) == [4, 5, 6, 10, 11, 12]
+    assert numpy_universe_calls(source) == [4, 5, 6, 10]
     assert numpy_universe_calls(source, ("packbits",)) == [11, 12]
 
 

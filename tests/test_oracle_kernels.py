@@ -277,7 +277,8 @@ def test_multi_form_counts_match_the_quotient_over_f2(n, q_deg, p_log, poly):
 
 
 # (ambient degree, q_deg, p_log, modulus, m, chunk, threads) of the
-# first-count kernel, which splits each x into high bytes | low byte:
+# fused first-count kernel (run here below its least universe, 2^16 + 1),
+# which splits each x into high bytes | low byte:
 # universes of 2^1..2^7 elements, below one 256-entry low byte; chunks of
 # 2^8 (None: the module's) over 2^10 and 2^12 universes; p = 4 and p = 8,
 # where each count has several forms; ambients wider than F_q; and two
@@ -301,6 +302,7 @@ def test_first_count_kernel_matches_products(
 ):
     """Each spec with a0 = 0 and with a0 != 0, whose l_w sits in entry 0
     of table 0; every count is the first of its head."""
+    monkeypatch.setattr(count, "_SMALL", 0)
     if chunk is not None:
         monkeypatch.setattr(count, "_CHUNK", chunk)
     rng = random.Random(n * 31 + q_deg * 7 + m)
@@ -350,13 +352,25 @@ def _stored_parities(spec, m, to_deg):
     return _head_entry(spec, m, to_deg).parities
 
 
+def fused_count(spec, m, to_deg):
+    """spec's count over F_{q^m} to degree to_deg by the fused pass of a
+    first count, whatever the size of its universe."""
+    count._head_tables.cache_clear()
+    small, count._SMALL = count._SMALL, 0
+    try:
+        return trace_zero_count(spec, m, to_deg)
+    finally:
+        count._SMALL = small
+        count._head_tables.cache_clear()
+
+
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("n,q_deg,p_log,poly", REPEAT_CONTEXTS)
 def test_repeated_twist_counts_match_the_fused_pass(n, q_deg, p_log, poly, m):
     """Every twist of two heads, counted in field order, reversed and
-    with the heads interleaved, so that all but the first count of a
-    head read its stored parities: each count equals the fused pass of
-    a first count and the product reference."""
+    with the heads interleaved, so that every count reads the head's
+    stored parities: each equals the fused pass and the product
+    reference."""
     (head_a, head_b), _ = _two_heads(n, q_deg, p_log, poly)
     heads = {"A": head_a, "B": head_b}
     field = make_field(n, poly, p_log).subfield_elements(q_deg)
@@ -371,10 +385,8 @@ def test_repeated_twist_counts_match_the_fused_pass(n, q_deg, p_log, poly, m):
     for to_deg in to_degs:
         fused = {}
         for which, a in products:
-            count._head_tables.cache_clear()  # a first count: the fused pass
-            fused[which, a] = trace_zero_count(heads[which].with_a0(a), m, to_deg)
+            fused[which, a] = fused_count(heads[which].with_a0(a), m, to_deg)
             assert fused[which, a] == products[which, a][to_deg], (which, a, to_deg)
-        count._head_tables.cache_clear()
         for which, a in runs:
             got = trace_zero_count(heads[which].with_a0(a), m, to_deg)
             assert got == fused[which, a], (which, a, to_deg)
@@ -388,18 +400,81 @@ def test_bit_columns_match_a_bit_loop(n):
     assert list(bitvec.bit_columns(n)) == expected
 
 
-@pytest.mark.parametrize("size", [1, 2, 7, 8, 9, 256, 1000])
-def test_pack_bits_puts_element_x_at_bit_x(size):
-    bits = np.random.default_rng(size).integers(0, 2, size, dtype=np.uint8)
-    assert bitvec.pack_bits(bits) == sum(int(b) << x for x, b in enumerate(bits))
+def quadratic_bits_by_bitloop(images, n):
+    """parity(x & U x) at each x of [0, 2^n), one element at a time."""
+    bits = 0
+    for x in range(1 << n):
+        ux = 0
+        for j in range(n):
+            if x >> j & 1:
+                ux ^= images[j]
+        bits |= ((x & ux).bit_count() & 1) << x
+    return bits
 
 
-# (ambient degree, q_deg, p_log, modulus, m) of the bit-sliced repeats:
-# universes of 2^1..2^12 and 2^16 elements, p = 4 and p = 8, the moduli
-# 0x19, 0x211 and 0x1053, ambients wider than F_q, and m = 2 through
-# `over`, in the curve's context or carried to the default one
+@pytest.mark.parametrize("n", range(13))
+def test_quadratic_bits_match_a_bit_loop(n):
+    """A random U, not symmetric, with diagonal bits both set and clear
+    and images wider than the universe (bits at or past n are ignored)."""
+    rng = random.Random(300 + n)
+    images = [rng.getrandbits(n + 3) for _ in range(n)]
+    for k in range(n):  # diagonal U_kk = 1 at even k, 0 at odd k
+        images[k] = images[k] & ~(1 << k) | (1 - k % 2) << k
+    if n >= 2:  # U_10 = 1 != U_01 = 0
+        images[0] |= 2
+        images[1] &= ~1
+    got = bitvec.quadratic_bits(images, bitvec.bit_columns(n))
+    assert got == quadratic_bits_by_bitloop(images, n)
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} reached by a count")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a numpy kernel reached by a count")
+
+
+# (ambient degree, q_deg, p_log, m) of the numpy-free counts: universes of
+# 2^1, 2^8 and 2^16 elements, p = 4 and p = 8, m = 2 and an ambient
+# wider than F_q
+NUMPY_FREE_CASES = [(1, 1, 1, 1), (8, 8, 1, 1), (16, 16, 1, 1), (8, 8, 2, 2), (6, 6, 3, 2), (12, 4, 2, 2)]
+
+
+def test_counts_over_at_most_2_16_elements_make_no_numpy_call(monkeypatch):
+    """With the byte tables, the range kernel and the count's numpy
+    patched to raise, first and repeated counts of universes up to 2^16
+    elements, to F_p and through `psi_sum`, still equal the fused pass;
+    a first count over 2^17 elements reaches the patches."""
+    runs = []
+    for n, q_deg, p_log, m in NUMPY_FREE_CASES:
+        ctx = make_field(n, None, p_log)
+        head = CurveSpec(ctx, q_deg, (0, 1, ctx.subfield_elements(q_deg)[-1]))
+        for a in ctx.subfield_elements(q_deg)[:3]:
+            spec = head.with_a0(a)
+            runs.append((spec, m, fused_count(spec, m, p_log), fused_count(spec, m, 1)))
+    monkeypatch.setattr(count, "byte_tables", _refuse)
+    monkeypatch.setattr(count, "quadratic_parity", _refuse)
+    monkeypatch.setattr(bitvec, "quadratic_parity", _refuse)
+    monkeypatch.setattr(count, "np", _NoNumpy())
+    count._head_tables.cache_clear()
+    try:
+        for spec, m, zeros, zeros_f2 in runs:
+            assert trace_zero_count(spec, m) == zeros, (spec, m)
+            assert psi_sum(spec, m) == 2 * zeros_f2 - (1 << (spec.q_deg * m)), (spec, m)
+        with pytest.raises(AssertionError, match="numpy kernel"):
+            trace_zero_count(CurveSpec(make_field(17), 17, (0, 0, 1)), budget=1 << 17)
+    finally:
+        count._head_tables.cache_clear()  # no entry built under the patches outlives the test
+
+
+# (ambient degree, q_deg, p_log, modulus, m) of the bit-sliced counts:
+# universes of 2^1..2^16 elements, p = 4 and p = 8, the moduli 0x19,
+# 0x211 and 0x1053, ambients wider than F_q, and m = 2 through `over`,
+# in the curve's context or carried to the default one
 BITSLICE_CASES = [
-    *[(d, d, 1, None, 1) for d in (*range(1, 13), 16)],
+    *[(d, d, 1, None, 1) for d in range(1, 17)],
     (4, 4, 1, 0x19, 1),
     (9, 9, 1, 0x211, 1),
     (12, 6, 1, 0x1053, 2),
@@ -415,23 +490,22 @@ BITSLICE_CASES = [
 
 @pytest.mark.parametrize("n,q_deg,p_log,poly,m", BITSLICE_CASES)
 def test_bit_sliced_repeats_equal_the_fused_pass(n, q_deg, p_log, poly, m):
-    """Up to 16 twists of one head, each counted first with the cache
-    cleared (the fused pass), then all in a row, so that all but the
-    first count read the head's bitsets; with to_deg = 1 the row runs
-    through `psi_sum`.  No stored bitset has a bit at or past the
-    universe."""
+    """Up to 16 twists of one head, each counted by the fused pass and
+    the first against the product reference, then all in a row with the
+    cache cleared, so that the first count builds the head's bitsets and
+    the rest read them; with to_deg = 1 the row runs through `psi_sum`.
+    No stored bitset has a bit at or past the universe."""
     ctx = make_field(n, poly, p_log)
     elements = ctx.subfield_elements(q_deg)
     rng = random.Random(n * 10 + q_deg + p_log * 100 + m)
     head = CurveSpec(ctx, q_deg, (0, rng.choice(elements), rng.choice(elements[1:])))
     twists = elements if len(elements) <= 16 else [0, *rng.sample(elements[1:], 15)]
     size = 1 << (q_deg * m)
-    for to_deg in sorted({1, p_log}):
-        fused = {}
-        for a in twists:
-            count._head_tables.cache_clear()
-            fused[a] = trace_zero_count(head.with_a0(a), m, to_deg)
-        count._head_tables.cache_clear()
+    to_degs = sorted({1, p_log})
+    products = trace_zeros_by_products(head.with_a0(twists[-1]), m, to_degs)
+    for to_deg in to_degs:
+        fused = {a: fused_count(head.with_a0(a), m, to_deg) for a in twists}
+        assert fused[twists[-1]] == products[to_deg]
         for a in twists:
             if to_deg == 1:
                 assert psi_sum(head.with_a0(a), m) == 2 * fused[a] - size, (a, to_deg)
@@ -440,22 +514,25 @@ def test_bit_sliced_repeats_equal_the_fused_pass(n, q_deg, p_log, poly, m):
         entry = _head_entry(head, m, to_deg)
         assert len(entry.parities) == to_deg and len(entry.columns) == q_deg * m
         assert all(0 <= b < 1 << size for b in entry.parities + entry.columns)
+        assert entry.tables == ()  # no fused pass ran
 
 
 def test_bitsets_are_stored_up_to_one_chunk(monkeypatch):
-    """A universe of exactly one chunk stores the bitsets at its second
-    count, one of two chunks counts every twist by the fused pass."""
-    monkeypatch.setattr(count, "_CHUNK", 1 << 8)
-    for n, stored in ((8, True), (9, False)):
+    """With a small universe of 2^8 and a chunk of 2^9: a universe of at
+    most 2^8 elements stores its bitsets at its first count, one of a
+    chunk at its second, after one fused pass, and one of two chunks
+    counts every twist by the fused pass."""
+    monkeypatch.setattr(count, "_SMALL", 1 << 8)
+    monkeypatch.setattr(count, "_CHUNK", 1 << 9)
+    for n, stored in ((8, (True, True)), (9, (False, True)), (10, (False, False))):
         head = CurveSpec(make_field(n), n, (0, 0, 1))
-        fused = []
-        for a in (1, 2):
-            count._head_tables.cache_clear()
-            fused.append(trace_zero_count(head.with_a0(a)))
-        count._head_tables.cache_clear()
-        assert [trace_zero_count(head.with_a0(a)) for a in (1, 2)] == fused
-        entry = _head_entry(head, 1, 1)
-        assert entry.counted and (entry.parities is not None) == stored, n
+        fused = [fused_count(head.with_a0(a), 1, 1) for a in (1, 2)]
+        got = []
+        for i, a in enumerate((1, 2)):
+            got.append(trace_zero_count(head.with_a0(a)))
+            assert (_stored_parities(head, 1, 1) is not None) == stored[i], (n, a)
+        assert got == fused
+        assert bool(_head_entry(head, 1, 1).tables) == (n > 8), n  # a fused pass ran
     count._head_tables.cache_clear()  # no entry of the small chunk outlives the test
 
 

@@ -12,7 +12,14 @@ from aswcurves.curves import (
 )
 from aswcurves.curves import period
 from aswcurves.curves.period import coefficient_range
-from aswcurves.errors import AmbientTooSmall, BudgetExceeded, CapExceeded, DomainError
+from aswcurves.errors import (
+    AmbientTooSmall,
+    BudgetExceeded,
+    CapExceeded,
+    DomainError,
+    NoTwistParameter,
+    OracleMismatch,
+)
 from aswcurves.gf2field import make_field
 
 F2 = make_field(1)
@@ -72,6 +79,24 @@ class TestPeriodParity:
     def test_rejects_coefficients_beyond_the_base_field(self):
         with pytest.raises(ValueError):
             period_parity(CurveSpec(F4, 2, (0, 1)), cap=4)
+
+    @pytest.mark.parametrize("coeffs,attains", [((3, 5, 9), False), ((0, 1), True)])
+    def test_a_failed_parameter_search_is_refuted_by_count(self, monkeypatch, coeffs, attains):
+        """Without a twist parameter the class is None once a direct
+        count shows the curve off the bound (y^2 + y = x*R(x) over F16,
+        R = 3x + 5x^2 + 9x^4 is neutral); a count on the bound (R = x^2
+        is minimal) contradicts the failed search."""
+
+        def no_parameter(spec):
+            raise NoTwistParameter("patched: no twist parameter")
+
+        monkeypatch.setattr(period, "recover_datum", no_parameter)
+        spec = CurveSpec(make_field(4), 4, coeffs)
+        if attains:
+            with pytest.raises(OracleMismatch, match="without a twist presentation"):
+                period._formula_class(spec, 1 << 10)
+        else:
+            assert period._formula_class(spec, 1 << 10) is None
 
 
 class TestForbiddenPairs:

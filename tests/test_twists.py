@@ -144,8 +144,9 @@ class TestClassifyLargeField:
 
 
 class TestRepeatedCounts:
-    """From the second count of a head on, a twist reads the head's stored
-    parities when its universe fits one chunk."""
+    """A twist reads the head's stored parities from the first count of a
+    head when its universe is small, and from the second count on when
+    it fits one chunk."""
 
     @pytest.fixture(autouse=True)
     def fresh_head_tables(self):
@@ -158,34 +159,41 @@ class TestRepeatedCounts:
         return count._head_tables(head.ctx, head.q_deg, head.coeffs[1:], head.ctx.p_log)
 
     @pytest.mark.parametrize("field", ["F16", "F16:0x19", "F16:p=4", "F64:p=8", "F256:p=4"])
-    def test_classification_counts_equal_the_fused_pass(self, field):
+    def test_classification_counts_equal_the_fused_pass(self, monkeypatch, field):
         ctx = parse_field_spec(field)
         head = CurveSpec(ctx, ctx.n, (0, 1))
         fused = {}
-        for a in ctx.subfield_elements(ctx.n):
-            count._head_tables.cache_clear()  # a first count: the fused pass
-            fused[a] = brute_count(head.with_a0(a))
+        with monkeypatch.context() as patch:
+            patch.setattr(count, "_SMALL", 0)  # every first count by the fused pass
+            for a in ctx.subfield_elements(ctx.n):
+                count._head_tables.cache_clear()
+                fused[a] = brute_count(head.with_a0(a))
         count._head_tables.cache_clear()
         tc = classify_twists(head)  # checks each count against twist_count
         assert {a: tc.twist_count(a) for a in fused} == fused
-        assert self.head_entry(head).parities is not None
+        entry = self.head_entry(head)
+        assert entry.parities is not None and entry.tables == ()
 
     def test_a_multi_chunk_universe_stores_no_parities(self, monkeypatch):
+        """With a small universe and a chunk of 2^8, a head of 2^8
+        elements is bit-sliced from its first count and one of 2^10
+        elements counts every twist by the fused pass."""
+        monkeypatch.setattr(count, "_SMALL", 1 << 8)
         monkeypatch.setattr(count, "_CHUNK", 1 << 8)
         one_chunk = CurveSpec(make_field(8), 8, (0, 0, 1))
         several = CurveSpec(make_field(10), 10, (0, 1))
         for head in (one_chunk, several):
             assert classify_twists(head).counting_checked
-        assert self.head_entry(one_chunk).parities is not None
+        entry = self.head_entry(one_chunk)
+        assert entry.parities is not None and entry.tables == ()
         entry = self.head_entry(several)
-        assert entry.counted and entry.parities is None
+        assert entry.tables and entry.parities is None
 
     @pytest.mark.parametrize("field,flip", [("F16", "one"), ("F16:0x19", "one"), ("F256:p=4", "all")])
     def test_a_corrupted_parity_stops_the_counting_route(self, field, flip):
         ctx = parse_field_spec(field)
         head = CurveSpec(ctx, ctx.n, (0, 1))
-        for _ in range(2):  # the fused pass, then the count that stores parities
-            brute_count(head)
+        brute_count(head)  # a small universe: the first count stores parities
         entry = self.head_entry(head)
         first = entry.parities[0] ^ (2 if flip == "one" else (1 << head.q) - 1)
         entry.parities = (first, *entry.parities[1:])
