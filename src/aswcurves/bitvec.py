@@ -1,12 +1,13 @@
 """Field arithmetic over whole ranges of bit patterns, vectorized on
 numpy arrays or bit-sliced into Python ints.
 
-The one module that enumerates a universe: the direct count and the
-character table evaluate their forms at every x of a range [lo, hi) of
-bit patterns (LSB convention of gf2field) with `apply_linear`,
-`quadratic_parity` and `linear_parity`, or hold a whole universe
-[0, 2^n) as bitsets from `quadratic_bits` and `bit_columns`; each is
-checked bit for bit against per-element references in the tests.
+The one module that enumerates a universe, and the only one that
+imports numpy: the direct count (`fused_count`) and the character
+table (`two_form_table`) evaluate their forms at every x of a range
+[lo, hi) of bit patterns (LSB convention of gf2field) with
+`apply_linear`, `quadratic_parity` and `linear_parity`, or hold a whole
+universe [0, 2^n) as bitsets from `quadratic_bits` and `bit_columns`;
+each is checked bit for bit against per-element references in the tests.
 
 An F_2-linear map is applied byte by byte: the image of x is the XOR,
 over the bytes of x, of a 256-entry table lookup, each table holding
@@ -22,16 +23,16 @@ then one broadcast XOR per x.  With l XORed into every entry of t0 the
 rows give the affine x -> U x XOR l, a twist's form in the direct count.
 
 A form over a whole universe [0, 2^n) can also be kept as one Python
-int, bit x holding its value at x.  Beside it, the n columns of the
-universe (`bit_columns`: bit x of column k is bit k of x) give every
-linear form bit-parallel: parity(x & l) at every x is the XOR of the
-columns at the set bits of l.  `quadratic_bits` builds a quadratic
-form's int by doubling, from the form's values on [0, 2^k) and one
-such linear form, with no value computed element by element.
+int, bit x holding its value at x: parity(x & l) is the XOR of the
+universe's columns (`bit_columns`: bit x of column k is bit k of x) at
+the set bits of l, and `quadratic_bits` builds a quadratic form's int
+by doubling, with no value computed element by element.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -39,6 +40,11 @@ import numpy as np
 from .gf2field import FieldCtx
 
 _U64 = np.uint64
+
+# `fused_count` walks a universe in chunks of CHUNK elements, and
+# `two_form_table` in slices of _SLICE, small next to its output table.
+CHUNK = 1 << 20
+_SLICE = 1 << 16
 
 _FLIPS = np.array([8] + [(k & -k).bit_length() - 1 for k in range(1, 256)])
 _ORDER = np.array(sorted(range(256), key=lambda k: k ^ (k >> 1)))
@@ -89,11 +95,57 @@ def linear_parity(mask: int, lo: int, hi: int) -> np.ndarray:
     return np.bitwise_count(masked) & np.uint8(1)
 
 
+def fused_count(
+    images: Sequence[Sequence[int]], ells: Sequence[int], size: int, threads: int
+) -> int:
+    """How many x of [0, size) make every parity(x & U_w x XOR l_w) 0,
+    U_w given by its images `images[w]` and l_w by `ells[w]`: each U_w's
+    byte tables, l_w XORed into table 0, evaluated chunk by chunk,
+    across threads when asked (partial sums are plain integers, so the
+    result is identical for every thread count)."""
+    forms = [byte_tables(u) for u in images]
+    for tables, ell in zip(forms, ells):
+        tables[0] ^= _U64(ell)
+
+    def zeros(lo: int) -> int:
+        hi = min(size, lo + CHUNK)
+        nonzero = quadratic_parity(forms[0], lo, hi)
+        for tables in forms[1:]:
+            nonzero |= quadratic_parity(tables, lo, hi)
+        return (hi - lo) - int(np.count_nonzero(nonzero))
+
+    chunks = range(0, size, CHUNK)
+    if threads <= 1 or len(chunks) <= 1:
+        return sum(map(zeros, chunks))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return sum(pool.map(zeros, chunks))
+
+
+def two_form_table(images: Sequence[int], mask: int, n: int) -> np.ndarray:
+    """2*parity(x & U x) + parity(x & mask) at every x of [0, 2^n) as a
+    uint8 array, U given by its images, one slice of _SLICE at a time."""
+    tables = byte_tables(images)
+    size = 1 << n
+    table = np.empty(size, dtype=np.uint8)
+    for lo in range(0, size, _SLICE):
+        hi = min(size, lo + _SLICE)
+        table[lo:hi] = quadratic_parity(tables, lo, hi) << 1
+        table[lo:hi] |= linear_parity(mask, lo, hi)
+    return table
+
+
+def value_counts(table: np.ndarray) -> list[int]:
+    """How many entries of a `two_form_table` equal 0, 1, 2 and 3,
+    compared in place: bincount would widen the table first."""
+    return [int(np.count_nonzero(table == v)) for v in range(4)]
+
+
+@cache
 def bit_columns(n: int) -> tuple[int, ...]:
     """The n columns of the universe [0, 2^n) as ints: bit x of column k
     is bit k of x.  By doubling: the columns of [0, 2^(k+1)) are those of
     [0, 2^k) repeated twice, and a new top column of 2^k zeros then 2^k
-    ones."""
+    ones.  Kept per n; the count's largest, n = 20 (CHUNK), holds 2.5 MB."""
     columns: list[int] = []
     for k in range(n):
         width = 1 << k

@@ -31,36 +31,27 @@ head's quadratic part plus a linear term: parity(x & U_w x) XOR
 parity(x & l_w).  The head's images u_k = U_w e_k are kept for the
 latest two (context, q_deg, tail, to_deg) keys, which cost a twist no
 validated head to build.  Each twist is its own count over the whole
-universe, in one of three regimes:
+universe, in one of two regimes, with every array left to `bitvec`:
 
 - bit-sliced, for every count over at most 2^16 elements and from the
-  second count of a head on up to one chunk of 2^20: the entry keeps
-  each parity(x & U_w x) as one int P_w, bit x the parity at x, built
-  by doubling from the u_k (`bitvec.quadratic_bits`), and the
-  universe's columns, bit x of column k being bit k of x
-  (`bitvec.bit_columns`).  The XOR L_w of the columns at the set bits
-  of l_w has bit x equal to parity(x & l_w), so the twist's zeros are
-  the size of the universe less the popcount of the OR of the
-  P_w ^ L_w.  No numpy array is made.
-- a fused pass, for the first count of a head over more than 2^16
-  elements: l_w added to the 256 entries of table 0 gives the byte
-  tables of the twist's x -> U_w x XOR l_w, which
-  `bitvec.quadratic_parity` evaluates at every x by its row broadcast.
-  The entry builds the byte tables at its first fused pass.
-- the same fused pass chunk by chunk, for universes above one chunk,
-  partitioned across threads when asked; partial sums are plain
-  integers, so the result is identical for every thread count.
+  second count of a head on up to one chunk (`bitvec.CHUNK`): the
+  entry keeps each parity(x & U_w x) as one int P_w, bit x the parity
+  at x (`bitvec.quadratic_bits`).  The XOR L_w of the universe's
+  columns (`bitvec.bit_columns`) at the set bits of l_w has bit x equal
+  to parity(x & l_w), so the twist's zeros are the size of the universe
+  less the popcount of the OR of the P_w ^ L_w.
+- `bitvec.fused_count` otherwise, from the u_k and l_w: the first count
+  of a head over more than 2^16 elements, and every count above one
+  chunk, chunk by chunk and across threads when asked.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import Callable
 
-import numpy as np
-
-from ..bitvec import bit_columns, byte_tables, quadratic_bits, quadratic_parity
+from .. import bitvec
 from ..errors import BudgetExceeded, DomainError, OracleMismatch
 from ..gf2field import MAX_DEGREE, FieldCtx, linear_map
 from .base import CurveSpec, format_curve_spec
@@ -76,14 +67,10 @@ __all__ = [
 
 DEFAULT_BUDGET = 1 << 24
 
-_CHUNK = 1 << 20
-
 # Universes of at most this many elements are bit-sliced from their
-# first count.  Above it the first count stays the fused pass: the
-# traced `oracle` benchmark workload holds its time in the counts of
-# 2^18..2^24 elements and must keep isolating that enumeration, which
-# bit-slicing them would shrink below its claimed share, so raising the
-# bound waits for a re-tune of that workload.
+# first count.  Raising it waits for a re-tune of the traced `oracle`
+# benchmark workload, whose isolation claim rests on its fused first
+# counts of 2^18..2^24 elements.
 _SMALL = 1 << 16
 
 
@@ -118,20 +105,16 @@ def _trace_matrix(ctx: FieldCtx) -> Callable[[int], int]:
     return linear_map([(hankel >> k) & ((1 << n) - 1) for k in range(n)])
 
 
+@dataclass(slots=True)
 class _Head:
     """The count set-up of one head, shared by its twists: `images`, the
-    images u_k = U_w e_k for each w; `tables`, their byte tables, built
-    at the head's first fused pass; and, once the head is bit-sliced,
-    `parities`, the bitsets of parity(x & U_w x) over the whole
-    universe, with `columns`, the universe's column bitsets."""
+    images u_k = U_w e_k for each w; `counted`, whether a fused pass has
+    counted the head; and, once the head is bit-sliced, `parities`, the
+    bitsets of parity(x & U_w x) over the whole universe."""
 
-    __slots__ = ("images", "tables", "parities", "columns")
-
-    def __init__(self, images: tuple[tuple[int, ...], ...]):
-        self.images = images
-        self.tables: tuple[np.ndarray, ...] = ()
-        self.parities: tuple[int, ...] | None = None
-        self.columns: tuple[int, ...] = ()
+    images: tuple[tuple[int, ...], ...]
+    counted: bool = False
+    parities: tuple[int, ...] | None = None
 
 
 @lru_cache(maxsize=2)
@@ -151,26 +134,17 @@ def _head_tables(ctx: FieldCtx, q_deg: int, tail: tuple[int, ...], to_deg: int) 
     )
 
 
-def _count_chunk(forms: list[list[np.ndarray]], lo: int, hi: int) -> int:
-    nonzero = quadratic_parity(forms[0], lo, hi)
-    for tables in forms[1:]:
-        nonzero |= quadratic_parity(tables, lo, hi)
-    return (hi - lo) - int(np.count_nonzero(nonzero))
-
-
 def _count_sliced(head: _Head, ells: list[int], size: int) -> int:
     """The zeros of the twist with linear terms `ells`, bit-sliced over
-    the head's parities, built at the head's first bit-sliced count:
-    P_w ^ L_w, L_w the XOR of the columns at the set bits of l_w, is the
-    twist's form w at every x."""
+    the head's parities P_w, built at its first bit-sliced count."""
+    columns = bitvec.bit_columns(size.bit_length() - 1)
     if head.parities is None:
-        head.columns = bit_columns(size.bit_length() - 1)
-        head.parities = tuple(quadratic_bits(u, head.columns) for u in head.images)
+        head.parities = tuple(bitvec.quadratic_bits(u, columns) for u in head.images)
     nonzero = 0
     for form, ell in zip(head.parities, ells):
         while ell:
             low = ell & -ell
-            form ^= head.columns[low.bit_length() - 1]
+            form ^= columns[low.bit_length() - 1]
             ell ^= low
         nonzero |= form
     return size - nonzero.bit_count()
@@ -203,20 +177,10 @@ def trace_zero_count(
     head = _head_tables(ctx, full.q_deg, full.coeffs[1:], to_deg)
     matrix = _trace_matrix(ctx)
     ells = [matrix(ctx.sqrt(ctx.mul(w, a))) for w in ctx.subfield_basis(to_deg)]
-    if size <= _SMALL or (head.tables and size <= _CHUNK):
+    if size <= _SMALL or (head.counted and size <= bitvec.CHUNK):
         return _count_sliced(head, ells, size)
-    if not head.tables:
-        head.tables = tuple(byte_tables(images) for images in head.images)
-        for tables in head.tables:
-            tables.flags.writeable = False  # shared by every twist of the head
-    # table 0 is looked up once per x: l_w there is the twist's linear term
-    forms = [[t[0] ^ np.uint64(ell), *t[1:]] for t, ell in zip(head.tables, ells)]
-    bounds = list(range(0, size, _CHUNK)) + [size]
-    jobs = list(zip(bounds[:-1], bounds[1:]))
-    if threads <= 1 or len(jobs) <= 1:
-        return sum(_count_chunk(forms, lo, hi) for lo, hi in jobs)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return sum(pool.map(lambda b: _count_chunk(forms, b[0], b[1]), jobs))
+    head.counted = True
+    return bitvec.fused_count(head.images, ells, size, threads)
 
 
 def brute_count(

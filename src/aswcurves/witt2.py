@@ -18,13 +18,11 @@ In F_2 terms e2 is a quadratic form with polar form
 
 (van der Geer and van der Vlugt, Reed-Muller codes and supersingular
 curves I, 1992), so `q_exponent_table` runs the explicit shape only at
-the unit vectors and takes every other value from this identity, with
-the range kernel of `bitvec`.
+the unit vectors and takes every other value from this identity;
+`bitvec` evaluates the two forms over the field and counts the values.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from . import bitvec
 from .errors import (
@@ -164,13 +162,8 @@ def psi_char(ctx: FieldCtx, x: Element, deg: int) -> int:
     return 2 * ctx.trace(x, deg, 1)
 
 
-# q_exponent_table evaluates the field in slices of this many elements,
-# so that its temporaries stay small next to the table it returns.
-_CHUNK = 1 << 16
-
-
-def q_exponent_table(deg: int) -> np.ndarray:
-    """i-exponents of Q over all of F_{2^deg}, as a uint8 array.
+def q_exponent_table(deg: int):
+    """i-exponents of Q over all of F_{2^deg}, as a uint8 numpy array.
 
     Index j is the exponent of Q at the element with bit pattern j in
     the dedicated degree-deg context: Tr(x) + 2*e2(x), by the explicit
@@ -187,8 +180,8 @@ def q_exponent_table(deg: int) -> np.ndarray:
     to Tr(e_i), and e2 is the quadratic form parity(x & U x), where U
     carries e2(e_j) on its diagonal and B(e_i, e_j) = Tr(e_i)Tr(e_j) +
     Tr(t^(i+j)) above it, t the root of the modulus (e_i = t^i).
-    Every element of the field is evaluated through these two forms, by
-    `bitvec.linear_parity` and `bitvec.quadratic_parity`.
+    Every element of the field is evaluated through these two forms,
+    2*e2(x) + Tr(x), by `bitvec.two_form_table`.
     """
     K = make_field(deg)
     tau, diag = 0, []
@@ -204,15 +197,7 @@ def q_exponent_table(deg: int) -> np.ndarray:
         diag[j] << j | sum(((tr[i] & tr[j]) ^ tr[i + j]) << i for i in range(j))
         for j in range(deg)
     ]
-    tables = bitvec.byte_tables(images)
-    size = 1 << deg
-    table = np.empty(size, dtype=np.uint8)
-    for lo in range(0, size, _CHUNK):
-        hi = min(size, lo + _CHUNK)
-        exponent = bitvec.quadratic_parity(tables, lo, hi) << 1
-        exponent |= bitvec.linear_parity(tau, lo, hi)
-        table[lo:hi] = exponent
-    return table
+    return bitvec.two_form_table(images, tau, deg)
 
 
 def hd_sum(deg: int) -> GaussInt:
@@ -221,7 +206,5 @@ def hd_sum(deg: int) -> GaussInt:
     Equals (-1-i)^deg; the closed form is checked against this sum in the
     acceptance suite rather than assumed here.
     """
-    table = q_exponent_table(deg)
-    # the uint8 table is compared in place; bincount would widen it first
-    c0, c1, c2, c3 = (int(np.count_nonzero(table == k)) for k in range(4))
+    c0, c1, c2, c3 = bitvec.value_counts(q_exponent_table(deg))
     return -GaussInt(c0 - c2, c1 - c3)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from aswcurves import bitvec
 from aswcurves.curves import (
     CurveSpec,
     TwistDatum,
@@ -57,6 +58,15 @@ W = 2  # generator of F_4 with w^2 = w + 1
 
 def datum_tau_plus_one():
     return TwistDatum(SkewPoly.from_coeffs(F4, [1, 1]), 2)
+
+
+def test_reprs_name_their_values():
+    fd = datum_tau_plus_one()
+    assert repr(fd) == "TwistDatum('0x1*t^1 + 0x1*t^0', q_deg=2)"
+    assert repr(l_polynomial(fd, W)) == "LPolynomial(q=4, mult=1, [-2+0i, -2+0i])"
+    subspace = Fp2Subspace.from_vectors(make_field(4, None, 2), [1, 6])
+    assert repr(subspace) == "Fp2Subspace(p=2^2, [0x6, 0x1])"
+    assert repr(GaussInt(3, -2)) == "GaussInt(3, -2)"
 
 
 class TestCurveSpec:
@@ -323,7 +333,7 @@ class TestBruteCount:
     def test_threads_over_two_chunks(self):
         # 2^21 elements are two chunks, so the thread pool really runs.
         spec = CurveSpec(make_field(7), 7, (3, 5, 9))
-        assert 1 << 21 == 2 * count._CHUNK
+        assert 1 << 21 == 2 * bitvec.CHUNK
         assert brute_count(spec, 3, threads=2) == brute_count(spec, 3, threads=1)
 
     def test_budget_and_ambient_guards(self):

@@ -2,7 +2,7 @@
 counting oracle imports nothing from the routes it checks, the routes
 reach the oracle only through `curves.count.checked_count`, the command
 line reaches the eigenvalue route only through `curves.zeta_report`,
-only `bitvec` builds numpy ranges, no module holds what `python -O`
+only `bitvec` imports numpy, no module holds what `python -O`
 would strip, every function and class under `src/` is reached, and
 every reference in `tests/reference.py` is compared against by some
 test."""
@@ -98,67 +98,56 @@ def test_import_detector_sees_relative_and_absolute_forms():
 
 
 # Whole-universe enumeration stays behind the one range kernel: under
-# src/, only bitvec.py builds a numpy range.
-UNIVERSE_HOME = "aswcurves/bitvec.py"
-UNIVERSE_CALLS = ("arange",)
+# src/, only bitvec.py imports numpy, so no other module knows how a
+# universe is laid out as an array.
+NUMPY_HOME = "aswcurves/bitvec.py"
 
 
-def numpy_universe_calls(source: str, names: tuple[str, ...] = UNIVERSE_CALLS) -> list[int]:
-    """Line of every numpy `arange` (or other `names`): the
-    attribute of a name that an import binds to numpy, or the name
-    imported from numpy."""
-    tree = ast.parse(source)
-    aliases = {
-        a.asname or a.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Import)
-        for a in node.names
-        if a.name == "numpy"
-    }
+def numpy_imports(source: str) -> list[int]:
+    """Line of every import statement that names numpy or a numpy
+    submodule: `import numpy[.sub] [as x]` or `from numpy[.sub] import y`."""
     found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "numpy":
-            found += [node.lineno for a in node.names if a.name in names]
-        elif (
-            isinstance(node, ast.Attribute)
-            and node.attr in names
-            and isinstance(node.value, ast.Name)
-            and node.value.id in aliases
-        ):
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module or ""]
+        else:
+            continue
+        if any(module.split(".")[0] == "numpy" for module in modules):
             found.append(node.lineno)
     return sorted(found)
 
 
-def test_only_bitvec_builds_numpy_ranges():
+def test_only_bitvec_imports_numpy():
     offenders = [
         f"{path.relative_to(SRC)}:{line}"
         for path in sorted(SRC.rglob("*.py"))
-        if path.relative_to(SRC).as_posix() != UNIVERSE_HOME
-        for line in numpy_universe_calls(path.read_text())
+        if path.relative_to(SRC).as_posix() != NUMPY_HOME
+        for line in numpy_imports(path.read_text())
     ]
     assert offenders == []
-    home = (SRC / UNIVERSE_HOME).read_text()
-    assert all(numpy_universe_calls(home, (name,)) for name in UNIVERSE_CALLS)
+    assert numpy_imports((SRC / NUMPY_HOME).read_text())
 
 
-def test_arange_detector_flags_numpy_ranges_not_prose():
+def test_numpy_detector_flags_imports_not_prose():
     source = (
-        '"""np.arange in a docstring is prose."""\n'
-        "import numpy as np\n"
+        '"""import numpy in a docstring is prose."""\n'
         "import numpy\n"
-        "from numpy import arange, zeros\n"
+        "import numpy as np\n"
+        "from numpy import arange\n"
+        "from numpy.lib import stride_tricks\n"
+        "import numpyish\n"
+        "from numpyish import arange\n"
+        "label = 'import numpy as np'\n"
+        "# from numpy import zeros\n"
+        "import os, numpy.linalg as la\n"
+        "from . import numpy_helpers\n"
         "xs = np.arange(4)\n"
-        "ys = numpy.arange(2, dtype=numpy.uint64)\n"
-        "zs = range(4)\n"
-        "ws = torch.arange(3)\n"
-        "label = 'np.arange'\n"
-        "f = np.arange\n"
-        "from numpy import packbits as pack\n"
-        "bits = np.packbits(xs, bitorder='little')\n"
-        "words = np.unpackbits(bits)\n"
+        "def f():\n"
+        "    import numpy\n"
     )
-    assert numpy_universe_calls(source) == [4, 5, 6, 10]
-    assert numpy_universe_calls(source, ("packbits",)) == [11, 12]
+    assert numpy_imports(source) == [2, 3, 4, 5, 10, 14]
 
 
 # The formula routes enter the enumeration oracle only through

@@ -304,7 +304,7 @@ def test_first_count_kernel_matches_products(
     of table 0; every count is the first of its head."""
     monkeypatch.setattr(count, "_SMALL", 0)
     if chunk is not None:
-        monkeypatch.setattr(count, "_CHUNK", chunk)
+        monkeypatch.setattr(bitvec, "CHUNK", chunk)
     rng = random.Random(n * 31 + q_deg * 7 + m)
     elements = make_field(n, poly, p_log).subfield_elements(q_deg)
     to_degs = sorted({1, p_log, q_deg * m})
@@ -443,10 +443,11 @@ NUMPY_FREE_CASES = [(1, 1, 1, 1), (8, 8, 1, 1), (16, 16, 1, 1), (8, 8, 2, 2), (6
 
 
 def test_counts_over_at_most_2_16_elements_make_no_numpy_call(monkeypatch):
-    """With the byte tables, the range kernel and the count's numpy
-    patched to raise, first and repeated counts of universes up to 2^16
-    elements, to F_p and through `psi_sum`, still equal the fused pass;
-    a first count over 2^17 elements reaches the patches."""
+    """With the byte tables, the range kernel and all of numpy in
+    `bitvec`, the one module that imports it, patched to raise, first
+    and repeated counts of universes up to 2^16 elements, to F_p and
+    through `psi_sum`, still equal the fused pass; a first count over
+    2^17 elements reaches the patches."""
     runs = []
     for n, q_deg, p_log, m in NUMPY_FREE_CASES:
         ctx = make_field(n, None, p_log)
@@ -454,10 +455,9 @@ def test_counts_over_at_most_2_16_elements_make_no_numpy_call(monkeypatch):
         for a in ctx.subfield_elements(q_deg)[:3]:
             spec = head.with_a0(a)
             runs.append((spec, m, fused_count(spec, m, p_log), fused_count(spec, m, 1)))
-    monkeypatch.setattr(count, "byte_tables", _refuse)
-    monkeypatch.setattr(count, "quadratic_parity", _refuse)
+    monkeypatch.setattr(bitvec, "byte_tables", _refuse)
     monkeypatch.setattr(bitvec, "quadratic_parity", _refuse)
-    monkeypatch.setattr(count, "np", _NoNumpy())
+    monkeypatch.setattr(bitvec, "np", _NoNumpy())
     count._head_tables.cache_clear()
     try:
         for spec, m, zeros, zeros_f2 in runs:
@@ -512,9 +512,10 @@ def test_bit_sliced_repeats_equal_the_fused_pass(n, q_deg, p_log, poly, m):
             else:
                 assert trace_zero_count(head.with_a0(a), m, to_deg) == fused[a], (a, to_deg)
         entry = _head_entry(head, m, to_deg)
-        assert len(entry.parities) == to_deg and len(entry.columns) == q_deg * m
-        assert all(0 <= b < 1 << size for b in entry.parities + entry.columns)
-        assert entry.tables == ()  # no fused pass ran
+        columns = bitvec.bit_columns(q_deg * m)
+        assert len(entry.parities) == to_deg and len(columns) == q_deg * m
+        assert all(0 <= b < 1 << size for b in entry.parities + columns)
+        assert not entry.counted  # no fused pass ran
 
 
 def test_bitsets_are_stored_up_to_one_chunk(monkeypatch):
@@ -523,7 +524,7 @@ def test_bitsets_are_stored_up_to_one_chunk(monkeypatch):
     chunk at its second, after one fused pass, and one of two chunks
     counts every twist by the fused pass."""
     monkeypatch.setattr(count, "_SMALL", 1 << 8)
-    monkeypatch.setattr(count, "_CHUNK", 1 << 9)
+    monkeypatch.setattr(bitvec, "CHUNK", 1 << 9)
     for n, stored in ((8, (True, True)), (9, (False, True)), (10, (False, False))):
         head = CurveSpec(make_field(n), n, (0, 0, 1))
         fused = [fused_count(head.with_a0(a), 1, 1) for a in (1, 2)]
@@ -532,7 +533,7 @@ def test_bitsets_are_stored_up_to_one_chunk(monkeypatch):
             got.append(trace_zero_count(head.with_a0(a)))
             assert (_stored_parities(head, 1, 1) is not None) == stored[i], (n, a)
         assert got == fused
-        assert bool(_head_entry(head, 1, 1).tables) == (n > 8), n  # a fused pass ran
+        assert _head_entry(head, 1, 1).counted == (n > 8), n  # a fused pass ran
     count._head_tables.cache_clear()  # no entry of the small chunk outlives the test
 
 

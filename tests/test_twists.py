@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from aswcurves import bitvec
 from aswcurves.curves import (
     CurveSpec,
     TwistDatum,
@@ -172,22 +173,22 @@ class TestRepeatedCounts:
         tc = classify_twists(head)  # checks each count against twist_count
         assert {a: tc.twist_count(a) for a in fused} == fused
         entry = self.head_entry(head)
-        assert entry.parities is not None and entry.tables == ()
+        assert entry.parities is not None and not entry.counted
 
     def test_a_multi_chunk_universe_stores_no_parities(self, monkeypatch):
         """With a small universe and a chunk of 2^8, a head of 2^8
         elements is bit-sliced from its first count and one of 2^10
         elements counts every twist by the fused pass."""
         monkeypatch.setattr(count, "_SMALL", 1 << 8)
-        monkeypatch.setattr(count, "_CHUNK", 1 << 8)
+        monkeypatch.setattr(bitvec, "CHUNK", 1 << 8)
         one_chunk = CurveSpec(make_field(8), 8, (0, 0, 1))
         several = CurveSpec(make_field(10), 10, (0, 1))
         for head in (one_chunk, several):
             assert classify_twists(head).counting_checked
         entry = self.head_entry(one_chunk)
-        assert entry.parities is not None and entry.tables == ()
+        assert entry.parities is not None and not entry.counted
         entry = self.head_entry(several)
-        assert entry.tables and entry.parities is None
+        assert entry.counted and entry.parities is None
 
     @pytest.mark.parametrize("field,flip", [("F16", "one"), ("F16:0x19", "one"), ("F256:p=4", "all")])
     def test_a_corrupted_parity_stops_the_counting_route(self, field, flip):
