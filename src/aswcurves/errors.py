@@ -55,16 +55,8 @@ class NotIsotropic(Char2Error, ValueError):
     """A subspace is not totally isotropic for the pairing in play."""
 
 
-class NotInKernel(Char2Error, ValueError):
-    """An element expected to lie in an operator kernel does not."""
-
-
 class NotSubspaceOfW(Char2Error, ValueError):
     """A subspace argument is not contained in the pairing's kernel space."""
-
-
-class NotSymplectic(Char2Error, ValueError):
-    """A pairing expected to be alternating/nondegenerate is not."""
 
 
 class DomainError(Char2Error, ValueError):

@@ -1,13 +1,15 @@
-"""The pairing between the kernels of a skew polynomial and its adjoint.
+"""The alternating form on the kernel of a self-adjoint skew polynomial.
 
 For F in the twisted ring, the function xF(y) + yF*(x) has a unique
 bi-additive Artin-Schreier witness g with g(0,0) = 0, meaning
-g^p + g = xF(y) + yF*(x).  Restricted to u in ker F and u* in ker F*,
-the value omega(u, u*) := g(u*, u) lands in F_p and the resulting
-pairing is nondegenerate; when F is self-adjoint it is alternating, so
-ker F becomes a symplectic F_p-space.  This module computes g, the
-pairing, orthogonal complements and maximal isotropic subspaces (grown
-one vector at a time, on which an optional F_p-linear form vanishes).
+g^p + g = xF(y) + yF*(x).  For a self-adjoint E, such as E = R + R*,
+the value omega(u, v) := g(v, u) on W = ker E lands in F_p, and omega
+is a nondegenerate alternating form, so W is a symplectic F_p-space.
+A Lagrangian of it is the kernel of a factor F in E = F*F (van der
+Geer-van der Vlugt, Compositio Math. 84, 1992).  This module computes
+g, the form, orthogonal complements, radicals and maximal isotropic
+subspaces (grown one vector at a time, on which a given F_p-linear
+form vanishes).
 
 Everything is exact; pairing values are elements of the degree-p_log
 subfield of the working context.
@@ -17,15 +19,9 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .errors import (
-    NotInKernel,
-    NotIsotropic,
-    NotSubspaceOfW,
-    NotSymplectic,
-    OracleMismatch,
-)
+from .errors import NotIsotropic, NotSelfAdjoint, NotSubspaceOfW, OracleMismatch
 from .gf2field import Element, FieldCtx, Fp2Subspace, kernel_basis, rref_basis
-from .skew import SkewPoly
+from .skew import SkewPoly, format_skew
 
 
 def g_witness(F: SkewPoly, x: Element, y: Element, Fstar: SkewPoly) -> Element:
@@ -53,24 +49,17 @@ def g_witness(F: SkewPoly, x: Element, y: Element, Fstar: SkewPoly) -> Element:
 
 
 class PairingCtx:
-    """ker F paired with ker F* by omega(u, u*) = g(u*, u)."""
+    """The alternating form omega(u, v) = g(v, u) on W = ker F, F = F*."""
 
-    __slots__ = ("F", "Fstar", "W", "Wstar", "gram", "is_symplectic")
+    __slots__ = ("F", "W")
 
     def __init__(self, F: SkewPoly):
+        if F != F.adjoint():
+            raise NotSelfAdjoint(f"{format_skew(F)} is not self-adjoint")
         self.F = F
-        self.Fstar = F.adjoint()
-        # F = F* makes omega an alternating form on W, and W* = W
-        self.is_symplectic = F == self.Fstar
         self.W = F.kernel()
-        self.Wstar = self.W if self.is_symplectic else self.Fstar.kernel()
-        if self.W.dim_p != self.Wstar.dim_p:
-            raise OracleMismatch(f"dim ker F {self.W.dim_p} != dim ker F* {self.Wstar.dim_p}")
-        rows = [
-            [self.omega(u, v, check=False) for v in self.Wstar.fp_basis()]
-            for u in self.W.fp_basis()
-        ]
-        self.gram = tuple(tuple(r) for r in rows)
+        basis = self.W.fp_basis()
+        rows = [[self.omega(u, v) for v in basis] for u in basis]
         if _fp_rank(F.ctx, rows) != self.W.dim_p:
             raise OracleMismatch("pairing is degenerate")
 
@@ -78,23 +67,18 @@ class PairingCtx:
     def ctx(self) -> FieldCtx:
         return self.F.ctx
 
-    def omega(self, u: Element, ustar: Element, check: bool = True) -> Element:
+    def omega(self, u: Element, v: Element) -> Element:
         """Pairing value in F_p."""
-        if check:
-            if not self.W.contains(u):
-                raise NotInKernel(f"{u:#x} is not in ker F")
-            if not self.Wstar.contains(ustar):
-                raise NotInKernel(f"{ustar:#x} is not in ker F*")
-        value = g_witness(self.F, ustar, u, self.Fstar)
+        value = g_witness(self.F, v, u, self.F)
         if not self.ctx.in_subfield(value, self.ctx.p_log):
-            raise OracleMismatch(f"omega({u:#x}, {ustar:#x}) = {value:#x} is not in F_p")
+            raise OracleMismatch(f"omega({u:#x}, {v:#x}) = {value:#x} is not in F_p")
         return value
 
     def orthogonal_complement(self, X: Fp2Subspace) -> Fp2Subspace:
-        """{u* in W* : omega(u, u*) = 0 for all u in X}."""
+        """{v in W : omega(u, v) = 0 for all u in X}."""
         if not X.is_subspace_of(self.W):
             raise NotSubspaceOfW("X is not a subspace of ker F")
-        perp = self._solve_perp(X.basis, self.Wstar)
+        perp = self._solve_perp(X.basis, self.W)
         if perp.dim_p != self.W.dim_p - X.dim_p:
             raise OracleMismatch(f"complement of dim {perp.dim_p} for dim X {X.dim_p}")
         return perp
@@ -105,16 +89,14 @@ class PairingCtx:
         """Vectors of inside pairing to 0 with every condition vector."""
         ctx, wb = self.ctx, inside.basis
         images = [
-            sum(self.omega(u, w, check=False) << (k * ctx.n) for k, u in enumerate(conditions))
+            sum(self.omega(u, w) << (k * ctx.n) for k, u in enumerate(conditions))
             for w in wb
         ]
         vecs = kernel_basis(images, wb)
         return Fp2Subspace.from_vectors(ctx, vecs)
 
     def radical(self, within: Fp2Subspace) -> Fp2Subspace:
-        """Radical of the form restricted to a subspace of W (F = F*)."""
-        if not self.is_symplectic:
-            raise NotSymplectic("radical needs a self-adjoint F")
+        """Radical of the form restricted to a subspace of W."""
         if not within.is_subspace_of(self.W):
             raise NotSubspaceOfW("subspace does not sit inside ker F")
         return self._solve_perp(within.basis, within)
@@ -122,14 +104,15 @@ class PairingCtx:
 
 def maximal_isotropic(
     pc: PairingCtx,
-    phi: Callable[[Element], Element] | None = None,
+    phi: Callable[[Element], Element],
     within: Fp2Subspace | None = None,
 ) -> Fp2Subspace:
-    """A maximal totally isotropic subspace of ker F, deterministically.
+    """A maximal totally isotropic subspace of ker F on which the
+    F_p-linear form phi vanishes, deterministically.
 
-    Optional constraints: phi, an F_p-linear form that must vanish on
-    the result; within, a subspace of ker F to work inside (the form may
-    be degenerate there, and the result then contains its radical).
+    within, if given, is a subspace of ker F to work inside (the form
+    may be degenerate there, and the result then contains its radical;
+    NotSubspaceOfW if it is not inside ker F).
     As omega and phi are F_p-linear, a vector v extends an isotropic U
     on which phi vanishes exactly when phi(v), omega(v, v) and omega(u, v)
     vanish for u in an F_p-basis of U; that is the one test applied.
@@ -148,20 +131,14 @@ def maximal_isotropic(
     lies ahead in the scan, and the pass returns the least choice a
     backtracking search would find first.
     """
-    if not pc.is_symplectic:
-        raise NotSymplectic("maximal isotropic subspaces need F = F*")
     space = pc.W if within is None else within
-    if within is not None and not within.is_subspace_of(pc.W):
-        raise NotSubspaceOfW("within is not a subspace of ker F")
     rad = pc.radical(space)
     if (space.dim_p - rad.dim_p) % 2:
         raise OracleMismatch(f"alternating form of odd rank {space.dim_p - rad.dim_p}")
     target = rad.dim_p + (space.dim_p - rad.dim_p) // 2
 
     def extends(basis: list[Element], v: Element) -> bool:
-        if phi is not None and phi(v) != 0:
-            return False
-        return all(pc.omega(u, v, check=False) == 0 for u in basis + [v])
+        return phi(v) == 0 and all(pc.omega(u, v) == 0 for u in basis + [v])
 
     basis = list(rad.fp_basis())
     if not all(extends(basis[:k], v) for k, v in enumerate(basis)):

@@ -102,14 +102,18 @@ class LineAudit:
             local = self._tracers[filename] = self._tracer_of(filename)
         return local and local(frame, event, arg)
 
-    def pytest_terminal_summary(self, terminalreporter):
-        sys.settrace(None)
-        threading.settrace(None)
-        report = [
+    def report(self) -> list[str]:
+        """`path:line: text` of each package statement that never ran."""
+        return [
             f"{path.relative_to(PACKAGE.parent.parent)}:{line}: {text}"
             for path in sorted(PACKAGE.rglob("*.py"))
             for line, text in unexecuted(path, self.hits.get(str(path), set()))
         ]
+
+    def pytest_terminal_summary(self, terminalreporter):
+        sys.settrace(None)
+        threading.settrace(None)
+        report = self.report()
         terminalreporter.section("trace audit")
         terminalreporter.write_line(f"{len(report)} statements under src/ never ran")
         for entry in report:
