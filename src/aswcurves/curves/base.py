@@ -185,10 +185,7 @@ class TwistDatum:
         ctx = F.ctx
         _check_subfield_degree(ctx, q_deg)
         for c in F.coeffs.values():
-            if not ctx.in_subfield(c, q_deg):
-                raise DomainError(
-                    f"coefficient {c:#x} is outside the declared subfield"
-                )
+            _check_coefficient(ctx, q_deg, c)
         self.F = F
         self.q_deg = q_deg
         self._adjoint = adjoint = F.adjoint()
@@ -196,17 +193,17 @@ class TwistDatum:
         nonzero = bool(F)
         self.separable = nonzero and F.val == 0 and F.degree >= 1
         self.adjoint_kills_one = nonzero and adjoint(1) == 0
+        self.adjoint_splitting = self.composite_splitting = 0
         if nonzero:
             self.adjoint_splitting = adjoint.kernel_splitting_degree()
             self.composite_splitting = composite.kernel_splitting_degree()
-        else:
-            self.adjoint_splitting = self.composite_splitting = 0
         self.adjoint_kernel_rational = (
             nonzero and q_deg % self.adjoint_splitting == 0
         )
         self.composite_kernel_rational = (
             nonzero and q_deg % self.composite_splitting == 0
         )
+        self.adjoint_kernel = self.kernel = self.composite_kernel = self._offset = None
         if self.adjoint_kernel_rational:
             self.adjoint_kernel = adjoint.kernel()
             if self.separable:
@@ -215,17 +212,10 @@ class TwistDatum:
                 self.kernel = F.kernel()
                 if self.kernel.dim_p != self.adjoint_kernel.dim_p:
                     raise self._mismatch("ker F and ker F* differ in dimension")
-            else:
-                self.kernel = None
-        else:
-            self.adjoint_kernel = None
-            self.kernel = None
         if self.composite_kernel_rational:
             self.composite_kernel = composite.kernel()
             if self.composite_kernel.dim_p != 2 * F.span:
                 raise self._mismatch("ker F*F does not have dimension 2*span(F)")
-        else:
-            self.composite_kernel = None
         if self.separable:
             parts = [ctx.frob_p(F[i], -i) for i in range(F.degree + 1)]
             acc = 0
@@ -233,8 +223,6 @@ class TwistDatum:
                 for j in range(i + 1, len(parts)):
                     acc ^= ctx.mul(parts[i], parts[j])
             self._offset = acc
-        else:
-            self._offset = None
 
     def _mismatch(self, what: str) -> OracleMismatch:
         return OracleMismatch(f"{what} for {format_skew(self.F)} over F_{{2^{self.q_deg}}}")

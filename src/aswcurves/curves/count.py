@@ -20,9 +20,9 @@ values at smaller elements by the polar identity (`bitvec`).  An
 eigenvalue count to compare arrives as a plain integer.
 
 `checked_count` is the one entry from the formula routes into this
-oracle, where every formula count meets its direct count, and its rule
-alone decides whether a confirming count runs.  A curve reaches
-F_{q^m} through `CurveSpec.over`.
+oracle, where every formula count meets its direct count, and its rule,
+`skip_reason`, alone decides whether a confirming count runs and names
+the limit when none does.  A curve reaches F_{q^m} through `CurveSpec.over`.
 
 The twists R + a*x of one head share all of this set-up.  As
 Tr(y^2) = Tr(y), Tr_{Q/2}(w*a*x^2) = Tr_{Q/2}(sqrt(w*a)*x) =
@@ -62,6 +62,7 @@ __all__ = [
     "check_count",
     "checked_count",
     "psi_sum",
+    "skip_reason",
     "trace_zero_count",
 ]
 
@@ -212,14 +213,18 @@ def checked_count(
     budget: int = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> int | None:
-    """brute_count over F_{q^m} held against `formula` by check_count.
-
-    The one rule for whether a direct count runs: None, without
-    counting, when q^m exceeds the budget or F_{q^m} the ambient cap.
-    """
-    if spec.q**m > budget or spec.q_deg * m > MAX_DEGREE:
+    """brute_count over F_{q^m} held against `formula` by check_count,
+    or None, without counting, when `skip_reason` names a limit."""
+    if skip_reason(spec, m, budget) is not None:
         return None
     return check_count(spec, m, formula, brute_count(spec, m, budget, threads))
+
+
+def skip_reason(spec: CurveSpec, m: int, budget: int = DEFAULT_BUDGET) -> str | None:
+    """The one count rule: the limit that F_{q^m} exceeds, or None if it is counted."""
+    if spec.q**m <= budget and spec.q_deg * m <= MAX_DEGREE:
+        return None
+    return "budget" if spec.q**m > budget else f"the {MAX_DEGREE}-bit ambient"
 
 
 def psi_sum(

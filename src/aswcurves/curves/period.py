@@ -89,10 +89,11 @@ def period_parity(
     are skipped outright (the bound needs an integer square root of the
     field size), and degrees where the symmetrization kernel is not yet
     rational are refuted by a direct count when affordable.  Remaining
-    candidates are decided through datum recovery and `l_polynomial`
-    whenever the quadratic helper extension fits the ambient cap, and
-    through a direct count otherwise; whichever route decides, the other
-    confirms it when the field size is within `budget`.
+    candidates of degree deg are decided through datum recovery and
+    `l_polynomial` while 2*deg <= MAX_DEGREE, a bound on the F_{2^deg}
+    enumeration of its `hd_sum(deg)` (recovery needs F_{2^deg} alone),
+    and through a direct count otherwise; whichever route decides, the
+    other confirms it when the field size is within `budget`.
 
     Raises CapExceeded when no n <= cap attains the bound, and
     AmbientTooSmall when a candidate can be decided by neither route.
@@ -113,6 +114,7 @@ def period_parity(
                 f"extension degree {n} needs ambient degree {deg} > {MAX_DEGREE}"
             )
         spec_n = spec.over(n)
+        # hd_sum(deg) enumerates F_{2^deg}; recovery needs no wider field
         if 2 * deg <= MAX_DEGREE:
             label = _formula_class(spec_n, budget)
         else:

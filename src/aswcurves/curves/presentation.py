@@ -37,15 +37,8 @@ from ..errors import (
     NoTwistParameter,
     OracleMismatch,
 )
-from ..gf2field import (
-    MAX_DEGREE,
-    Element,
-    FieldCtx,
-    Fp2Subspace,
-    make_field,
-    transport,
-)
-from ..skew import SkewPoly, factor_through_symmetric
+from ..gf2field import MAX_DEGREE, Element, FieldCtx, Fp2Subspace, make_field
+from ..skew import factor_through_symmetric
 from ..symplectic import PairingCtx, maximal_isotropic
 from .base import CurveSpec, TwistDatum, build_curve, head_curve
 
@@ -86,29 +79,27 @@ def _form_sqrt(spec: CurveSpec, u: Element) -> Element:
 
 
 def _datum_through(
-    src: CurveSpec, lagrangian: Fp2Subspace, dst: FieldCtx
+    pc: PairingCtx, lagrangian: Fp2Subspace, dst: FieldCtx, q_deg: int
 ) -> TwistDatum:
-    """Factor the symmetrization of src through the Lagrangian.
+    """Factor the pairing's E = R + R* as F*F with ker F the Lagrangian.
 
-    The factor has coefficients in F_q, so it transports into dst, the
-    caller's context, where the datum is built.
+    F has coefficients in F_q, so it transports into dst, the caller's
+    context, which need not contain the pairing's field; the datum is
+    built there.
     """
-    factor = factor_through_symmetric(src.e_skew(), lagrangian)
-    moved = {
-        i: transport(src.ctx, c, dst, src.q_deg) for i, c in factor.coeffs.items()
-    }
-    return TwistDatum(SkewPoly(dst, moved), src.q_deg)
+    F = factor_through_symmetric(pc.F, lagrangian)
+    return TwistDatum(F.transport_to(dst, q_deg), q_deg)
 
 
 def _witness_from_lagrangian(
-    spec: CurveSpec, pspec: CurveSpec, lagrangian: Fp2Subspace
+    spec: CurveSpec, pc: PairingCtx, lagrangian: Fp2Subspace
 ) -> tuple[TwistDatum, Element]:
     """Factor E through the Lagrangian and search the twist parameter.
 
     The parameter search cannot fail when the Lagrangian satisfied the
     trace constraint.
     """
-    fd = _datum_through(pspec, lagrangian, spec.ctx)
+    fd = _datum_through(pc, lagrangian, spec.ctx, spec.q_deg)
     fd.require(3)
     t = parameter_search(fd, spec.coeffs[0])
     if t is None:
@@ -174,7 +165,7 @@ def presentation_conditions(spec: CurveSpec) -> PresentationReport:
 
     witness = None
     if flag4:
-        witness = _witness_from_lagrangian(spec, pspec, lagrangian)
+        witness = _witness_from_lagrangian(spec, pc, lagrangian)
     flag1 = witness is not None
 
     if not flag1 == flag2 == flag3 == flag4:
@@ -218,17 +209,15 @@ def recover_head(head: CurveSpec) -> TwistDatum:
     """
     if not head.is_head:
         raise DomainError("recovery of a datum starts from a zero linear term")
-    ctx, q_deg = head.ctx, head.q_deg
-    E = head.e_skew()
-    if q_deg % E.kernel_splitting_degree() != 0:
+    q_deg = head.q_deg
+    if q_deg % head.e_skew().kernel_splitting_degree() != 0:
         raise KernelNotRational(
             "the symmetrization kernel does not lie in the declared subfield"
         )
-    home = make_field(q_deg, None, ctx.p_log)
-    hspec = head.transport_to(home)
+    hspec = head.canonical()
     pc = PairingCtx(hspec.e_skew())
     lagrangian = maximal_isotropic(pc, phi=lambda u: _form_sqrt(hspec, u))
-    fd = _datum_through(hspec, lagrangian, ctx)
+    fd = _datum_through(pc, lagrangian, head.ctx, q_deg)
     fd.require(4)
     if head_curve(fd) != head:
         raise OracleMismatch(f"the datum recovered from {head!r} has another head")

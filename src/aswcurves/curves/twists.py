@@ -23,9 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import Callable, Sequence
 
 from ..errors import DomainError, KernelNotRational, OracleMismatch
-from ..gf2field import Element, Fp2Subspace, kernel_basis, span_contains
+from ..gf2field import Element, FieldCtx, Fp2Subspace, kernel_basis, span_contains
 from ..witt2 import psi_char, q_char
 from .base import CurveSpec, TwistDatum, build_curve, head_curve, weil_class, weil_gap
 from .count import DEFAULT_BUDGET, checked_count
@@ -104,6 +105,11 @@ def _datum_for(head: CurveSpec, datum: TwistDatum | None) -> TwistDatum:
     return datum
 
 
+def _trace_pairing(ctx: FieldCtx, ws: Sequence[Element], q_deg: int) -> Callable[[Element], int]:
+    """x -> (Tr_{q/2}(x*w_j))_j, bit j for the j-th of `ws`; additive."""
+    return lambda x: sum(ctx.trace(ctx.mul(x, w), q_deg, 1) << j for j, w in enumerate(ws))
+
+
 def least_admissible_parameter(space: Fp2Subspace, q_deg: int) -> Element | None:
     """Least t in F_q, as a bit pattern, with psi(t*v) = Q(v) on `space`.
 
@@ -119,11 +125,8 @@ def least_admissible_parameter(space: Fp2Subspace, q_deg: int) -> Element | None
     if any(values[v] % 2 for v in basis):
         return None
 
-    def traces(x: Element) -> int:
-        return sum(ctx.trace(ctx.mul(x, v), q_deg, 1) << j for j, v in enumerate(basis))
-
     target = sum(values[v] // 2 << j for j, v in enumerate(basis))
-    t = ctx.solve_additive(traces, target, q_deg)
+    t = ctx.solve_additive(_trace_pairing(ctx, basis, q_deg), target, q_deg)
     if any(psi_char(ctx, ctx.mul(t, v), q_deg) != value for v, value in values.items()):
         return None
     return t
@@ -188,10 +191,8 @@ def image_classification(
         bits = [
             ctx.trace(ctx.mul(b, head.evaluate(b) ^ ctx.mul(a0, b)), q_deg, 1) for b in basis
         ]
-        polar = [
-            sum(ctx.trace(ctx.mul(b, E(c)), q_deg, 1) << i for i, b in enumerate(basis))
-            for c in basis
-        ]
+        pairing = _trace_pairing(ctx, basis, q_deg)
+        polar = [pairing(E(c)) for c in basis]
         t, a, bit, coords = shift, a0, 0, 0
         for k in range(1 << q_deg):
             if k:
@@ -239,12 +240,9 @@ def _trace_coset(head: CurveSpec, kernel: Fp2Subspace) -> tuple[Element, tuple]:
     its least solution and a basis of its kernel.
     """
     ctx, s = head.ctx, head.q_deg
-    rows = [(ctx.sqr(u), ctx.trace(ctx.mul(u, head.evaluate(u)), s, 1)) for u in kernel.basis]
-
-    def lhs(a: Element) -> int:
-        return sum(ctx.trace(ctx.mul(w, a), s, 1) << j for j, (w, _) in enumerate(rows))
-
-    offset = ctx.solve_additive(lhs, sum(r << j for j, (_, r) in enumerate(rows)), s)
+    lhs = _trace_pairing(ctx, [ctx.sqr(u) for u in kernel.basis], s)
+    rhs = [ctx.trace(ctx.mul(u, head.evaluate(u)), s, 1) for u in kernel.basis]
+    offset = ctx.solve_additive(lhs, sum(r << j for j, r in enumerate(rhs)), s)
     basis = ctx.subfield_basis(s)
     return offset, kernel_basis([lhs(b) for b in basis], basis)
 
@@ -267,14 +265,12 @@ def quadratic_extension_maximal(
     can.  Requires all four datum conditions.
     """
     fd.require(4)
-    ctx, s = fd.ctx, fd.q_deg
-    if not ctx.in_subfield(t, s):
-        raise DomainError(f"twist parameter {t:#x} is outside the subfield")
+    s = fd.q_deg
     if s % 2:
         raise OracleMismatch(f"a rational composite kernel over odd degree {s}")
-    verdict = ctx.trace(t, s, 1) == (s // 2 + 1) % 2
+    lp = l_polynomial(fd, t)  # DomainError for t outside F_q
+    verdict = fd.ctx.trace(t, s, 1) == (s // 2 + 1) % 2
 
-    lp = l_polynomial(fd, t)
     if weil_class(lp, 2, lp.point_count(2)) != ("maximal" if verdict else "minimal"):
         raise OracleMismatch("the count over F_{q^2} disagrees with the trace verdict")
 

@@ -8,9 +8,8 @@ import sys
 from dataclasses import dataclass
 
 from ..errors import AmbientTooSmall, DomainError
-from ..gf2field import MAX_DEGREE
 from .base import CurveSpec, weil_class
-from .count import DEFAULT_BUDGET, checked_count
+from .count import DEFAULT_BUDGET, checked_count, skip_reason
 from .lpoly import LPolynomial, l_polynomial
 from .presentation import PresentationReport, presentation_conditions
 
@@ -74,8 +73,7 @@ def zeta_report(
         formula = lp.point_count(m) if lp is not None else None
         value = checked_count(spec, m, formula, budget, threads)
         if value is None:
-            limit = "budget" if spec.q**m > budget else f"the {MAX_DEGREE}-bit ambient"
-            skipped.append((m, limit))
+            skipped.append((m, skip_reason(spec, m, budget)))
             if formula is None:
                 continue
             value = formula

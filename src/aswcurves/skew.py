@@ -155,13 +155,14 @@ class SkewPoly:
 
     # -- context changes ----------------------------------------------
 
-    def transport_to(self, dst: FieldCtx) -> "SkewPoly":
-        """The same polynomial with coefficients carried into dst."""
+    def transport_to(self, dst: FieldCtx, deg: int) -> "SkewPoly":
+        """The same polynomial in dst, its coefficients carried from F_{2^deg}
+        (DegreeMismatch outside it), which dst holds even without self's field."""
         if dst.p_log != self.ctx.p_log:
             raise CtxMismatch("target context has a different base field")
         src = self.ctx
         return SkewPoly(
-            dst, {i: transport(src, a, dst, src.n) for i, a in self.coeffs.items()}
+            dst, {i: transport(src, a, dst, deg) for i, a in self.coeffs.items()}
         )
 
     def rebase(self) -> "SkewPoly":

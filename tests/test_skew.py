@@ -164,8 +164,8 @@ def test_kernel_needs_big_enough_ambient():
     with pytest.raises(AmbientTooSmall):
         f.kernel()
     with pytest.raises(AmbientTooSmall):
-        f.transport_to(F16).kernel()
-    ker = f.transport_to(make_field(6)).kernel()
+        f.transport_to(F16, deg=F2.n).kernel()
+    ker = f.transport_to(make_field(6), deg=F2.n).kernel()
     assert ker.dim_p == 2
     assert f.kernel_splitting_degree() == 3
 
@@ -364,9 +364,27 @@ def test_transport_commutes_with_evaluation():
     K, L = F4, make_field(8)
     for _ in range(40):
         f = rand_poly(K, rng, lo=-2, hi=2, terms=3)
-        g = f.transport_to(L)
+        g = f.transport_to(L, deg=K.n)
         x = rng.randrange(4)
         assert transport(K, f(x), L, K.n) == g(transport(K, x, L, K.n))
+
+
+def test_transport_into_a_field_without_the_source_field():
+    # coefficients in F_16 move from a 2^8 context into a 2^12 one,
+    # which holds F_16 but not F_256
+    K, L = make_field(8), make_field(12)
+    rng = random.Random(31)
+    sub = [a for a in K.subfield_elements(4) if a]
+    f = SkewPoly(K, {i: rng.choice(sub) for i in range(-1, 3)})
+    g = f.transport_to(L, deg=4)
+    assert g.coeffs == {i: transport(K, a, L, 4) for i, a in f.coeffs.items()}
+    for x in K.subfield_elements(4):
+        assert transport(K, f(x), L, 4) == g(transport(K, x, L, 4))
+    outside = next(a for a in range(K.order) if not K.in_subfield(a, 4))
+    with pytest.raises(DegreeMismatch):
+        SkewPoly(K, {0: 1, 1: outside}).transport_to(L, deg=4)
+    with pytest.raises(CtxMismatch):
+        f.transport_to(make_field(12, None, 2), deg=4)
 
 
 def test_rebase_preserves_evaluation():

@@ -100,7 +100,7 @@ def test_pairing_refuses_a_non_self_adjoint_polynomial(monkeypatch):
     assert built == []  # refused before any kernel is built
     monkeypatch.undo()
     # a self-adjoint E transported into a wider ambient still pairs
-    pc = PairingCtx(E4.transport_to(F16))
+    pc = PairingCtx(E4.transport_to(F16, deg=F4.n))
     assert pc.W.elements() == sorted(F16.subfield_elements(2))
     for u in pc.W.elements():
         for v in pc.W.elements():
@@ -144,7 +144,7 @@ def test_orthogonal_complement():
     line = Fp2Subspace.from_vectors(F4, [1])
     assert pc.orthogonal_complement(line).elements() == [0, 1]
     with pytest.raises(NotSubspaceOfW):
-        PairingCtx(E4.transport_to(F16)).orthogonal_complement(
+        PairingCtx(E4.transport_to(F16, deg=F4.n)).orthogonal_complement(
             Fp2Subspace.from_vectors(F16, [2])  # 2 generates F_16, not in ker
         )
 
@@ -290,8 +290,8 @@ def test_kernel_subfield_dimensions_match():
         if amb_deg > 24:
             continue
         amb = make_field(amb_deg)
-        W = F.transport_to(amb).kernel()
-        Wstar = F.adjoint().transport_to(amb).kernel()
+        W = F.transport_to(amb, deg=K.n).kernel()
+        Wstar = F.adjoint().transport_to(amb, deg=K.n).kernel()
         for d in range(K.n, amb_deg + 1, K.n):
             if amb_deg % d:
                 continue
@@ -342,7 +342,7 @@ def test_heisenberg_membership_errors():
     R = SkewPoly.tau(F4)
     with pytest.raises(NotOnCurve):
         HeisenbergElt(R, 1, 0)  # b^p + b = 0 but a*R(a) = 1
-    R16 = R.transport_to(F16)
+    R16 = R.transport_to(F16, deg=F4.n)
     assert heisenberg_ambient(R16)(2) != 0
     with pytest.raises(NotOnCurve):
         HeisenbergElt(R16, 2, 0)
@@ -388,8 +388,8 @@ def test_omega_r_is_power_of_omega():
     ]
     for R, ambient in cases:
         E = R + R.adjoint()
-        pc = PairingCtx(E if ambient is None else E.transport_to(ambient))
-        Ramb = R if ambient is None else R.transport_to(ambient)
+        pc = PairingCtx(E if ambient is None else E.transport_to(ambient, deg=E.ctx.n))
+        Ramb = R if ambient is None else R.transport_to(ambient, deg=R.ctx.n)
         e = R.degree
         for u in pc.W.elements():
             for v in pc.W.elements():
@@ -420,7 +420,7 @@ def self_adjoint_draws(rng, count):
         if n > 16:
             continue
         drawn += 1
-        yield PairingCtx(E.transport_to(make_field(n, None, p_log)))
+        yield PairingCtx(E.transport_to(make_field(n, None, p_log), deg=K.n))
 
 
 def lagrangian_grid():

@@ -76,6 +76,24 @@ def test_degrees_past_a_limit_are_never_counted_directly(
     assert direct_degrees == [m for m in extensions if m not in dict(skipped)]
 
 
+@pytest.mark.parametrize(
+    "m, budget, reason",
+    [
+        (1, 16, None),
+        (2, 15, "budget"),
+        (17, 1 << 35, "the 32-bit ambient"),
+        (17, 1 << 33, "budget"),
+    ],
+    ids=["in-range", "budget", "ambient", "budget-and-ambient"],
+)
+def test_skip_reason_is_the_rule_of_checked_count(direct_degrees, m, budget, reason):
+    spec = parse_curve_spec(CUBIC)
+    assert count.skip_reason(spec, m, budget) == reason
+    counted = count.checked_count(spec, m, None, budget)
+    assert (counted is None) == (reason is not None)
+    assert direct_degrees == ([] if reason else [m])
+
+
 def test_presentation_past_the_ambient_leaves_the_direct_count():
     report = zeta_report(parse_curve_spec("q=F131072; R=1,0"), [1])
     assert report.presentation is None and report.lpoly is None
