@@ -6,8 +6,7 @@ curves from the closed-form constructions), `period` (first
 bound-attaining extension degree over F_p), `verify` (dual-route
 consistency audit), `search` (exhaustive sweep for bound-attaining
 curves), and `hd-check` (full-field character sums against the closed
-form).  Each formats a library report; the two routes of `analyze`,
-`verify` and `search` meet in `curves.zeta_report`.
+form).  Each formats a library report; routes meet only in `curves.zeta`.
 
 Structured reports are JSON; tables (twists, search, hd-check) render
 as CSV with --format csv.  Exit codes are stable: 0 success, 1 domain
@@ -28,36 +27,34 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from .curves import (
     CurveSpec,
     DEFAULT_BUDGET,
     classify_twists,
     extremal_from_subspace,
+    extremal_search,
     format_curve_spec,
+    hd_check,
     hermitian_twist,
     palindromic_family,
     parse_curve_spec,
     period_parity,
     zeta_report,
 )
-from .curves.base import parse_hex, weil_class, weil_gap
-from .curves.count import check_count, checked_count
-from .curves.period import coefficient_range
-from .curves.twists import least_admissible_parameter
+from .curves.base import parse_hex, weil_class
+from .curves.count import checked_count
 from .errors import (
     AmbientTooSmall,
     BudgetExceeded,
     CapExceeded,
     Char2Error,
     NonRealCount,
-    NoSolution,
     OracleMismatch,
-    PairingConditionFailed,
     ParseError,
 )
-from .gf2field import MAX_DEGREE, FieldCtx, Fp2Subspace, parse_field_spec, parse_int
-from .witt2 import GaussInt, hd_sum
+from .gf2field import Fp2Subspace, parse_field_spec, parse_int
 
 __all__ = ["main"]
 
@@ -219,18 +216,10 @@ def cmd_construct(args: argparse.Namespace) -> _Output:
         if args.space is None:
             raise ParseError("--family recipe needs --space")
         space = Fp2Subspace.from_vectors(ctx, _hex_list(args.space, ctx.order))
+        t = None  # the least admissible parameter
         if args.t is not None:
             t = parse_hex(args.t, ctx.order)
-        else:
-            t = least_admissible_parameter(space, ctx.n)
-        try:  # with no admissible t, the recipe's input checks still run at t = 0
-            rec = extremal_from_subspace(space, t or 0, ctx.n, budget=args.budget)
-        except PairingConditionFailed:
-            if t is not None:
-                raise
-            raise NoSolution(
-                "no parameter matches the quadratic character on the subspace"
-            ) from None
+        rec = extremal_from_subspace(space, t, ctx.n, budget=args.budget)
         data = {
             "family": "recipe",
             "curve": format_curve_spec(rec.curve),
@@ -243,10 +232,9 @@ def cmd_construct(args: argparse.Namespace) -> _Output:
         if args.a is None:
             raise ParseError("--family hermitian needs --a")
         a = parse_hex(args.a, ctx.order)
-        q_deg = args.q_deg if args.q_deg is not None else ctx.n
-        if q_deg < 1:
-            raise ParseError(f"--q-deg {q_deg} must be >= 1")
-        rep = hermitian_twist(ctx, a, q_deg, budget=args.budget)
+        if args.q_deg is not None and args.q_deg < 1:
+            raise ParseError(f"--q-deg {args.q_deg} must be >= 1")
+        rep = hermitian_twist(ctx, a, args.q_deg, budget=args.budget)
         if not rep.is_extremal:
             label = "interior"
         else:
@@ -316,97 +304,19 @@ def cmd_verify(args: argparse.Namespace) -> _Output:
     )
 
 
-def _scale_factors(ctx: FieldCtx, q_deg: int, e_max: int) -> list[tuple[int, ...]]:
-    """(a^(1+p^i) for i = 0..e_max) for every nonzero a in F_q, ascending:
-    the substitution x -> a*x multiplies a_i by a^(1+p^i)."""
-    return [
-        tuple(ctx.pow(a, 1 + ctx.p**i) for i in range(e_max + 1))
-        for a in sorted(ctx.subfield_elements(q_deg))
-        if a
-    ]
-
-
-def _least_rescaling(
-    ctx: FieldCtx, coeffs: tuple[int, ...], scales: list[tuple[int, ...]]
-) -> bool:
-    """Whether no rescaling of coeffs is a smaller tuple.  Each rescaling
-    is compared one product at a time, up to its first coefficient that
-    differs from coeffs."""
-    for factors in scales:
-        for c, f in zip(coeffs, factors):
-            scaled = ctx.mul(c, f)
-            if scaled != c:
-                if scaled < c:
-                    return False
-                break
-    return True
-
-
 def cmd_search(args: argparse.Namespace) -> _Output:
     ctx = parse_field_spec(args.field)
-    q_deg = ctx.n
-    q = 1 << q_deg
-    if q > args.budget:
-        raise BudgetExceeded(
-            f"searching F_{q} needs direct counts of size {q} > budget {args.budget}"
-        )
-    rows = []
-    scales = _scale_factors(ctx, q_deg, args.e_max)
-    for coeffs in coefficient_range(q, args.e_max):
-        if not _least_rescaling(ctx, coeffs, scales):
-            continue  # a smaller representative covers this class
-        spec = CurveSpec(ctx, q_deg, coeffs)
-        if weil_gap(spec) is None:
-            continue  # the bound is unattainable over this field
-        count = checked_count(spec, 1, None, args.budget, args.threads)
-        label = weil_class(spec, 1, count)
-        if label not in ("maximal", "minimal"):
-            continue
-        if args.predicate != "extremal" and args.predicate != label:
-            continue
-        _formula_cross_check(spec, count)
-        rows.append([format_curve_spec(spec), count, label])
+    found = extremal_search(ctx, args.e_max, args.predicate, args.budget, args.threads)
+    rows = [[format_curve_spec(spec), count, label] for spec, count, label in found]
     results = [{"curve": text, "count": n, "class": c} for text, n, c in rows]
     return _Output(results, (("curve", "count", "class"), rows))
 
 
-def _formula_cross_check(spec: CurveSpec, count: int) -> None:
-    """Replay a count through the eigenvalue route when it exists."""
-    zeta = zeta_report(spec, [])
-    if zeta.presentation is None:
-        return  # the quadratic extension does not fit the ambient field
-    if zeta.lpoly is None:
-        raise OracleMismatch(
-            f"{format_curve_spec(spec)} meets the bound without a presentation"
-        )
-    check_count(spec, 1, zeta.lpoly.point_count(1), count)
-
-
 def cmd_hd_check(args: argparse.Namespace) -> _Output:
-    degrees = range(1, args.cap + 1)
-    for s in degrees:  # every degree is gated before the first sum
-        if s > MAX_DEGREE:
-            raise AmbientTooSmall(f"degree {s} exceeds the ambient cap {MAX_DEGREE}")
-        if (1 << s) > args.budget:
-            raise BudgetExceeded(
-                f"summing over F_{{2^{s}}} exceeds the budget {args.budget}"
-            )
-    records = []
-    rows = []
-    base = GaussInt(-1, -1)
-    for s in degrees:
-        total = hd_sum(s)
-        closed = base**s
-        if total != closed:
-            raise OracleMismatch(
-                f"degree {s}: enumerated sum {total} != closed form {closed}"
-            )
-        records.append({"degree": s, "sum": str(total), "closed_form": str(closed)})
-        rows.append([s, str(total), str(closed)])
-    return _Output(
-        {"max_degree": args.cap, "rows": records},
-        (("degree", "sum", "closed_form"), rows),
-    )
+    header = ("degree", "sum", "closed_form")
+    rows = [[s, str(total), str(closed)] for s, total, closed in hd_check(args.cap, args.budget)]
+    records = [dict(zip(header, row)) for row in rows]
+    return _Output({"max_degree": args.cap, "rows": records}, (header, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +346,9 @@ def _fail(exc: Exception, code: int) -> int:
 
 
 def _add_common(
-    parser: argparse.ArgumentParser, fmt: str = "json", cap: int | None = None
+    parser: argparse.ArgumentParser, func: Callable, fmt: str = "json", cap: int | None = None
 ) -> None:
+    parser.set_defaults(func=func)
     parser.register("type", int, _int_option)  # the errors still name the type int
     parser.add_argument(
         "--budget",
@@ -478,8 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--extensions", default="1", help="comma list of degrees to count over"
     )
-    _add_common(p)
-    p.set_defaults(func=cmd_analyze)
+    _add_common(p, cmd_analyze)
 
     p = sub.add_parser("twists", help="class table of a head curve's family")
     p.add_argument(
@@ -487,8 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="head coefficients a_e..a_1, zero linear term implied, "
         "e.g. 'q=F4; R=1'",
     )
-    _add_common(p, fmt="csv")
-    p.set_defaults(func=cmd_twists)
+    _add_common(p, cmd_twists, fmt="csv")
 
     p = sub.add_parser("construct", help="certified curves from closed forms")
     p.add_argument(
@@ -500,21 +409,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", help="hermitian: linear coefficient")
     p.add_argument("--q-deg", type=int, dest="q_deg", help="hermitian: degree of F_q")
     p.add_argument("--poly", help="palindromic: comma hex coefficients of f")
-    _add_common(p)
-    p.set_defaults(func=cmd_construct)
+    _add_common(p, cmd_construct)
 
     p = sub.add_parser("period", help="first bound-attaining extension over F_p")
     p.add_argument("curve", help="curve text, e.g. 'p=2; R=1,0'")
-    _add_common(p, cap=16)
-    p.set_defaults(func=cmd_period)
+    _add_common(p, cmd_period, cap=16)
 
     p = sub.add_parser("verify", help="dual-route consistency audit for a curve")
     p.add_argument("curve", help="curve text, e.g. 'q=F4; R=1,0'")
     p.add_argument(
         "--extensions", default="", help="degrees to audit (default: within budget)"
     )
-    _add_common(p)
-    p.set_defaults(func=cmd_verify)
+    _add_common(p, cmd_verify)
 
     p = sub.add_parser("search", help="sweep a field for bound-attaining curves")
     p.add_argument("--field", required=True, help="field spec, e.g. F4")
@@ -524,12 +430,10 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("maximal", "minimal", "extremal"),
     )
-    _add_common(p)
-    p.set_defaults(func=cmd_search)
+    _add_common(p, cmd_search)
 
     p = sub.add_parser("hd-check", help="character sums against the closed form")
-    _add_common(p, cap=16)
-    p.set_defaults(func=cmd_hd_check)
+    _add_common(p, cmd_hd_check, cap=16)
 
     return parser
 

@@ -4,8 +4,8 @@ Submodules: base (curve and datum types), lpoly (eigenvalue formulas),
 count (enumeration oracle), presentation (existence of a datum behind a
 given R and recovery), twists (classification of the linear-coefficient
 family), families (closed-form constructions), period (extremality
-period and parity over growing fields), zeta (the eigenvalue route
-checked by direct counts, the one home of the two-route contract).
+period and parity over growing fields), zeta (the one home of every
+route meeting: the two-route report, the search and the hd-check).
 """
 
 from .base import (
@@ -43,7 +43,7 @@ from .presentation import (
     recover_head,
 )
 from .twists import TwistClassification, classify_twists, quadratic_extension_maximal
-from .zeta import ZetaReport, zeta_report
+from .zeta import ZetaReport, extremal_search, hd_check, zeta_report
 
 __all__ = [
     "CurveSpec",
@@ -64,8 +64,10 @@ __all__ = [
     "classify_subfield_kernel",
     "classify_twists",
     "extremal_from_subspace",
+    "extremal_search",
     "forbidden_pairs",
     "format_curve_spec",
+    "hd_check",
     "head_curve",
     "hermitian_twist",
     "impossibility_scan",

@@ -49,7 +49,12 @@ from .base import CurveSpec, TwistDatum, build_curve, head_curve, weil_class
 from .count import DEFAULT_BUDGET, checked_count
 from .lpoly import LPolynomial, l_polynomial
 from .presentation import recover_datum
-from .twists import TwistClassification, eigenvalue_targets, image_classification
+from .twists import (
+    TwistClassification,
+    eigenvalue_targets,
+    image_classification,
+    least_admissible_parameter,
+)
 
 __all__ = [
     "ExtremalRecipe",
@@ -80,7 +85,7 @@ class ExtremalRecipe:
 
 def extremal_from_subspace(
     space: Fp2Subspace,
-    t: Element,
+    t: Element | None,
     q_deg: int,
     budget: int = DEFAULT_BUDGET,
 ) -> ExtremalRecipe:
@@ -93,16 +98,22 @@ def extremal_from_subspace(
     subspace dimension; its twist by `t` is provably extremal.
     Maximality is read off the quadratic character of `t`,
     cross-checked against the eigenvalues and, within budget, against
-    a brute count.
+    a brute count.  t = None takes the least admissible parameter
+    after the input checks, and raises NoSolution when there is none.
     """
     ctx = space.ctx
-    ctx.check(t)
+    if t is not None:
+        ctx.check(t)
     if (q_deg // ctx.p_log) % 2:
         raise OddDegree(f"[F_q : F_p] = {q_deg // ctx.p_log} must be even")
     if not space.contains(1):
         raise HypothesisFailed("the subspace must contain 1")
-    if not ctx.in_subfield(t, q_deg) or not space.in_subfield(q_deg):
+    if not space.in_subfield(q_deg) or t is not None and not ctx.in_subfield(t, q_deg):
         raise DomainError("subspace and parameter must lie in F_q")
+    if t is None:
+        t = least_admissible_parameter(space, q_deg)
+        if t is None:
+            raise NoSolution("no parameter matches the quadratic character on the subspace")
     for v in space.elements():
         if v and q_char(ctx, v, q_deg) != psi_char(ctx, ctx.mul(t, v), q_deg):
             raise PairingConditionFailed(

@@ -9,9 +9,8 @@ import sys
 
 import pytest
 
-from aswcurves import cli
 from aswcurves.cli import main
-from aswcurves.curves import CurveSpec, brute_count, count, zeta_report
+from aswcurves.curves import CurveSpec, brute_count, count, zeta, zeta_report
 from aswcurves.curves.base import weil_class
 from aswcurves.gf2field import parse_field_spec
 from aswcurves.witt2 import GaussInt
@@ -422,7 +421,7 @@ class TestSearch:
         counted = brute_count(spec)
         assert weil_class(spec, 1, counted) == "maximal"
         assert zeta_report(spec, []).presentation is None
-        assert cli._formula_cross_check(spec, counted) is None
+        assert zeta._formula_cross_check(spec, counted) is None
 
 
 class TestHdCheck:
@@ -462,7 +461,7 @@ class TestHdCheck:
             calls.append(s)
             return GaussInt(-1, -1) ** s
 
-        monkeypatch.setattr("aswcurves.cli.hd_sum", closed_form)
+        monkeypatch.setattr("aswcurves.curves.zeta.hd_sum", closed_form)
         got, data = run_json(capsys, "hd-check", "--cap", cap, "--budget", budget)
         assert (got, data, calls) == (code, record, [])
 

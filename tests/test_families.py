@@ -25,6 +25,7 @@ from aswcurves.errors import (
     FieldTooSmall,
     FOneNonzero,
     HypothesisFailed,
+    NoSolution,
     OddDegree,
     OracleMismatch,
     PairingConditionFailed,
@@ -188,6 +189,37 @@ class TestRecipe:
                 if scaled == target.coeffs:
                     found = True
         assert found
+
+    @pytest.mark.parametrize(
+        "ctx, vectors",
+        [(F16, [1]), (F16, [1, 6]), (F16, [1, 3]), (make_field(8, None, 2), [1])],
+        ids=["F16 1", "F16 1,6", "F16 1,3", "F256:p=4 1"],
+    )
+    def test_omitted_parameter_is_the_least_admissible(self, ctx, vectors):
+        space = Fp2Subspace.from_vectors(ctx, vectors)
+        least = admissible_parameters(ctx, space, ctx.n)[0]
+        rec = extremal_from_subspace(space, None, ctx.n)
+        assert rec == extremal_from_subspace(space, least, ctx.n)
+
+    @pytest.mark.parametrize("vectors", [[1, 8], [1, 2, 4]], ids=["F16 1,8", "F16 1,2,4"])
+    def test_omitted_parameter_with_none_admissible(self, vectors):
+        space = Fp2Subspace.from_vectors(F16, vectors)
+        assert admissible_parameters(F16, space, 4) == []
+        with pytest.raises(NoSolution) as exc:
+            extremal_from_subspace(space, None, 4)
+        assert str(exc.value) == "no parameter matches the quadratic character on the subspace"
+
+    @pytest.mark.parametrize(
+        "ctx, vectors, error",
+        [(make_field(5), [1], OddDegree), (F16, [3], HypothesisFailed)],
+        ids=["F32 1", "F16 3"],
+    )
+    def test_omitted_parameter_after_the_input_checks(self, monkeypatch, ctx, vectors, error):
+        searched = []
+        monkeypatch.setattr(families, "least_admissible_parameter", lambda *a: searched.append(a))
+        with pytest.raises(error):
+            extremal_from_subspace(Fp2Subspace.from_vectors(ctx, vectors), None, ctx.n)
+        assert searched == []
 
     def test_pairing_failure(self):
         with pytest.raises(PairingConditionFailed):

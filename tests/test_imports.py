@@ -1,11 +1,11 @@
 """Source hygiene: no module imports another module's private names, the
 counting oracle imports nothing from the routes it checks, the routes
 reach the oracle only through `curves.count.checked_count`, the command
-line reaches the eigenvalue route only through `curves.zeta_report`,
-only `bitvec` imports numpy, no module holds what `python -O`
-would strip, every function and class under `src/` is reached, and
-every reference in `tests/reference.py` is compared against by some
-test."""
+line reaches the eigenvalue route only through `curves.zeta_report`
+and compares no routes itself, only `bitvec` imports numpy, no module
+holds what `python -O` would strip, every function and class under
+`src/` is reached, and every reference in `tests/reference.py` is
+compared against by some test."""
 
 import ast
 import importlib
@@ -205,6 +205,103 @@ def test_cli_reaches_the_eigenvalue_route_only_through_zeta_report():
     source = (SRC / "aswcurves/cli.py").read_text()
     assert references(source, {"presentation_conditions", "l_polynomial"}) == []
     assert references(source, {"zeta_report"})
+
+
+# `cli.py` parses and formats; every route meeting outside `checked_count`
+# is in `curves.zeta`.  So cli.py raises no OracleMismatch, imports nothing
+# from the route modules `curves.period`, `curves.twists` and `witt2`, and
+# names no comparison or enumeration entry.  One count is exempt by name
+# until the eigenvalue route counts F_q alone (ROADMAP item 1).
+CLI_ROUTE_MODULES = {"period", "twists", "witt2"}
+CLI_ROUTE_NAMES = {
+    "check_count", "checked_count", "hd_sum", "coefficient_range", "least_admissible_parameter"
+}
+CLI_ROUTE_EXEMPT = {
+    "checked_count": (
+        "cmd_analyze",
+        "analyze's second direct count of F_q when no witness gives the class; "
+        "bench/routes.json records that doubled count",
+    ),
+}
+
+
+def route_meetings(source: str) -> list[tuple[int, str, str]]:
+    """(line, where, what) of every `raise OracleMismatch`, import from a
+    module of CLI_ROUTE_MODULES and import or reference of a name of
+    CLI_ROUTE_NAMES, in line order.  `where` is "import" for an import
+    statement, else the top-level function or class around it, or
+    "<module>"."""
+    found = []
+    for top in ast.parse(source).body:
+        scope = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if ast.unparse(exc).split(".")[-1] == "OracleMismatch":
+                    found.append((node.lineno, scope, "raise OracleMismatch"))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name for a in node.names]
+                modules = names if isinstance(node, ast.Import) else [node.module or ""]
+                if isinstance(node, ast.ImportFrom):
+                    modules += [f"{node.module or ''}.{name}" for name in names]
+                if any(m.split(".")[-1] in CLI_ROUTE_MODULES for m in modules):
+                    found.append((node.lineno, "import", "from a route module"))
+                found += [
+                    (node.lineno, "import", name.split(".")[-1])
+                    for name in names
+                    if name.split(".")[-1] in CLI_ROUTE_NAMES
+                ]
+            elif isinstance(node, ast.Name) and node.id in CLI_ROUTE_NAMES:
+                found.append((node.lineno, scope, node.id))
+            elif isinstance(node, ast.Attribute) and node.attr in CLI_ROUTE_NAMES:
+                found.append((node.lineno, scope, node.attr))
+    return sorted(found)
+
+
+def test_cli_compares_no_routes():
+    found = route_meetings((SRC / "aswcurves/cli.py").read_text())
+    exempt = [
+        (where, what)
+        for _, where, what in found
+        if what in CLI_ROUTE_EXEMPT and where in ("import", CLI_ROUTE_EXEMPT[what][0])
+    ]
+    assert [f for f in found if f[1:] not in exempt] == []
+    assert sorted(exempt) == [("cmd_analyze", "checked_count"), ("import", "checked_count")]
+
+
+def test_route_detector_sees_raises_imports_and_references():
+    source = (
+        '"""raise OracleMismatch in a docstring is prose."""\n'
+        "from .curves.count import check_count, checked_count\n"
+        "from .curves.twists import classify\n"
+        "from .curves import period, zeta_report\n"
+        "import aswcurves.witt2 as w\n"
+        "from .errors import OracleMismatch\n"
+        "from .witt2period import helper\n"
+        "def cmd_analyze(args):\n"
+        "    return checked_count(args)\n"
+        "def cmd_hd(args):\n"
+        "    if w.hd_sum(3) != 0:\n"
+        "        raise errors.OracleMismatch('hd_sum')\n"
+        "    raise OracleMismatch\n"
+        "class Search:\n"
+        "    ranges = coefficient_range\n"
+        "label = 'least_admissible_parameter'\n"
+        "check_count(None)\n"
+    )
+    assert route_meetings(source) == [
+        (2, "import", "check_count"),
+        (2, "import", "checked_count"),
+        (3, "import", "from a route module"),
+        (4, "import", "from a route module"),
+        (5, "import", "from a route module"),
+        (9, "cmd_analyze", "checked_count"),
+        (11, "cmd_hd", "hd_sum"),
+        (12, "cmd_hd", "raise OracleMismatch"),
+        (13, "cmd_hd", "raise OracleMismatch"),
+        (15, "Search", "coefficient_range"),
+        (17, "<module>", "check_count"),
+    ]
 
 
 # `python -O` changes a program in two ways only: it strips `assert`

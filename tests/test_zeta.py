@@ -1,6 +1,8 @@
-"""The two-route contract: `curves.zeta_report` holds the eigenvalue
-route against direct counts, and every command that prints or replays
-its counts fails on a planted eigenvalue fault."""
+"""The route meetings of `curves.zeta`: `zeta_report` holds the
+eigenvalue route against direct counts, and every command that prints or
+replays its counts fails on a planted eigenvalue fault; `extremal_search`
+and `hd_check` give a library caller the rows `search` and `hd-check`
+print."""
 
 import dataclasses
 import json
@@ -8,8 +10,19 @@ import json
 import pytest
 
 from aswcurves.cli import main
-from aswcurves.curves import LPolynomial, count, parse_curve_spec, zeta, zeta_report
-from aswcurves.errors import OracleMismatch
+from aswcurves.curves import (
+    LPolynomial,
+    count,
+    extremal_search,
+    format_curve_spec,
+    hd_check,
+    parse_curve_spec,
+    zeta,
+    zeta_report,
+)
+from aswcurves.errors import BudgetExceeded, DomainError, OracleMismatch
+from aswcurves.gf2field import parse_field_spec
+from aswcurves.witt2 import GaussInt
 
 CUBIC = "q=F4; R=1,0"  # maximal: eigenvalues -2, -2 and 9 points over F_4
 
@@ -141,3 +154,86 @@ def test_search_refuses_an_extremal_curve_without_a_witness(capsys, monkeypatch)
             "detail": f"{CUBIC} meets the bound without a presentation",
         },
     )
+
+
+# The bound-attaining curves of `search --predicate extremal`, as printed.
+SEARCH_ROWS = {
+    ("F16", 2): [
+        ("q=F16; R=1,0", 9, "minimal"),
+        ("q=F16; R=1,1", 25, "maximal"),
+        ("q=F16; R=1,0,0", 33, "maximal"),
+    ],
+    ("F256:p=4", 1): [
+        ("q=F256:p=4; R=1,0", 65, "minimal"),
+        ("q=F256:p=4; R=1,1", 65, "minimal"),
+        ("q=F256:p=4; R=bc,1", 449, "maximal"),
+        ("q=F256:p=4; R=bd,1", 449, "maximal"),
+    ],
+    ("F64:p=8", 1): [("q=F64:p=8; R=1,0", 513, "maximal")],
+}
+
+
+def search_rows(field, e_max, predicate):
+    return [
+        (format_curve_spec(spec), n, label)
+        for spec, n, label in extremal_search(parse_field_spec(field), e_max, predicate)
+    ]
+
+
+@pytest.mark.parametrize("field, e_max", list(SEARCH_ROWS))
+def test_extremal_search_returns_the_rows_search_prints(capsys, field, e_max):
+    rows = search_rows(field, e_max, "extremal")
+    assert rows == SEARCH_ROWS[field, e_max]
+    argv = ["search", "--field", field, "--e-max", str(e_max), "--predicate", "extremal"]
+    printed = run_record(capsys, argv)
+    assert printed == (0, [dict(zip(("curve", "count", "class"), row)) for row in rows])
+
+
+@pytest.mark.parametrize("predicate", ["maximal", "minimal"])
+def test_extremal_search_keeps_the_class_asked_for(predicate):
+    expected = [row for row in SEARCH_ROWS["F16", 2] if row[2] == predicate]
+    assert search_rows("F16", 2, predicate) == expected
+
+
+def test_extremal_search_budget_edge():
+    ctx = parse_field_spec("F16")
+    assert extremal_search(ctx, 1, "extremal", budget=16) == extremal_search(ctx, 1, "extremal")
+    with pytest.raises(BudgetExceeded) as exc:
+        extremal_search(ctx, 1, "extremal", budget=15)
+    assert str(exc.value) == "searching F_16 needs direct counts of size 16 > budget 15"
+
+
+def test_extremal_search_refuses_an_unknown_predicate():
+    with pytest.raises(DomainError) as exc:
+        extremal_search(parse_field_spec("F4"), 1, "neutral")
+    assert str(exc.value) == "predicate 'neutral' is not maximal, minimal or extremal"
+
+
+def closed_form(cap):
+    """(s, re, im) of (-1-i)^s for s = 1..cap, by (a + bi)(-1 - i) =
+    (b - a) - (a + b)i."""
+    rows, re, im = [], -1, -1
+    for s in range(1, cap + 1):
+        rows.append((s, re, im))
+        re, im = im - re, -re - im
+    return rows
+
+
+def test_hd_check_rows_are_the_closed_form():
+    rows = hd_check(12, 1 << 12)
+    assert [(s, total.re, total.im) for s, total, _ in rows] == closed_form(12)
+    assert [(s, closed.re, closed.im) for s, _, closed in rows] == closed_form(12)
+
+
+def test_hd_check_names_the_degree_of_a_planted_sum(monkeypatch):
+    original = zeta.hd_sum
+    summed = []
+
+    def planted(s):
+        summed.append(s)
+        return original(s) + GaussInt(2, 0) if s == 7 else original(s)
+
+    monkeypatch.setattr(zeta, "hd_sum", planted)
+    with pytest.raises(OracleMismatch, match=r"^degree 7: enumerated sum "):
+        hd_check(12, 1 << 12)
+    assert summed == list(range(1, 8))
