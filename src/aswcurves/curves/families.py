@@ -110,15 +110,16 @@ def extremal_from_subspace(
         raise HypothesisFailed("the subspace must contain 1")
     if not space.in_subfield(q_deg) or t is not None and not ctx.in_subfield(t, q_deg):
         raise DomainError("subspace and parameter must lie in F_q")
-    if t is None:
+    if t is None:  # least_admissible_parameter checks every point itself
         t = least_admissible_parameter(space, q_deg)
         if t is None:
             raise NoSolution("no parameter matches the quadratic character on the subspace")
-    for v in space.elements():
-        if v and q_char(ctx, v, q_deg) != psi_char(ctx, ctx.mul(t, v), q_deg):
-            raise PairingConditionFailed(
-                f"characters disagree at {v:#x}: the pair is not admissible"
-            )
+    else:
+        for v in space.elements():
+            if v and q_char(ctx, v, q_deg) != psi_char(ctx, ctx.mul(t, v), q_deg):
+                raise PairingConditionFailed(
+                    f"characters disagree at {v:#x}: the pair is not admissible"
+                )
     annihilator = SkewPoly.from_subspace(space)
     F = annihilator.adjoint() * SkewPoly(ctx, {space.dim_p: 1})
     fd = TwistDatum(F, q_deg)

@@ -156,7 +156,7 @@ def presentation_conditions(spec: CurveSpec) -> PresentationReport:
 
     try:
         lagrangian = maximal_isotropic(
-            pc, phi=lambda u: _form_sqrt(pspec, u), within=Vq
+            pc, phi=lambda u: _form_sqrt(pspec, u), radical=radical, within=Vq
         )
         flag4 = True
     except NotIsotropic:
@@ -216,7 +216,9 @@ def recover_head(head: CurveSpec) -> TwistDatum:
         )
     hspec = head.canonical()
     pc = PairingCtx(hspec.e_skew())
-    lagrangian = maximal_isotropic(pc, phi=lambda u: _form_sqrt(hspec, u))
+    lagrangian = maximal_isotropic(
+        pc, phi=lambda u: _form_sqrt(hspec, u), radical=Fp2Subspace(pc.ctx, ())
+    )
     fd = _datum_through(pc, lagrangian, head.ctx, q_deg)
     fd.require(4)
     if head_curve(fd) != head:

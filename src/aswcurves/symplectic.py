@@ -7,9 +7,10 @@ the value omega(u, v) := g(v, u) on W = ker E lands in F_p, and omega
 is a nondegenerate alternating form, so W is a symplectic F_p-space.
 A Lagrangian of it is the kernel of a factor F in E = F*F (van der
 Geer-van der Vlugt, Compositio Math. 84, 1992).  This module computes
-g, the form, orthogonal complements, radicals and maximal isotropic
-subspaces (grown one vector at a time, on which a given F_p-linear
-form vanishes).
+g, the form and orthogonal complements (its one linear solve, which
+also checks the form nondegenerate), and grows maximal isotropic
+subspaces one vector at a time, on which a given F_p-linear form
+vanishes, from a radical that the caller supplies.
 
 Everything is exact; pairing values are elements of the degree-p_log
 subfield of the working context.
@@ -17,10 +18,10 @@ subfield of the working context.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import NotIsotropic, NotSelfAdjoint, NotSubspaceOfW, OracleMismatch
-from .gf2field import Element, FieldCtx, Fp2Subspace, kernel_basis, rref_basis
+from .gf2field import Element, FieldCtx, Fp2Subspace, kernel_basis
 from .skew import SkewPoly, format_skew
 
 
@@ -58,10 +59,7 @@ class PairingCtx:
             raise NotSelfAdjoint(f"{format_skew(F)} is not self-adjoint")
         self.F = F
         self.W = F.kernel()
-        basis = self.W.fp_basis()
-        rows = [[self.omega(u, v) for v in basis] for u in basis]
-        if _fp_rank(F.ctx, rows) != self.W.dim_p:
-            raise OracleMismatch("pairing is degenerate")
+        self.orthogonal_complement(self.W)  # OracleMismatch if degenerate
 
     @property
     def ctx(self) -> FieldCtx:
@@ -78,41 +76,35 @@ class PairingCtx:
         """{v in W : omega(u, v) = 0 for all u in X}."""
         if not X.is_subspace_of(self.W):
             raise NotSubspaceOfW("X is not a subspace of ker F")
-        perp = self._solve_perp(X.basis, self.W)
+        ctx, wb = self.ctx, self.W.basis
+        images = [
+            sum(self.omega(u, w) << (k * ctx.n) for k, u in enumerate(X.basis))
+            for w in wb
+        ]
+        perp = Fp2Subspace.from_vectors(ctx, kernel_basis(images, wb))
         if perp.dim_p != self.W.dim_p - X.dim_p:
             raise OracleMismatch(f"complement of dim {perp.dim_p} for dim X {X.dim_p}")
         return perp
-
-    def _solve_perp(
-        self, conditions: Sequence[Element], inside: Fp2Subspace
-    ) -> Fp2Subspace:
-        """Vectors of inside pairing to 0 with every condition vector."""
-        ctx, wb = self.ctx, inside.basis
-        images = [
-            sum(self.omega(u, w) << (k * ctx.n) for k, u in enumerate(conditions))
-            for w in wb
-        ]
-        vecs = kernel_basis(images, wb)
-        return Fp2Subspace.from_vectors(ctx, vecs)
-
-    def radical(self, within: Fp2Subspace) -> Fp2Subspace:
-        """Radical of the form restricted to a subspace of W."""
-        if not within.is_subspace_of(self.W):
-            raise NotSubspaceOfW("subspace does not sit inside ker F")
-        return self._solve_perp(within.basis, within)
 
 
 def maximal_isotropic(
     pc: PairingCtx,
     phi: Callable[[Element], Element],
+    radical: Fp2Subspace,
     within: Fp2Subspace | None = None,
 ) -> Fp2Subspace:
     """A maximal totally isotropic subspace of ker F on which the
     F_p-linear form phi vanishes, deterministically.
 
     within, if given, is a subspace of ker F to work inside (the form
-    may be degenerate there, and the result then contains its radical;
-    NotSubspaceOfW if it is not inside ker F).
+    may be degenerate there, and the result then contains its radical).
+    radical is the radical of the form on within (on ker F if within is
+    None), and nothing here solves for it: the caller vouches for it.
+    `recover_head` passes the zero subspace, which PairingCtx's
+    nondegeneracy check justifies; `presentation_conditions` passes
+    the complement of V cap F_q, checked against the image of
+    u -> u^q + u.  NotSubspaceOfW if within is not inside ker F or the
+    radical is not inside within.
     As omega and phi are F_p-linear, a vector v extends an isotropic U
     on which phi vanishes exactly when phi(v), omega(v, v) and omega(u, v)
     vanish for u in an F_p-basis of U; that is the one test applied.
@@ -132,15 +124,19 @@ def maximal_isotropic(
     backtracking search would find first.
     """
     space = pc.W if within is None else within
-    rad = pc.radical(space)
-    if (space.dim_p - rad.dim_p) % 2:
-        raise OracleMismatch(f"alternating form of odd rank {space.dim_p - rad.dim_p}")
-    target = rad.dim_p + (space.dim_p - rad.dim_p) // 2
+    if not space.is_subspace_of(pc.W):
+        raise NotSubspaceOfW("subspace does not sit inside ker F")
+    if not radical.is_subspace_of(space):
+        raise NotSubspaceOfW("radical does not sit inside the subspace")
+    rank = space.dim_p - radical.dim_p
+    if rank % 2:
+        raise OracleMismatch(f"alternating form of odd rank {rank}")
+    target = radical.dim_p + rank // 2
 
     def extends(basis: list[Element], v: Element) -> bool:
         return phi(v) == 0 and all(pc.omega(u, v) == 0 for u in basis + [v])
 
-    basis = list(rad.fp_basis())
+    basis = list(radical.fp_basis())
     if not all(extends(basis[:k], v) for k, v in enumerate(basis)):
         raise NotIsotropic("constraints fail on the radical")
     current = Fp2Subspace.from_vectors(pc.ctx, basis)
@@ -153,15 +149,3 @@ def maximal_isotropic(
     if current.dim_p != target:
         raise OracleMismatch(f"isotropic pass ended at dim {current.dim_p} < {target}")
     return current
-
-
-def _fp_rank(ctx: FieldCtx, rows: list[list[Element]]) -> int:
-    """Rank of a matrix over F_p, the degree-p_log subfield: the F_2-span
-    of the rows (entry k at bit k*n) times an F_2-basis of F_p is their
-    F_p-span, of F_2-dimension p_log times the rank."""
-    scalars = ctx.subfield_basis(ctx.p_log)
-    packed = [
-        sum(ctx.mul(c, a) << (k * ctx.n) for k, a in enumerate(row))
-        for row in rows for c in scalars
-    ]
-    return len(rref_basis(packed)) // ctx.p_log

@@ -201,6 +201,17 @@ class TestRecipe:
         rec = extremal_from_subspace(space, None, ctx.n)
         assert rec == extremal_from_subspace(space, least, ctx.n)
 
+    def test_omitted_parameter_is_checked_once(self, monkeypatch):
+        # least_admissible_parameter tests psi(t*v) = Q(v) at every point
+        # itself, so the recipe's own loop runs only for a supplied t
+        space = Fp2Subspace.from_vectors(F16, [1, 6])
+        checked = []
+        monkeypatch.setattr(families, "psi_char", lambda *a: checked.append(a) or psi_char(*a))
+        rec = extremal_from_subspace(space, None, 4)
+        assert checked == []
+        assert extremal_from_subspace(space, rec.parameter, 4) == rec
+        assert len(checked) == 3
+
     @pytest.mark.parametrize("vectors", [[1, 8], [1, 2, 4]], ids=["F16 1,8", "F16 1,2,4"])
     def test_omitted_parameter_with_none_admissible(self, vectors):
         space = Fp2Subspace.from_vectors(F16, vectors)

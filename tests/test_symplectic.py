@@ -17,7 +17,9 @@ from aswcurves.errors import (
 )
 from aswcurves.gf2field import Fp2Subspace, make_field
 from aswcurves.skew import SkewPoly
-from aswcurves.symplectic import PairingCtx, _fp_rank, g_witness, maximal_isotropic
+from aswcurves import symplectic
+from aswcurves.curves import parse_curve_spec, presentation
+from aswcurves.symplectic import PairingCtx, g_witness, maximal_isotropic
 from reference import (
     HeisenbergElt,
     NotOnCurve,
@@ -31,6 +33,11 @@ from reference import (
 F4 = make_field(2)
 F16 = make_field(4)
 E4 = SkewPoly(F4, {1: 1, -1: 1})
+
+
+def zero(pc):
+    """The radical of a nondegenerate form, as maximal_isotropic takes it."""
+    return Fp2Subspace(pc.ctx, ())
 
 
 def rand_poly(ctx, rng, lo=-2, hi=2, terms=3):
@@ -62,7 +69,7 @@ def test_pairing_builds_the_adjoint_once(monkeypatch):
     monkeypatch.setattr(SkewPoly, "adjoint", lambda self: built.append(self) or adjoint(self))
     F256 = make_field(8)
     pc = PairingCtx(SkewPoly(F256, {1: 1, -1: 1}))
-    lagrangian = maximal_isotropic(pc, phi=lambda u: 0)
+    lagrangian = maximal_isotropic(pc, phi=lambda u: 0, radical=zero(pc))
     assert len(built) == 1 and lagrangian.dim_p == pc.W.dim_p // 2
     monkeypatch.undo()
     W = pc.W.elements()
@@ -162,26 +169,6 @@ def test_orthogonal_complement_dimension_random():
         assert all(pc.omega(u, v) == 0 for u in X.elements() for v in perp.elements())
 
 
-@pytest.mark.parametrize("n, p_log", [(4, 1), (4, 2), (6, 3), (8, 2)])
-def test_fp_rank_counts_the_row_span(n, p_log):
-    # p^rank is the number of F_p-combinations of the rows
-    K = make_field(n, p_log=p_log)
-    fp = K.subfield_elements(p_log)
-    rng = random.Random(n + p_log)
-    for _ in range(25):
-        nrows, ncols = rng.randrange(4), rng.randrange(1, 4)
-        rows = [[rng.choice(fp) for _ in range(ncols)] for _ in range(nrows)]
-        if rows and rng.random() < 0.5:  # a dependent row
-            c = rng.choice(fp)
-            rows.append([K.mul(c, a) ^ b for a, b in zip(rows[0], rows[-1])])
-        span = {(0,) * ncols}
-        for row in rows:
-            span = {
-                tuple(x ^ K.mul(c, a) for x, a in zip(v, row)) for v in span for c in fp
-            }
-        assert len(fp) ** _fp_rank(K, rows) == len(span)
-
-
 def test_result_checks_raise_with_asserts_stripped(monkeypatch):
     big = SkewPoly(F16, {2: 1, -2: 1})  # self-adjoint, kernel all of F_16
     pc = PairingCtx(big)
@@ -197,11 +184,10 @@ def test_result_checks_raise_with_asserts_stripped(monkeypatch):
     with pytest.raises(OracleMismatch):
         pc.orthogonal_complement(line)
     monkeypatch.undo()
-    # a radical of the wrong parity leaves an odd rank
-    monkeypatch.setattr(PairingCtx, "radical", lambda self, within: line)
-    with pytest.raises(OracleMismatch):
-        maximal_isotropic(pc, phi=lambda u: 0)
     monkeypatch.undo()
+    # a radical of the wrong parity leaves an odd rank
+    with pytest.raises(OracleMismatch, match="odd rank 3"):
+        maximal_isotropic(pc, phi=lambda u: 0, radical=line)
     # a wrong adjoint breaks g's identity
     F = SkewPoly(F4, {1: 1, 0: 1})
     monkeypatch.setattr(SkewPoly, "adjoint", lambda self: SkewPoly.one(self.ctx))
@@ -217,9 +203,9 @@ def test_isotropic_pass_ending_short_is_a_mismatch(monkeypatch):
     monkeypatch.setattr(
         PairingCtx, "omega", lambda self, u, v: int(u == v != 0)
     )
-    assert pc.radical(pc.W).dim_p == 0
+    assert pc.orthogonal_complement(pc.W).dim_p == 0
     with pytest.raises(OracleMismatch, match="ended at dim 0 < 1"):
-        maximal_isotropic(pc, phi=lambda u: 0)
+        maximal_isotropic(pc, phi=lambda u: 0, radical=zero(pc))
 
 
 def test_factor_complement_check():
@@ -246,22 +232,22 @@ def test_factor_complement_random():
 
 def test_maximal_isotropic_unconstrained():
     pc = PairingCtx(E4)
-    got = maximal_isotropic(pc, phi=lambda u: 0)
+    got = maximal_isotropic(pc, phi=lambda u: 0, radical=zero(pc))
     assert got.elements() == [0, 1]  # least deterministic choice
     big = PairingCtx(SkewPoly(F16, {2: 1, -2: 1}))
-    W = maximal_isotropic(big, phi=lambda u: 0)
+    W = maximal_isotropic(big, phi=lambda u: 0, radical=zero(big))
     assert W.dim_p == 2
     assert all(big.omega(u, v) == 0 for u in W.elements() for v in W.elements())
-    assert maximal_isotropic(big, phi=lambda u: 0) == W  # deterministic
+    assert maximal_isotropic(big, phi=lambda u: 0, radical=zero(big)) == W  # deterministic
 
 
 def test_maximal_isotropic_with_phi():
     pc = PairingCtx(E4)
     phi = lambda u: pc.omega(1, u)
-    assert maximal_isotropic(pc, phi=phi).elements() == [0, 1]
+    assert maximal_isotropic(pc, phi=phi, radical=zero(pc)).elements() == [0, 1]
     big = PairingCtx(SkewPoly(F16, {2: 1, -2: 1}))
     phi2 = lambda u: big.omega(6, u)
-    W = maximal_isotropic(big, phi=phi2)
+    W = maximal_isotropic(big, phi=phi2, radical=zero(big))
     assert W.dim_p == 2
     assert all(phi2(u) == 0 for u in W.elements())
     assert all(big.omega(u, v) == 0 for u in W.elements() for v in W.elements())
@@ -270,10 +256,49 @@ def test_maximal_isotropic_with_phi():
 def test_maximal_isotropic_within_degenerate():
     big = PairingCtx(SkewPoly(F16, {2: 1, -2: 1}))
     sub = Fp2Subspace.from_vectors(F16, [1, 6])  # contains the F_4 part
-    rad = big.radical(sub)
-    W = maximal_isotropic(big, phi=lambda u: 0, within=sub)
+    rad = sub.intersect(big.orthogonal_complement(sub))
+    W = maximal_isotropic(big, phi=lambda u: 0, radical=rad, within=sub)
     assert rad.is_subspace_of(W)
     assert all(big.omega(u, v) == 0 for u in W.elements() for v in W.elements())
+
+
+def test_maximal_isotropic_checks_its_subspaces():
+    small = PairingCtx(E4.transport_to(F16, deg=F4.n))  # ker F is F_4
+    outside = Fp2Subspace.from_vectors(F16, [2])  # 2 generates F_16
+    with pytest.raises(NotSubspaceOfW, match="inside ker F"):
+        maximal_isotropic(small, phi=lambda u: 0, radical=zero(small), within=outside)
+    big = PairingCtx(SkewPoly(F16, {2: 1, -2: 1}))
+    sub = Fp2Subspace.from_vectors(F16, [1, 6])
+    with pytest.raises(NotSubspaceOfW, match="radical does not sit"):
+        maximal_isotropic(big, phi=lambda u: 0, radical=outside, within=sub)
+
+
+@pytest.mark.parametrize(
+    "text", ["q=F16; R=1,0,0", "q=F256; R=1,0,0", "q=F256:p=4; R=1,0"]
+)
+def test_maximal_isotropic_solves_nothing(monkeypatch, text):
+    """The radical comes from the caller: no kernel_basis call is made
+    inside the search, reached from both presentation callers."""
+    depth, solves = [0], []
+    search, kernel = presentation.maximal_isotropic, symplectic.kernel_basis
+
+    def wrapped(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return search(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def counted(*args):
+        solves.append(depth[0])
+        return kernel(*args)
+
+    monkeypatch.setattr(presentation, "maximal_isotropic", wrapped)
+    monkeypatch.setattr(symplectic, "kernel_basis", counted)
+    spec = parse_curve_spec(text)
+    assert presentation.presentation_conditions(spec).flags == (True,) * 4
+    presentation.recover_head(spec.head())
+    assert solves and 1 not in solves  # PairingCtx solved, the search did not
 
 
 def test_kernel_subfield_dimensions_match():
@@ -434,8 +459,10 @@ def lagrangian_grid():
         sub = Fp2Subspace.from_vectors(pc.ctx, rng.sample(W, 2))
         for phi in (lambda u: 0, lambda u: pc.omega(c, u)):
             for within in (None, sub):
+                space = pc.W if within is None else within
+                radical = space.intersect(pc.orthogonal_complement(space))
                 try:
-                    out = list(maximal_isotropic(pc, phi=phi, within=within).basis)
+                    out = list(maximal_isotropic(pc, phi, radical, within).basis)
                 except Char2Error as exc:
                     out = type(exc).__name__
                 rows.append([pc.ctx.n, pc.ctx.p_log, c, list(sub.basis), out])
