@@ -7,6 +7,8 @@ from math import lcm
 
 import pytest
 
+from aswcurves import symplectic
+from aswcurves.curves import parse_curve_spec, presentation
 from aswcurves.errors import (
     CapExceeded,
     Char2Error,
@@ -17,8 +19,6 @@ from aswcurves.errors import (
 )
 from aswcurves.gf2field import Fp2Subspace, make_field
 from aswcurves.skew import SkewPoly
-from aswcurves import symplectic
-from aswcurves.curves import parse_curve_spec, presentation
 from aswcurves.symplectic import PairingCtx, g_witness, maximal_isotropic
 from reference import (
     HeisenbergElt,
@@ -183,7 +183,6 @@ def test_result_checks_raise_with_asserts_stripped(monkeypatch):
         PairingCtx(big)
     with pytest.raises(OracleMismatch):
         pc.orthogonal_complement(line)
-    monkeypatch.undo()
     monkeypatch.undo()
     # a radical of the wrong parity leaves an odd rank
     with pytest.raises(OracleMismatch, match="odd rank 3"):
