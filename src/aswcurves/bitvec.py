@@ -31,7 +31,6 @@ by doubling, with no value computed element by element.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from functools import cache
 from typing import Sequence
 
@@ -117,6 +116,8 @@ def fused_count(
     chunks = range(0, size, CHUNK)
     if threads <= 1 or len(chunks) <= 1:
         return sum(map(zeros, chunks))
+    from concurrent.futures import ThreadPoolExecutor  # only threaded counts pay its import
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return sum(pool.map(zeros, chunks))
 

@@ -9,11 +9,11 @@ curves), and `hd-check` (full-field character sums against the closed
 form).  Each formats a library report; routes meet only in `curves.zeta`.
 
 Structured reports are JSON; tables (twists, search, hd-check) render
-as CSV with --format csv.  Exit codes are stable: 0 success, 1 domain
-error, 2 parse error, 3 ambient field too small, 4 oracle mismatch,
-5 cap or budget exceeded.  Runs degrade to formula-only output, with a
-warning record, when a direct count would exceed the budget or the
-32-bit ambient field.
+as CSV with --format csv, both from one column set (`_Table`).  Exit
+codes are stable: 0 success, 1 domain error, 2 parse error, 3 ambient
+field too small, 4 oracle mismatch, 5 cap or budget exceeded.  Runs
+degrade to formula-only output, with a warning record, when a direct
+count would exceed the budget or the 32-bit ambient field.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ import json
 import re
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 from .curves import (
     CurveSpec,
@@ -59,12 +60,72 @@ from .gf2field import Fp2Subspace, parse_field_spec, parse_int
 __all__ = ["main"]
 
 
+class _Table:
+    """A table as one sequence per column, every cell of a column exactly
+    `str` or exactly `int` (not bool: JSON spells True `true`).  CSV and
+    JSON render from the columns; no row is built as a dict or a list."""
+
+    __slots__ = ("header", "columns")
+
+    def __init__(self, header: Sequence[str], columns: Sequence[Sequence[str] | Sequence[int]]):
+        if len(columns) != len(header) or len(set(header)) != len(header):
+            raise ValueError(f"header {header!r} does not name {len(columns)} columns once each")
+        if len(set(map(len, columns))) > 1:
+            raise ValueError("columns of unequal length")
+        for column in columns:
+            kinds = set(map(type, column))
+            if len(kinds) > 1 or not kinds <= {str, int}:
+                names = sorted(kind.__name__ for kind in kinds)
+                raise TypeError(f"a column holds {names}, not only str or only int")
+        self.header, self.columns = header, columns
+
+    def csv_text(self) -> str:
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(self.header)
+        writer.writerows(zip(*self.columns))
+        return buffer.getvalue()
+
+    def json_text(self, pad: str) -> str:
+        """json.dumps([dict(zip(header, row)) ...], indent=2) with pad (a
+        newline and the indent of the table's first line) for each
+        newline: one row template, filled from one C-level map a column."""
+        if not self.columns or not self.columns[0]:
+            return "[]"
+        row, cell = pad + "  ", pad + "    "
+        keys = [encode_basestring_ascii(key) for key in self.header]
+        fields = ",".join(cell + key.replace("{", "{{").replace("}", "}}") + ": {}" for key in keys)
+        template = row + "{{" + fields + row + "}}"
+        cells = [
+            map(int.__repr__ if type(column[0]) is int else encode_basestring_ascii, column)
+            for column in self.columns
+        ]
+        return f"[{','.join(map(template.format, *cells))}{pad}]"
+
+
+def _json_text(obj: object, pad: str) -> str:
+    """json.dumps(obj, indent=2) with pad for each newline.  A `_Table`
+    renders itself and a dict holding one is laid out here; anything else
+    goes to json.dumps, whose ensure_ascii strings hold no raw newline."""
+    if isinstance(obj, _Table):
+        return obj.json_text(pad)
+    if isinstance(obj, dict) and any(isinstance(value, _Table) for value in obj.values()):
+        inner = pad + "  "
+        items = ",".join(
+            f"{inner}{encode_basestring_ascii(key)}: {_json_text(value, inner)}"
+            for key, value in obj.items()
+        )
+        return f"{{{items}{pad}}}"
+    return json.dumps(obj, indent=2).replace("\n", pad)
+
+
 @dataclass(frozen=True)
 class _Output:
-    """A JSON-ready payload with an optional CSV table rendering."""
+    """A JSON-ready payload, which may hold a `_Table`, with an optional
+    table for the CSV rendering."""
 
     data: object
-    table: tuple[tuple[str, ...], list[list[object]]] | None = None
+    table: _Table | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -197,17 +258,22 @@ def cmd_twists(args: argparse.Namespace) -> _Output:
             f"field size {head.q} over budget {args.budget}; "
             f"classes from the eigenvalue route only"
         )
-    labels = [tc.twist_class(a) for a in range(head.q)]
-    rows = [
-        [f"{a:x}", _CLASS_SHORT[label], tc.class_counts[label]] for a, label in enumerate(labels)
-    ]
+    labels = list(map(tc.twist_class, range(head.q)))
+    table = _Table(
+        ("a", "class", "count"),
+        (
+            list(map("{:x}".format, range(head.q))),
+            list(map(_CLASS_SHORT.__getitem__, labels)),
+            list(map(tc.class_counts.__getitem__, labels)),
+        ),
+    )
     data = {
         "head": format_curve_spec(head),
-        "rows": [{"a": a, "class": c, "count": n} for a, c, n in rows],
+        "rows": table,
         "counting_checked": tc.counting_checked,
         "warnings": warnings,
     }
-    return _Output(data, (("a", "class", "count"), rows))
+    return _Output(data, table)
 
 
 def cmd_construct(args: argparse.Namespace) -> _Output:
@@ -307,16 +373,19 @@ def cmd_verify(args: argparse.Namespace) -> _Output:
 def cmd_search(args: argparse.Namespace) -> _Output:
     ctx = parse_field_spec(args.field)
     found = extremal_search(ctx, args.e_max, args.predicate, args.budget, args.threads)
-    rows = [[format_curve_spec(spec), count, label] for spec, count, label in found]
-    results = [{"curve": text, "count": n, "class": c} for text, n, c in rows]
-    return _Output(results, (("curve", "count", "class"), rows))
+    specs, counts, labels = zip(*found) if found else ((), (), ())
+    table = _Table(
+        ("curve", "count", "class"), (list(map(format_curve_spec, specs)), counts, labels)
+    )
+    return _Output(table, table)
 
 
 def cmd_hd_check(args: argparse.Namespace) -> _Output:
-    header = ("degree", "sum", "closed_form")
-    rows = [[s, str(total), str(closed)] for s, total, closed in hd_check(args.cap, args.budget)]
-    records = [dict(zip(header, row)) for row in rows]
-    return _Output({"max_degree": args.cap, "rows": records}, (header, rows))
+    degrees, sums, closed = zip(*hd_check(args.cap, args.budget))  # cap >= 1: never empty
+    table = _Table(
+        ("degree", "sum", "closed_form"), (degrees, list(map(str, sums)), list(map(str, closed)))
+    )
+    return _Output({"max_degree": args.cap, "rows": table}, table)
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +395,9 @@ def _emit(out: _Output, fmt: str, output: str) -> None:
     if fmt == "csv":
         if out.table is None:
             raise ParseError("this subcommand has no CSV rendering; use json")
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(out.table[0])
-        writer.writerows(out.table[1])
-        text = buffer.getvalue()
+        text = out.table.csv_text()
     else:
-        text = json.dumps(out.data, indent=2) + "\n"
+        text = _json_text(out.data, "\n") + "\n"
     if output == "-":
         sys.stdout.write(text)
     else:

@@ -76,11 +76,8 @@ class PairingCtx:
         """{v in W : omega(u, v) = 0 for all u in X}."""
         if not X.is_subspace_of(self.W):
             raise NotSubspaceOfW("X is not a subspace of ker F")
-        ctx, wb = self.ctx, self.W.basis
-        images = [
-            sum(self.omega(u, w) << (k * ctx.n) for k, u in enumerate(X.basis))
-            for w in wb
-        ]
+        ctx, wb, xb = self.ctx, self.W.basis, X.fp_basis()  # omega is F_p-bilinear
+        images = [sum(self.omega(u, w) << (k * ctx.n) for k, u in enumerate(xb)) for w in wb]
         perp = Fp2Subspace.from_vectors(ctx, kernel_basis(images, wb))
         if perp.dim_p != self.W.dim_p - X.dim_p:
             raise OracleMismatch(f"complement of dim {perp.dim_p} for dim X {X.dim_p}")

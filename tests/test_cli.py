@@ -6,11 +6,26 @@ import io
 import json
 import random
 import sys
+import tracemalloc
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from aswcurves.cli import main
-from aswcurves.curves import CurveSpec, brute_count, count, zeta, zeta_report
+from aswcurves.cli import _build_parser, _emit, _json_text, _Table, main
+from aswcurves.curves import (
+    DEFAULT_BUDGET,
+    CurveSpec,
+    brute_count,
+    classify_twists,
+    count,
+    extremal_search,
+    format_curve_spec,
+    hd_check,
+    parse_curve_spec,
+    zeta,
+    zeta_report,
+)
 from aswcurves.curves.base import weil_class
 from aswcurves.gf2field import parse_field_spec
 from aswcurves.witt2 import GaussInt
@@ -814,3 +829,164 @@ def test_reports_and_constructions_are_pinned(capsys):
     text = json.dumps(records, separators=(",", ":"))
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == PINNED_REPORTS_SHA256
+
+
+# -- one column set per table: CSV and JSON from `cli._Table` ---------------
+
+def dict_row_renderings(header, rows, payload=lambda records: records):
+    """The CSV and the `json.dumps(..., indent=2)` text of a table built
+    row by row, with its records placed in the payload by `payload`."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    records = [dict(zip(header, row)) for row in rows]
+    return buffer.getvalue(), json.dumps(payload(records), indent=2) + "\n"
+
+
+def twists_renderings(head_text, budget):
+    head = parse_curve_spec(f"{head_text},0")
+    tc = classify_twists(head, budget=budget)
+    short = {"maximal": "max", "minimal": "min", "neutral": "zero"}
+    rows = [(f"{a:x}", short[tc.twist_class(a)], tc.twist_count(a)) for a in range(head.q)]
+    warnings = [] if tc.counting_checked else [
+        f"field size {head.q} over budget {budget}; classes from the eigenvalue route only"
+    ]
+    return dict_row_renderings(("a", "class", "count"), rows, lambda records: {
+        "head": format_curve_spec(head),
+        "rows": records,
+        "counting_checked": tc.counting_checked,
+        "warnings": warnings,
+    })
+
+
+@pytest.mark.parametrize(
+    "head", ["q=F256:p=4; R=1", "q=F64:p=8; R=1", "q=F16:0x19; R=1,0", "q=F64:0x5b; R=1"]
+)
+def test_twists_bytes_equal_the_dict_row_rendering(capsys, head):
+    csv_text, json_text = twists_renderings(head, 0)
+    assert '"warnings": [\n    "field size' in json_text
+    assert run(capsys, "twists", head, "--budget", "0") == (0, csv_text)
+    assert run(capsys, "twists", head, "--budget", "0", "--format", "json") == (0, json_text)
+
+
+def test_empty_search_bytes_equal_the_dict_row_rendering(capsys):
+    argv = ("search", "--field", "F8", "--e-max", "2", "--predicate", "maximal")
+    assert extremal_search(parse_field_spec("F8"), 2, "maximal") == []
+    csv_text, json_text = dict_row_renderings(("curve", "count", "class"), [])
+    assert (csv_text, json_text) == ("curve,count,class\n", "[]\n")
+    assert run(capsys, *argv) == (0, json_text)
+    assert run(capsys, *argv, "--format", "csv") == (0, csv_text)
+
+
+def test_search_bytes_equal_the_dict_row_rendering(capsys):
+    argv = ("search", "--field", "F16:p=4", "--e-max", "2", "--predicate", "extremal")
+    found = extremal_search(parse_field_spec("F16:p=4"), 2, "extremal")
+    rows = [(format_curve_spec(spec), n, label) for spec, n, label in found]
+    csv_text, json_text = dict_row_renderings(("curve", "count", "class"), rows)
+    assert run(capsys, *argv) == (0, json_text)
+    assert run(capsys, *argv, "--format", "csv") == (0, csv_text)
+
+
+def test_hd_check_json_bytes_equal_the_dict_row_rendering(capsys):
+    rows = [(s, str(total), str(closed)) for s, total, closed in hd_check(7, 1 << 7)]
+    csv_text, json_text = dict_row_renderings(
+        ("degree", "sum", "closed_form"), rows, lambda records: {"max_degree": 7, "rows": records}
+    )
+    assert run(capsys, "hd-check", "--cap", "7", "--format", "json") == (0, json_text)
+    assert run(capsys, "hd-check", "--cap", "7", "--format", "csv") == (0, csv_text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_output_file_bytes_equal_the_dict_row_rendering(capsys, tmp_path, fmt):
+    path = tmp_path / f"table.{fmt}"
+    code, out = run(capsys, "twists", "q=F16:0x19; R=1,0", "--format", fmt, "--output", str(path))
+    assert (code, out) == (0, "")
+    expected = twists_renderings("q=F16:0x19; R=1,0", DEFAULT_BUDGET)[fmt == "json"]
+    assert path.read_bytes() == expected.encode()
+
+
+# Cells that json escapes: quotes, backslashes, control characters,
+# braces (the row template's own syntax) and text past ASCII, surrogates
+# included; ints past 64 bits of either sign.
+TRICKY_TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\\n\t\x00\x1f\x7f{}:,é€😀 '), st.characters(exclude_categories=())
+    ),
+    max_size=6,
+)
+WIDE_INTS = st.one_of(st.integers(-300, 300), st.integers(-(1 << 200), 1 << 200))
+CELLS = st.sampled_from([TRICKY_TEXT, WIDE_INTS])
+
+
+@st.composite
+def tables(draw):
+    header = draw(st.lists(TRICKY_TEXT, max_size=4, unique=True))
+    size = draw(st.integers(0, 4))
+    columns = [
+        draw(st.lists(draw(CELLS), min_size=size, max_size=size))
+        for _ in header
+    ]
+    return header, columns
+
+
+@seed(20261022)
+@settings(max_examples=300, deadline=None, database=None)
+@given(tables())
+def test_table_json_equals_json_dumps_of_dict_rows(case):
+    header, columns = case
+    table, rows = _Table(header, columns), list(zip(*columns))
+    records = [dict(zip(header, row)) for row in rows]
+    assert _json_text(table, "\n") == json.dumps(records, indent=2)
+    nested = {"max_degree": -1, "rows": table, "warnings": ['"\\\n']}
+    expected = json.dumps({**nested, "rows": records}, indent=2)
+    assert _json_text(nested, "\n") == expected
+    assert table.csv_text() == dict_row_renderings(header, rows)[0]
+
+
+class Label(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "column",
+    [[1, True], [True], [False, 0], ["a", 1], [1, "a"], [1.0], [None], [b"a"], ["a", Label("b")]],
+)
+def test_table_refuses_a_column_not_all_str_or_all_int(column):
+    with pytest.raises(TypeError):
+        _Table(("k",), (column,))
+
+
+@pytest.mark.parametrize(
+    "header, columns",
+    [(("k",), ([1], [2])), (("k", "k"), ([1], [2])), (("k", "v"), ([1], [2, 3]))],
+)
+def test_table_refuses_a_header_that_does_not_fit_its_columns(header, columns):
+    with pytest.raises(ValueError):
+        _Table(header, columns)
+
+
+class LengthSink:
+    """A stdout that keeps only how many characters it was given."""
+
+    written = 0
+
+    def write(self, text):
+        self.written += len(text)
+
+
+def test_twist_table_json_peak_stays_near_its_length(monkeypatch):
+    """The rendering holds about two copies of the text: the row strings
+    and their join.  The per-row dicts and the pure-Python encoder the
+    table replaced peaked at 9.5 times the output here."""
+    args = _build_parser().parse_args(["twists", "q=F4096; R=1,0", "--format", "json"])
+    out, sink = args.func(args), LengthSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        _emit(out, args.format, args.output)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.written == 302_671
+    assert peak < 5 * sink.written

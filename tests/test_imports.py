@@ -2,13 +2,17 @@
 counting oracle imports nothing from the routes it checks, the routes
 reach the oracle only through `curves.count.checked_count`, the command
 line reaches the eigenvalue route only through `curves.zeta_report`
-and compares no routes itself, only `bitvec` imports numpy, no module
+and compares no routes itself, only `bitvec` imports numpy, the
+command line starts without the thread pool, no module
 holds what `python -O` would strip, every function and class under
 `src/` is reached, and every reference in `tests/reference.py` is
 compared against by some test."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -148,6 +152,18 @@ def test_numpy_detector_flags_imports_not_prose():
         "    import numpy\n"
     )
     assert numpy_imports(source) == [2, 3, 4, 5, 10, 14]
+
+
+def test_the_cli_starts_without_the_thread_pool():
+    """`bitvec` imports concurrent.futures only for a threaded count, so
+    a command line pays for it only when it asks for threads."""
+    program = "import sys, aswcurves.cli\nprint('concurrent.futures' in sys.modules)\n"
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + path if path else str(SRC))
+    run = subprocess.run(
+        [sys.executable, "-c", program], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.stdout == "False\n", run.stderr
 
 
 # The formula routes enter the enumeration oracle only through

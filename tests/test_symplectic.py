@@ -300,6 +300,22 @@ def test_maximal_isotropic_solves_nothing(monkeypatch, text):
     assert solves and 1 not in solves  # PairingCtx solved, the search did not
 
 
+@pytest.mark.parametrize(
+    "text, calls",
+    [("q=F16; R=1,0,0", 39), ("q=F256:p=4; R=1,0", 17), ("q=F4096:p=8; R=1,0", 25)],
+)
+def test_complement_pairs_against_an_fp_basis(monkeypatch, text, calls):
+    """omega is F_p-bilinear, so the complement pairs W against an
+    F_p-basis of X: at p = 2^k the F_2-basis would make k times the
+    calls (33 at p = 4 and 73 at p = 8 for the whole conditions)."""
+    made, omega = [], PairingCtx.omega
+    monkeypatch.setattr(
+        PairingCtx, "omega", lambda self, u, v: made.append(u) or omega(self, u, v)
+    )
+    assert presentation.presentation_conditions(parse_curve_spec(text)).flags == (True,) * 4
+    assert len(made) == calls
+
+
 def test_kernel_subfield_dimensions_match():
     # for any field k containing the coefficients of F, the k-rational
     # parts of ker F and ker F* have the same size
